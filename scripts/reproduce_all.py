@@ -3,8 +3,9 @@
 
 Usage: python scripts/reproduce_all.py [outdir] [--config PATH] [--trials N]
 
-The three sweep experiments honor trials/seed from the config (or the
---trials override); gains/design/complexity are instant.
+The sweep experiments honor trials/seed from the config (or the --trials
+override); gains/design/complexity are instant.  fig3 and fig4 are drawn
+from one shared sweep; fig2 runs its own.
 """
 
 import argparse
@@ -28,8 +29,10 @@ def main(argv=None) -> int:
         cfg = with_sweep(cfg, trials_per_point=args.trials)
     args.outdir.mkdir(parents=True, exist_ok=True)
     workers = _workers()
+    memo = {}
     for name in EXPERIMENTS:
-        path = run_experiment(name, cfg, args.outdir / f"{name}.csv", workers=workers)
+        path = run_experiment(name, cfg, args.outdir / f"{name}.csv", workers=workers,
+                              memo=memo)
         print(f"{name}: {path}")
     return 0
 

@@ -100,16 +100,12 @@ class ChannelGains:
 
     def __post_init__(self):
         for name in ("h11", "h21", "h22", "h32"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
 
-    @property
-    def noma_ordering_ok(self) -> bool:
-        """True when each center user outgains the edge user in its own cell."""
-        return self.h11 > self.h21 and self.h32 > self.h22
-
     def ordering_diagnostic(self) -> str | None:
-        """Human-readable reason the gains cannot support the power ordering."""
+        """Why the gains cannot support the power ordering, or None when each
+        center user outgains the edge user in its own cell."""
         problems = []
         if self.h11 <= self.h21:
             problems.append(f"h11={self.h11!r} <= h21={self.h21!r} in cell 1")
@@ -130,11 +126,11 @@ def lambertian_order(semi_angle_deg: float) -> float:
 
 def link_geometry(
     top_view_m: float, room_height_m: float, rx_height_m: float
-) -> tuple[float, float, float]:
-    """Distance and angle cosines of one LED-to-photodiode link.
+) -> tuple[float, float]:
+    """Distance and angle cosine of one LED-to-photodiode link.
 
-    Returns ``(d, cos_emission, cos_incidence)``.  With both devices facing
-    vertically the two cosines are equal: (L - L_w) / d.
+    Returns ``(d, cosine)``.  With both devices facing vertically the
+    emission and incidence cosines are equal: (L - L_w) / d.
     """
     if room_height_m <= rx_height_m:
         raise GeometryError(
@@ -144,8 +140,7 @@ def link_geometry(
         raise GeometryError(f"top-view distance must be >= 0, got {top_view_m}")
     drop = room_height_m - rx_height_m
     d = math.hypot(top_view_m, drop)
-    cosine = drop / d
-    return d, cosine, cosine
+    return d, drop / d
 
 
 def concentrator_gain(incidence_deg: float, fov_deg: float, refractive_index: float) -> float:
@@ -166,37 +161,27 @@ def dc_gain(
 ) -> float:
     """DC gain of one link, zero when the incidence angle exceeds the FOV."""
     zeta = lambertian_order(front_end.semi_angle_deg)
-    d, cos_phi, cos_psi = link_geometry(top_view_m, room_height_m, rx_height_m)
-    psi_deg = math.degrees(math.acos(min(cos_psi, 1.0)))
-    if psi_deg > front_end.fov_deg:
-        return 0.0
+    d, cosine = link_geometry(top_view_m, room_height_m, rx_height_m)
+    psi_deg = math.degrees(math.acos(min(cosine, 1.0)))
     g = concentrator_gain(psi_deg, front_end.fov_deg, front_end.concentrator_index)
     return (
         (zeta + 1.0)
         * front_end.detector_area_m2
         * front_end.responsivity_a_per_w
-        * math.pow(cos_phi, zeta)
+        * math.pow(cosine, zeta)
         * front_end.filter_gain
         * g
-        * cos_psi
+        * cosine
         / (2.0 * math.pi * d * d)
     )
 
 
-def gain_matrix(
-    geometry: ScenarioGeometry,
-    front_end: OpticalFrontEnd,
-    override: ChannelGains | None = None,
-) -> ChannelGains:
-    """Gains of all four links, or the ``override`` values returned verbatim.
+def gain_matrix(geometry: ScenarioGeometry, front_end: OpticalFrontEnd) -> ChannelGains:
+    """Gains of all four links.
 
-    The override exists so experiments can pin externally supplied gains
-    while keeping the same code path; pass-through performs no recomputation.
-    Check ``noma_ordering_ok`` / ``ordering_diagnostic()`` on the result, the
-    matrix itself is returned even when the ordering is infeasible.
+    Check ``ordering_diagnostic()`` on the result; the matrix itself is
+    returned even when the ordering is infeasible.
     """
-    if override is not None:
-        return override
     L = geometry.room_height_m
     heights = geometry.rx_heights_m
     return ChannelGains(

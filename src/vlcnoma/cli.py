@@ -12,12 +12,12 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, load_config, snr_grid, with_sweep
+from .config import ExperimentConfig, load_config, parse_finite, snr_grid, with_sweep
 from .constellation import design_constellation
 from .errors import ConfigError, ParameterError
 from .experiments import SER_HEADER, echo_comments, run_experiment, ser_rows, write_csv
-from .link import (NoiseModel, SymbolTuple, awgn_sample, decode_center_sic, decode_u2_jml,
-                   decode_u2_sic, superpose_transmit)
+from .link import (awgn_sample, decode_center_sic, decode_u2_jml, decode_u2_sic,
+                   superpose_transmit)
 from .montecarlo import philox_stream, run_sweep, sigma_from_snr
 
 
@@ -37,7 +37,7 @@ def _parse_snr_spec(spec: str) -> tuple[float, ...]:
     if len(parts) != 3:
         raise ConfigError(f"--snr expects start:stop:step, got {spec!r}")
     try:
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (parse_finite(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"--snr expects numbers, got {spec!r}") from exc
     return snr_grid(start, stop, step)
@@ -66,20 +66,15 @@ def _trace(cfg: ExperimentConfig) -> None:
     snr_db = sweep.snr_points_db[0]
     sigma = sigma_from_snr(snr_db, cfg.target_power_w)
     rng = philox_stream(sweep.seed, 0, 0)
-    m1, m2, m3 = cset.bpcu.sizes
-    sent = SymbolTuple(
-        int(rng.integers(1, m1 + 1)),
-        int(rng.integers(1, m2 + 1)),
-        int(rng.integers(1, m3 + 1)),
-    )
-    y = awgn_sample(superpose_transmit(sent, cset, gains), NoiseModel.equal(sigma), rng)
-    u1_hat, stage1 = decode_center_sic(y.y1, gains.h11, cset, 1)
-    u3_hat, stage3 = decode_center_sic(y.y3, gains.h32, cset, 3)
-    u2_sic = decode_u2_sic(y.y2, gains, cset)
-    u2_jml = decode_u2_jml(y.y2, gains, cset)
+    sent = [int(rng.integers(1, m + 1)) for m in cset.bpcu.sizes]
+    y1, y2, y3 = awgn_sample(superpose_transmit(sent, cset, gains), sigma, rng)
+    u1_hat, stage1 = decode_center_sic(y1, gains.h11, cset, 1)
+    u3_hat, stage3 = decode_center_sic(y3, gains.h32, cset, 3)
+    u2_sic = decode_u2_sic(y2, gains, cset)
+    u2_jml = decode_u2_jml(y2, gains, cset)
     print(f"snr_db = {snr_db}  sigma = {sigma!r}")
-    print(f"sent: u1={sent.u1} u2={sent.u2} u3={sent.u3}")
-    print(f"received: y1={float(y.y1)!r} y2={float(y.y2)!r} y3={float(y.y3)!r}")
+    print(f"sent: u1={sent[0]} u2={sent[1]} u3={sent[2]}")
+    print(f"received: y1={float(y1)!r} y2={float(y2)!r} y3={float(y3)!r}")
     print(f"user1 sic: own={int(u1_hat)} edge_stage={int(stage1)}")
     print(f"user2 sic: {int(u2_sic)}   user2 jml: {int(u2_jml)}")
     print(f"user3 sic: own={int(u3_hat)} edge_stage={int(stage3)}")

@@ -20,12 +20,12 @@ from .errors import ConfigError, ParameterError
 from .montecarlo import SweepConfig
 
 
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("true", "1", "yes"):
-        return True
-    if text.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+def parse_finite(text: str) -> float:
+    """float(text), rejecting nan and infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def _parse_schemes(text: str) -> tuple[str, ...]:
@@ -36,44 +36,56 @@ def _parse_schemes(text: str) -> tuple[str, ...]:
 
 
 def _parse_snr_points(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(":"))
+    return tuple(parse_finite(part) for part in text.split(":"))
 
 
-# key -> (parser, default). None defaults mean "absent unless configured".
+# key -> (parser, default, location).  None defaults mean "absent unless
+# configured"; location is the dotted path of the value in a validated
+# ExperimentConfig, which config_echo reads back.  Keys without a location
+# only feed other values and are not echoed.
 SCHEMA: dict[str, tuple] = {
-    "room_height_m": (float, 4.0),
-    "cell_radius_m": (float, 3.6),
-    "rx_height_u1_m": (float, 0.5),
-    "rx_height_u2_m": (float, 0.5),
-    "rx_height_u3_m": (float, 1.0),
-    "r11_m": (float, 0.4885),
-    "r21_m": (float, 3.2880),
-    "r22_m": (float, 3.4670),
-    "r32_m": (float, 0.3030),
-    "semi_angle_deg": (float, 60.0),
-    "fov_deg": (float, 60.0),
-    "filter_gain": (float, 1.0),
-    "responsivity_a_per_w": (float, 0.4),
-    "detector_area_m2": (float, 1e-4),
-    "concentrator_index": (float, 1.5),
-    "gain_h11": (float, None),
-    "gain_h21": (float, None),
-    "gain_h22": (float, None),
-    "gain_h32": (float, None),
-    "bpcu_u1": (int, 3),
-    "bpcu_u2": (int, 2),
-    "bpcu_u3": (int, 2),
-    "target_power_w": (float, 1.0),
-    "snr_start_db": (float, 100.0),
-    "snr_stop_db": (float, 150.0),
-    "snr_step_db": (float, 2.0),
+    "room_height_m": (parse_finite, 4.0, "geometry.room_height_m"),
+    # feeds no computation, but every output header echoes it
+    "cell_radius_m": (parse_finite, 3.6, "geometry.cell_radius_m"),
+    "rx_height_u1_m": (parse_finite, 0.5, "geometry.rx_heights_m.0"),
+    "rx_height_u2_m": (parse_finite, 0.5, "geometry.rx_heights_m.1"),
+    "rx_height_u3_m": (parse_finite, 1.0, "geometry.rx_heights_m.2"),
+    "r11_m": (parse_finite, 0.4885, "geometry.r11_m"),
+    "r21_m": (parse_finite, 3.2880, "geometry.r21_m"),
+    "r22_m": (parse_finite, 3.4670, "geometry.r22_m"),
+    "r32_m": (parse_finite, 0.3030, "geometry.r32_m"),
+    "semi_angle_deg": (parse_finite, 60.0, "front_end.semi_angle_deg"),
+    "fov_deg": (parse_finite, 60.0, "front_end.fov_deg"),
+    "filter_gain": (parse_finite, 1.0, "front_end.filter_gain"),
+    "responsivity_a_per_w": (parse_finite, 0.4, "front_end.responsivity_a_per_w"),
+    "detector_area_m2": (parse_finite, 1e-4, "front_end.detector_area_m2"),
+    "concentrator_index": (parse_finite, 1.5, "front_end.concentrator_index"),
+    "gain_h11": (parse_finite, None, "gain_override.h11"),
+    "gain_h21": (parse_finite, None, "gain_override.h21"),
+    "gain_h22": (parse_finite, None, "gain_override.h22"),
+    "gain_h32": (parse_finite, None, "gain_override.h32"),
+    "bpcu_u1": (int, 3, "bpcu.u1"),
+    "bpcu_u2": (int, 2, "bpcu.u2"),
+    "bpcu_u3": (int, 2, "bpcu.u3"),
+    "target_power_w": (parse_finite, 1.0, "target_power_w"),
+    "snr_start_db": (parse_finite, 100.0, None),
+    "snr_stop_db": (parse_finite, 150.0, None),
+    "snr_step_db": (parse_finite, 2.0, None),
     # explicit grid; wins over start/stop/step when present (exact echo replay)
-    "snr_points_db": (_parse_snr_points, None),
-    "trials_per_point": (int, 100_000),
-    "seed": (int, 1),
-    "min_errors": (int, 0),
-    "batch_size": (int, 1 << 15),
-    "schemes": (_parse_schemes, ("noma-sic",)),
+    "snr_points_db": (_parse_snr_points, None, "sweep.snr_points_db"),
+    "trials_per_point": (int, 100_000, "sweep.trials_per_point"),
+    "seed": (int, 1, "sweep.seed"),
+    "min_errors": (int, 0, "sweep.min_errors"),
+    "batch_size": (int, 1 << 15, "sweep.batch_size"),
+    "schemes": (_parse_schemes, ("noma-sic",), "sweep.schemes"),
+}
+
+# How config_echo writes a value, by the parser that reads it back.
+ECHO_FORMAT = {
+    parse_finite: repr,
+    int: str,
+    _parse_snr_points: lambda points: ":".join(repr(s) for s in points),
+    _parse_schemes: ",".join,
 }
 
 GAIN_KEYS = ("gain_h11", "gain_h21", "gain_h22", "gain_h32")
@@ -140,7 +152,7 @@ def parse_kv_file(path) -> dict[str, str]:
 def build_config(raw: dict[str, str], source: str = "<config>") -> ExperimentConfig:
     """Typed, validated config from raw strings; defaults fill missing keys."""
     typed: dict[str, object] = {}
-    for key, (parser, default) in SCHEMA.items():
+    for key, (parser, default, _) in SCHEMA.items():
         if key in raw:
             try:
                 typed[key] = parser(raw[key])
@@ -219,48 +231,25 @@ def load_config(path=None) -> ExperimentConfig:
     return build_config(parse_kv_file(actual), source=str(actual))
 
 
+def _lookup(cfg: ExperimentConfig, location: str):
+    value = cfg
+    for part in location.split("."):
+        if value is None:
+            return None
+        value = value[int(part)] if part.isdigit() else getattr(value, part)
+    return value
+
+
 def config_echo(cfg: ExperimentConfig) -> list[tuple[str, str]]:
     """Canonical (key, value) pairs describing cfg, for embedding in outputs."""
-    sweep = cfg.sweep
-    pairs: list[tuple[str, str]] = [
-        ("room_height_m", repr(cfg.geometry.room_height_m)),
-        ("cell_radius_m", repr(cfg.geometry.cell_radius_m)),
-        ("rx_height_u1_m", repr(cfg.geometry.rx_heights_m[0])),
-        ("rx_height_u2_m", repr(cfg.geometry.rx_heights_m[1])),
-        ("rx_height_u3_m", repr(cfg.geometry.rx_heights_m[2])),
-        ("r11_m", repr(cfg.geometry.r11_m)),
-        ("r21_m", repr(cfg.geometry.r21_m)),
-        ("r22_m", repr(cfg.geometry.r22_m)),
-        ("r32_m", repr(cfg.geometry.r32_m)),
-        ("semi_angle_deg", repr(cfg.front_end.semi_angle_deg)),
-        ("fov_deg", repr(cfg.front_end.fov_deg)),
-        ("filter_gain", repr(cfg.front_end.filter_gain)),
-        ("responsivity_a_per_w", repr(cfg.front_end.responsivity_a_per_w)),
-        ("detector_area_m2", repr(cfg.front_end.detector_area_m2)),
-        ("concentrator_index", repr(cfg.front_end.concentrator_index)),
-    ]
-    if cfg.gain_override is not None:
-        pairs += [(key, repr(getattr(cfg.gain_override, key.removeprefix("gain_"))))
-                  for key in GAIN_KEYS]
-    pairs += [
-        ("bpcu_u1", str(cfg.bpcu.u1)),
-        ("bpcu_u2", str(cfg.bpcu.u2)),
-        ("bpcu_u3", str(cfg.bpcu.u3)),
-        ("target_power_w", repr(cfg.target_power_w)),
-        ("snr_points_db", ":".join(repr(s) for s in sweep.snr_points_db)),
-        ("trials_per_point", str(sweep.trials_per_point)),
-        ("seed", str(sweep.seed)),
-        ("min_errors", str(sweep.min_errors)),
-        ("batch_size", str(sweep.batch_size)),
-        ("schemes", ",".join(sweep.schemes)),
-    ]
+    pairs = []
+    for key, (parser, _, location) in SCHEMA.items():
+        value = None if location is None else _lookup(cfg, location)
+        if value is not None:
+            pairs.append((key, ECHO_FORMAT[parser](value)))
     return pairs
 
 
 def with_sweep(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
     """Copy of cfg with selected sweep fields replaced."""
     return replace(cfg, sweep=replace(cfg.sweep, **changes))
-
-
-def with_bpcu(cfg: ExperimentConfig, bpcu: SpectralEfficiencies) -> ExperimentConfig:
-    return replace(cfg, bpcu=bpcu)

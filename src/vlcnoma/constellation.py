@@ -41,9 +41,6 @@ class SpectralEfficiencies:
         """Constellation sizes (2**bpcu per user)."""
         return (2**self.u1, 2**self.u2, 2**self.u3)
 
-    def scaled(self, factor: int = 2) -> "SpectralEfficiencies":
-        return SpectralEfficiencies(self.u1 * factor, self.u2 * factor, self.u3 * factor)
-
 
 @dataclass(frozen=True)
 class ConstellationSet:

@@ -9,17 +9,16 @@ together with deterministic sweeps makes outputs byte-stable.
 from __future__ import annotations
 
 import numbers
+from dataclasses import replace
 from pathlib import Path
 
 from . import analytic
-from .config import ExperimentConfig, config_echo, with_bpcu, with_sweep
+from .config import ExperimentConfig, config_echo, with_sweep
 from .constellation import (SpectralEfficiencies, design_constellation, peak_powers,
                             verify_gap_condition)
 from .errors import ParameterError
-from .link import OmaConfig
 from .montecarlo import SerPoint, run_sweep, sigma_from_snr
 
-EXPERIMENTS = ("gains", "design", "analytic", "complexity", "fig2", "fig3", "fig4")
 SER_HEADER = "snr_db,user,scheme,trials,errors,ser,ci_low,ci_high,analytic"
 
 
@@ -65,10 +64,10 @@ def experiment_gains(cfg: ExperimentConfig, out: Path) -> Path:
         c = getattr(computed, name)
         o = getattr(override, name) if override is not None else None
         rows.append((name, c, o, None if o is None else c / o))
-    comments = echo_comments(cfg) + [
-        f"computed_noma_ordering_ok = {str(computed.noma_ordering_ok).lower()}",
-    ]
     diagnostic = computed.ordering_diagnostic()
+    comments = echo_comments(cfg) + [
+        f"computed_noma_ordering_ok = {str(diagnostic is None).lower()}",
+    ]
     if diagnostic:
         comments.append(f"computed_ordering_diagnostic = {diagnostic}")
     return write_csv(out, "link,computed,override,ratio_computed_over_override", rows, comments)
@@ -134,66 +133,57 @@ def experiment_complexity(cfg: ExperimentConfig, out: Path) -> Path:
 
 
 REFERENCE_BPCU = SpectralEfficiencies(3, 2, 2)
+ALL_SCHEMES = ("noma-sic", "noma-jml", "oma")
+BASELINE_NOTE = ("note: the prior single-cell superposition baseline is omitted; its level"
+                 " design rules are not part of this package")
+
+# Figure name -> (schemes swept, rows kept, extra comment lines).  Every
+# figure runs at the reference efficiencies.  fig3 and fig4 are two views of
+# one sweep over all schemes; the orthogonal baseline in it runs doubled
+# efficiencies so each user carries the same bits per channel use.  fig2
+# keeps its own noma-sic sweep: early stopping waits until every tracked
+# (scheme, user) has reached min_errors, so with min_errors > 0 a sweep over
+# all schemes cuts each point at a different batch and changes fig2's rows.
+FIGURES = {
+    "fig2": (("noma-sic",), lambda p: p.user != "avg", ()),
+    "fig3": (ALL_SCHEMES, lambda p: p.user == "avg",
+             ("series = average SER per scheme", BASELINE_NOTE)),
+    "fig4": (ALL_SCHEMES, lambda p: p.user == "u2",
+             ("series = cell-edge user SER per scheme", BASELINE_NOTE)),
+}
+TABLES = {
+    "gains": experiment_gains,
+    "design": experiment_design,
+    "analytic": experiment_analytic,
+    "complexity": experiment_complexity,
+}
+EXPERIMENTS = (*TABLES, *FIGURES)
 
 
-def _reference_sweep(cfg: ExperimentConfig, schemes: tuple[str, ...], workers: int):
-    cfg = with_bpcu(cfg, REFERENCE_BPCU)
-    cfg = with_sweep(cfg, schemes=schemes)
-    gains = cfg.effective_gains()
-    cset = design_constellation(cfg.bpcu, gains, cfg.target_power_w)
-    oma = OmaConfig.from_noma(cfg.bpcu, cfg.target_power_w) if "oma" in schemes else None
-    points = run_sweep(cfg.sweep, cset, gains, oma=oma, workers=workers)
-    return cfg, points
+def experiment_figure(name: str, cfg: ExperimentConfig, out: Path, workers: int,
+                      memo: dict | None) -> Path:
+    """One reference figure's SER rows.
 
-
-def experiment_fig2(cfg: ExperimentConfig, out: Path, workers: int = 1) -> Path:
-    """Per-user simulated and analytic SER, interference-as-noise decoding."""
-    cfg, points = _reference_sweep(cfg, ("noma-sic",), workers)
-    rows = ser_rows([p for p in points if p.user != "avg"])
-    return write_csv(out, SER_HEADER, rows, echo_comments(cfg))
-
-
-def experiment_fig3(cfg: ExperimentConfig, out: Path, workers: int = 1) -> Path:
-    """Average SER of all users for every scheme.
-
-    The orthogonal baseline runs doubled efficiencies so each user carries
-    the same bits per channel use as under superposition.
+    ``memo`` maps each derived config to its sweep, so figures that need the
+    same sweep within one run share it; the key is the whole derived config,
+    so an entry is never reused for a different one.
     """
-    cfg, points = _reference_sweep(cfg, ("noma-sic", "noma-jml", "oma"), workers)
-    rows = ser_rows([p for p in points if p.user == "avg"])
-    comments = echo_comments(cfg) + [
-        "series = average SER per scheme",
-        "note: the prior single-cell superposition baseline is omitted; its level"
-        " design rules are not part of this package",
-    ]
-    return write_csv(out, SER_HEADER, rows, comments)
+    schemes, keep, notes = FIGURES[name]
+    cfg = with_sweep(replace(cfg, bpcu=REFERENCE_BPCU), schemes=schemes)
+    memo = {} if memo is None else memo
+    if cfg not in memo:
+        gains = cfg.effective_gains()
+        cset = design_constellation(cfg.bpcu, gains, cfg.target_power_w)
+        memo[cfg] = run_sweep(cfg.sweep, cset, gains, workers=workers)
+    rows = ser_rows([p for p in memo[cfg] if keep(p)])
+    return write_csv(out, SER_HEADER, rows, echo_comments(cfg) + list(notes))
 
 
-def experiment_fig4(cfg: ExperimentConfig, out: Path, workers: int = 1) -> Path:
-    """Cell-edge user's SER under both decoders and the orthogonal baseline."""
-    cfg, points = _reference_sweep(cfg, ("noma-sic", "noma-jml", "oma"), workers)
-    rows = ser_rows([p for p in points if p.user == "u2"])
-    comments = echo_comments(cfg) + [
-        "series = cell-edge user SER per scheme",
-        "note: the prior single-cell superposition baseline is omitted; its level"
-        " design rules are not part of this package",
-    ]
-    return write_csv(out, SER_HEADER, rows, comments)
-
-
-def run_experiment(name: str, cfg: ExperimentConfig, out: Path, workers: int = 1) -> Path:
-    if name == "gains":
-        return experiment_gains(cfg, out)
-    if name == "design":
-        return experiment_design(cfg, out)
-    if name == "analytic":
-        return experiment_analytic(cfg, out)
-    if name == "complexity":
-        return experiment_complexity(cfg, out)
-    if name == "fig2":
-        return experiment_fig2(cfg, out, workers)
-    if name == "fig3":
-        return experiment_fig3(cfg, out, workers)
-    if name == "fig4":
-        return experiment_fig4(cfg, out, workers)
+def run_experiment(name: str, cfg: ExperimentConfig, out: Path, workers: int = 1,
+                   memo: dict | None = None) -> Path:
+    """Write one named experiment's CSV; ``memo`` is shared by the figures."""
+    if name in FIGURES:
+        return experiment_figure(name, cfg, out, workers, memo)
+    if name in TABLES:
+        return TABLES[name](cfg, out)
     raise ParameterError(f"unknown experiment {name!r}, expected one of {EXPERIMENTS}")

@@ -20,42 +20,6 @@ from .constellation import ConstellationSet
 from .errors import ParameterError
 
 
-@dataclass(frozen=True)
-class SymbolTuple:
-    """One channel use worth of data: the index each user transmits."""
-
-    u1: int
-    u2: int
-    u3: int
-
-
-@dataclass(frozen=True)
-class ReceivedSignals:
-    """Electrical amplitude seen by each user (scalars or arrays)."""
-
-    y1: object
-    y2: object
-    y3: object
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-user AWGN standard deviations."""
-
-    sigma1: float
-    sigma2: float
-    sigma3: float
-
-    def __post_init__(self):
-        for name in ("sigma1", "sigma2", "sigma3"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
-
-    @classmethod
-    def equal(cls, sigma: float) -> "NoiseModel":
-        return cls(sigma, sigma, sigma)
-
-
 @dataclass
 class MetricCounter:
     """Counts candidate-distance evaluations performed by the decoders."""
@@ -104,49 +68,34 @@ def _indices(values, size: int, name: str) -> np.ndarray:
     return arr
 
 
-def superpose_transmit(
-    symbols, cset: ConstellationSet, gains: ChannelGains
-) -> ReceivedSignals:
-    """Noiseless received amplitudes for the given symbol indices.
+def superpose_transmit(symbols, cset: ConstellationSet, gains: ChannelGains):
+    """Noiseless received amplitudes ``(y1, y2, y3)`` for the symbol indices.
 
     User 1 sees cell 1's superposition through h11, user 3 sees cell 2's
     through h32, and the edge user sees both superpositions through its two
     weak links.
     """
-    if isinstance(symbols, SymbolTuple):
-        u1, u2, u3 = symbols.u1, symbols.u2, symbols.u3
-    else:
-        u1, u2, u3 = symbols
+    u1, u2, u3 = symbols
     m1, m2, m3 = cset.bpcu.sizes
     i1 = _indices(u1, m1, "u1") - 1
     i2 = _indices(u2, m2, "u2") - 1
     i3 = _indices(u3, m3, "u3") - 1
     tx1 = cset.cell1_center[i1] + cset.cell1_edge[i2]
     tx2 = cset.cell2_edge[i2] + cset.cell2_center[i3]
-    return ReceivedSignals(
-        y1=tx1 * gains.h11,
-        y2=tx1 * gains.h21 + tx2 * gains.h22,
-        y3=tx2 * gains.h32,
-    )
+    return tx1 * gains.h11, tx1 * gains.h21 + tx2 * gains.h22, tx2 * gains.h32
 
 
-def awgn_sample(
-    noiseless: ReceivedSignals, noise: NoiseModel, rng: np.random.Generator
-) -> ReceivedSignals:
-    """Add independent zero-mean Gaussian noise to each user's signal.
+def awgn_sample(noiseless, sigma: float, rng: np.random.Generator):
+    """Add independent zero-mean Gaussian noise of std sigma to ``(y1, y2, y3)``.
 
     The caller owns the stream; hand in a counter-addressed generator (see
     montecarlo.philox_stream) and repeated calls at the same stream position
     reproduce bit-identical output.  Draw order is fixed: y1, y2, y3.
     """
-    y1 = np.asarray(noiseless.y1, dtype=float)
-    y2 = np.asarray(noiseless.y2, dtype=float)
-    y3 = np.asarray(noiseless.y3, dtype=float)
-    return ReceivedSignals(
-        y1=y1 + noise.sigma1 * rng.standard_normal(y1.shape),
-        y2=y2 + noise.sigma2 * rng.standard_normal(y2.shape),
-        y3=y3 + noise.sigma3 * rng.standard_normal(y3.shape),
-    )
+    if not sigma >= 0:
+        raise ParameterError(f"sigma must be >= 0, got {sigma}")
+    noiseless = (np.asarray(y, dtype=float) for y in noiseless)
+    return tuple(y + sigma * rng.standard_normal(y.shape) for y in noiseless)
 
 
 def _nearest(y, candidates: np.ndarray, counter: MetricCounter | None) -> np.ndarray:
@@ -228,7 +177,7 @@ def pam_detect(y, levels, gain: float, counter: MetricCounter | None = None):
 def oma_round(
     symbols,
     gains: ChannelGains,
-    noise: NoiseModel,
+    sigma: float,
     config: OmaConfig,
     rng: np.random.Generator,
     counter: MetricCounter | None = None,
@@ -240,10 +189,9 @@ def oma_round(
     combined gain h21 + h22.  Noise draw order is fixed: user 1, user 3,
     then the edge user.  Returns the three decoded indices.
     """
-    if isinstance(symbols, SymbolTuple):
-        m1, m2, m3 = symbols.u1, symbols.u2, symbols.u3
-    else:
-        m1, m2, m3 = symbols
+    if not sigma >= 0:
+        raise ParameterError(f"sigma must be >= 0, got {sigma}")
+    m1, m2, m3 = symbols
     s1, s2, s3 = config.sizes
     i1 = _indices(m1, s1, "u1") - 1
     i2 = _indices(m2, s2, "u2") - 1
@@ -252,10 +200,10 @@ def oma_round(
     pam2 = oma_pam_points(s2, config.avg_intensity_w)
     pam3 = oma_pam_points(s3, config.avg_intensity_w)
     shape = np.broadcast_shapes(np.shape(i1), np.shape(i2), np.shape(i3))
-    y1 = pam1[i1] * gains.h11 + noise.sigma1 * rng.standard_normal(shape)
-    y3 = pam3[i3] * gains.h32 + noise.sigma3 * rng.standard_normal(shape)
+    y1 = pam1[i1] * gains.h11 + sigma * rng.standard_normal(shape)
+    y3 = pam3[i3] * gains.h32 + sigma * rng.standard_normal(shape)
     edge_gain = gains.h21 + gains.h22
-    y2 = pam2[i2] * edge_gain + noise.sigma2 * rng.standard_normal(shape)
+    y2 = pam2[i2] * edge_gain + sigma * rng.standard_normal(shape)
     return (
         pam_detect(y1, pam1, gains.h11, counter),
         pam_detect(y2, pam2, edge_gain, counter),

@@ -23,8 +23,8 @@ from . import analytic
 from .channel import ChannelGains
 from .constellation import ConstellationSet, verify_gap_condition
 from .errors import ParameterError
-from .link import (NoiseModel, OmaConfig, awgn_sample, decode_center_sic, decode_u2_jml,
-                   decode_u2_sic, oma_round, superpose_transmit)
+from .link import (OmaConfig, awgn_sample, decode_center_sic, decode_u2_jml, decode_u2_sic,
+                   oma_round, superpose_transmit)
 
 USERS = ("u1", "u2", "u3")
 Z_95 = 1.959963984540054
@@ -136,32 +136,31 @@ def _batch_errors(
     orthogonal baseline's symbols and noise if requested.
     """
     m1, m2, m3 = cset.bpcu.sizes
-    noise = NoiseModel.equal(sigma)
     errors: dict[tuple[str, str], int] = {}
     noma = [s for s in schemes if s.startswith("noma")]
     if noma:
         u1 = rng.integers(1, m1 + 1, n)
         u2 = rng.integers(1, m2 + 1, n)
         u3 = rng.integers(1, m3 + 1, n)
-        y = awgn_sample(superpose_transmit((u1, u2, u3), cset, gains), noise, rng)
-        u1_hat, _ = decode_center_sic(y.y1, gains.h11, cset, 1)
-        u3_hat, _ = decode_center_sic(y.y3, gains.h32, cset, 3)
+        y1, y2, y3 = awgn_sample(superpose_transmit((u1, u2, u3), cset, gains), sigma, rng)
+        u1_hat, _ = decode_center_sic(y1, gains.h11, cset, 1)
+        u3_hat, _ = decode_center_sic(y3, gains.h32, cset, 3)
         center = {"u1": int(np.count_nonzero(u1_hat != u1)),
                   "u3": int(np.count_nonzero(u3_hat != u3))}
         if "noma-sic" in schemes:
-            u2_hat = decode_u2_sic(y.y2, gains, cset)
+            u2_hat = decode_u2_sic(y2, gains, cset)
             errors[("noma-sic", "u2")] = int(np.count_nonzero(u2_hat != u2))
             errors[("noma-sic", "u1")] = center["u1"]
             errors[("noma-sic", "u3")] = center["u3"]
         if "noma-jml" in schemes:
-            u2_hat = decode_u2_jml(y.y2, gains, cset)
+            u2_hat = decode_u2_jml(y2, gains, cset)
             errors[("noma-jml", "u2")] = int(np.count_nonzero(u2_hat != u2))
             errors[("noma-jml", "u1")] = center["u1"]
             errors[("noma-jml", "u3")] = center["u3"]
     if "oma" in schemes:
         s1, s2, s3 = oma.sizes
         m = (rng.integers(1, s1 + 1, n), rng.integers(1, s2 + 1, n), rng.integers(1, s3 + 1, n))
-        decoded = oma_round(m, gains, noise, oma, rng)
+        decoded = oma_round(m, gains, sigma, oma, rng)
         for user, sent, got in zip(USERS, m, decoded):
             errors[("oma", user)] = int(np.count_nonzero(got != sent))
     return errors

@@ -1,6 +1,7 @@
 import pytest
 
-from vlcnoma import ChannelGains, OpticalFrontEnd, ScenarioGeometry, SpectralEfficiencies
+from vlcnoma import ChannelGains, SpectralEfficiencies
+from vlcnoma.channel import OpticalFrontEnd, ScenarioGeometry
 
 # Reference scenario: room and link geometry of the bundled default config.
 REFERENCE_GAINS = ChannelGains(h11=2.5892e-6, h21=7.8573e-7, h22=6.8573e-7, h32=3.5892e-6)

@@ -8,13 +8,16 @@ import itertools
 import numpy as np
 import pytest
 
-from vlcnoma import (ChannelGains, MetricCounter, NoiseModel, OmaConfig, SpectralEfficiencies,
-                     SweepConfig, complexity_counts, dc_gain, decode_center_sic, decode_u2_jml,
-                     decode_u2_sic, design_constellation, oma_pam_points, oma_round,
-                     peak_powers, philox_stream, run_sweep, ser_u2_analytic, sigma_from_snr,
-                     superpose_transmit, wilson_interval)
-from vlcnoma.link import pam_detect
+from vlcnoma import (ChannelGains, SpectralEfficiencies, SweepConfig, design_constellation,
+                     run_sweep, ser_u2_analytic)
+from vlcnoma.analytic import complexity_counts
+from vlcnoma.channel import OpticalFrontEnd, dc_gain
 from vlcnoma.cli import main
+from vlcnoma.constellation import peak_powers
+from vlcnoma.link import (MetricCounter, OmaConfig, decode_center_sic, decode_u2_jml,
+                          decode_u2_sic, oma_pam_points, oma_round, pam_detect,
+                          superpose_transmit)
+from vlcnoma.montecarlo import philox_stream, sigma_from_snr, wilson_interval
 
 GAINS = ChannelGains(h11=2.5892e-6, h21=7.8573e-7, h22=6.8573e-7, h32=3.5892e-6)
 BPCU = SpectralEfficiencies(3, 2, 2)
@@ -68,11 +71,11 @@ def all_tuples():
 
 def test_ac1_noiseless_zero_error(cset):
     u1, u2, u3 = all_tuples()
-    y = superpose_transmit((u1, u2, u3), cset, GAINS)
-    u1_hat, _ = decode_center_sic(y.y1, GAINS.h11, cset, 1)
-    u3_hat, _ = decode_center_sic(y.y3, GAINS.h32, cset, 3)
-    u2_sic = decode_u2_sic(y.y2, GAINS, cset)
-    u2_jml = decode_u2_jml(y.y2, GAINS, cset)
+    y1, y2, y3 = superpose_transmit((u1, u2, u3), cset, GAINS)
+    u1_hat, _ = decode_center_sic(y1, GAINS.h11, cset, 1)
+    u3_hat, _ = decode_center_sic(y3, GAINS.h32, cset, 3)
+    u2_sic = decode_u2_sic(y2, GAINS, cset)
+    u2_jml = decode_u2_jml(y2, GAINS, cset)
     wrong = (int(np.count_nonzero(u1_hat != u1)) + int(np.count_nonzero(u2_sic != u2))
              + int(np.count_nonzero(u3_hat != u3)) + int(np.count_nonzero(u2_jml != u2)))
     report("AC-1", wrong == 0,
@@ -138,21 +141,21 @@ def test_ac5_complexity_table_and_instrumented_counts(cset):
     m1, m2, m3 = BPCU.sizes
     symbols = (rng.integers(1, m1 + 1, frames), rng.integers(1, m2 + 1, frames),
                rng.integers(1, m3 + 1, frames))
-    y = superpose_transmit(symbols, cset, GAINS)
+    y1, y2, y3 = superpose_transmit(symbols, cset, GAINS)
     sic = MetricCounter()
-    decode_center_sic(y.y1, GAINS.h11, cset, 1, sic)
-    decode_u2_sic(y.y2, GAINS, cset, sic)
-    decode_center_sic(y.y3, GAINS.h32, cset, 3, sic)
+    decode_center_sic(y1, GAINS.h11, cset, 1, sic)
+    decode_u2_sic(y2, GAINS, cset, sic)
+    decode_center_sic(y3, GAINS.h32, cset, 3, sic)
     edge_sic = MetricCounter()
-    decode_u2_sic(y.y2, GAINS, cset, edge_sic)
+    decode_u2_sic(y2, GAINS, cset, edge_sic)
     jml = MetricCounter()
-    decode_u2_jml(y.y2, GAINS, cset, jml)
+    decode_u2_jml(y2, GAINS, cset, jml)
     oma_cfg = OmaConfig.from_noma(BPCU, POWER)
     s1, s2, s3 = oma_cfg.sizes
     oma_symbols = (rng.integers(1, s1 + 1, frames), rng.integers(1, s2 + 1, frames),
                    rng.integers(1, s3 + 1, frames))
     oma = MetricCounter()
-    oma_round(oma_symbols, GAINS, NoiseModel.equal(0.0), oma_cfg, rng, oma)
+    oma_round(oma_symbols, GAINS, 0.0, oma_cfg, rng, oma)
     edge_oma = MetricCounter()
     pam_detect(np.zeros(frames), oma_pam_points(s2, oma_cfg.avg_intensity_w),
                GAINS.h21 + GAINS.h22, edge_oma)
@@ -171,7 +174,6 @@ def test_ac5_complexity_table_and_instrumented_counts(cset):
 def test_ac6_channel_model_near_quoted_gains(tmp_path):
     links = {"h11": (0.4885, 0.5), "h21": (3.2880, 0.5),
              "h22": (3.4670, 0.5), "h32": (0.3030, 1.0)}
-    from vlcnoma import OpticalFrontEnd
     front_end = OpticalFrontEnd(60.0, 1e-4, 0.4, 1.0, 60.0, 1.5)
     deltas = {}
     ok = True

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlcnoma import (SpectralEfficiencies, complexity_counts, decision_boundaries,
-                     design_constellation, from_raw_levels, q_function,
-                     ser_center_lower_bound, ser_u2_analytic, verify_gap_condition)
+from vlcnoma import SpectralEfficiencies, design_constellation, ser_u2_analytic
+from vlcnoma.analytic import (complexity_counts, decision_boundaries, q_function,
+                              ser_center_lower_bound)
+from vlcnoma.constellation import from_raw_levels, verify_gap_condition
 from vlcnoma.errors import ConstellationError, ParameterError
 
 

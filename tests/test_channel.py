@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vlcnoma import (ChannelGains, OpticalFrontEnd, ScenarioGeometry, concentrator_gain,
-                     dc_gain, gain_matrix, lambertian_order, link_geometry)
+from vlcnoma import ChannelGains, gain_matrix, load_config
+from vlcnoma.channel import (OpticalFrontEnd, ScenarioGeometry, concentrator_gain, dc_gain,
+                             lambertian_order, link_geometry)
 from vlcnoma.errors import GeometryError, ParameterError
 
 
@@ -32,23 +33,23 @@ class TestLambertianOrder:
 
 class TestLinkGeometry:
     def test_directly_below(self):
-        d, ce, ci = link_geometry(0.0, 4.0, 0.5)
+        d, cosine = link_geometry(0.0, 4.0, 0.5)
         assert d == pytest.approx(3.5)
-        assert ce == 1.0 and ci == 1.0
+        assert cosine == 1.0
 
     def test_first_cell_center_link(self):
-        d, ce, ci = link_geometry(0.4885, 4.0, 0.5)
+        d, cosine = link_geometry(0.4885, 4.0, 0.5)
         expected_d = math.sqrt(0.4885**2 + 3.5**2)
         assert d == pytest.approx(expected_d, rel=1e-14)
-        assert ce == ci == pytest.approx(3.5 / expected_d, rel=1e-14)
+        assert cosine == pytest.approx(3.5 / expected_d, rel=1e-14)
         assert d == pytest.approx(3.53393, abs=1e-5)
-        assert ci == pytest.approx(0.99040, abs=1e-5)
+        assert cosine == pytest.approx(0.99040, abs=1e-5)
 
     def test_first_cell_edge_link(self):
-        d, _, ci = link_geometry(3.2880, 4.0, 0.5)
+        d, cosine = link_geometry(3.2880, 4.0, 0.5)
         expected_d = math.sqrt(3.2880**2 + 3.5**2)
         assert d == pytest.approx(expected_d, rel=1e-14)
-        assert ci == pytest.approx(3.5 / expected_d, rel=1e-14)
+        assert cosine == pytest.approx(3.5 / expected_d, rel=1e-14)
 
     def test_receiver_above_ceiling_rejected(self):
         with pytest.raises(GeometryError):
@@ -108,7 +109,6 @@ class TestGainMatrix:
             assert getattr(computed, name) == pytest.approx(
                 getattr(reference_gains, name), rel=0.25
             ), name
-        assert computed.noma_ordering_ok
         assert computed.ordering_diagnostic() is None
 
     def test_symmetric_scenario_gives_equal_edge_gains(self, reference_front_end):
@@ -120,15 +120,13 @@ class TestGainMatrix:
         assert computed.h21 == computed.h22
         assert computed.h11 == computed.h32
 
-    def test_override_returned_verbatim(
-        self, reference_geometry, reference_front_end, reference_gains
-    ):
-        assert gain_matrix(reference_geometry, reference_front_end,
-                           override=reference_gains) is reference_gains
+    def test_override_returned_verbatim(self):
+        cfg = load_config()
+        assert cfg.gain_override is not None
+        assert cfg.effective_gains() is cfg.gain_override
 
     def test_infeasible_ordering_is_diagnosed_not_raised(self):
         bad = ChannelGains(h11=1e-7, h21=2e-7, h22=1e-7, h32=3e-7)
-        assert not bad.noma_ordering_ok
         assert "h11" in bad.ordering_diagnostic()
 
     def test_negative_gain_rejected(self):

@@ -166,6 +166,27 @@ class TestCli:
     def test_bad_snr_spec_exit_code(self, capsys):
         assert run_cli("simulate", "--snr", "10:20") == 1
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("design", "gain_h11", "nan"),
+        ("analytic", "snr_step_db", "nan"),
+        ("design", "target_power_w", "inf"),
+        ("gains", "room_height_m", "nan"),
+    ])
+    def test_non_finite_value_exits_1_naming_key(self, tmp_path, capsys, command, key, value):
+        # the bundled file with one value replaced, so the gain override stays complete
+        lines = [line for line in default_config_path().read_text().splitlines()
+                 if line.partition("=")[0].strip() != key]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        out = tmp_path / "out.csv"
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_snr_spec_exits_1(self, capsys):
+        assert run_cli("simulate", "--snr", "nan:150:2") == 1
+        assert "--snr" in capsys.readouterr().err
+
     def test_reproduce_fig2_deterministic_across_workers(self, tmp_path, monkeypatch):
         cfg = tmp_path / "small.cfg"
         cfg.write_text(

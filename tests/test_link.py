@@ -3,11 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from vlcnoma import (MetricCounter, NoiseModel, OmaConfig, SpectralEfficiencies, SymbolTuple,
-                     awgn_sample, decode_center_sic, decode_u2_jml, decode_u2_sic,
-                     design_constellation, from_raw_levels, oma_pam_points, oma_round,
-                     philox_stream, superpose_transmit)
+from vlcnoma import ChannelGains, SpectralEfficiencies, design_constellation
+from vlcnoma.constellation import from_raw_levels
 from vlcnoma.errors import ParameterError
+from vlcnoma.link import (MetricCounter, OmaConfig, awgn_sample, decode_center_sic,
+                          decode_u2_jml, decode_u2_sic, oma_pam_points, oma_round,
+                          superpose_transmit)
+from vlcnoma.montecarlo import philox_stream
 
 
 @pytest.fixture(scope="module")
@@ -22,54 +24,55 @@ def reference_set(reference_bpcu, reference_gains):
 
 class TestSuperposeTransmit:
     def test_smallest_case_first_tuple(self, small_set, reference_gains):
-        y = superpose_transmit(SymbolTuple(1, 1, 1), small_set, reference_gains)
-        assert float(y.y1) == pytest.approx((1 / 7 + 3 / 7) * reference_gains.h11, rel=1e-12)
+        y1, _, _ = superpose_transmit((1, 1, 1), small_set, reference_gains)
+        assert float(y1) == pytest.approx((1 / 7 + 3 / 7) * reference_gains.h11, rel=1e-12)
 
     def test_zero_gains_give_zero_signals(self, small_set):
-        from vlcnoma import ChannelGains
         zero = ChannelGains(0.0, 0.0, 0.0, 0.0)
-        y = superpose_transmit(SymbolTuple(2, 2, 1), small_set, zero)
-        assert float(y.y1) == 0.0 and float(y.y2) == 0.0 and float(y.y3) == 0.0
+        y1, y2, y3 = superpose_transmit((2, 2, 1), small_set, zero)
+        assert float(y1) == 0.0 and float(y2) == 0.0 and float(y3) == 0.0
 
     def test_far_cell_signal_ignores_near_cell_symbol(self, reference_set, reference_gains):
-        fixed = superpose_transmit(SymbolTuple(1, 2, 3), reference_set, reference_gains)
-        moved = superpose_transmit(SymbolTuple(8, 2, 3), reference_set, reference_gains)
-        assert float(fixed.y3) == float(moved.y3)
-        assert float(fixed.y1) != float(moved.y1)
+        fixed = superpose_transmit((1, 2, 3), reference_set, reference_gains)
+        moved = superpose_transmit((8, 2, 3), reference_set, reference_gains)
+        assert float(fixed[2]) == float(moved[2])
+        assert float(fixed[0]) != float(moved[0])
 
     def test_out_of_range_index_rejected(self, small_set, reference_gains):
         with pytest.raises(ParameterError):
-            superpose_transmit(SymbolTuple(3, 1, 1), small_set, reference_gains)
+            superpose_transmit((3, 1, 1), small_set, reference_gains)
 
 
 class TestAwgnSample:
     def test_zero_sigma_is_identity(self, small_set, reference_gains):
-        y = superpose_transmit(SymbolTuple(1, 2, 1), small_set, reference_gains)
-        noisy = awgn_sample(y, NoiseModel.equal(0.0), philox_stream(0, 0, 0))
-        assert float(noisy.y1) == float(y.y1)
-        assert float(noisy.y2) == float(y.y2)
-        assert float(noisy.y3) == float(y.y3)
+        y = superpose_transmit((1, 2, 1), small_set, reference_gains)
+        noisy = awgn_sample(y, 0.0, philox_stream(0, 0, 0))
+        assert float(noisy[0]) == float(y[0])
+        assert float(noisy[1]) == float(y[1])
+        assert float(noisy[2]) == float(y[2])
 
     def test_same_stream_address_replays_identically(self, small_set, reference_gains):
-        y = superpose_transmit(SymbolTuple(1, 2, 1), small_set, reference_gains)
-        noise = NoiseModel.equal(2.5)
-        a = awgn_sample(y, noise, philox_stream(42, 3, 7))
-        b = awgn_sample(y, noise, philox_stream(42, 3, 7))
-        assert float(a.y1) == float(b.y1) and float(a.y2) == float(b.y2)
-        c = awgn_sample(y, noise, philox_stream(42, 3, 8))
-        assert float(a.y1) != float(c.y1)
+        y = superpose_transmit((1, 2, 1), small_set, reference_gains)
+        a = awgn_sample(y, 2.5, philox_stream(42, 3, 7))
+        b = awgn_sample(y, 2.5, philox_stream(42, 3, 7))
+        assert float(a[0]) == float(b[0]) and float(a[1]) == float(b[1])
+        c = awgn_sample(y, 2.5, philox_stream(42, 3, 8))
+        assert float(a[0]) != float(c[0])
 
     def test_empirical_variance_matches_sigma(self):
         sigma = 0.375
         n = 1_000_000
-        from vlcnoma import ReceivedSignals
-        zeros = ReceivedSignals(np.zeros(n), np.zeros(n), np.zeros(n))
-        noisy = awgn_sample(zeros, NoiseModel.equal(sigma), philox_stream(11, 0, 0))
-        assert np.var(np.asarray(noisy.y2)) == pytest.approx(sigma**2, rel=0.01)
+        zeros = (np.zeros(n), np.zeros(n), np.zeros(n))
+        _, y2, _ = awgn_sample(zeros, sigma, philox_stream(11, 0, 0))
+        assert np.var(y2) == pytest.approx(sigma**2, rel=0.01)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ParameterError):
-            NoiseModel.equal(-1.0)
+            awgn_sample((0.0, 0.0, 0.0), -1.0, philox_stream(0, 0, 0))
+
+    def test_nan_sigma_rejected(self):
+        with pytest.raises(ParameterError):
+            awgn_sample((0.0, 0.0, 0.0), float("nan"), philox_stream(0, 0, 0))
 
 
 class TestSicDecoders:
@@ -77,9 +80,10 @@ class TestSicDecoders:
         m1, m2, m3 = reference_set.bpcu.sizes
         grid = np.array(list(itertools.product(
             range(1, m1 + 1), range(1, m2 + 1), range(1, m3 + 1)))).T
-        y = superpose_transmit((grid[0], grid[1], grid[2]), reference_set, reference_gains)
-        u1_hat, stage1 = decode_center_sic(y.y1, reference_gains.h11, reference_set, 1)
-        u3_hat, stage3 = decode_center_sic(y.y3, reference_gains.h32, reference_set, 3)
+        y1, _, y3 = superpose_transmit((grid[0], grid[1], grid[2]), reference_set,
+                                       reference_gains)
+        u1_hat, stage1 = decode_center_sic(y1, reference_gains.h11, reference_set, 1)
+        u3_hat, stage3 = decode_center_sic(y3, reference_gains.h32, reference_set, 3)
         assert np.array_equal(u1_hat, grid[0])
         assert np.array_equal(u3_hat, grid[2])
         # the stage-1 estimates recover the edge symbol too
@@ -125,16 +129,17 @@ class TestEdgeDecoders:
         m1, m2, m3 = reference_set.bpcu.sizes
         grid = np.array(list(itertools.product(
             range(1, m1 + 1), range(1, m2 + 1), range(1, m3 + 1)))).T
-        y = superpose_transmit((grid[0], grid[1], grid[2]), reference_set, reference_gains)
-        assert np.array_equal(decode_u2_jml(y.y2, reference_gains, reference_set), grid[1])
-        assert np.array_equal(decode_u2_sic(y.y2, reference_gains, reference_set), grid[1])
+        _, y2, _ = superpose_transmit((grid[0], grid[1], grid[2]), reference_set,
+                                      reference_gains)
+        assert np.array_equal(decode_u2_jml(y2, reference_gains, reference_set), grid[1])
+        assert np.array_equal(decode_u2_sic(y2, reference_gains, reference_set), grid[1])
 
     def test_gap_violating_levels_misdecode_noiselessly(self, reference_gains):
         bad = from_raw_levels(SpectralEfficiencies(1, 1, 1),
                               [1, 2], [3, 4], [3, 4], [1, 2], 1.0)
         grid = np.array(list(itertools.product((1, 2), (1, 2), (1, 2)))).T
-        y = superpose_transmit((grid[0], grid[1], grid[2]), bad, reference_gains)
-        decoded = decode_u2_sic(y.y2, reference_gains, bad)
+        _, y2, _ = superpose_transmit((grid[0], grid[1], grid[2]), bad, reference_gains)
+        decoded = decode_u2_sic(y2, reference_gains, bad)
         assert np.any(decoded != grid[1])
 
     def test_common_noise_joint_ml_beats_interference_as_noise(
@@ -145,12 +150,12 @@ class TestEdgeDecoders:
         m1, m2, m3 = reference_set.bpcu.sizes
         symbols = (rng.integers(1, m1 + 1, n), rng.integers(1, m2 + 1, n),
                    rng.integers(1, m3 + 1, n))
-        y = awgn_sample(superpose_transmit(symbols, reference_set, reference_gains),
-                        NoiseModel.equal(1e-7), rng)
+        _, y2, _ = awgn_sample(superpose_transmit(symbols, reference_set, reference_gains),
+                               1e-7, rng)
         sic_errors = np.count_nonzero(
-            decode_u2_sic(y.y2, reference_gains, reference_set) != symbols[1])
+            decode_u2_sic(y2, reference_gains, reference_set) != symbols[1])
         jml_errors = np.count_nonzero(
-            decode_u2_jml(y.y2, reference_gains, reference_set) != symbols[1])
+            decode_u2_jml(y2, reference_gains, reference_set) != symbols[1])
         assert jml_errors <= sic_errors
 
 
@@ -178,7 +183,7 @@ class TestOmaRound:
         sizes = config.sizes
         symbols = (rng.integers(1, sizes[0] + 1, 500), rng.integers(1, sizes[1] + 1, 500),
                    rng.integers(1, sizes[2] + 1, 500))
-        decoded = oma_round(symbols, reference_gains, NoiseModel.equal(0.0), config,
+        decoded = oma_round(symbols, reference_gains, 0.0, config,
                             philox_stream(0, 0, 1))
         for sent, got in zip(symbols, decoded):
             assert np.array_equal(sent, got)
@@ -186,7 +191,7 @@ class TestOmaRound:
     def test_per_frame_metric_counts(self, reference_bpcu, reference_gains):
         config = OmaConfig.from_noma(reference_bpcu, 1.0)
         counter = MetricCounter()
-        oma_round((1, 1, 1), reference_gains, NoiseModel.equal(0.0), config,
+        oma_round((1, 1, 1), reference_gains, 0.0, config,
                   philox_stream(0, 0, 0), counter)
         # frame total is twice the per-channel-use average of 48
         assert counter.evaluations == 64 + 16 + 16
@@ -196,3 +201,9 @@ class TestOmaRound:
         for size in config.sizes:
             assert oma_pam_points(size, config.avg_intensity_w).mean() == pytest.approx(
                 2.5, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan")])
+    def test_bad_sigma_rejected(self, sigma, reference_bpcu, reference_gains):
+        with pytest.raises(ParameterError):
+            oma_round((1, 1, 1), reference_gains, sigma,
+                      OmaConfig.from_noma(reference_bpcu, 1.0), philox_stream(0, 0, 0))

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlcnoma import (SpectralEfficiencies, SweepConfig, design_constellation, from_raw_levels,
-                     run_sweep, ser_u2_analytic, sigma_from_snr, wilson_interval)
+from vlcnoma import (SpectralEfficiencies, SweepConfig, design_constellation, run_sweep,
+                     ser_u2_analytic)
+from vlcnoma.constellation import from_raw_levels
+from vlcnoma.montecarlo import sigma_from_snr, wilson_interval
 from vlcnoma.errors import ParameterError
 
 

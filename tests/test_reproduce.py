@@ -1,0 +1,81 @@
+"""Golden outputs of the reproduce script and the CLI, and the shared sweep
+behind fig3 and fig4.
+
+The files under ``tests/golden/`` are compared byte for byte.  After a
+deliberate output change, rewrite them with
+``PYTHONPATH=src python tests/test_reproduce.py`` and say why in CHANGES.md.
+"""
+
+import contextlib
+import importlib.util
+import io
+import os
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+from vlcnoma import experiments
+from vlcnoma.cli import main as cli_main
+
+GOLDEN = Path(__file__).resolve().with_name("golden")
+CONFIG = GOLDEN / "golden.cfg"
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_all.py"
+GOLDEN_FILES = [f"reproduce/{name}.csv" for name in experiments.EXPERIMENTS] + [
+    "simulate.csv", "trace.txt"]
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("reproduce_all", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def generate(outdir: Path) -> None:
+    """Write every golden output into outdir."""
+    quiet = contextlib.redirect_stdout(io.StringIO())
+    with quiet, mock.patch.dict(os.environ, {"VLCNOMA_WORKERS": "1"}):
+        assert load_script().main([str(outdir / "reproduce"), "--config", str(CONFIG)]) == 0
+    with quiet, mock.patch.dict(os.environ, {"VLCNOMA_WORKERS": "2"}):
+        assert cli_main(["simulate", "--config", str(CONFIG), "--out",
+                         str(outdir / "simulate.csv"),
+                         "--schemes", "noma-sic,noma-jml,oma"]) == 0
+    trace = io.StringIO()
+    with contextlib.redirect_stdout(trace):
+        assert cli_main(["simulate", "--trace", "--config", str(CONFIG)]) == 0
+    (outdir / "trace.txt").write_text(trace.getvalue())
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("golden")
+    generate(outdir)
+    return outdir
+
+
+@pytest.mark.parametrize("name", GOLDEN_FILES)
+def test_output_matches_golden(generated, name):
+    assert (generated / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_fig3_and_fig4_share_one_sweep(tmp_path, monkeypatch):
+    calls = []
+    run_sweep = experiments.run_sweep
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].schemes)
+        return run_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_sweep", counted)
+    monkeypatch.setenv("VLCNOMA_WORKERS", "1")
+    assert load_script().main([str(tmp_path / "all"), "--config", str(CONFIG)]) == 0
+    assert len(calls) == 2, calls
+    for name in ("fig3", "fig4"):
+        alone = tmp_path / f"{name}.csv"
+        assert cli_main(["reproduce", name, "--config", str(CONFIG), "--out", str(alone)]) == 0
+        assert alone.read_bytes() == (tmp_path / "all" / f"{name}.csv").read_bytes()
+
+
+if __name__ == "__main__":
+    generate(GOLDEN)
