@@ -73,7 +73,7 @@ def ser_u2_analytic(cset: ConstellationSet, gains: ChannelGains, sigma2: float) 
     becomes an indicator of its boundary distance being negative (one half
     exactly on the boundary).
     """
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ParameterError(f"sigma2 must be >= 0, got {sigma2}")
     b = decision_boundaries(cset, gains)
     m2 = cset.bpcu.sizes[1]
@@ -97,7 +97,7 @@ def ser_center_lower_bound(
     stage-1 subtraction is always correct; real SIC does worse, so the
     simulated SER sits above this value.
     """
-    if sigma < 0:
+    if not sigma >= 0:
         raise ParameterError(f"sigma must be >= 0, got {sigma}")
     if user == 1:
         gap = uniform_spacing(cset.cell1_center, "cell1_center")

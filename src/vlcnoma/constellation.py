@@ -159,7 +159,7 @@ def from_raw_levels(
     Exists so deliberately bad level choices can be pushed through the
     decoders and checkers; the gap condition is not enforced here.
     """
-    if avg_power_w <= 0:
+    if not avg_power_w > 0:
         raise ParameterError(f"avg_power_w must be > 0, got {avg_power_w}")
     arrays = {
         "raw_cell1_center": _frozen(raw_cell1_center),

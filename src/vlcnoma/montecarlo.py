@@ -47,7 +47,7 @@ class SweepConfig:
             raise ParameterError("snr_points_db must be nonempty")
         if self.trials_per_point < 1:
             raise ParameterError(f"trials_per_point must be >= 1, got {self.trials_per_point}")
-        if self.target_power_w <= 0:
+        if not self.target_power_w > 0:
             raise ParameterError(f"target_power_w must be > 0, got {self.target_power_w}")
         if not 0 <= self.seed < 2**64:
             raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
@@ -103,7 +103,7 @@ def wilson_interval(errors: int, trials: int, z: float = Z_95) -> tuple[float, f
 
 def sigma_from_snr(snr_db: float, target_power_w: float) -> float:
     """Noise standard deviation for a transmit SNR of 10*log10(P/sigma^2)."""
-    if target_power_w <= 0:
+    if not target_power_w > 0:
         raise ParameterError(f"target_power_w must be > 0, got {target_power_w}")
     return math.sqrt(target_power_w / 10.0 ** (snr_db / 10.0))
 

@@ -2,14 +2,43 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vlcnoma import ChannelGains, SpectralEfficiencies, design_constellation
+from vlcnoma import ChannelGains, SpectralEfficiencies, design_constellation, link
 from vlcnoma.constellation import from_raw_levels
 from vlcnoma.errors import ParameterError
 from vlcnoma.link import (MetricCounter, OmaConfig, awgn_sample, decode_center_sic,
                           decode_u2_jml, decode_u2_sic, oma_pam_points, oma_round,
-                          superpose_transmit)
+                          pam_detect, superpose_transmit)
 from vlcnoma.montecarlo import philox_stream
+
+
+def argmin_nearest(y, candidates, counter=None):
+    """Brute-force reference decoder: first minimum of every computed distance."""
+    y = np.asarray(y, dtype=float)
+    if counter is not None:
+        counter.add(y.size * candidates.size)
+    return np.argmin(np.abs(y[..., np.newaxis] - candidates), axis=-1) + 1
+
+
+def probes(candidates, rng, n=200):
+    """Samples that stress the tie rule: exact midpoints, the candidates
+    themselves, points beyond both ends and noise around the codebook."""
+    ladder = np.sort(candidates)
+    spread = float(ladder[-1] - ladder[0]) or 1.0
+    return np.concatenate([
+        (ladder[1:] + ladder[:-1]) / 2.0,
+        candidates,
+        [ladder[0] - spread, ladder[-1] + spread],
+        rng.uniform(ladder[0] - spread, ladder[-1] + spread, n),
+    ])
+
+
+def jml_grid(cset, gains):
+    tx1 = cset.cell1_center[:, np.newaxis] + cset.cell1_edge[np.newaxis, :]
+    tx2 = cset.cell2_edge[:, np.newaxis] + cset.cell2_center[np.newaxis, :]
+    return (gains.h21 * tx1[:, :, np.newaxis] + gains.h22 * tx2[np.newaxis, :, :]).reshape(-1)
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +102,77 @@ class TestAwgnSample:
     def test_nan_sigma_rejected(self):
         with pytest.raises(ParameterError):
             awgn_sample((0.0, 0.0, 0.0), float("nan"), philox_stream(0, 0, 0))
+
+
+class TestNearestMatchesArgmin:
+    def test_random_codebooks_with_duplicates(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            size = int(rng.integers(1, 130))
+            # few distinct small integers: many duplicates, exact dyadic midpoints
+            candidates = rng.integers(0, 12, size) * rng.choice([1.0, 0.125, 3.7e-7])
+            y = probes(candidates, rng)
+            assert np.array_equal(link._nearest(y, candidates, None),
+                                  argmin_nearest(y, candidates))
+
+    def test_exact_midpoint_goes_to_lowest_index_of_either_side(self):
+        candidates = np.array([3.0, 1.0, 3.0, 1.0, 2.0])
+        assert link._nearest(np.array([1.5, 2.5, 0.0, 9.0]), candidates, None).tolist() == [
+            2, 1, 2, 1]
+
+    def test_reference_jml_grid(self, reference_set, reference_gains):
+        grid = jml_grid(reference_set, reference_gains)
+        y = probes(grid, np.random.default_rng(3), n=5000)
+        assert np.array_equal(link._nearest(y, grid, None), argmin_nearest(y, grid))
+
+    def test_shape_follows_samples(self):
+        candidates = np.array([0.0, 1.0, 2.0])
+        assert link._nearest(np.zeros((2, 3)), candidates, None).shape == (2, 3)
+        scalar = link._nearest(1.4, candidates, None)
+        assert np.ndim(scalar) == 0 and int(scalar) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(candidates=st.lists(st.integers(-64, 64), min_size=1, max_size=129),
+           y=st.lists(st.integers(-2000, 2000), min_size=1, max_size=20))
+    def test_property_matches_argmin(self, candidates, y):
+        # eighths and sixteenths: every distance is exact, midpoints included
+        candidates, y = np.array(candidates) / 8.0, np.array(y) / 16.0
+        assert np.array_equal(link._nearest(y, candidates, None),
+                              argmin_nearest(y, candidates))
+
+    @settings(max_examples=300, deadline=None)
+    @given(candidates=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=129),
+           y=st.lists(st.floats(-3e6, 3e6), min_size=1, max_size=20))
+    def test_property_returns_a_nearest_candidate(self, candidates, y):
+        # arbitrary floats: rounding may tie distinct candidates, so check the
+        # distance of the answer rather than its index
+        candidates, y = np.array(candidates), np.array(y)
+        distance = np.abs(y[:, np.newaxis] - candidates)
+        chosen = link._nearest(y, candidates, None) - 1
+        assert np.array_equal(distance[np.arange(y.size), chosen], distance.min(axis=-1))
+
+    def test_public_decoders_match_argmin(self, monkeypatch, reference_bpcu, reference_set,
+                                          reference_gains):
+        g = reference_gains
+        oma = OmaConfig.from_noma(reference_bpcu, 1.0)
+        y = probes(jml_grid(reference_set, g), np.random.default_rng(11), n=20_000)
+        scaled = np.concatenate([y, probes(g.h11 * reference_set.cell1_edge,
+                                           np.random.default_rng(12))])
+        symbols = (np.arange(64) + 1, np.arange(64) % 16 + 1, np.arange(64) // 4 + 1)
+
+        def decode_all():
+            out = [*decode_center_sic(scaled, g.h11, reference_set, 1),
+                   *decode_center_sic(scaled, g.h32, reference_set, 3),
+                   decode_u2_sic(y, g, reference_set), decode_u2_jml(y, g, reference_set),
+                   pam_detect(y, oma_pam_points(64, 1.0), g.h21 + g.h22)]
+            for sigma in (0.0, 1e-7, 1e-5):
+                out += oma_round(symbols, g, sigma, oma, philox_stream(1, 0, 0))
+            return out
+
+        fast = decode_all()
+        monkeypatch.setattr(link, "_nearest", argmin_nearest)
+        for got, want in zip(fast, decode_all(), strict=True):
+            assert np.array_equal(got, want)
 
 
 class TestSicDecoders:

@@ -6,9 +6,13 @@ from hypothesis import strategies as st
 
 from vlcnoma import (SpectralEfficiencies, SweepConfig, design_constellation, run_sweep,
                      ser_u2_analytic)
+from vlcnoma.analytic import ser_center_lower_bound
 from vlcnoma.constellation import from_raw_levels
-from vlcnoma.montecarlo import sigma_from_snr, wilson_interval
+from vlcnoma.link import OmaConfig, oma_pam_points
+from vlcnoma.montecarlo import philox_stream, sigma_from_snr, wilson_interval
 from vlcnoma.errors import ParameterError
+
+NAN = float("nan")
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +165,44 @@ class TestRunSweep:
     def test_rejects_empty_grid(self):
         with pytest.raises(ParameterError):
             SweepConfig(snr_points_db=(), trials_per_point=10, seed=0, target_power_w=1.0)
+
+
+NAN_CASES = {
+    "OmaConfig.avg_intensity_w": lambda cset, g: OmaConfig((2, 2, 2), NAN),
+    "oma_pam_points.avg_intensity_w": lambda cset, g: oma_pam_points(4, NAN),
+    "SweepConfig.target_power_w": lambda cset, g: SweepConfig(
+        snr_points_db=(100.0,), trials_per_point=10, seed=0, target_power_w=NAN),
+    "sigma_from_snr.target_power_w": lambda cset, g: sigma_from_snr(100.0, NAN),
+    "from_raw_levels.avg_power_w": lambda cset, g: from_raw_levels(
+        SpectralEfficiencies(1, 1, 1), [1, 2], [4, 9], [4, 9], [1, 2], NAN),
+    "ser_u2_analytic.sigma2": lambda cset, g: ser_u2_analytic(cset, g, NAN),
+    "ser_center_lower_bound.sigma": lambda cset, g: ser_center_lower_bound(cset, g, NAN, 1),
+}
+
+
+@pytest.mark.parametrize("field", NAN_CASES)
+def test_nan_rejected_naming_the_field(field, reference_set, reference_gains):
+    with pytest.raises(ParameterError, match=field.rsplit(".", 1)[1]):
+        NAN_CASES[field](reference_set, reference_gains)
+
+
+class TestStreamAddressing:
+    # The other edge, len(snr_points_db) >= 2**31, is left untested: it needs
+    # a tuple of 2**31 SNR points to build.
+
+    @pytest.mark.parametrize("snr_index,batch_index", [(2**32 - 1, 0), (0, 2**32 - 1)])
+    def test_last_address_accepted(self, snr_index, batch_index):
+        philox_stream(0, snr_index, batch_index).standard_normal()
+
+    @pytest.mark.parametrize("snr_index,batch_index",
+                             [(2**32, 0), (-1, 0), (0, 2**32), (0, -1)])
+    def test_out_of_range_address_rejected(self, snr_index, batch_index):
+        with pytest.raises(ParameterError):
+            philox_stream(0, snr_index, batch_index)
+
+    def test_trial_budget_fits_batch_counter(self):
+        SweepConfig(snr_points_db=(100.0,), trials_per_point=2**32 - 1, seed=0,
+                    target_power_w=1.0, batch_size=1)
+        with pytest.raises(ParameterError, match="stream-addressing"):
+            SweepConfig(snr_points_db=(100.0,), trials_per_point=2**32, seed=0,
+                        target_power_w=1.0, batch_size=1)
