@@ -23,6 +23,7 @@ from scipy.special import erfc
 from .channel import ChannelGains
 from .constellation import ConstellationSet, uniform_spacing
 from .errors import ParameterError
+from .link import oma_sizes
 
 
 def q_function(t):
@@ -112,6 +113,24 @@ def ser_center_lower_bound(
     return float(2.0 * (1.0 - 1.0 / m) * q_function(gap * h / (2.0 * sigma)))
 
 
+def closed_form(
+    scheme: str, user: str, cset: ConstellationSet, gains: ChannelGains, sigma: float
+) -> float | None:
+    """The closed form or bound for one (scheme, user) SER, None if there is none.
+
+    Center users of either superposed scheme get the no-propagation lower
+    bound; the edge user gets the exact SER under the interference-as-noise
+    rule only.
+    """
+    if scheme == "oma":
+        return None
+    if user in ("u1", "u3"):
+        return ser_center_lower_bound(cset, gains, sigma, int(user[1]))
+    if scheme == "noma-sic" and user == "u2":
+        return ser_u2_analytic(cset, gains, sigma)
+    return None
+
+
 SCHEMES = ("noma-sic", "noma-jml", "oma")
 
 
@@ -130,6 +149,6 @@ def complexity_counts(bpcu, scheme: str) -> tuple[int, int]:
         joint = m1 * m2 * m3
         return (m1 + m2) + joint + (m2 + m3), joint
     if scheme == "oma":
-        o1, o2, o3 = (2 ** (2 * b) for b in (bpcu.u1, bpcu.u2, bpcu.u3))
+        o1, o2, o3 = oma_sizes(bpcu)
         return (o1 + o2 + o3) // 2, o2 // 2
     raise ParameterError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")

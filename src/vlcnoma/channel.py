@@ -52,7 +52,7 @@ class ScenarioGeometry:
         for w, height in zip(USERS, self.rx_heights_m):
             if not 0 <= height < self.room_height_m:
                 raise GeometryError(
-                    f"receiver height of user {w} must be in [0, room height), got {height}"
+                    f"rx_height_u{w}_m must be in [0, room_height_m), got {height}"
                 )
         for name in ("r11_m", "r21_m", "r22_m", "r32_m"):
             if getattr(self, name) < 0:
@@ -71,8 +71,7 @@ class OpticalFrontEnd:
     concentrator_index: float
 
     def __post_init__(self):
-        if not 0 < self.semi_angle_deg < 90:
-            raise ParameterError(f"semi_angle_deg must be in (0, 90), got {self.semi_angle_deg}")
+        lambertian_order(self.semi_angle_deg)
         if not 0 < self.fov_deg <= 90:
             raise ParameterError(f"fov_deg must be in (0, 90], got {self.fov_deg}")
         if self.detector_area_m2 <= 0:
@@ -121,7 +120,10 @@ def lambertian_order(semi_angle_deg: float) -> float:
     """
     if not 0 < semi_angle_deg < 90:
         raise ParameterError(f"semi_angle_deg must be in (0, 90), got {semi_angle_deg}")
-    return -1.0 / math.log2(math.cos(math.radians(semi_angle_deg)))
+    log_cos = math.log2(math.cos(math.radians(semi_angle_deg)))
+    if log_cos == 0:
+        raise ParameterError(f"semi_angle_deg {semi_angle_deg} is too small to have an order")
+    return -1.0 / log_cos
 
 
 def link_geometry(

@@ -12,13 +12,11 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, load_config, parse_finite, snr_grid, with_sweep
-from .constellation import design_constellation
+from .config import (ExperimentConfig, load_config, parse_finite, parse_schemes, snr_grid,
+                     with_sweep)
 from .errors import ConfigError, ParameterError
 from .experiments import SER_HEADER, echo_comments, run_experiment, ser_rows, write_csv
-from .link import (awgn_sample, decode_center_sic, decode_u2_jml, decode_u2_sic,
-                   superpose_transmit)
-from .montecarlo import philox_stream, run_sweep, sigma_from_snr
+from .montecarlo import _frame, philox_stream, run_sweep, sigma_from_snr
 
 
 def _workers() -> int:
@@ -54,30 +52,26 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if getattr(args, "snr", None) is not None:
         changes["snr_points_db"] = _parse_snr_spec(args.snr)
     if getattr(args, "schemes", None) is not None:
-        changes["schemes"] = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
+        changes["schemes"] = parse_schemes(args.schemes)
     return with_sweep(cfg, **changes) if changes else cfg
 
 
 def _trace(cfg: ExperimentConfig) -> None:
-    """Print one frame's received values and decisions for inspection."""
-    gains = cfg.effective_gains()
-    cset = design_constellation(cfg.bpcu, gains, cfg.target_power_w)
-    sweep = cfg.sweep
-    snr_db = sweep.snr_points_db[0]
+    """Print one channel use of the sweep's own frame code, at the first SNR."""
+    gains, cset = cfg.design()
+    snr_db = cfg.sweep.snr_points_db[0]
     sigma = sigma_from_snr(snr_db, cfg.target_power_w)
-    rng = philox_stream(sweep.seed, 0, 0)
-    sent = [int(rng.integers(1, m + 1)) for m in cset.bpcu.sizes]
-    y1, y2, y3 = awgn_sample(superpose_transmit(sent, cset, gains), sigma, rng)
-    u1_hat, stage1 = decode_center_sic(y1, gains.h11, cset, 1)
-    u3_hat, stage3 = decode_center_sic(y3, gains.h32, cset, 3)
-    u2_sic = decode_u2_sic(y2, gains, cset)
-    u2_jml = decode_u2_jml(y2, gains, cset)
+    sent, received, decided = _frame(philox_stream(cfg.sweep.seed, 0, 0), 1, sigma, cset,
+                                      gains, ("noma-sic", "noma-jml"), cfg.target_power_w)
+    u1, u2, u3 = (x.item() for x in sent["noma-sic"])
+    y1, y2, y3 = (y.item() for y in received)
+    (u1_hat, u2_sic, u3_hat), (edge1, edge3) = decided["noma-sic"], decided["sic-stage1"]
     print(f"snr_db = {snr_db}  sigma = {sigma!r}")
-    print(f"sent: u1={sent[0]} u2={sent[1]} u3={sent[2]}")
-    print(f"received: y1={float(y1)!r} y2={float(y2)!r} y3={float(y3)!r}")
-    print(f"user1 sic: own={int(u1_hat)} edge_stage={int(stage1)}")
-    print(f"user2 sic: {int(u2_sic)}   user2 jml: {int(u2_jml)}")
-    print(f"user3 sic: own={int(u3_hat)} edge_stage={int(stage3)}")
+    print(f"sent: u1={u1} u2={u2} u3={u3}")
+    print(f"received: y1={y1!r} y2={y2!r} y3={y3!r}")
+    print(f"user1 sic: own={u1_hat.item()} edge_stage={edge1.item()}")
+    print(f"user2 sic: {u2_sic.item()}   user2 jml: {decided['noma-jml'][1].item()}")
+    print(f"user3 sic: own={u3_hat.item()} edge_stage={edge3.item()}")
 
 
 def _cmd_simulate(args) -> None:
@@ -85,8 +79,7 @@ def _cmd_simulate(args) -> None:
     if args.trace:
         _trace(cfg)
         return
-    gains = cfg.effective_gains()
-    cset = design_constellation(cfg.bpcu, gains, cfg.target_power_w)
+    gains, cset = cfg.design()
     points = run_sweep(cfg.sweep, cset, gains, workers=_workers())
     out = Path(args.out) if args.out else Path("ser_sweep.csv")
     write_csv(out, SER_HEADER, ser_rows(points), echo_comments(cfg))

@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from .channel import ChannelGains, OpticalFrontEnd, ScenarioGeometry, gain_matrix
-from .constellation import SpectralEfficiencies
+from .constellation import ConstellationSet, SpectralEfficiencies, design_constellation
 from .errors import ConfigError, ParameterError
 from .montecarlo import SweepConfig
 
@@ -28,11 +28,9 @@ def parse_finite(text: str) -> float:
     return value
 
 
-def _parse_schemes(text: str) -> tuple[str, ...]:
-    items = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not items:
-        raise ValueError("empty scheme list")
-    return items
+def parse_schemes(text: str) -> tuple[str, ...]:
+    """Comma-separated scheme names; SweepConfig checks what they name."""
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def _parse_snr_points(text: str) -> tuple[float, ...]:
@@ -41,7 +39,8 @@ def _parse_snr_points(text: str) -> tuple[float, ...]:
 
 # key -> (parser, default, location).  None defaults mean "absent unless
 # configured"; location is the dotted path of the value in a validated
-# ExperimentConfig, which config_echo reads back.  Keys without a location
+# ExperimentConfig: build_config places the value there and config_echo
+# reads it back.  A numeric part indexes a tuple.  Keys without a location
 # only feed other values and are not echoed.
 SCHEMA: dict[str, tuple] = {
     "room_height_m": (parse_finite, 4.0, "geometry.room_height_m"),
@@ -67,7 +66,7 @@ SCHEMA: dict[str, tuple] = {
     "bpcu_u1": (int, 3, "bpcu.u1"),
     "bpcu_u2": (int, 2, "bpcu.u2"),
     "bpcu_u3": (int, 2, "bpcu.u3"),
-    "target_power_w": (parse_finite, 1.0, "target_power_w"),
+    "target_power_w": (parse_finite, 1.0, "sweep.target_power_w"),
     "snr_start_db": (parse_finite, 100.0, None),
     "snr_stop_db": (parse_finite, 150.0, None),
     "snr_step_db": (parse_finite, 2.0, None),
@@ -77,7 +76,7 @@ SCHEMA: dict[str, tuple] = {
     "seed": (int, 1, "sweep.seed"),
     "min_errors": (int, 0, "sweep.min_errors"),
     "batch_size": (int, 1 << 15, "sweep.batch_size"),
-    "schemes": (_parse_schemes, ("noma-sic",), "sweep.schemes"),
+    "schemes": (parse_schemes, ("noma-sic",), "sweep.schemes"),
 }
 
 # How config_echo writes a value, by the parser that reads it back.
@@ -85,10 +84,18 @@ ECHO_FORMAT = {
     parse_finite: repr,
     int: str,
     _parse_snr_points: lambda points: ":".join(repr(s) for s in points),
-    _parse_schemes: ",".join,
+    parse_schemes: ",".join,
 }
 
 GAIN_KEYS = ("gain_h11", "gain_h21", "gain_h22", "gain_h32")
+
+# ExperimentConfig field -> the domain type built from the keys located in it.
+SECTIONS = {
+    "geometry": ScenarioGeometry,
+    "front_end": OpticalFrontEnd,
+    "bpcu": SpectralEfficiencies,
+    "sweep": SweepConfig,
+}
 
 
 @dataclass(frozen=True)
@@ -99,8 +106,11 @@ class ExperimentConfig:
     front_end: OpticalFrontEnd
     gain_override: ChannelGains | None
     bpcu: SpectralEfficiencies
-    target_power_w: float
     sweep: SweepConfig
+
+    @property
+    def target_power_w(self) -> float:
+        return self.sweep.target_power_w
 
     def computed_gains(self) -> ChannelGains:
         return gain_matrix(self.geometry, self.front_end)
@@ -110,6 +120,19 @@ class ExperimentConfig:
         if self.gain_override is not None:
             return self.gain_override
         return self.computed_gains()
+
+    def design(self) -> tuple[ChannelGains, ConstellationSet]:
+        """Effective gains and the constellation designed for them.
+
+        The design's conditions span several keys, so a failure names the
+        keys it reads.
+        """
+        try:
+            gains = self.effective_gains()
+            return gains, design_constellation(self.bpcu, gains, self.target_power_w)
+        except ParameterError as exc:
+            raise ConfigError(f"{exc}; the design reads bpcu_u1..bpcu_u3, target_power_w and"
+                              " gain_h11..gain_h32, else the geometry keys") from exc
 
 
 def default_config_path() -> Path:
@@ -122,7 +145,11 @@ def snr_grid(start_db: float, stop_db: float, step_db: float) -> tuple[float, ..
         raise ConfigError(f"snr_step_db must be > 0, got {step_db}")
     if stop_db < start_db:
         raise ConfigError(f"snr_stop_db {stop_db} is below snr_start_db {start_db}")
-    count = int(math.floor((stop_db - start_db) / step_db + 1e-9)) + 1
+    steps = (stop_db - start_db) / step_db + 1e-9
+    if not steps < 2**31:
+        raise ConfigError(f"snr_start_db {start_db} to snr_stop_db {stop_db} in steps of"
+                          f" snr_step_db {step_db} gives too many points")
+    count = int(math.floor(steps)) + 1
     return tuple(start_db + k * step_db for k in range(count))
 
 
@@ -161,16 +188,13 @@ def build_config(raw: dict[str, str], source: str = "<config>") -> ExperimentCon
         else:
             typed[key] = default
 
-    present = [key for key in GAIN_KEYS if typed[key] is not None]
-    if present and len(present) != len(GAIN_KEYS):
-        missing = sorted(set(GAIN_KEYS) - set(present))
+    missing = [key for key in GAIN_KEYS if typed[key] is None]
+    if 0 < len(missing) < len(GAIN_KEYS):
         raise ConfigError(f"{source}: gain override needs all four gains, missing {missing}")
-    override = None
-    if present:
-        for key in GAIN_KEYS:
-            if typed[key] <= 0:
-                raise ConfigError(f"{source}: {key} must be > 0, got {typed[key]}")
-        override = ChannelGains(*(typed[key] for key in GAIN_KEYS))
+    for key in GAIN_KEYS:
+        if not missing and typed[key] <= 0:
+            raise ConfigError(f"{source}: {key} must be > 0, got {typed[key]}")
+    override = None if missing else ChannelGains(*(typed[key] for key in GAIN_KEYS))
 
     def domain(cls, kwargs):
         # domain-type validators already name the offending key
@@ -179,48 +203,31 @@ def build_config(raw: dict[str, str], source: str = "<config>") -> ExperimentCon
         except ParameterError as exc:
             raise ConfigError(f"{source}: {exc}") from exc
 
-    geometry = domain(ScenarioGeometry, dict(
-        room_height_m=typed["room_height_m"],
-        cell_radius_m=typed["cell_radius_m"],
-        rx_heights_m=(typed["rx_height_u1_m"], typed["rx_height_u2_m"], typed["rx_height_u3_m"]),
-        r11_m=typed["r11_m"],
-        r21_m=typed["r21_m"],
-        r22_m=typed["r22_m"],
-        r32_m=typed["r32_m"],
-    ))
-    front_end = domain(OpticalFrontEnd, dict(
-        semi_angle_deg=typed["semi_angle_deg"],
-        detector_area_m2=typed["detector_area_m2"],
-        responsivity_a_per_w=typed["responsivity_a_per_w"],
-        filter_gain=typed["filter_gain"],
-        fov_deg=typed["fov_deg"],
-        concentrator_index=typed["concentrator_index"],
-    ))
-    bpcu = domain(SpectralEfficiencies, dict(
-        u1=typed["bpcu_u1"], u2=typed["bpcu_u2"], u3=typed["bpcu_u3"],
-    ))
-    if typed["target_power_w"] <= 0:
-        raise ConfigError(f"{source}: target_power_w must be > 0, got {typed['target_power_w']}")
-    points = typed["snr_points_db"]
-    if points is None:
-        points = snr_grid(typed["snr_start_db"], typed["snr_stop_db"], typed["snr_step_db"])
-    sweep = domain(SweepConfig, dict(
-        snr_points_db=points,
-        trials_per_point=typed["trials_per_point"],
-        seed=typed["seed"],
-        target_power_w=typed["target_power_w"],
-        schemes=typed["schemes"],
-        min_errors=typed["min_errors"],
-        batch_size=typed["batch_size"],
-    ))
-    return ExperimentConfig(
-        geometry=geometry,
-        front_end=front_end,
-        gain_override=override,
-        bpcu=bpcu,
-        target_power_w=typed["target_power_w"],
-        sweep=sweep,
-    )
+    placed = _place(typed)
+    if placed["sweep"]["snr_points_db"] is None:
+        placed["sweep"]["snr_points_db"] = snr_grid(
+            typed["snr_start_db"], typed["snr_stop_db"], typed["snr_step_db"])
+    sections = {name: domain(cls, placed[name]) for name, cls in SECTIONS.items()}
+    return ExperimentConfig(gain_override=override, **sections)
+
+
+def _place(typed: dict[str, object]) -> dict[str, dict]:
+    """``{section: {field: value}}`` by each key's location ``section.field``;
+    a third, numeric part is the value's index in a tuple field."""
+    placed: dict[str, dict] = {}
+    for key, (_, _, location) in SCHEMA.items():
+        if location is not None:
+            section, field, *index = location.split(".")
+            fields = placed.setdefault(section, {})
+            if index:
+                fields.setdefault(field, {})[int(index[0])] = typed[key]
+            else:
+                fields[field] = typed[key]
+    for fields in placed.values():
+        for field, value in fields.items():
+            if isinstance(value, dict):
+                fields[field] = tuple(value[i] for i in range(len(value)))
+    return placed
 
 
 def load_config(path=None) -> ExperimentConfig:

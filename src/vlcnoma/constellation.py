@@ -10,6 +10,7 @@ than to any other, no matter which center symbols ride along.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,14 @@ from .errors import ConstellationError, ParameterError
 # Strictness tolerance for the zero-error gap check: an inequality counts as
 # satisfied only with margin above this fraction of its right-hand side.
 GAP_RTOL = 1e-12
+# Largest noiseless received amplitude a design may produce.  Far beyond any
+# physical link, it keeps every sum, difference and noise ratio that the
+# decoders and closed forms compute finite.
+MAX_AMPLITUDE = 1e100
+# (name, cell, user) of every level set: cell 1 carries users 1 and 2, cell 2
+# carries users 2 and 3.
+LEVEL_SETS = (("cell1_center", 1, "u1"), ("cell1_edge", 1, "u2"),
+              ("cell2_edge", 2, "u2"), ("cell2_center", 2, "u3"))
 
 
 @dataclass(frozen=True)
@@ -34,7 +43,7 @@ class SpectralEfficiencies:
         for name in ("u1", "u2", "u3"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
-                raise ParameterError(f"bpcu of {name} must be an integer >= 1, got {value!r}")
+                raise ParameterError(f"bpcu_{name} must be an integer >= 1, got {value!r}")
 
     @property
     def sizes(self) -> tuple[int, int, int]:
@@ -80,12 +89,8 @@ class ConstellationSet:
 
     def spacings(self) -> dict[str, float]:
         """Constant consecutive gap of each level set, raw domain."""
-        return {
-            "cell1_center": uniform_spacing(self.raw_cell1_center, "cell1_center"),
-            "cell1_edge": uniform_spacing(self.raw_cell1_edge, "cell1_edge"),
-            "cell2_edge": uniform_spacing(self.raw_cell2_edge, "cell2_edge"),
-            "cell2_center": uniform_spacing(self.raw_cell2_center, "cell2_center"),
-        }
+        return {name: uniform_spacing(getattr(self, f"raw_{name}"), name)
+                for name, _, _ in LEVEL_SETS}
 
 
 def _frozen(values) -> np.ndarray:
@@ -159,27 +164,17 @@ def from_raw_levels(
     Exists so deliberately bad level choices can be pushed through the
     decoders and checkers; the gap condition is not enforced here.
     """
-    if not avg_power_w > 0:
-        raise ParameterError(f"avg_power_w must be > 0, got {avg_power_w}")
-    arrays = {
-        "raw_cell1_center": _frozen(raw_cell1_center),
-        "raw_cell1_edge": _frozen(raw_cell1_edge),
-        "raw_cell2_edge": _frozen(raw_cell2_edge),
-        "raw_cell2_center": _frozen(raw_cell2_center),
-    }
-    m1, m2, m3 = bpcu.sizes
-    expected = {
-        "raw_cell1_center": m1,
-        "raw_cell1_edge": m2,
-        "raw_cell2_edge": m2,
-        "raw_cell2_center": m3,
-    }
-    for name, arr in arrays.items():
+    if not 0 < avg_power_w < math.inf:
+        raise ParameterError(f"avg_power_w must be finite and > 0, got {avg_power_w}")
+    raw = (raw_cell1_center, raw_cell1_edge, raw_cell2_edge, raw_cell2_center)
+    arrays = {f"raw_{name}": _frozen(values) for (name, _, _), values in zip(LEVEL_SETS, raw)}
+    for (name, arr), (_, _, user) in zip(arrays.items(), LEVEL_SETS):
+        expected = bpcu.sizes[int(user[1]) - 1]
         if arr.size == 0:
             raise ConstellationError(f"{name} is empty")
-        if arr.size != expected[name]:
+        if arr.size != expected:
             raise ConstellationError(
-                f"{name} must have {expected[name]} levels for bpcu {bpcu}, got {arr.size}"
+                f"{name} must have {expected} levels for bpcu {bpcu}, got {arr.size}"
             )
         if not np.all(arr > 0):
             raise ConstellationError(f"{name} levels must be strictly positive: {arr}")
@@ -199,9 +194,14 @@ def from_raw_levels(
 def design_constellation(
     bpcu: SpectralEfficiencies, gains: ChannelGains, avg_power_w: float
 ) -> ConstellationSet:
-    """Full design: center integers, edge levels, per-cell normalization."""
+    """Full design: center integers, edge levels, per-cell normalization.
+
+    Rejects a power and gains whose levels or received amplitudes leave the
+    float range: every level must be a normal float and no amplitude may
+    exceed MAX_AMPLITUDE.
+    """
     edge1, edge2 = edge_points(bpcu, gains)
-    return from_raw_levels(
+    cset = from_raw_levels(
         bpcu,
         center_points(bpcu.u1),
         edge1,
@@ -209,6 +209,13 @@ def design_constellation(
         center_points(bpcu.u3),
         avg_power_w,
     )
+    p1, p2 = peak_powers(cset)
+    peak = max(gains.h11 * p1, gains.h21 * p1 + gains.h22 * p2, gains.h32 * p2)
+    lowest = min(cset.cell1_center[0], cset.cell2_center[0])
+    if not (peak <= MAX_AMPLITUDE and lowest >= np.finfo(float).tiny):
+        raise ParameterError(f"avg_power_w {avg_power_w} and these gains put the levels out of"
+                             f" float range (peak received amplitude {peak!r})")
+    return cset
 
 
 def peak_powers(cset: ConstellationSet) -> tuple[float, float]:
@@ -218,36 +225,22 @@ def peak_powers(cset: ConstellationSet) -> tuple[float, float]:
     return p1, p2
 
 
-def gap_margins(cset: ConstellationSet, gains: ChannelGains) -> np.ndarray:
-    """Slack of the zero-error condition at each consecutive edge-level pair.
-
-    Entry ``k`` is (combined midpoint of pair k) minus (combined level k plus
-    the worst-case center interference), on the transmitted (normalized)
-    levels.  All entries positive means the edge user decodes its own symbol
-    exactly in a noiseless channel regardless of the center symbols.
-    """
-    e1 = cset.cell1_edge
-    e2 = cset.cell2_edge
-    combined = gains.h21 * e1 + gains.h22 * e2
-    worst_interference = (
-        gains.h21 * cset.cell1_center[-1] + gains.h22 * cset.cell2_center[-1]
-    )
-    lhs = combined[:-1] / 2.0 + worst_interference
-    rhs = combined[1:] / 2.0
-    return rhs - lhs
-
-
 def verify_gap_condition(
     cset: ConstellationSet, gains: ChannelGains
 ) -> tuple[bool, np.ndarray]:
     """Check the strict zero-error condition; returns (ok, per-pair margins).
 
-    Strictness is float-safe: each margin must exceed GAP_RTOL times its
-    right-hand side.
+    Margin ``k`` is (combined midpoint of edge-level pair k) minus (combined
+    level k plus the worst-case center interference), on the transmitted
+    (normalized) levels.  All margins positive means the edge user decodes
+    its own symbol exactly in a noiseless channel regardless of the center
+    symbols.  Strictness is float-safe: each margin must exceed GAP_RTOL
+    times its right-hand side.
     """
-    margins = gap_margins(cset, gains)
-    e1 = cset.cell1_edge
-    e2 = cset.cell2_edge
-    rhs = (gains.h21 * e1[1:] + gains.h22 * e2[1:]) / 2.0
-    ok = bool(np.all(margins > GAP_RTOL * np.abs(rhs)))
-    return ok, margins
+    combined = gains.h21 * cset.cell1_edge + gains.h22 * cset.cell2_edge
+    worst_interference = (
+        gains.h21 * cset.cell1_center[-1] + gains.h22 * cset.cell2_center[-1]
+    )
+    rhs = combined[1:] / 2.0
+    margins = rhs - (combined[:-1] / 2.0 + worst_interference)
+    return bool(np.all(margins > GAP_RTOL * np.abs(rhs))), margins

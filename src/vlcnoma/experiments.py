@@ -14,10 +14,9 @@ from pathlib import Path
 
 from . import analytic
 from .config import ExperimentConfig, config_echo, with_sweep
-from .constellation import (SpectralEfficiencies, design_constellation, peak_powers,
-                            verify_gap_condition)
+from .constellation import LEVEL_SETS, SpectralEfficiencies, peak_powers, verify_gap_condition
 from .errors import ParameterError
-from .montecarlo import SerPoint, run_sweep, sigma_from_snr
+from .montecarlo import USERS, SerPoint, run_sweep, sigma_from_snr
 
 SER_HEADER = "snr_db,user,scheme,trials,errors,ser,ci_low,ci_high,analytic"
 
@@ -75,50 +74,36 @@ def experiment_gains(cfg: ExperimentConfig, out: Path) -> Path:
 
 def experiment_design(cfg: ExperimentConfig, out: Path) -> Path:
     """Level tables, spacings, scale factors, peak powers, and gap margins."""
-    gains = cfg.effective_gains()
-    cset = design_constellation(cfg.bpcu, gains, cfg.target_power_w)
+    gains, cset = cfg.design()
     ok, margins = verify_gap_condition(cset, gains)
-    p1, p2 = peak_powers(cset)
     spacing = cset.spacings()
     rows: list[tuple] = []
-    tables = (
-        ("level", 1, "u1", cset.raw_cell1_center, cset.cell1_center),
-        ("level", 1, "u2", cset.raw_cell1_edge, cset.cell1_edge),
-        ("level", 2, "u2", cset.raw_cell2_edge, cset.cell2_edge),
-        ("level", 2, "u3", cset.raw_cell2_center, cset.cell2_center),
-    )
-    for kind, cell, user, raw, norm in tables:
-        for idx, (r, n) in enumerate(zip(raw, norm), start=1):
-            rows.append((kind, cell, user, idx, float(r), float(n)))
-    rows.append(("spacing", 1, "u1", None, spacing["cell1_center"],
-                 spacing["cell1_center"] * cset.scale_cell1))
-    rows.append(("spacing", 1, "u2", None, spacing["cell1_edge"],
-                 spacing["cell1_edge"] * cset.scale_cell1))
-    rows.append(("spacing", 2, "u2", None, spacing["cell2_edge"],
-                 spacing["cell2_edge"] * cset.scale_cell2))
-    rows.append(("spacing", 2, "u3", None, spacing["cell2_center"],
-                 spacing["cell2_center"] * cset.scale_cell2))
-    rows.append(("scale", 1, None, None, None, cset.scale_cell1))
-    rows.append(("scale", 2, None, None, None, cset.scale_cell2))
-    rows.append(("peak_power", 1, None, None, None, p1))
-    rows.append(("peak_power", 2, None, None, None, p2))
+    for name, cell, user in LEVEL_SETS:
+        levels = zip(getattr(cset, f"raw_{name}"), getattr(cset, name))
+        rows.extend(("level", cell, user, idx, float(r), float(n))
+                    for idx, (r, n) in enumerate(levels, start=1))
+    rows.extend(("spacing", cell, user, None, spacing[name],
+                 spacing[name] * getattr(cset, f"scale_cell{cell}"))
+                for name, cell, user in LEVEL_SETS)
+    rows.extend(("scale", cell, None, None, None, getattr(cset, f"scale_cell{cell}"))
+                for cell in (1, 2))
+    rows.extend(("peak_power", cell, None, None, None, peak)
+                for cell, peak in enumerate(peak_powers(cset), start=1))
     rows.append(("target_power", None, None, None, None, cfg.target_power_w))
-    for idx, margin in enumerate(margins, start=1):
-        rows.append(("gap_margin", None, "u2", idx, None, float(margin)))
+    rows.extend(("gap_margin", None, "u2", idx, None, float(margin))
+                for idx, margin in enumerate(margins, start=1))
     comments = echo_comments(cfg) + [f"gap_condition_ok = {str(ok).lower()}"]
     return write_csv(out, "kind,cell,user,index,raw,normalized", rows, comments)
 
 
 def experiment_analytic(cfg: ExperimentConfig, out: Path) -> Path:
     """Closed-form SER (edge user) and lower bounds (center users) vs SNR."""
-    gains = cfg.effective_gains()
-    cset = design_constellation(cfg.bpcu, gains, cfg.target_power_w)
+    gains, cset = cfg.design()
     rows = []
     for snr_db in cfg.sweep.snr_points_db:
         sigma = sigma_from_snr(snr_db, cfg.target_power_w)
-        rows.append((snr_db, "u1", analytic.ser_center_lower_bound(cset, gains, sigma, 1)))
-        rows.append((snr_db, "u2", analytic.ser_u2_analytic(cset, gains, sigma)))
-        rows.append((snr_db, "u3", analytic.ser_center_lower_bound(cset, gains, sigma, 3)))
+        rows.extend((snr_db, user, analytic.closed_form("noma-sic", user, cset, gains, sigma))
+                    for user in USERS)
     return write_csv(out, "snr_db,user,analytic", rows, echo_comments(cfg))
 
 
@@ -172,8 +157,7 @@ def experiment_figure(name: str, cfg: ExperimentConfig, out: Path, workers: int,
     cfg = with_sweep(replace(cfg, bpcu=REFERENCE_BPCU), schemes=schemes)
     memo = {} if memo is None else memo
     if cfg not in memo:
-        gains = cfg.effective_gains()
-        cset = design_constellation(cfg.bpcu, gains, cfg.target_power_w)
+        gains, cset = cfg.design()
         memo[cfg] = run_sweep(cfg.sweep, cset, gains, workers=workers)
     rows = ser_rows([p for p in memo[cfg] if keep(p)])
     return write_csv(out, SER_HEADER, rows, echo_comments(cfg) + list(notes))

@@ -12,6 +12,7 @@ candidate per sample, not the lookup's smaller work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,46 +33,25 @@ class MetricCounter:
 
     evaluations: int = 0
 
-    def add(self, n: int) -> None:
-        self.evaluations += n
 
+def oma_sizes(bpcu) -> tuple[int, int, int]:
+    """PAM sizes of the orthogonal baseline: each superposed size squared.
 
-@dataclass(frozen=True)
-class OmaConfig:
-    """Orthogonal baseline: per-user PAM over a two-slot frame.
-
-    Slot A carries both center users at once (disjoint cells); slot B
-    carries the edge user from both transmitters jointly.  Efficiencies are
-    doubled relative to the superposed scheme so each user moves the same
-    bits per channel use.  ``avg_intensity_w`` is the mean PAM level of
-    every transmitter in every slot, which keeps the average transmit power
-    per channel use equal to the superposed scheme's target.
+    The baseline runs a two-slot frame.  Slot A carries both center users at
+    once (disjoint cells); slot B carries the edge user from both
+    transmitters jointly.  Efficiencies are doubled relative to the
+    superposed scheme so each user moves the same bits per channel use.
     """
-
-    bpcu: tuple[int, int, int]
-    avg_intensity_w: float
-
-    def __post_init__(self):
-        for b in self.bpcu:
-            if not isinstance(b, int) or b < 1:
-                raise ParameterError(f"OMA bpcu entries must be integers >= 1, got {self.bpcu}")
-        if not self.avg_intensity_w > 0:
-            raise ParameterError(f"avg_intensity_w must be > 0, got {self.avg_intensity_w}")
-
-    @property
-    def sizes(self) -> tuple[int, int, int]:
-        return tuple(2**b for b in self.bpcu)
-
-    @classmethod
-    def from_noma(cls, bpcu, target_power_w: float) -> "OmaConfig":
-        return cls((2 * bpcu.u1, 2 * bpcu.u2, 2 * bpcu.u3), target_power_w)
+    return tuple(m * m for m in bpcu.sizes)
 
 
-def _indices(values, size: int, name: str) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.size and (arr.min() < 1 or arr.max() > size):
-        raise ParameterError(f"{name} indices must be in 1..{size}")
-    return arr
+def _indices(symbols, sizes) -> tuple[np.ndarray, ...]:
+    """Zero-based arrays of the (u1, u2, u3) symbol indices, checked against sizes."""
+    arrays = tuple(np.asarray(values) for values in symbols)
+    for name, arr, size in zip(("u1", "u2", "u3"), arrays, sizes):
+        if arr.size and (arr.min() < 1 or arr.max() > size):
+            raise ParameterError(f"{name} indices must be in 1..{size}")
+    return tuple(arr - 1 for arr in arrays)
 
 
 def superpose_transmit(symbols, cset: ConstellationSet, gains: ChannelGains):
@@ -81,11 +61,7 @@ def superpose_transmit(symbols, cset: ConstellationSet, gains: ChannelGains):
     through h32, and the edge user sees both superpositions through its two
     weak links.
     """
-    u1, u2, u3 = symbols
-    m1, m2, m3 = cset.bpcu.sizes
-    i1 = _indices(u1, m1, "u1") - 1
-    i2 = _indices(u2, m2, "u2") - 1
-    i3 = _indices(u3, m3, "u3") - 1
+    i1, i2, i3 = _indices(symbols, cset.bpcu.sizes)
     tx1 = cset.cell1_center[i1] + cset.cell1_edge[i2]
     tx2 = cset.cell2_edge[i2] + cset.cell2_center[i3]
     return tx1 * gains.h11, tx1 * gains.h21 + tx2 * gains.h22, tx2 * gains.h32
@@ -118,7 +94,7 @@ def _nearest(y, candidates: np.ndarray, counter: MetricCounter | None) -> np.nda
     """
     y = np.asarray(y, dtype=float)
     if counter is not None:
-        counter.add(y.size * candidates.size)
+        counter.evaluations += y.size * candidates.size
     values, lowest = np.unique(candidates, return_index=True)
     flat = y.reshape(-1)
     slot = np.searchsorted(values, flat)
@@ -171,23 +147,17 @@ def decode_u2_jml(
     edge coordinate of the winner is returned.  Ties break toward the
     lexicographically lowest (u1, u2, u3).
     """
-    tx1 = cset.cell1_center[:, np.newaxis] + cset.cell1_edge[np.newaxis, :]
-    tx2 = cset.cell2_edge[:, np.newaxis] + cset.cell2_center[np.newaxis, :]
-    joint = (
-        gains.h21 * tx1[:, :, np.newaxis] + gains.h22 * tx2[np.newaxis, :, :]
-    ).reshape(-1)
-    m2 = cset.bpcu.sizes[1]
-    u2_of = (np.arange(joint.size) // cset.bpcu.sizes[2]) % m2 + 1
-    flat = _nearest(y2, joint, counter) - 1
-    return u2_of[flat]
+    tuples = np.indices(cset.bpcu.sizes).reshape(3, -1) + 1
+    joint = superpose_transmit(tuples, cset, gains)[1]
+    return tuples[1][_nearest(y2, joint, counter) - 1]
 
 
 def oma_pam_points(size: int, avg_intensity_w: float) -> np.ndarray:
     """Unipolar PAM levels 2*I*m/(M+1) for m = 1..M; their mean is I."""
     if not isinstance(size, int) or size < 2:
         raise ParameterError(f"PAM size must be an integer >= 2, got {size!r}")
-    if not avg_intensity_w > 0:
-        raise ParameterError(f"avg_intensity_w must be > 0, got {avg_intensity_w}")
+    if not 0 < avg_intensity_w < math.inf:
+        raise ParameterError(f"avg_intensity_w must be finite and > 0, got {avg_intensity_w}")
     m = np.arange(1, size + 1, dtype=float)
     levels = 2.0 * avg_intensity_w * m / (size + 1)
     levels.setflags(write=False)
@@ -203,7 +173,8 @@ def oma_round(
     symbols,
     gains: ChannelGains,
     sigma: float,
-    config: OmaConfig,
+    sizes: tuple[int, int, int],
+    avg_intensity_w: float,
     rng: np.random.Generator,
     counter: MetricCounter | None = None,
 ):
@@ -211,19 +182,17 @@ def oma_round(
 
     Slot A: Tx1 sends user 1's PAM level, Tx2 sends user 3's.  Slot B: both
     transmitters send the edge user's level, so its candidate set rides the
-    combined gain h21 + h22.  Noise draw order is fixed: user 1, user 3,
-    then the edge user.  Returns the three decoded indices.
+    combined gain h21 + h22.  ``sizes`` are the three PAM sizes (see
+    ``oma_sizes``); ``avg_intensity_w`` is the mean PAM level of every
+    transmitter in every slot, which keeps the average transmit power per
+    channel use equal to the superposed scheme's target.  Noise draw order
+    is fixed: user 1, user 3, then the edge user.  Returns the three decoded
+    indices.
     """
     if not sigma >= 0:
         raise ParameterError(f"sigma must be >= 0, got {sigma}")
-    m1, m2, m3 = symbols
-    s1, s2, s3 = config.sizes
-    i1 = _indices(m1, s1, "u1") - 1
-    i2 = _indices(m2, s2, "u2") - 1
-    i3 = _indices(m3, s3, "u3") - 1
-    pam1 = oma_pam_points(s1, config.avg_intensity_w)
-    pam2 = oma_pam_points(s2, config.avg_intensity_w)
-    pam3 = oma_pam_points(s3, config.avg_intensity_w)
+    i1, i2, i3 = _indices(symbols, sizes)
+    pam1, pam2, pam3 = (oma_pam_points(s, avg_intensity_w) for s in sizes)
     shape = np.broadcast_shapes(np.shape(i1), np.shape(i2), np.shape(i3))
     y1 = pam1[i1] * gains.h11 + sigma * rng.standard_normal(shape)
     y3 = pam3[i3] * gains.h32 + sigma * rng.standard_normal(shape)

@@ -8,6 +8,11 @@ workers run or how batches are scheduled.  Optional early stopping consumes
 batches strictly in index order: the cut point depends only on cumulative
 counts, never on scheduling, so speculative parallel batches past the cut
 are simply discarded.
+
+Within a batch the draw order is fixed by ``_frame``: the superposed
+symbols u1, u2, u3, the noise on y1, y2, y3, then, if the orthogonal
+baseline runs, its symbols and its noise on users 1, 3 and 2.  ``vlcnoma
+simulate --trace`` prints one channel use of the same frame code.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +29,8 @@ from . import analytic
 from .channel import ChannelGains
 from .constellation import ConstellationSet, verify_gap_condition
 from .errors import ParameterError
-from .link import (OmaConfig, awgn_sample, decode_center_sic, decode_u2_jml, decode_u2_sic,
-                   oma_round, superpose_transmit)
+from .link import (awgn_sample, decode_center_sic, decode_u2_jml, decode_u2_sic, oma_round,
+                   oma_sizes, superpose_transmit)
 
 USERS = ("u1", "u2", "u3")
 Z_95 = 1.959963984540054
@@ -47,17 +53,23 @@ class SweepConfig:
             raise ParameterError("snr_points_db must be nonempty")
         if self.trials_per_point < 1:
             raise ParameterError(f"trials_per_point must be >= 1, got {self.trials_per_point}")
-        if not self.target_power_w > 0:
-            raise ParameterError(f"target_power_w must be > 0, got {self.target_power_w}")
+        if not 0 < self.target_power_w < math.inf:
+            raise ParameterError(
+                f"target_power_w must be finite and > 0, got {self.target_power_w}")
+        for snr_db in self.snr_points_db:
+            try:
+                sigma_from_snr(snr_db, self.target_power_w)
+            except ParameterError:
+                raise ParameterError(f"snr_points_db: no finite noise at {snr_db} dB") from None
         if not 0 <= self.seed < 2**64:
             raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.min_errors < 0:
             raise ParameterError(f"min_errors must be >= 0, got {self.min_errors}")
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
-        unknown = set(self.schemes) - set(analytic.SCHEMES)
-        if unknown:
-            raise ParameterError(f"unknown schemes {sorted(unknown)}")
+        if not self.schemes or not set(self.schemes) <= set(analytic.SCHEMES):
+            raise ParameterError(
+                f"schemes must name some of {analytic.SCHEMES}, got {self.schemes}")
         if len(self.snr_points_db) >= 2**31 or self.trials_per_point >= self.batch_size << 32:
             raise ParameterError("sweep too large for the stream-addressing scheme")
 
@@ -102,10 +114,20 @@ def wilson_interval(errors: int, trials: int, z: float = Z_95) -> tuple[float, f
 
 
 def sigma_from_snr(snr_db: float, target_power_w: float) -> float:
-    """Noise standard deviation for a transmit SNR of 10*log10(P/sigma^2)."""
-    if not target_power_w > 0:
-        raise ParameterError(f"target_power_w must be > 0, got {target_power_w}")
-    return math.sqrt(target_power_w / 10.0 ** (snr_db / 10.0))
+    """Noise standard deviation for a transmit SNR of 10*log10(P/sigma^2).
+
+    +inf dB, like any SNR beyond the float range of 10**(snr/10), gives 0.
+    NaN, and SNRs so low that the noise overflows (-inf too), are rejected.
+    """
+    if not 0 < target_power_w < math.inf:
+        raise ParameterError(f"target_power_w must be finite and > 0, got {target_power_w}")
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not (ratio > 0 and target_power_w / ratio < math.inf):
+        raise ParameterError(f"snr_db must give a finite noise level, got {snr_db}")
+    return math.sqrt(target_power_w / ratio)
 
 
 def philox_stream(seed: int, snr_index: int, batch_index: int) -> np.random.Generator:
@@ -121,49 +143,44 @@ def philox_stream(seed: int, snr_index: int, batch_index: int) -> np.random.Gene
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _batch_errors(
+def _frame(
     rng: np.random.Generator,
     n: int,
     sigma: float,
     cset: ConstellationSet,
     gains: ChannelGains,
     schemes: tuple[str, ...],
-    oma: OmaConfig | None,
-) -> dict[tuple[str, str], int]:
-    """Symbol error counts of one batch, keyed by (scheme, user).
+    power_w: float,
+) -> tuple[dict, tuple | None, dict]:
+    """n channel uses of every scheme: ``(sent, received, decided)``.
 
-    Draw order is fixed: superposed symbols, superposed noise, then the
-    orthogonal baseline's symbols and noise if requested.
+    ``sent`` and ``decided`` map each scheme to its (u1, u2, u3) indices;
+    both superposed schemes share one transmission.  ``received`` is the
+    superposed (y1, y2, y3), None without a superposed scheme, and
+    ``decided["sic-stage1"]`` holds the edge indices that SIC stage 1 at
+    users 1 and 3 subtracted.
     """
-    m1, m2, m3 = cset.bpcu.sizes
-    errors: dict[tuple[str, str], int] = {}
-    noma = [s for s in schemes if s.startswith("noma")]
-    if noma:
-        u1 = rng.integers(1, m1 + 1, n)
-        u2 = rng.integers(1, m2 + 1, n)
-        u3 = rng.integers(1, m3 + 1, n)
-        y1, y2, y3 = awgn_sample(superpose_transmit((u1, u2, u3), cset, gains), sigma, rng)
-        u1_hat, _ = decode_center_sic(y1, gains.h11, cset, 1)
-        u3_hat, _ = decode_center_sic(y3, gains.h32, cset, 3)
-        center = {"u1": int(np.count_nonzero(u1_hat != u1)),
-                  "u3": int(np.count_nonzero(u3_hat != u3))}
+    sent: dict[str, tuple] = {}
+    decided: dict[str, tuple] = {}
+    received = None
+    if any(s.startswith("noma") for s in schemes):
+        symbols = tuple(rng.integers(1, m + 1, n) for m in cset.bpcu.sizes)
+        received = awgn_sample(superpose_transmit(symbols, cset, gains), sigma, rng)
+        y1, y2, y3 = received
+        u1_hat, edge1 = decode_center_sic(y1, gains.h11, cset, 1)
+        u3_hat, edge3 = decode_center_sic(y3, gains.h32, cset, 3)
+        decided["sic-stage1"] = (edge1, edge3)
         if "noma-sic" in schemes:
-            u2_hat = decode_u2_sic(y2, gains, cset)
-            errors[("noma-sic", "u2")] = int(np.count_nonzero(u2_hat != u2))
-            errors[("noma-sic", "u1")] = center["u1"]
-            errors[("noma-sic", "u3")] = center["u3"]
+            sent["noma-sic"] = symbols
+            decided["noma-sic"] = (u1_hat, decode_u2_sic(y2, gains, cset), u3_hat)
         if "noma-jml" in schemes:
-            u2_hat = decode_u2_jml(y2, gains, cset)
-            errors[("noma-jml", "u2")] = int(np.count_nonzero(u2_hat != u2))
-            errors[("noma-jml", "u1")] = center["u1"]
-            errors[("noma-jml", "u3")] = center["u3"]
+            sent["noma-jml"] = symbols
+            decided["noma-jml"] = (u1_hat, decode_u2_jml(y2, gains, cset), u3_hat)
     if "oma" in schemes:
-        s1, s2, s3 = oma.sizes
-        m = (rng.integers(1, s1 + 1, n), rng.integers(1, s2 + 1, n), rng.integers(1, s3 + 1, n))
-        decoded = oma_round(m, gains, sigma, oma, rng)
-        for user, sent, got in zip(USERS, m, decoded):
-            errors[("oma", user)] = int(np.count_nonzero(got != sent))
-    return errors
+        sizes = oma_sizes(cset.bpcu)
+        sent["oma"] = tuple(rng.integers(1, size + 1, n) for size in sizes)
+        decided["oma"] = oma_round(sent["oma"], gains, sigma, sizes, power_w, rng)
+    return sent, received, decided
 
 
 def _run_point(
@@ -172,19 +189,24 @@ def _run_point(
     sigma: float,
     cset: ConstellationSet,
     gains: ChannelGains,
-    oma: OmaConfig | None,
     workers: int,
 ) -> tuple[dict[tuple[str, str], int], int]:
-    """Totals for one SNR point honoring the in-order early-stop rule."""
-    sizes = []
-    remaining = config.trials_per_point
-    while remaining > 0:
-        sizes.append(min(config.batch_size, remaining))
-        remaining -= sizes[-1]
+    """Totals for one SNR point honoring the in-order early-stop rule.
+
+    Batches run in windows of ``workers``, on threads only when there are
+    several, and are consumed in index order.
+    """
+    total, size = config.trials_per_point, config.batch_size
+    sizes = [min(size, total - start) for start in range(0, total, size)]
 
     def compute(batch_index: int) -> dict[tuple[str, str], int]:
+        """Symbol error counts of one batch, keyed by (scheme, user)."""
         rng = philox_stream(config.seed, snr_index, batch_index)
-        return _batch_errors(rng, sizes[batch_index], sigma, cset, gains, config.schemes, oma)
+        sent, _, decided = _frame(rng, sizes[batch_index], sigma, cset, gains, config.schemes,
+                                  config.target_power_w)
+        return {(scheme, user): int(np.count_nonzero(got != want))
+                for scheme in config.schemes
+                for user, want, got in zip(USERS, sent[scheme], decided[scheme])}
 
     tracked = [(s, u) for s in config.schemes for u in USERS]
     totals = {key: 0 for key in tracked}
@@ -199,44 +221,20 @@ def _run_point(
             return min(totals[key] for key in tracked) >= config.min_errors
         return False
 
-    if workers <= 1:
-        for i in range(len(sizes)):
-            if consume(i, compute(i)):
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        for start in range(0, len(sizes), workers):
+            window = range(start, min(start + workers, len(sizes)))
+            results = list(run(compute, window))
+            if any(consume(i, result) for i, result in zip(window, results)):
                 break
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            start = 0
-            stopped = False
-            while start < len(sizes) and not stopped:
-                window = range(start, min(start + workers, len(sizes)))
-                results = list(pool.map(compute, window))
-                for offset, result in zip(window, results):
-                    if consume(offset, result):
-                        stopped = True
-                        break
-                start += workers
     return totals, trials
-
-
-def _analytic_value(
-    scheme: str, user: str, cset: ConstellationSet, gains: ChannelGains, sigma: float
-) -> float | None:
-    if scheme == "oma":
-        return None
-    if user == "u1":
-        return analytic.ser_center_lower_bound(cset, gains, sigma, 1)
-    if user == "u3":
-        return analytic.ser_center_lower_bound(cset, gains, sigma, 3)
-    if scheme == "noma-sic":
-        return analytic.ser_u2_analytic(cset, gains, sigma)
-    return None
 
 
 def run_sweep(
     config: SweepConfig,
     cset: ConstellationSet,
     gains: ChannelGains,
-    oma: OmaConfig | None = None,
     workers: int = 1,
 ) -> list[SerPoint]:
     """Estimate per-user SER for every requested scheme at every SNR point.
@@ -247,32 +245,20 @@ def run_sweep(
     zero-error gap condition only warns; sweeping bad designs on purpose is
     a supported way to watch the condition matter.
     """
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
     ok, _ = verify_gap_condition(cset, gains)
     if not ok:
         warnings.warn("constellation fails the zero-error gap condition", stacklevel=2)
-    if "oma" in config.schemes and oma is None:
-        oma = OmaConfig.from_noma(cset.bpcu, config.target_power_w)
     points = []
     for snr_index, snr_db in enumerate(config.snr_points_db):
         sigma = sigma_from_snr(snr_db, config.target_power_w)
-        totals, trials = _run_point(config, snr_index, sigma, cset, gains, oma, workers)
+        totals, trials = _run_point(config, snr_index, sigma, cset, gains, workers)
         for scheme in config.schemes:
-            for user in USERS:
-                estimate = SerEstimate.from_counts(totals[(scheme, user)], trials)
-                points.append(SerPoint(
-                    snr_db=snr_db,
-                    user=user,
-                    scheme=scheme,
-                    estimate=estimate,
-                    analytic=_analytic_value(scheme, user, cset, gains, sigma),
-                ))
-            pooled = sum(totals[(scheme, user)] for user in USERS)
-            points.append(SerPoint(
-                snr_db=snr_db,
-                user="avg",
-                scheme=scheme,
-                estimate=SerEstimate.from_counts(pooled, 3 * trials),
-                analytic=None,
-            ))
+            counts = {user: (totals[(scheme, user)], trials) for user in USERS}
+            counts["avg"] = (sum(totals[(scheme, user)] for user in USERS), 3 * trials)
+            points.extend(SerPoint(snr_db, user, scheme, SerEstimate.from_counts(*count),
+                                   analytic.closed_form(scheme, user, cset, gains, sigma))
+                          for user, count in counts.items())
     points.sort(key=lambda p: (p.snr_db, p.user, p.scheme))
     return points

@@ -14,8 +14,8 @@ from vlcnoma.analytic import complexity_counts
 from vlcnoma.channel import OpticalFrontEnd, dc_gain
 from vlcnoma.cli import main
 from vlcnoma.constellation import peak_powers
-from vlcnoma.link import (MetricCounter, OmaConfig, decode_center_sic, decode_u2_jml,
-                          decode_u2_sic, oma_pam_points, oma_round, pam_detect,
+from vlcnoma.link import (MetricCounter, decode_center_sic, decode_u2_jml, decode_u2_sic,
+                          oma_pam_points, oma_round, oma_sizes, pam_detect,
                           superpose_transmit)
 from vlcnoma.montecarlo import philox_stream, sigma_from_snr, wilson_interval
 
@@ -150,14 +150,13 @@ def test_ac5_complexity_table_and_instrumented_counts(cset):
     decode_u2_sic(y2, GAINS, cset, edge_sic)
     jml = MetricCounter()
     decode_u2_jml(y2, GAINS, cset, jml)
-    oma_cfg = OmaConfig.from_noma(BPCU, POWER)
-    s1, s2, s3 = oma_cfg.sizes
+    s1, s2, s3 = oma_sizes(BPCU)
     oma_symbols = (rng.integers(1, s1 + 1, frames), rng.integers(1, s2 + 1, frames),
                    rng.integers(1, s3 + 1, frames))
     oma = MetricCounter()
-    oma_round(oma_symbols, GAINS, 0.0, oma_cfg, rng, oma)
+    oma_round(oma_symbols, GAINS, 0.0, (s1, s2, s3), POWER, rng, oma)
     edge_oma = MetricCounter()
-    pam_detect(np.zeros(frames), oma_pam_points(s2, oma_cfg.avg_intensity_w),
+    pam_detect(np.zeros(frames), oma_pam_points(s2, POWER),
                GAINS.h21 + GAINS.h22, edge_oma)
     measured_ok = (
         sic.evaluations == 24 * frames
@@ -197,10 +196,9 @@ def test_ac7_power_identities(cset):
     pairs2 = cset.cell2_center[:, None] + cset.cell2_edge[None, :]
     cell_ok = (abs(pairs1.mean() / POWER - 1.0) < 1e-12
                and abs(pairs2.mean() / POWER - 1.0) < 1e-12)
-    oma_cfg = OmaConfig.from_noma(BPCU, POWER)
     oma_ok = all(
-        abs(oma_pam_points(size, oma_cfg.avg_intensity_w).mean() / POWER - 1.0) < 1e-12
-        for size in oma_cfg.sizes
+        abs(oma_pam_points(size, POWER).mean() / POWER - 1.0) < 1e-12
+        for size in oma_sizes(BPCU)
     )
     p1, p2 = peak_powers(cset)
     peak_ok = pairs1.max() <= p1 * (1 + 1e-15) and pairs2.max() <= p2 * (1 + 1e-15)

@@ -1,8 +1,15 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlcnoma.cli import main
-from vlcnoma.config import (build_config, config_echo, default_config_path, load_config,
-                            snr_grid)
+from vlcnoma.config import (SCHEMA, build_config, config_echo, default_config_path, load_config,
+                            parse_kv_file, snr_grid)
 from vlcnoma.errors import ConfigError
 
 
@@ -166,11 +173,21 @@ class TestCli:
     def test_bad_snr_spec_exit_code(self, capsys):
         assert run_cli("simulate", "--snr", "10:20") == 1
 
+    def test_empty_scheme_list_exits_1(self, capsys):
+        assert run_cli("simulate", "--schemes", ",", "--min-errors", "5") == 1
+        assert "schemes" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,key,value", [
         ("design", "gain_h11", "nan"),
         ("analytic", "snr_step_db", "nan"),
         ("design", "target_power_w", "inf"),
         ("gains", "room_height_m", "nan"),
+        # finite but degenerate: too many SNR points, no Lambertian order,
+        # levels past the float range, a receiver at the ceiling
+        ("analytic", "snr_step_db", "1e-308"),
+        ("design", "semi_angle_deg", "1e-308"),
+        ("design", "target_power_w", "1e308"),
+        ("gains", "rx_height_u3_m", "4"),
     ])
     def test_non_finite_value_exits_1_naming_key(self, tmp_path, capsys, command, key, value):
         # the bundled file with one value replaced, so the gain override stays complete
@@ -233,3 +250,38 @@ class TestCli:
         assert run_cli(*args, "--out", str(out1)) == 0
         assert run_cli(*args, "--out", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+# Values the config fuzz writes: non-finite, signed zero, extremes, empty
+# lists and a few ordinary ones.  None of them can ask for a large run.
+FUZZ_VALUES = ("nan", "inf", "-inf", "-0", "0", "1", "2", "-1", "0.5", "1e308", "-1e308",
+               "1e-308", "", ",", ":", "1:2", "noma-sic,oma")
+FUZZ_BASE = {"trials_per_point": "64", "batch_size": "32", "snr_start_db": "130",
+             "snr_stop_db": "140", "snr_step_db": "10", "schemes": "noma-sic,noma-jml,oma"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(changes=st.dictionaries(st.sampled_from(sorted(SCHEMA)), st.sampled_from(FUZZ_VALUES),
+                               min_size=1, max_size=4),
+       override=st.booleans(), command=st.sampled_from(("design", "simulate")))
+def test_fuzzed_config_exits_1_naming_a_key_or_writes_csv_without_nan(changes, override,
+                                                                      command):
+    """A tiny run of the bundled file with random values either exits 1 with
+    a message naming a config key (a condition across keys names the keys it
+    reads, not always the one changed) or writes a CSV with no NaN."""
+    values = {**parse_kv_file(default_config_path()), **FUZZ_BASE}
+    if not override:
+        values = {k: v for k, v in values.items() if not k.startswith("gain_")}
+    values.update(changes)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "fuzz.cfg", Path(tmp) / "out.csv"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            status = main([command, "--config", str(cfg), "--out", str(out)])
+        if status == 1:
+            assert any(key in err.getvalue() for key in SCHEMA), err.getvalue()
+            assert not out.exists()
+        else:
+            assert status == 0, err.getvalue()
+            assert "nan" not in out.read_text().lower()

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from vlcnoma import ChannelGains, SpectralEfficiencies, design_constellation, link
 from vlcnoma.constellation import from_raw_levels
 from vlcnoma.errors import ParameterError
-from vlcnoma.link import (MetricCounter, OmaConfig, awgn_sample, decode_center_sic,
+from vlcnoma.link import (MetricCounter, awgn_sample, decode_center_sic,
                           decode_u2_jml, decode_u2_sic, oma_pam_points, oma_round,
-                          pam_detect, superpose_transmit)
+                          oma_sizes, pam_detect, superpose_transmit)
 from vlcnoma.montecarlo import philox_stream
 
 
@@ -154,7 +154,7 @@ class TestNearestMatchesArgmin:
     def test_public_decoders_match_argmin(self, monkeypatch, reference_bpcu, reference_set,
                                           reference_gains):
         g = reference_gains
-        oma = OmaConfig.from_noma(reference_bpcu, 1.0)
+        sizes = oma_sizes(reference_bpcu)
         y = probes(jml_grid(reference_set, g), np.random.default_rng(11), n=20_000)
         scaled = np.concatenate([y, probes(g.h11 * reference_set.cell1_edge,
                                            np.random.default_rng(12))])
@@ -166,7 +166,7 @@ class TestNearestMatchesArgmin:
                    decode_u2_sic(y, g, reference_set), decode_u2_jml(y, g, reference_set),
                    pam_detect(y, oma_pam_points(64, 1.0), g.h21 + g.h22)]
             for sigma in (0.0, 1e-7, 1e-5):
-                out += oma_round(symbols, g, sigma, oma, philox_stream(1, 0, 0))
+                out += oma_round(symbols, g, sigma, sizes, 1.0, philox_stream(1, 0, 0))
             return out
 
         fast = decode_all()
@@ -277,33 +277,29 @@ class TestOmaPam:
 
 class TestOmaRound:
     def test_noiseless_frame_decodes_exactly(self, reference_bpcu, reference_gains):
-        config = OmaConfig.from_noma(reference_bpcu, 1.0)
-        assert config.sizes == (64, 16, 16)
+        sizes = oma_sizes(reference_bpcu)
+        assert sizes == (64, 16, 16)
         rng = philox_stream(0, 0, 0)
-        sizes = config.sizes
         symbols = (rng.integers(1, sizes[0] + 1, 500), rng.integers(1, sizes[1] + 1, 500),
                    rng.integers(1, sizes[2] + 1, 500))
-        decoded = oma_round(symbols, reference_gains, 0.0, config,
+        decoded = oma_round(symbols, reference_gains, 0.0, sizes, 1.0,
                             philox_stream(0, 0, 1))
         for sent, got in zip(symbols, decoded):
             assert np.array_equal(sent, got)
 
     def test_per_frame_metric_counts(self, reference_bpcu, reference_gains):
-        config = OmaConfig.from_noma(reference_bpcu, 1.0)
         counter = MetricCounter()
-        oma_round((1, 1, 1), reference_gains, 0.0, config,
+        oma_round((1, 1, 1), reference_gains, 0.0, oma_sizes(reference_bpcu), 1.0,
                   philox_stream(0, 0, 0), counter)
         # frame total is twice the per-channel-use average of 48
         assert counter.evaluations == 64 + 16 + 16
 
     def test_average_transmit_power_per_slot_is_target(self, reference_bpcu):
-        config = OmaConfig.from_noma(reference_bpcu, 2.5)
-        for size in config.sizes:
-            assert oma_pam_points(size, config.avg_intensity_w).mean() == pytest.approx(
-                2.5, rel=1e-12)
+        for size in oma_sizes(reference_bpcu):
+            assert oma_pam_points(size, 2.5).mean() == pytest.approx(2.5, rel=1e-12)
 
     @pytest.mark.parametrize("sigma", [-1.0, float("nan")])
     def test_bad_sigma_rejected(self, sigma, reference_bpcu, reference_gains):
         with pytest.raises(ParameterError):
-            oma_round((1, 1, 1), reference_gains, sigma,
-                      OmaConfig.from_noma(reference_bpcu, 1.0), philox_stream(0, 0, 0))
+            oma_round((1, 1, 1), reference_gains, sigma, oma_sizes(reference_bpcu), 1.0,
+                      philox_stream(0, 0, 0))

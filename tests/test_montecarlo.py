@@ -8,11 +8,12 @@ from vlcnoma import (SpectralEfficiencies, SweepConfig, design_constellation, ru
                      ser_u2_analytic)
 from vlcnoma.analytic import ser_center_lower_bound
 from vlcnoma.constellation import from_raw_levels
-from vlcnoma.link import OmaConfig, oma_pam_points
+from vlcnoma.link import oma_pam_points, oma_round
 from vlcnoma.montecarlo import philox_stream, sigma_from_snr, wilson_interval
 from vlcnoma.errors import ParameterError
 
 NAN = float("nan")
+INF = float("inf")
 
 
 @pytest.fixture(scope="module")
@@ -86,10 +87,17 @@ class TestRunSweep:
     def test_result_independent_of_worker_count(
         self, reference_set, reference_gains, min_errors
     ):
+        # five batches per point leave a partial last window for 2, 3 and 4 workers
         config = small_sweep(min_errors=min_errors)
         serial = run_sweep(config, reference_set, reference_gains, workers=1)
-        threaded = run_sweep(config, reference_set, reference_gains, workers=4)
-        assert serial == threaded
+        for workers in (2, 3, 4):
+            assert run_sweep(config, reference_set, reference_gains,
+                             workers=workers) == serial, workers
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_workers_below_one(self, reference_set, reference_gains, workers):
+        with pytest.raises(ParameterError, match="workers"):
+            run_sweep(small_sweep(), reference_set, reference_gains, workers=workers)
 
     def test_early_stop_caps_trials(self, reference_set, reference_gains):
         config = small_sweep(snr_points_db=(130.0,), min_errors=10)
@@ -97,7 +105,7 @@ class TestRunSweep:
         assert all(p.estimate.trials <= 8192 for p in points if p.user != "avg")
 
     def test_noise_free_point_decodes_perfectly(self, reference_set, reference_gains):
-        config = small_sweep(snr_points_db=(float("inf"),), trials_per_point=5_000)
+        config = small_sweep(snr_points_db=(INF, 1e308), trials_per_point=5_000)
         points = run_sweep(config, reference_set, reference_gains)
         assert all(p.estimate.errors == 0 for p in points)
 
@@ -161,20 +169,39 @@ class TestRunSweep:
         with pytest.raises(ParameterError):
             SweepConfig(snr_points_db=(100.0,), trials_per_point=10, seed=0,
                         target_power_w=1.0, schemes=("fdma",))
+        with pytest.raises(ParameterError, match="schemes"):
+            SweepConfig(snr_points_db=(100.0,), trials_per_point=10, seed=0,
+                        target_power_w=1.0, schemes=())
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ParameterError):
             SweepConfig(snr_points_db=(), trials_per_point=10, seed=0, target_power_w=1.0)
 
 
+def sweep_with(**overrides):
+    return small_sweep(**{"snr_points_db": (100.0,), "trials_per_point": 10, **overrides})
+
+
+# "function.field" or "function.field=value" -> a call that must reject the
+# value (NaN unless named) with a message naming the field.
 NAN_CASES = {
-    "OmaConfig.avg_intensity_w": lambda cset, g: OmaConfig((2, 2, 2), NAN),
+    "oma_round.avg_intensity_w": lambda cset, g: oma_round(
+        (1, 1, 1), g, 0.0, (4, 4, 4), NAN, philox_stream(0, 0, 0)),
     "oma_pam_points.avg_intensity_w": lambda cset, g: oma_pam_points(4, NAN),
-    "SweepConfig.target_power_w": lambda cset, g: SweepConfig(
-        snr_points_db=(100.0,), trials_per_point=10, seed=0, target_power_w=NAN),
+    "oma_pam_points.avg_intensity_w=inf": lambda cset, g: oma_pam_points(4, INF),
+    "SweepConfig.target_power_w": lambda cset, g: sweep_with(target_power_w=NAN),
+    "SweepConfig.target_power_w=inf": lambda cset, g: sweep_with(target_power_w=INF),
+    "SweepConfig.snr_points_db": lambda cset, g: sweep_with(snr_points_db=(100.0, NAN)),
+    "SweepConfig.snr_points_db=-inf": lambda cset, g: sweep_with(snr_points_db=(-INF,)),
+    "SweepConfig.snr_points_db=-1e308": lambda cset, g: sweep_with(snr_points_db=(-1e308,)),
     "sigma_from_snr.target_power_w": lambda cset, g: sigma_from_snr(100.0, NAN),
+    "sigma_from_snr.target_power_w=inf": lambda cset, g: sigma_from_snr(100.0, INF),
+    "sigma_from_snr.snr_db": lambda cset, g: sigma_from_snr(NAN, 1.0),
+    "sigma_from_snr.snr_db=-inf": lambda cset, g: sigma_from_snr(-INF, 1.0),
     "from_raw_levels.avg_power_w": lambda cset, g: from_raw_levels(
         SpectralEfficiencies(1, 1, 1), [1, 2], [4, 9], [4, 9], [1, 2], NAN),
+    "from_raw_levels.avg_power_w=inf": lambda cset, g: from_raw_levels(
+        SpectralEfficiencies(1, 1, 1), [1, 2], [4, 9], [4, 9], [1, 2], INF),
     "ser_u2_analytic.sigma2": lambda cset, g: ser_u2_analytic(cset, g, NAN),
     "ser_center_lower_bound.sigma": lambda cset, g: ser_center_lower_bound(cset, g, NAN, 1),
 }
@@ -182,7 +209,7 @@ NAN_CASES = {
 
 @pytest.mark.parametrize("field", NAN_CASES)
 def test_nan_rejected_naming_the_field(field, reference_set, reference_gains):
-    with pytest.raises(ParameterError, match=field.rsplit(".", 1)[1]):
+    with pytest.raises(ParameterError, match=field.split("=")[0].rsplit(".", 1)[1]):
         NAN_CASES[field](reference_set, reference_gains)
 
 
