@@ -18,16 +18,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .channel import ChannelGains
 from .constellation import ConstellationSet, uniform_spacing
 from .errors import ParameterError
-from .link import oma_sizes
+from .link import center_user, oma_sizes
 
 
 def q_function(t):
-    """Standard normal tail probability, Q(t) = erfc(t / sqrt(2)) / 2."""
+    """Standard normal tail probability, Q(t) = erfc(t / sqrt(2)) / 2.
+
+    scipy is imported here, on first use, because importing it costs most of
+    the package's import time and only the closed forms need it.
+    """
+    from scipy.special import erfc
+
     return 0.5 * erfc(np.asarray(t, dtype=float) / math.sqrt(2.0))
 
 
@@ -100,17 +105,11 @@ def ser_center_lower_bound(
     """
     if not sigma >= 0:
         raise ParameterError(f"sigma must be >= 0, got {sigma}")
-    if user == 1:
-        gap = uniform_spacing(cset.cell1_center, "cell1_center")
-        h, m = gains.h11, cset.bpcu.sizes[0]
-    elif user == 3:
-        gap = uniform_spacing(cset.cell2_center, "cell2_center")
-        h, m = gains.h32, cset.bpcu.sizes[2]
-    else:
-        raise ParameterError(f"lower bound applies to users 1 and 3, got {user}")
+    _, own, h = center_user(cset, gains, user)
+    gap = uniform_spacing(own, f"u{user}")
     if sigma == 0:
         return 0.0
-    return float(2.0 * (1.0 - 1.0 / m) * q_function(gap * h / (2.0 * sigma)))
+    return float(2.0 * (1.0 - 1.0 / own.size) * q_function(gap * h / (2.0 * sigma)))
 
 
 def closed_form(

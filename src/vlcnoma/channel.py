@@ -166,6 +166,9 @@ def dc_gain(
     d, cosine = link_geometry(top_view_m, room_height_m, rx_height_m)
     psi_deg = math.degrees(math.acos(min(cosine, 1.0)))
     g = concentrator_gain(psi_deg, front_end.fov_deg, front_end.concentrator_index)
+    sphere = 2.0 * math.pi * d * d
+    if sphere == 0:  # d * d underflows: the link is closer than any float resolves
+        return math.inf
     return (
         (zeta + 1.0)
         * front_end.detector_area_m2
@@ -174,7 +177,7 @@ def dc_gain(
         * front_end.filter_gain
         * g
         * cosine
-        / (2.0 * math.pi * d * d)
+        / sphere
     )
 
 
@@ -182,13 +185,22 @@ def gain_matrix(geometry: ScenarioGeometry, front_end: OpticalFrontEnd) -> Chann
     """Gains of all four links.
 
     Check ``ordering_diagnostic()`` on the result; the matrix itself is
-    returned even when the ordering is infeasible.
+    returned even when the ordering is infeasible.  A gain that is not
+    finite is rejected, naming the keys it reads.
     """
     L = geometry.room_height_m
     heights = geometry.rx_heights_m
-    return ChannelGains(
-        h11=dc_gain(front_end, geometry.r11_m, L, heights[0]),
-        h21=dc_gain(front_end, geometry.r21_m, L, heights[1]),
-        h22=dc_gain(front_end, geometry.r22_m, L, heights[1]),
-        h32=dc_gain(front_end, geometry.r32_m, L, heights[2]),
-    )
+    gains = {
+        "h11": dc_gain(front_end, geometry.r11_m, L, heights[0]),
+        "h21": dc_gain(front_end, geometry.r21_m, L, heights[1]),
+        "h22": dc_gain(front_end, geometry.r22_m, L, heights[1]),
+        "h32": dc_gain(front_end, geometry.r32_m, L, heights[2]),
+    }
+    for name, h in gains.items():
+        if not math.isfinite(h):  # name h<w><c>: receiver w, transmitter c
+            raise ParameterError(
+                f"computed gain {name} = {h!r} is not finite; it reads room_height_m,"
+                f" rx_height_u{name[1]}_m, r{name[1:]}_m and the front-end keys"
+                " semi_angle_deg, fov_deg, filter_gain, responsivity_a_per_w,"
+                " detector_area_m2 and concentrator_index")
+    return ChannelGains(**gains)

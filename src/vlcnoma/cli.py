@@ -16,7 +16,7 @@ from .config import (ExperimentConfig, load_config, parse_finite, parse_schemes,
                      with_sweep)
 from .errors import ConfigError, ParameterError
 from .experiments import SER_HEADER, echo_comments, run_experiment, ser_rows, write_csv
-from .montecarlo import _frame, philox_stream, run_sweep, sigma_from_snr
+from .montecarlo import _frame, philox_stream, receivers, run_sweep, sigma_from_snr
 
 
 def _workers() -> int:
@@ -61,8 +61,9 @@ def _trace(cfg: ExperimentConfig) -> None:
     gains, cset = cfg.design()
     snr_db = cfg.sweep.snr_points_db[0]
     sigma = sigma_from_snr(snr_db, cfg.target_power_w)
+    tables = receivers(cset, gains, ("noma-sic", "noma-jml"), cfg.target_power_w)
     sent, received, decided = _frame(philox_stream(cfg.sweep.seed, 0, 0), 1, sigma, cset,
-                                      gains, ("noma-sic", "noma-jml"), cfg.target_power_w)
+                                      gains, tables)
     u1, u2, u3 = (x.item() for x in sent["noma-sic"])
     y1, y2, y3 = (y.item() for y in received)
     (u1_hat, u2_sic, u3_hat), (edge1, edge3) = decided["noma-sic"], decided["sic-stage1"]

@@ -87,8 +87,6 @@ ECHO_FORMAT = {
     parse_schemes: ",".join,
 }
 
-GAIN_KEYS = ("gain_h11", "gain_h21", "gain_h22", "gain_h32")
-
 # ExperimentConfig field -> the domain type built from the keys located in it.
 SECTIONS = {
     "geometry": ScenarioGeometry,
@@ -188,14 +186,6 @@ def build_config(raw: dict[str, str], source: str = "<config>") -> ExperimentCon
         else:
             typed[key] = default
 
-    missing = [key for key in GAIN_KEYS if typed[key] is None]
-    if 0 < len(missing) < len(GAIN_KEYS):
-        raise ConfigError(f"{source}: gain override needs all four gains, missing {missing}")
-    for key in GAIN_KEYS:
-        if not missing and typed[key] <= 0:
-            raise ConfigError(f"{source}: {key} must be > 0, got {typed[key]}")
-    override = None if missing else ChannelGains(*(typed[key] for key in GAIN_KEYS))
-
     def domain(cls, kwargs):
         # domain-type validators already name the offending key
         try:
@@ -204,6 +194,15 @@ def build_config(raw: dict[str, str], source: str = "<config>") -> ExperimentCon
             raise ConfigError(f"{source}: {exc}") from exc
 
     placed = _place(typed)
+    # the override's keys are gain_h11 .. gain_h32, located at gain_override.h11 ..
+    gains = placed.pop("gain_override")
+    missing = [f"gain_{name}" for name, value in gains.items() if value is None]
+    if 0 < len(missing) < len(gains):
+        raise ConfigError(f"{source}: gain override needs all four gains, missing {missing}")
+    for name, value in gains.items():
+        if not missing and value <= 0:
+            raise ConfigError(f"{source}: gain_{name} must be > 0, got {value}")
+    override = None if missing else ChannelGains(**gains)
     if placed["sweep"]["snr_points_db"] is None:
         placed["sweep"]["snr_points_db"] = snr_grid(
             typed["snr_start_db"], typed["snr_stop_db"], typed["snr_step_db"])

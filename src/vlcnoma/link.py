@@ -2,12 +2,33 @@
 
 All functions are vectorized: symbol indices and received amplitudes may be
 scalars or equally shaped numpy arrays.  Indices are 1-based like the level
-numbering.  Every decoder picks the candidate nearest in absolute
-amplitude difference, with ties broken toward the lowest index, through one
-shared sorted-codebook lookup (``_nearest``): O(log K) per sample, yet the
-same answer as a brute-force argmin over all K candidates.  Passing a
-MetricCounter tallies the paper's brute-force cost model, one evaluation per
-candidate per sample, not the lookup's smaller work.
+numbering.
+
+Every receiver is a nearest-candidate decision on one real sample: it picks
+the candidate whose computed distance ``|y - c|`` is smallest, a tie going
+to the lowest index, and equal candidates resolve to their lowest index.
+Such a decision is piecewise constant in y, so each receiver is tabulated
+once per design as a ``DecisionTable`` (sorted thresholds and the label of
+every interval between them), and decoding is one ``searchsorted``.
+
+The thresholds are exact, not midpoints.  Between adjacent distinct
+candidates a < b the rule picks b where the computed ``|y - b| < |y - a|``,
+or where the two are equal and b has the lower index.  For y in (a, b],
+fl(y - a) never decreases and fl(b - y) never increases as y grows, so the
+choice flips exactly once; bisection over the ordered bit patterns of the
+floats finds the smallest float at which it picks b.  Only the two
+candidates adjacent to y compete, so a rounding tie with a farther one
+(possible only far outside the codebook) is not a tie.  A sample at or
+below the lowest candidate takes it, one above the highest takes that.
+The SIC receiver's second stage is the same decision on fl(y - c), which
+is also monotone in y, so both stages fold into one table over the raw
+sample.  Adjacent intervals with the same label are merged: joint ML over
+the 128 tuples of the reference design returns only the edge coordinate
+and keeps 3 of its 127 thresholds.  Candidates must be finite.
+
+Passing a MetricCounter tallies the paper's brute-force cost model: per
+sample, one evaluation per candidate of the original set (n x K per call),
+not the table's smaller work.
 """
 
 from __future__ import annotations
@@ -28,7 +49,8 @@ class MetricCounter:
 
     Each decoded sample adds the size of its candidate set (n x K per call),
     as the brute-force receivers of the complexity table (AC-5) would
-    evaluate; the sorted-codebook lookup actually does O(log K) work.
+    evaluate; a decision-table lookup is one binary search over its merged
+    thresholds.
     """
 
     evaluations: int = 0
@@ -80,76 +102,170 @@ def awgn_sample(noiseless, sigma: float, rng: np.random.Generator):
     return tuple(y + sigma * rng.standard_normal(y.shape) for y in noiseless)
 
 
-def _nearest(y, candidates: np.ndarray, counter: MetricCounter | None) -> np.ndarray:
-    """1-based index of the candidate nearest to each y; lowest index wins ties.
+_SIGN_FREE = np.int64(0x7FFFFFFFFFFFFFFF)
 
-    Binary search in the sorted codebook finds the two distinct values that
-    bracket y; the computed distance is monotone on each side of y, so one of
-    them is nearest.  Their computed distances ``|y - c|`` are compared as a
-    brute-force argmin would, a tie going to the lower index, and equal
-    values resolve to their lowest index.  Ties decided by float rounding
-    between a bracketing value and one farther out (possible only for samples
-    extremely far from the codebook) follow the bracketing value.  Samples
-    and candidates must be finite.
+
+def _flip(bits: np.ndarray) -> np.ndarray:
+    """Maps float64 bit patterns to int64 keys that sort like the floats, and back."""
+    return bits ^ ((bits >> 63) & _SIGN_FREE)
+
+
+def _first_true(rule, low, high) -> np.ndarray:
+    """Elementwise smallest float y in (low, high] at which ``rule(y)`` holds.
+
+    ``rule`` must be False at low, True at high and switch once in between.
+    The bisection runs over the int64 keys that order the floats, 64 steps
+    for any bracket; the midpoint of two keys is taken without forming
+    their sum or difference, which overflow for brackets that straddle
+    zero from magnitude 2 up (the SIC stage-2 bracket is all floats).
     """
-    y = np.asarray(y, dtype=float)
-    if counter is not None:
-        counter.evaluations += y.size * candidates.size
-    values, lowest = np.unique(candidates, return_index=True)
-    flat = y.reshape(-1)
-    slot = np.searchsorted(values, flat)
-    below = np.maximum(slot - 1, 0)
-    above = np.minimum(slot, values.size - 1)
-    d_below = np.abs(flat - values[below])
-    d_above = np.abs(flat - values[above])
-    i_below, i_above = lowest[below], lowest[above]
-    take_above = (d_above < d_below) | ((d_above == d_below) & (i_above < i_below))
-    return (np.where(take_above, i_above, i_below) + 1).reshape(y.shape)[()]
+    lo = _flip(np.asarray(low, dtype=float).view(np.int64))
+    hi = _flip(np.asarray(high, dtype=float).view(np.int64))
+    with np.errstate(over="ignore"):
+        for _ in range(64):
+            mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
+            take = rule(_flip(mid).view(float))
+            lo, hi = np.where(take, lo, mid), np.where(take, mid, hi)
+    return _flip(hi).view(float)
 
 
-def decode_center_sic(
-    y, h: float, cset: ConstellationSet, user: int, counter: MetricCounter | None = None
-):
-    """Two-stage decode at a cell-center user.
+@dataclass(frozen=True)
+class DecisionTable:
+    """A decision on one real sample: ``labels[:, searchsorted(thresholds, y, 'right')]``.
 
-    Stage 1 estimates the (stronger) edge-user level from the raw signal;
-    stage 2 subtracts that estimate and finds the nearest own level.  Stage
-    1 mistakes are deliberately allowed to propagate.  Returns
-    ``(own_index, edge_index)``.
+    ``labels`` has one row per decided quantity and one column per interval;
+    adjacent columns differ.  ``candidates`` is the per-sample cost of the
+    brute-force receiver the table replaces (see MetricCounter).
+    """
+
+    thresholds: np.ndarray
+    labels: np.ndarray
+    candidates: int
+
+    def decide(self, y, counter: MetricCounter | None = None) -> tuple[np.ndarray, ...]:
+        """One array (or scalar) per label row, shaped like y."""
+        if counter is not None:
+            counter.evaluations += np.size(y) * self.candidates
+        slot = np.searchsorted(self.thresholds, y, side="right")
+        return tuple(row[slot] for row in self.labels)
+
+
+def _merged(thresholds: np.ndarray, labels: np.ndarray, candidates: int) -> DecisionTable:
+    """The table without the thresholds between equally labelled intervals."""
+    keep = np.any(labels[:, 1:] != labels[:, :-1], axis=0)
+    return DecisionTable(thresholds[keep], labels[:, np.concatenate([[True], keep])],
+                         candidates)
+
+
+def nearest_tables(sets) -> list[DecisionTable]:
+    """Exact tables of the nearest-candidate rule, one per ``(candidates, outputs)``.
+
+    Labels are 1-based candidate indices, or ``outputs[index - 1]`` where
+    outputs is not None.  One bisection finds every set's thresholds.
+    """
+    sets = [(np.asarray(c, dtype=float).reshape(-1), outputs) for c, outputs in sets]
+    distinct = [np.unique(c, return_index=True) for c, _ in sets]
+    a = np.concatenate([values[:-1] for values, _ in distinct])
+    b = np.concatenate([values[1:] for values, _ in distinct])
+    b_first = np.concatenate([lowest[1:] < lowest[:-1] for _, lowest in distinct])
+
+    def picks_b(y):
+        d_a, d_b = np.abs(y - a), np.abs(y - b)
+        return (d_b < d_a) | ((d_b == d_a) & b_first)
+
+    cuts = np.cumsum([values.size - 1 for values, _ in distinct])[:-1]
+    tables = []
+    for (c, outputs), (_, lowest), thresholds in zip(
+            sets, distinct, np.split(_first_true(picks_b, a, b), cuts)):
+        labels = lowest + 1 if outputs is None else np.asarray(outputs).reshape(-1)[lowest]
+        tables.append(_merged(thresholds, labels[np.newaxis], c.size))
+    return tables
+
+
+def sic_tables(pairs) -> list[DecisionTable]:
+    """Both SIC stages as one table over the raw sample, one per ``(edge, own)``.
+
+    Stage 1 picks the nearest ``edge`` candidate c; stage 2 picks the
+    nearest ``own`` candidate to the residual fl(y - c).  Labels are
+    ``(own, edge)``.  Within each stage-1 interval a stage-2 threshold t
+    moves to the smallest y with fl(y - c) >= t; the decision is constant
+    between consecutive breakpoints of both kinds, so each interval is
+    labelled by decoding its left end.
+    """
+    pairs = [(np.asarray(edge, dtype=float), np.asarray(own, dtype=float))
+             for edge, own in pairs]
+    stages = nearest_tables([(x, None) for pair in pairs for x in pair])
+    firsts, seconds = stages[0::2], stages[1::2]
+    # every stage-1 decision c (its distinct edge value) against every stage-2 threshold
+    shift = np.concatenate([np.repeat(edge[first.labels[0] - 1], second.thresholds.size)
+                            for (edge, _), first, second in zip(pairs, firsts, seconds)])
+    target = np.concatenate([np.tile(second.thresholds, first.labels.shape[1])
+                             for first, second in zip(firsts, seconds)])
+    below = np.full(shift.size, -np.inf)
+    moved = _first_true(lambda y: y - shift >= target, below, -below)
+    cuts = np.cumsum([first.labels.shape[1] * second.thresholds.size
+                      for first, second in zip(firsts, seconds)])[:-1]
+    tables = []
+    for (edge, own), first, second, shifted in zip(pairs, firsts, seconds, np.split(moved, cuts)):
+        breaks = np.unique(np.concatenate([first.thresholds, shifted]))
+        left = np.concatenate([[-np.inf], breaks])
+        (edge_hat,) = first.decide(left)
+        (own_hat,) = second.decide(left - edge[edge_hat - 1])
+        tables.append(_merged(breaks, np.stack([own_hat, edge_hat]), edge.size + own.size))
+    return tables
+
+
+def center_user(cset: ConstellationSet, gains: ChannelGains, user: int):
+    """``(edge levels, own levels, gain)`` of center user 1 or 3.
+
+    User 1 shares cell 1 with the edge user and hears it through h11; user 3
+    shares cell 2 and hears it through h32.
     """
     if user == 1:
-        edge, own = cset.cell1_edge, cset.cell1_center
-    elif user == 3:
-        edge, own = cset.cell2_edge, cset.cell2_center
-    else:
-        raise ParameterError(f"SIC decoding applies to users 1 and 3, got {user}")
-    y = np.asarray(y, dtype=float)
-    edge_hat = _nearest(y, h * edge, counter)
-    residual = y - h * edge[edge_hat - 1]
-    own_hat = _nearest(residual, h * own, counter)
-    return own_hat, edge_hat
+        return cset.cell1_edge, cset.cell1_center, gains.h11
+    if user == 3:
+        return cset.cell2_edge, cset.cell2_center, gains.h32
+    raise ParameterError(f"center users are 1 and 3, got {user}")
 
 
-def decode_u2_sic(
-    y2, gains: ChannelGains, cset: ConstellationSet, counter: MetricCounter | None = None
-):
-    """Edge-user decode treating center-user power as noise (no SIC stages)."""
-    candidates = gains.h21 * cset.cell1_edge + gains.h22 * cset.cell2_edge
-    return _nearest(y2, candidates, counter)
+def center_tables(cset: ConstellationSet, gains: ChannelGains) -> list[DecisionTable]:
+    """SIC tables of center users 1 and 3.
 
-
-def decode_u2_jml(
-    y2, gains: ChannelGains, cset: ConstellationSet, counter: MetricCounter | None = None
-):
-    """Edge-user decode by joint maximum likelihood over every symbol tuple.
-
-    The candidate grid enumerates all (u1, u2, u3) combinations; only the
-    edge coordinate of the winner is returned.  Ties break toward the
-    lexicographically lowest (u1, u2, u3).
+    Stage 1 estimates the (stronger) edge-user level from the raw signal,
+    stage 2 subtracts it and finds the nearest own level; stage-1 mistakes
+    propagate, as in the receiver.
     """
+    return sic_tables([(h * edge, h * own)
+                       for edge, own, h in (center_user(cset, gains, u) for u in (1, 3))])
+
+
+def edge_sic_candidates(cset: ConstellationSet, gains: ChannelGains):
+    """Nearest-table set of the edge user's interference-as-noise rule: the
+    combined edge levels."""
+    return gains.h21 * cset.cell1_edge + gains.h22 * cset.cell2_edge, None
+
+
+def edge_jml_candidates(cset: ConstellationSet, gains: ChannelGains):
+    """Nearest-table set of the edge user's joint maximum likelihood: every
+    (u1, u2, u3) tuple, labelled by its edge coordinate.  Ties break toward
+    the lexicographically lowest tuple."""
     tuples = np.indices(cset.bpcu.sizes).reshape(3, -1) + 1
-    joint = superpose_transmit(tuples, cset, gains)[1]
-    return tuples[1][_nearest(y2, joint, counter) - 1]
+    return superpose_transmit(tuples, cset, gains)[1], tuples[1]
+
+
+def decode_center_sic(y, table: DecisionTable, counter: MetricCounter | None = None):
+    """``(own_index, edge_index)`` at a center user, from its ``center_tables`` entry."""
+    return table.decide(y, counter)
+
+
+def decode_u2_sic(y2, table: DecisionTable, counter: MetricCounter | None = None):
+    """Edge-user decode by the interference-as-noise rule (``edge_sic_candidates``)."""
+    return table.decide(y2, counter)[0]
+
+
+def decode_u2_jml(y2, table: DecisionTable, counter: MetricCounter | None = None):
+    """Edge-user decode by joint maximum likelihood (``edge_jml_candidates``)."""
+    return table.decide(y2, counter)[0]
 
 
 def oma_pam_points(size: int, avg_intensity_w: float) -> np.ndarray:
@@ -164,42 +280,49 @@ def oma_pam_points(size: int, avg_intensity_w: float) -> np.ndarray:
     return levels
 
 
-def pam_detect(y, levels, gain: float, counter: MetricCounter | None = None):
-    """Nearest-level detection against gain-scaled PAM candidates."""
-    return _nearest(y, np.asarray(levels, dtype=float) * gain, counter)
+@dataclass(frozen=True)
+class OmaLinks:
+    """The orthogonal baseline's three PAM links, in user order 1, 2, 3:
+    the transmitted levels, the gain each rides and its detector's table."""
+
+    levels: tuple[np.ndarray, np.ndarray, np.ndarray]
+    gains: tuple[float, float, float]
+    tables: tuple[DecisionTable, DecisionTable, DecisionTable]
+
+
+def oma_links(bpcu, gains: ChannelGains, avg_intensity_w: float) -> OmaLinks:
+    """PAM levels of sizes ``oma_sizes(bpcu)``, with mean ``avg_intensity_w``.
+
+    Slot A: Tx1 sends user 1's level, Tx2 sends user 3's.  Slot B: both
+    transmitters send the edge user's level, so its candidate set rides the
+    combined gain h21 + h22.  The mean PAM level of every transmitter in
+    every slot is ``avg_intensity_w``, which keeps the average transmit
+    power per channel use equal to the superposed scheme's target.
+    """
+    levels = tuple(oma_pam_points(size, avg_intensity_w) for size in oma_sizes(bpcu))
+    link_gains = (gains.h11, gains.h21 + gains.h22, gains.h32)
+    return OmaLinks(levels, link_gains,
+                    tuple(nearest_tables([(pam * g, None) for pam, g in zip(levels, link_gains)])))
 
 
 def oma_round(
     symbols,
-    gains: ChannelGains,
+    links: OmaLinks,
     sigma: float,
-    sizes: tuple[int, int, int],
-    avg_intensity_w: float,
     rng: np.random.Generator,
     counter: MetricCounter | None = None,
 ):
     """One two-slot orthogonal frame: transmit, add noise, decode all users.
 
-    Slot A: Tx1 sends user 1's PAM level, Tx2 sends user 3's.  Slot B: both
-    transmitters send the edge user's level, so its candidate set rides the
-    combined gain h21 + h22.  ``sizes`` are the three PAM sizes (see
-    ``oma_sizes``); ``avg_intensity_w`` is the mean PAM level of every
-    transmitter in every slot, which keeps the average transmit power per
-    channel use equal to the superposed scheme's target.  Noise draw order
-    is fixed: user 1, user 3, then the edge user.  Returns the three decoded
-    indices.
+    Noise draw order is fixed: user 1, user 3, then the edge user.  Returns
+    the three decoded indices.
     """
     if not sigma >= 0:
         raise ParameterError(f"sigma must be >= 0, got {sigma}")
-    i1, i2, i3 = _indices(symbols, sizes)
-    pam1, pam2, pam3 = (oma_pam_points(s, avg_intensity_w) for s in sizes)
+    i1, i2, i3 = _indices(symbols, tuple(pam.size for pam in links.levels))
+    (pam1, pam2, pam3), (g1, g2, g3) = links.levels, links.gains
     shape = np.broadcast_shapes(np.shape(i1), np.shape(i2), np.shape(i3))
-    y1 = pam1[i1] * gains.h11 + sigma * rng.standard_normal(shape)
-    y3 = pam3[i3] * gains.h32 + sigma * rng.standard_normal(shape)
-    edge_gain = gains.h21 + gains.h22
-    y2 = pam2[i2] * edge_gain + sigma * rng.standard_normal(shape)
-    return (
-        pam_detect(y1, pam1, gains.h11, counter),
-        pam_detect(y2, pam2, edge_gain, counter),
-        pam_detect(y3, pam3, gains.h32, counter),
-    )
+    y1 = pam1[i1] * g1 + sigma * rng.standard_normal(shape)
+    y3 = pam3[i3] * g3 + sigma * rng.standard_normal(shape)
+    y2 = pam2[i2] * g2 + sigma * rng.standard_normal(shape)
+    return tuple(table.decide(y, counter)[0] for table, y in zip(links.tables, (y1, y2, y3)))

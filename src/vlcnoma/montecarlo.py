@@ -3,11 +3,19 @@
 Determinism contract: trials are split into fixed-size batches and every
 batch draws from its own counter-addressed Philox stream keyed by
 (seed, SNR index, batch index).  Batch tallies are plain integer counts,
-summed in batch order, so the result is bit-identical no matter how many
-workers run or how batches are scheduled.  Optional early stopping consumes
-batches strictly in index order: the cut point depends only on cumulative
-counts, never on scheduling, so speculative parallel batches past the cut
-are simply discarded.
+and each SNR point consumes its batches strictly in index order, summing
+them until optional early stopping cuts in.  The cut point depends only on
+cumulative counts, so the result is bit-identical no matter how many
+workers run or how batches are scheduled.
+
+One scheduler serves the whole sweep.  A worker that is free takes the next
+batch of the lowest SNR point whose next batch is certain to be consumed:
+every batch issued for that point has been consumed and the point has not
+stopped.  Only when no such batch exists does it take a speculative one, the
+next batch of the lowest point still running; early stopping may discard
+it.  With two workers at most one batch per sweep is discarded.  Scheduling
+decides only when a batch is computed, never which batches a point
+consumes, so it cannot change any result.
 
 Within a batch the draw order is fixed by ``_frame``: the superposed
 symbols u1, u2, u3, the noise on y1, y2, y3, then, if the orthogonal
@@ -18,6 +26,7 @@ simulate --trace`` prints one channel use of the same frame code.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -29,8 +38,9 @@ from . import analytic
 from .channel import ChannelGains
 from .constellation import ConstellationSet, verify_gap_condition
 from .errors import ParameterError
-from .link import (awgn_sample, decode_center_sic, decode_u2_jml, decode_u2_sic, oma_round,
-                   oma_sizes, superpose_transmit)
+from .link import (awgn_sample, center_tables, decode_center_sic, decode_u2_jml, decode_u2_sic,
+                   edge_jml_candidates, edge_sic_candidates, nearest_tables, oma_links, oma_round,
+                   superpose_transmit)
 
 USERS = ("u1", "u2", "u3")
 Z_95 = 1.959963984540054
@@ -143,16 +153,37 @@ def philox_stream(seed: int, snr_index: int, batch_index: int) -> np.random.Gene
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def receivers(
+    cset: ConstellationSet, gains: ChannelGains, schemes: tuple[str, ...], power_w: float
+) -> dict:
+    """The decision tables that ``schemes`` decode with, built once per sweep.
+
+    "u1" and "u3" (SIC at the center users) are there for any superposed
+    scheme, "noma-sic" and "noma-jml" (the edge user) and "oma"
+    (``OmaLinks`` at average intensity ``power_w``) when their scheme runs.
+    """
+    tables: dict = {}
+    if any(s.startswith("noma") for s in schemes):
+        tables["u1"], tables["u3"] = center_tables(cset, gains)
+    edge = {"noma-sic": edge_sic_candidates, "noma-jml": edge_jml_candidates}
+    wanted = [scheme for scheme in edge if scheme in schemes]
+    if wanted:
+        tables.update(zip(wanted, nearest_tables([edge[s](cset, gains) for s in wanted])))
+    if "oma" in schemes:
+        tables["oma"] = oma_links(cset.bpcu, gains, power_w)
+    return tables
+
+
 def _frame(
     rng: np.random.Generator,
     n: int,
     sigma: float,
     cset: ConstellationSet,
     gains: ChannelGains,
-    schemes: tuple[str, ...],
-    power_w: float,
+    tables: dict,
 ) -> tuple[dict, tuple | None, dict]:
-    """n channel uses of every scheme: ``(sent, received, decided)``.
+    """n channel uses of every scheme that ``tables`` (see ``receivers``)
+    decodes: ``(sent, received, decided)``.
 
     ``sent`` and ``decided`` map each scheme to its (u1, u2, u3) indices;
     both superposed schemes share one transmission.  ``received`` is the
@@ -163,71 +194,119 @@ def _frame(
     sent: dict[str, tuple] = {}
     decided: dict[str, tuple] = {}
     received = None
-    if any(s.startswith("noma") for s in schemes):
+    if "u1" in tables:
         symbols = tuple(rng.integers(1, m + 1, n) for m in cset.bpcu.sizes)
         received = awgn_sample(superpose_transmit(symbols, cset, gains), sigma, rng)
         y1, y2, y3 = received
-        u1_hat, edge1 = decode_center_sic(y1, gains.h11, cset, 1)
-        u3_hat, edge3 = decode_center_sic(y3, gains.h32, cset, 3)
+        u1_hat, edge1 = decode_center_sic(y1, tables["u1"])
+        u3_hat, edge3 = decode_center_sic(y3, tables["u3"])
         decided["sic-stage1"] = (edge1, edge3)
-        if "noma-sic" in schemes:
+        if "noma-sic" in tables:
             sent["noma-sic"] = symbols
-            decided["noma-sic"] = (u1_hat, decode_u2_sic(y2, gains, cset), u3_hat)
-        if "noma-jml" in schemes:
+            decided["noma-sic"] = (u1_hat, decode_u2_sic(y2, tables["noma-sic"]), u3_hat)
+        if "noma-jml" in tables:
             sent["noma-jml"] = symbols
-            decided["noma-jml"] = (u1_hat, decode_u2_jml(y2, gains, cset), u3_hat)
-    if "oma" in schemes:
-        sizes = oma_sizes(cset.bpcu)
-        sent["oma"] = tuple(rng.integers(1, size + 1, n) for size in sizes)
-        decided["oma"] = oma_round(sent["oma"], gains, sigma, sizes, power_w, rng)
+            decided["noma-jml"] = (u1_hat, decode_u2_jml(y2, tables["noma-jml"]), u3_hat)
+    if "oma" in tables:
+        links = tables["oma"]
+        sent["oma"] = tuple(rng.integers(1, pam.size + 1, n) for pam in links.levels)
+        decided["oma"] = oma_round(sent["oma"], links, sigma, rng)
     return sent, received, decided
 
 
-def _run_point(
+def _run_points(
     config: SweepConfig,
-    snr_index: int,
-    sigma: float,
+    sigmas: list[float],
     cset: ConstellationSet,
     gains: ChannelGains,
     workers: int,
-) -> tuple[dict[tuple[str, str], int], int]:
-    """Totals for one SNR point honoring the in-order early-stop rule.
+) -> tuple[list[dict[tuple[str, str], int]], list[int]]:
+    """Error totals and trials of every SNR point, under the in-order early-stop rule.
 
-    Batches run in windows of ``workers``, on threads only when there are
-    several, and are consumed in index order.
+    ``workers`` threads, the calling thread among them, run one loop: take
+    a batch (certain ones first, see the module docstring), compute it, and
+    consume whatever that makes consumable in index order.
     """
     total, size = config.trials_per_point, config.batch_size
     sizes = [min(size, total - start) for start in range(0, total, size)]
+    tables = receivers(cset, gains, config.schemes, config.target_power_w)
+    tracked = [(s, u) for s in config.schemes for u in USERS]
+    count = len(sigmas)
+    totals = [dict.fromkeys(tracked, 0) for _ in range(count)]
+    trials, issued, consumed = [0] * count, [0] * count, [0] * count
+    done = [False] * count  # stopped early, or every batch consumed
+    waiting: list[dict[int, dict]] = [{} for _ in range(count)]  # results ahead of order
+    changed = threading.Condition()
+    low = 0  # points below it have no batch left to issue
 
-    def compute(batch_index: int) -> dict[tuple[str, str], int]:
+    def compute(point: int, batch: int) -> dict[tuple[str, str], int]:
         """Symbol error counts of one batch, keyed by (scheme, user)."""
-        rng = philox_stream(config.seed, snr_index, batch_index)
-        sent, _, decided = _frame(rng, sizes[batch_index], sigma, cset, gains, config.schemes,
-                                  config.target_power_w)
+        rng = philox_stream(config.seed, point, batch)
+        sent, _, decided = _frame(rng, sizes[batch], sigmas[point], cset, gains, tables)
         return {(scheme, user): int(np.count_nonzero(got != want))
                 for scheme in config.schemes
                 for user, want, got in zip(USERS, sent[scheme], decided[scheme])}
 
-    tracked = [(s, u) for s in config.schemes for u in USERS]
-    totals = {key: 0 for key in tracked}
-    trials = 0
+    def pick() -> int | None:
+        """The point to issue a batch of now, if any.
 
-    def consume(batch_index: int, result: dict) -> bool:
-        nonlocal trials
-        for key, count in result.items():
-            totals[key] += count
-        trials += sizes[batch_index]
-        if config.min_errors > 0:
-            return min(totals[key] for key in tracked) >= config.min_errors
-        return False
+        A point never has more than ``workers`` batches issued and not yet
+        consumed, so no point stops with more than ``workers - 1`` computed
+        past its cut.
+        """
+        nonlocal low
+        while low < count and (done[low] or issued[low] == len(sizes)):
+            low += 1
+        speculative = None
+        for point in range(low, count):
+            if done[point] or issued[point] == len(sizes):
+                continue
+            ahead = issued[point] - consumed[point]
+            if ahead == 0:
+                return point
+            if speculative is None and ahead < workers:
+                speculative = point
+        return speculative
 
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        run = map if pool is None else pool.map
-        for start in range(0, len(sizes), workers):
-            window = range(start, min(start + workers, len(sizes)))
-            results = list(run(compute, window))
-            if any(consume(i, result) for i, result in zip(window, results)):
-                break
+    def consume(point: int, batch: int, result: dict) -> None:
+        waiting[point][batch] = result
+        while not done[point] and consumed[point] in waiting[point]:
+            for key, errors in waiting[point].pop(consumed[point]).items():
+                totals[point][key] += errors
+            trials[point] += sizes[consumed[point]]
+            consumed[point] += 1
+            done[point] = consumed[point] == len(sizes) or (
+                config.min_errors > 0
+                and min(totals[point][key] for key in tracked) >= config.min_errors)
+        if done[point]:
+            waiting[point].clear()
+
+    def work() -> None:
+        while True:
+            with changed:
+                while (point := pick()) is None:
+                    if low == count:
+                        return
+                    changed.wait()  # for a consumed batch to lift the cap
+                batch = issued[point]
+                issued[point] += 1
+            try:
+                result = compute(point, batch)
+            except BaseException:
+                with changed:  # the other workers stop at their next pick
+                    done[:] = [True] * count
+                    changed.notify_all()
+                raise
+            with changed:
+                consume(point, batch, result)
+                changed.notify_all()
+
+    # one worker needs no pool; with several, pool threads join the calling thread
+    with ThreadPoolExecutor(max_workers=workers - 1) if workers > 1 else nullcontext() as pool:
+        helpers = [pool.submit(work) for _ in range(workers - 1)]
+        work()
+        for helper in helpers:
+            helper.result()
     return totals, trials
 
 
@@ -250,10 +329,11 @@ def run_sweep(
     ok, _ = verify_gap_condition(cset, gains)
     if not ok:
         warnings.warn("constellation fails the zero-error gap condition", stacklevel=2)
+    sigmas = [sigma_from_snr(snr_db, config.target_power_w) for snr_db in config.snr_points_db]
+    all_totals, all_trials = _run_points(config, sigmas, cset, gains, workers)
     points = []
-    for snr_index, snr_db in enumerate(config.snr_points_db):
-        sigma = sigma_from_snr(snr_db, config.target_power_w)
-        totals, trials = _run_point(config, snr_index, sigma, cset, gains, workers)
+    for snr_db, sigma, totals, trials in zip(config.snr_points_db, sigmas, all_totals,
+                                             all_trials):
         for scheme in config.schemes:
             counts = {user: (totals[(scheme, user)], trials) for user in USERS}
             counts["avg"] = (sum(totals[(scheme, user)] for user in USERS), 3 * trials)

@@ -15,9 +15,8 @@ from vlcnoma.channel import OpticalFrontEnd, dc_gain
 from vlcnoma.cli import main
 from vlcnoma.constellation import peak_powers
 from vlcnoma.link import (MetricCounter, decode_center_sic, decode_u2_jml, decode_u2_sic,
-                          oma_pam_points, oma_round, oma_sizes, pam_detect,
-                          superpose_transmit)
-from vlcnoma.montecarlo import philox_stream, sigma_from_snr, wilson_interval
+                          oma_pam_points, oma_round, oma_sizes, superpose_transmit)
+from vlcnoma.montecarlo import philox_stream, receivers, sigma_from_snr, wilson_interval
 
 GAINS = ChannelGains(h11=2.5892e-6, h21=7.8573e-7, h22=6.8573e-7, h32=3.5892e-6)
 BPCU = SpectralEfficiencies(3, 2, 2)
@@ -33,6 +32,11 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def cset():
     return design_constellation(BPCU, GAINS, POWER)
+
+
+@pytest.fixture(scope="module")
+def tables(cset):
+    return receivers(cset, GAINS, ("noma-sic", "noma-jml", "oma"), POWER)
 
 
 @pytest.fixture(scope="module")
@@ -69,13 +73,13 @@ def all_tuples():
     return grid[0], grid[1], grid[2]
 
 
-def test_ac1_noiseless_zero_error(cset):
+def test_ac1_noiseless_zero_error(cset, tables):
     u1, u2, u3 = all_tuples()
     y1, y2, y3 = superpose_transmit((u1, u2, u3), cset, GAINS)
-    u1_hat, _ = decode_center_sic(y1, GAINS.h11, cset, 1)
-    u3_hat, _ = decode_center_sic(y3, GAINS.h32, cset, 3)
-    u2_sic = decode_u2_sic(y2, GAINS, cset)
-    u2_jml = decode_u2_jml(y2, GAINS, cset)
+    u1_hat, _ = decode_center_sic(y1, tables["u1"])
+    u3_hat, _ = decode_center_sic(y3, tables["u3"])
+    u2_sic = decode_u2_sic(y2, tables["noma-sic"])
+    u2_jml = decode_u2_jml(y2, tables["noma-jml"])
     wrong = (int(np.count_nonzero(u1_hat != u1)) + int(np.count_nonzero(u2_sic != u2))
              + int(np.count_nonzero(u3_hat != u3)) + int(np.count_nonzero(u2_jml != u2)))
     report("AC-1", wrong == 0,
@@ -130,7 +134,7 @@ def test_ac4_joint_ml_dominates_on_common_noise(jml_sweep):
            f" and below half the SIC-rule SER somewhere (halved={halved})")
 
 
-def test_ac5_complexity_table_and_instrumented_counts(cset):
+def test_ac5_complexity_table_and_instrumented_counts(cset, tables):
     table_ok = (
         complexity_counts(BPCU, "noma-sic") == (24, 4)
         and complexity_counts(BPCU, "noma-jml") == (148, 128)
@@ -143,21 +147,20 @@ def test_ac5_complexity_table_and_instrumented_counts(cset):
                rng.integers(1, m3 + 1, frames))
     y1, y2, y3 = superpose_transmit(symbols, cset, GAINS)
     sic = MetricCounter()
-    decode_center_sic(y1, GAINS.h11, cset, 1, sic)
-    decode_u2_sic(y2, GAINS, cset, sic)
-    decode_center_sic(y3, GAINS.h32, cset, 3, sic)
+    decode_center_sic(y1, tables["u1"], sic)
+    decode_u2_sic(y2, tables["noma-sic"], sic)
+    decode_center_sic(y3, tables["u3"], sic)
     edge_sic = MetricCounter()
-    decode_u2_sic(y2, GAINS, cset, edge_sic)
+    decode_u2_sic(y2, tables["noma-sic"], edge_sic)
     jml = MetricCounter()
-    decode_u2_jml(y2, GAINS, cset, jml)
+    decode_u2_jml(y2, tables["noma-jml"], jml)
     s1, s2, s3 = oma_sizes(BPCU)
     oma_symbols = (rng.integers(1, s1 + 1, frames), rng.integers(1, s2 + 1, frames),
                    rng.integers(1, s3 + 1, frames))
     oma = MetricCounter()
-    oma_round(oma_symbols, GAINS, 0.0, (s1, s2, s3), POWER, rng, oma)
+    oma_round(oma_symbols, tables["oma"], 0.0, rng, oma)
     edge_oma = MetricCounter()
-    pam_detect(np.zeros(frames), oma_pam_points(s2, POWER),
-               GAINS.h21 + GAINS.h22, edge_oma)
+    tables["oma"].tables[1].decide(np.zeros(frames), edge_oma)
     measured_ok = (
         sic.evaluations == 24 * frames
         and edge_sic.evaluations == 4 * frames

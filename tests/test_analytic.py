@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +21,18 @@ def reference_set(reference_bpcu, reference_gains):
 
 
 class TestQFunction:
+    def test_package_import_leaves_scipy_unloaded(self):
+        # scipy costs most of the import time and only q_function needs it
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        code = ("import sys, vlcnoma, vlcnoma.cli; print(vlcnoma.__file__); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60, check=True).stdout.splitlines()
+        assert Path(out[0]).resolve().parent == src / "vlcnoma"
+        assert out[1] == "[]"
+
     def test_zero_is_half(self):
         assert q_function(0.0) == pytest.approx(0.5, rel=1e-15)
 

@@ -188,6 +188,7 @@ class TestCli:
         ("design", "semi_angle_deg", "1e-308"),
         ("design", "target_power_w", "1e308"),
         ("gains", "rx_height_u3_m", "4"),
+        ("gains", "detector_area_m2", "1e308"),
     ])
     def test_non_finite_value_exits_1_naming_key(self, tmp_path, capsys, command, key, value):
         # the bundled file with one value replaced, so the gain override stays complete
@@ -199,6 +200,15 @@ class TestCli:
         assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 1
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    def test_link_too_short_for_a_finite_gain_exits_1_naming_keys(self, tmp_path, capsys):
+        # the LED-to-receiver distance squares to zero, which used to exit 2
+        cfg = tmp_path / "near.cfg"
+        cfg.write_text("room_height_m = 1e-200\nrx_height_u1_m = 0\nrx_height_u2_m = 0\n"
+                       "rx_height_u3_m = 0\nr11_m = 0\n")
+        assert run_cli("gains", "--config", str(cfg), "--out", str(tmp_path / "g.csv")) == 1
+        err = capsys.readouterr().err
+        assert "h11" in err and "r11_m" in err and "rx_height_u1_m" in err
 
     def test_non_finite_snr_spec_exits_1(self, capsys):
         assert run_cli("simulate", "--snr", "nan:150:2") == 1
@@ -263,7 +273,7 @@ FUZZ_BASE = {"trials_per_point": "64", "batch_size": "32", "snr_start_db": "130"
 @settings(max_examples=200, deadline=None)
 @given(changes=st.dictionaries(st.sampled_from(sorted(SCHEMA)), st.sampled_from(FUZZ_VALUES),
                                min_size=1, max_size=4),
-       override=st.booleans(), command=st.sampled_from(("design", "simulate")))
+       override=st.booleans(), command=st.sampled_from(("gains", "design", "simulate")))
 def test_fuzzed_config_exits_1_naming_a_key_or_writes_csv_without_nan(changes, override,
                                                                       command):
     """A tiny run of the bundled file with random values either exits 1 with

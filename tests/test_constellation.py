@@ -9,6 +9,7 @@ from vlcnoma import ChannelGains, SpectralEfficiencies, design_constellation
 from vlcnoma.constellation import (center_points, edge_points, from_raw_levels, peak_powers,
                                    verify_gap_condition)
 from vlcnoma.link import decode_center_sic, decode_u2_jml, decode_u2_sic, superpose_transmit
+from vlcnoma.montecarlo import receivers
 from vlcnoma.errors import ConstellationError, ParameterError
 
 gain_values = st.floats(min_value=1e-9, max_value=1e-3)
@@ -177,10 +178,11 @@ class TestNoiselessRoundTrip:
         grid = np.array(list(itertools.product(
             range(1, m1 + 1), range(1, m2 + 1), range(1, m3 + 1)))).T
         y1, y2, y3 = superpose_transmit((grid[0], grid[1], grid[2]), cset, gains)
-        u1_hat, _ = decode_center_sic(y1, gains.h11, cset, 1)
-        u3_hat, _ = decode_center_sic(y3, gains.h32, cset, 3)
-        u2_sic = decode_u2_sic(y2, gains, cset)
-        u2_jml = decode_u2_jml(y2, gains, cset)
+        tables = receivers(cset, gains, ("noma-sic", "noma-jml"), 1.0)
+        u1_hat, _ = decode_center_sic(y1, tables["u1"])
+        u3_hat, _ = decode_center_sic(y3, tables["u3"])
+        u2_sic = decode_u2_sic(y2, tables["noma-sic"])
+        u2_jml = decode_u2_jml(y2, tables["noma-jml"])
         assert np.array_equal(u1_hat, grid[0])
         assert np.array_equal(u2_sic, grid[1])
         assert np.array_equal(u3_hat, grid[2])

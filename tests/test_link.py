@@ -5,21 +5,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlcnoma import ChannelGains, SpectralEfficiencies, design_constellation, link
+from vlcnoma import ChannelGains, SpectralEfficiencies, design_constellation
 from vlcnoma.constellation import from_raw_levels
 from vlcnoma.errors import ParameterError
-from vlcnoma.link import (MetricCounter, awgn_sample, decode_center_sic,
-                          decode_u2_jml, decode_u2_sic, oma_pam_points, oma_round,
-                          oma_sizes, pam_detect, superpose_transmit)
-from vlcnoma.montecarlo import philox_stream
+from vlcnoma.link import (MetricCounter, awgn_sample, center_tables, center_user,
+                          decode_center_sic, decode_u2_jml, decode_u2_sic, edge_jml_candidates,
+                          nearest_tables, oma_links, oma_pam_points, oma_round, oma_sizes,
+                          sic_tables, superpose_transmit)
+from vlcnoma.montecarlo import philox_stream, receivers
+
+ALL_SCHEMES = ("noma-sic", "noma-jml", "oma")
 
 
-def argmin_nearest(y, candidates, counter=None):
+def argmin_nearest(y, candidates):
     """Brute-force reference decoder: first minimum of every computed distance."""
     y = np.asarray(y, dtype=float)
-    if counter is not None:
-        counter.add(y.size * candidates.size)
     return np.argmin(np.abs(y[..., np.newaxis] - candidates), axis=-1) + 1
+
+
+def argmin_sic(y, edge, own):
+    """Brute-force two-stage SIC: (own, edge) indices, stage-1 mistakes kept."""
+    edge_hat = argmin_nearest(y, edge)
+    return argmin_nearest(y - edge[edge_hat - 1], own), edge_hat
+
+
+def table_nearest(y, candidates):
+    """The decision-table lookup of the nearest-candidate rule."""
+    return nearest_tables([(candidates, None)])[0].decide(y)[0]
+
+
+def around(points):
+    """Each point and the floats one ulp either side of it."""
+    points = np.asarray(points, dtype=float)
+    return np.concatenate([points, np.nextafter(points, -np.inf),
+                           np.nextafter(points, np.inf)])
 
 
 def probes(candidates, rng, n=200):
@@ -49,6 +68,11 @@ def small_set(reference_gains):
 @pytest.fixture(scope="module")
 def reference_set(reference_bpcu, reference_gains):
     return design_constellation(reference_bpcu, reference_gains, 1.0)
+
+
+@pytest.fixture(scope="module")
+def reference_tables(reference_set, reference_gains):
+    return receivers(reference_set, reference_gains, ALL_SCHEMES, 1.0)
 
 
 class TestSuperposeTransmit:
@@ -112,23 +136,22 @@ class TestNearestMatchesArgmin:
             # few distinct small integers: many duplicates, exact dyadic midpoints
             candidates = rng.integers(0, 12, size) * rng.choice([1.0, 0.125, 3.7e-7])
             y = probes(candidates, rng)
-            assert np.array_equal(link._nearest(y, candidates, None),
-                                  argmin_nearest(y, candidates))
+            assert np.array_equal(table_nearest(y, candidates), argmin_nearest(y, candidates))
 
     def test_exact_midpoint_goes_to_lowest_index_of_either_side(self):
         candidates = np.array([3.0, 1.0, 3.0, 1.0, 2.0])
-        assert link._nearest(np.array([1.5, 2.5, 0.0, 9.0]), candidates, None).tolist() == [
+        assert table_nearest(np.array([1.5, 2.5, 0.0, 9.0]), candidates).tolist() == [
             2, 1, 2, 1]
 
     def test_reference_jml_grid(self, reference_set, reference_gains):
         grid = jml_grid(reference_set, reference_gains)
         y = probes(grid, np.random.default_rng(3), n=5000)
-        assert np.array_equal(link._nearest(y, grid, None), argmin_nearest(y, grid))
+        assert np.array_equal(table_nearest(y, grid), argmin_nearest(y, grid))
 
     def test_shape_follows_samples(self):
         candidates = np.array([0.0, 1.0, 2.0])
-        assert link._nearest(np.zeros((2, 3)), candidates, None).shape == (2, 3)
-        scalar = link._nearest(1.4, candidates, None)
+        assert table_nearest(np.zeros((2, 3)), candidates).shape == (2, 3)
+        scalar = table_nearest(1.4, candidates)
         assert np.ndim(scalar) == 0 and int(scalar) == 2
 
     @settings(max_examples=300, deadline=None)
@@ -137,8 +160,7 @@ class TestNearestMatchesArgmin:
     def test_property_matches_argmin(self, candidates, y):
         # eighths and sixteenths: every distance is exact, midpoints included
         candidates, y = np.array(candidates) / 8.0, np.array(y) / 16.0
-        assert np.array_equal(link._nearest(y, candidates, None),
-                              argmin_nearest(y, candidates))
+        assert np.array_equal(table_nearest(y, candidates), argmin_nearest(y, candidates))
 
     @settings(max_examples=300, deadline=None)
     @given(candidates=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=129),
@@ -148,42 +170,119 @@ class TestNearestMatchesArgmin:
         # distance of the answer rather than its index
         candidates, y = np.array(candidates), np.array(y)
         distance = np.abs(y[:, np.newaxis] - candidates)
-        chosen = link._nearest(y, candidates, None) - 1
+        chosen = table_nearest(y, candidates) - 1
         assert np.array_equal(distance[np.arange(y.size), chosen], distance.min(axis=-1))
 
-    def test_public_decoders_match_argmin(self, monkeypatch, reference_bpcu, reference_set,
-                                          reference_gains):
-        g = reference_gains
-        sizes = oma_sizes(reference_bpcu)
-        y = probes(jml_grid(reference_set, g), np.random.default_rng(11), n=20_000)
-        scaled = np.concatenate([y, probes(g.h11 * reference_set.cell1_edge,
+    def test_public_decoders_match_argmin(self, reference_set, reference_gains,
+                                          reference_tables):
+        g, cset, tables = reference_gains, reference_set, reference_tables
+        y = probes(jml_grid(cset, g), np.random.default_rng(11), n=20_000)
+        scaled = np.concatenate([y, probes(g.h11 * cset.cell1_edge,
                                            np.random.default_rng(12))])
         symbols = (np.arange(64) + 1, np.arange(64) % 16 + 1, np.arange(64) // 4 + 1)
+        links = tables["oma"]
+        for got, want in zip(decode_center_sic(scaled, tables["u1"]),
+                             argmin_sic(scaled, g.h11 * cset.cell1_edge,
+                                        g.h11 * cset.cell1_center), strict=True):
+            assert np.array_equal(got, want)
+        for got, want in zip(decode_center_sic(scaled, tables["u3"]),
+                             argmin_sic(scaled, g.h32 * cset.cell2_edge,
+                                        g.h32 * cset.cell2_center), strict=True):
+            assert np.array_equal(got, want)
+        assert np.array_equal(decode_u2_sic(y, tables["noma-sic"]), argmin_nearest(
+            y, g.h21 * cset.cell1_edge + g.h22 * cset.cell2_edge))
+        tuples = np.indices(cset.bpcu.sizes).reshape(3, -1) + 1
+        assert np.array_equal(decode_u2_jml(y, tables["noma-jml"]),
+                              tuples[1][argmin_nearest(y, jml_grid(cset, g)) - 1])
+        pam = oma_pam_points(64, 1.0) * (g.h21 + g.h22)
+        assert np.array_equal(table_nearest(y, pam), argmin_nearest(y, pam))
+        for sigma in (0.0, 1e-7, 1e-5):
+            rng = philox_stream(1, 0, 0)
+            i1, i2, i3 = (np.asarray(u) - 1 for u in symbols)
+            pam1, pam2, pam3 = (oma_pam_points(s, 1.0) for s in oma_sizes(reference_set.bpcu))
+            y1 = pam1[i1] * g.h11 + sigma * rng.standard_normal(64)
+            y3 = pam3[i3] * g.h32 + sigma * rng.standard_normal(64)
+            y2 = pam2[i2] * (g.h21 + g.h22) + sigma * rng.standard_normal(64)
+            want = (argmin_nearest(y1, pam1 * g.h11),
+                    argmin_nearest(y2, pam2 * (g.h21 + g.h22)),
+                    argmin_nearest(y3, pam3 * g.h32))
+            got = oma_round(symbols, links, sigma, philox_stream(1, 0, 0))
+            for got_user, want_user in zip(got, want, strict=True):
+                assert np.array_equal(got_user, want_user)
 
-        def decode_all():
-            out = [*decode_center_sic(scaled, g.h11, reference_set, 1),
-                   *decode_center_sic(scaled, g.h32, reference_set, 3),
-                   decode_u2_sic(y, g, reference_set), decode_u2_jml(y, g, reference_set),
-                   pam_detect(y, oma_pam_points(64, 1.0), g.h21 + g.h22)]
-            for sigma in (0.0, 1e-7, 1e-5):
-                out += oma_round(symbols, g, sigma, sizes, 1.0, philox_stream(1, 0, 0))
-            return out
 
-        fast = decode_all()
-        monkeypatch.setattr(link, "_nearest", argmin_nearest)
-        for got, want in zip(fast, decode_all(), strict=True):
+class TestDecisionTables:
+    """Every threshold is exact: the table and the argmin oracle agree on it
+    and one ulp either side of it."""
+
+    CODEBOOKS = {
+        "duplicates": np.array([3.0, 1.0, 3.0, 1.0, 2.0, 2.0, 7.5, 7.5]),
+        "straddling_zero_1e3": np.array([-4096.0, -1000.0, 1000.0, 2500.5, 9.9e3]),
+        "straddling_zero_1e300": np.array([-3e300, -1e300, 2e300, 5e300]),
+        "straddling_zero_random": np.random.default_rng(5).uniform(-1e6, 1e6, 129),
+        "single": np.array([0.25]),
+    }
+
+    @pytest.mark.parametrize("name", CODEBOOKS)
+    def test_each_threshold_and_its_neighbours_match_argmin(self, name):
+        candidates = self.CODEBOOKS[name]
+        table = nearest_tables([(candidates, None)])[0]
+        assert np.all(np.diff(table.thresholds) > 0)
+        y = np.concatenate([around(table.thresholds), probes(candidates,
+                                                              np.random.default_rng(1))])
+        assert np.array_equal(table.decide(y)[0], argmin_nearest(y, candidates))
+        # at a threshold the decision has just switched
+        assert np.all(table.decide(table.thresholds)[0]
+                      != table.decide(np.nextafter(table.thresholds, -np.inf))[0])
+
+    def test_reference_tables_thresholds_match_argmin(self, reference_set, reference_gains,
+                                                      reference_tables):
+        g, cset = reference_gains, reference_set
+        for user, (edge, own, h) in ((u, center_user(cset, g, u)) for u in (1, 3)):
+            table = reference_tables[f"u{user}"]
+            y = around(table.thresholds)
+            for got, want in zip(table.decide(y), argmin_sic(y, h * edge, h * own),
+                                 strict=True):
+                assert np.array_equal(got, want)
+        for links_table, pam, gain in zip(reference_tables["oma"].tables,
+                                          reference_tables["oma"].levels,
+                                          reference_tables["oma"].gains):
+            y = around(links_table.thresholds)
+            assert np.array_equal(links_table.decide(y)[0], argmin_nearest(y, pam * gain))
+
+    def test_merged_jml_table_matches_tuple_argmin(self, reference_set, reference_gains,
+                                                   reference_tables):
+        joint, labels = edge_jml_candidates(reference_set, reference_gains)
+        table = reference_tables["noma-jml"]
+        assert table.thresholds.size == 3 and table.candidates == 128
+        unmerged = nearest_tables([(joint, None)])[0]
+        y = np.concatenate([around(unmerged.thresholds),
+                            probes(joint, np.random.default_rng(4), n=20_000)])
+        assert np.array_equal(decode_u2_jml(y, table), labels[argmin_nearest(y, joint) - 1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge=st.lists(st.integers(-64, 64), min_size=1, max_size=9),
+           own=st.lists(st.integers(-64, 64), min_size=1, max_size=9),
+           y=st.lists(st.integers(-4000, 4000), min_size=1, max_size=20))
+    def test_property_sic_table_matches_two_stage_argmin(self, edge, own, y):
+        # dyadic values: distances and residuals are exact, midpoints included
+        edge, own, y = np.array(edge) / 8.0, np.array(own) / 16.0, np.array(y) / 32.0
+        table = sic_tables([(edge, own)])[0]
+        y = np.concatenate([y, around(table.thresholds)])
+        for got, want in zip(table.decide(y), argmin_sic(y, edge, own), strict=True):
             assert np.array_equal(got, want)
 
 
 class TestSicDecoders:
-    def test_noiseless_round_trip_reference_set(self, reference_set, reference_gains):
+    def test_noiseless_round_trip_reference_set(self, reference_set, reference_gains,
+                                                reference_tables):
         m1, m2, m3 = reference_set.bpcu.sizes
         grid = np.array(list(itertools.product(
             range(1, m1 + 1), range(1, m2 + 1), range(1, m3 + 1)))).T
         y1, _, y3 = superpose_transmit((grid[0], grid[1], grid[2]), reference_set,
                                        reference_gains)
-        u1_hat, stage1 = decode_center_sic(y1, reference_gains.h11, reference_set, 1)
-        u3_hat, stage3 = decode_center_sic(y3, reference_gains.h32, reference_set, 3)
+        u1_hat, stage1 = decode_center_sic(y1, reference_tables["u1"])
+        u3_hat, stage3 = decode_center_sic(y3, reference_tables["u3"])
         assert np.array_equal(u1_hat, grid[0])
         assert np.array_equal(u3_hat, grid[2])
         # the stage-1 estimates recover the edge symbol too
@@ -198,52 +297,55 @@ class TestSicDecoders:
         edge = cset.cell1_edge
         assert edge.tolist() == [0.5, 1.125]
         midpoint = float((edge[0] + edge[1]) / 2.0)
-        _, stage1 = decode_center_sic(midpoint, 1.0, cset, 1)
+        unit = ChannelGains(1.0, 0.0, 0.0, 1.0)
+        _, stage1 = decode_center_sic(midpoint, center_tables(cset, unit)[0])
         assert int(stage1) == 1
 
-    def test_stage_counts(self, reference_set, reference_gains):
+    def test_stage_counts(self, reference_tables):
         counter = MetricCounter()
-        decode_center_sic(np.zeros(10), reference_gains.h11, reference_set, 1, counter)
+        decode_center_sic(np.zeros(10), reference_tables["u1"], counter)
         assert counter.evaluations == 10 * (2**2 + 2**3)
         counter = MetricCounter()
-        decode_center_sic(np.zeros(10), reference_gains.h32, reference_set, 3, counter)
+        decode_center_sic(np.zeros(10), reference_tables["u3"], counter)
         assert counter.evaluations == 10 * (2**2 + 2**2)
 
     def test_invalid_user_rejected(self, reference_set, reference_gains):
         with pytest.raises(ParameterError):
-            decode_center_sic(0.0, reference_gains.h11, reference_set, 2)
+            center_user(reference_set, reference_gains, 2)
 
 
 class TestEdgeDecoders:
-    def test_interference_as_noise_counts(self, reference_set, reference_gains):
+    def test_interference_as_noise_counts(self, reference_tables):
         counter = MetricCounter()
-        decode_u2_sic(np.zeros(5), reference_gains, reference_set, counter)
+        decode_u2_sic(np.zeros(5), reference_tables["noma-sic"], counter)
         assert counter.evaluations == 5 * 4
 
-    def test_joint_ml_counts(self, reference_set, reference_gains):
+    def test_joint_ml_counts(self, reference_tables):
         counter = MetricCounter()
-        decode_u2_jml(np.zeros(5), reference_gains, reference_set, counter)
+        decode_u2_jml(np.zeros(5), reference_tables["noma-jml"], counter)
         assert counter.evaluations == 5 * 128
 
-    def test_noiseless_joint_ml_recovers_edge_symbol(self, reference_set, reference_gains):
+    def test_noiseless_joint_ml_recovers_edge_symbol(self, reference_set, reference_gains,
+                                                     reference_tables):
         m1, m2, m3 = reference_set.bpcu.sizes
         grid = np.array(list(itertools.product(
             range(1, m1 + 1), range(1, m2 + 1), range(1, m3 + 1)))).T
         _, y2, _ = superpose_transmit((grid[0], grid[1], grid[2]), reference_set,
                                       reference_gains)
-        assert np.array_equal(decode_u2_jml(y2, reference_gains, reference_set), grid[1])
-        assert np.array_equal(decode_u2_sic(y2, reference_gains, reference_set), grid[1])
+        assert np.array_equal(decode_u2_jml(y2, reference_tables["noma-jml"]), grid[1])
+        assert np.array_equal(decode_u2_sic(y2, reference_tables["noma-sic"]), grid[1])
 
     def test_gap_violating_levels_misdecode_noiselessly(self, reference_gains):
         bad = from_raw_levels(SpectralEfficiencies(1, 1, 1),
                               [1, 2], [3, 4], [3, 4], [1, 2], 1.0)
         grid = np.array(list(itertools.product((1, 2), (1, 2), (1, 2)))).T
         _, y2, _ = superpose_transmit((grid[0], grid[1], grid[2]), bad, reference_gains)
-        decoded = decode_u2_sic(y2, reference_gains, bad)
+        tables = receivers(bad, reference_gains, ("noma-sic",), 1.0)
+        decoded = decode_u2_sic(y2, tables["noma-sic"])
         assert np.any(decoded != grid[1])
 
     def test_common_noise_joint_ml_beats_interference_as_noise(
-        self, reference_set, reference_gains
+        self, reference_set, reference_gains, reference_tables
     ):
         rng = philox_stream(5, 0, 0)
         n = 20_000
@@ -253,9 +355,9 @@ class TestEdgeDecoders:
         _, y2, _ = awgn_sample(superpose_transmit(symbols, reference_set, reference_gains),
                                1e-7, rng)
         sic_errors = np.count_nonzero(
-            decode_u2_sic(y2, reference_gains, reference_set) != symbols[1])
+            decode_u2_sic(y2, reference_tables["noma-sic"]) != symbols[1])
         jml_errors = np.count_nonzero(
-            decode_u2_jml(y2, reference_gains, reference_set) != symbols[1])
+            decode_u2_jml(y2, reference_tables["noma-jml"]) != symbols[1])
         assert jml_errors <= sic_errors
 
 
@@ -282,14 +384,14 @@ class TestOmaRound:
         rng = philox_stream(0, 0, 0)
         symbols = (rng.integers(1, sizes[0] + 1, 500), rng.integers(1, sizes[1] + 1, 500),
                    rng.integers(1, sizes[2] + 1, 500))
-        decoded = oma_round(symbols, reference_gains, 0.0, sizes, 1.0,
+        decoded = oma_round(symbols, oma_links(reference_bpcu, reference_gains, 1.0), 0.0,
                             philox_stream(0, 0, 1))
         for sent, got in zip(symbols, decoded):
             assert np.array_equal(sent, got)
 
     def test_per_frame_metric_counts(self, reference_bpcu, reference_gains):
         counter = MetricCounter()
-        oma_round((1, 1, 1), reference_gains, 0.0, oma_sizes(reference_bpcu), 1.0,
+        oma_round((1, 1, 1), oma_links(reference_bpcu, reference_gains, 1.0), 0.0,
                   philox_stream(0, 0, 0), counter)
         # frame total is twice the per-channel-use average of 48
         assert counter.evaluations == 64 + 16 + 16
@@ -301,5 +403,5 @@ class TestOmaRound:
     @pytest.mark.parametrize("sigma", [-1.0, float("nan")])
     def test_bad_sigma_rejected(self, sigma, reference_bpcu, reference_gains):
         with pytest.raises(ParameterError):
-            oma_round((1, 1, 1), reference_gains, sigma, oma_sizes(reference_bpcu), 1.0,
+            oma_round((1, 1, 1), oma_links(reference_bpcu, reference_gains, 1.0), sigma,
                       philox_stream(0, 0, 0))

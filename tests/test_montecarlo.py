@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 from vlcnoma import (SpectralEfficiencies, SweepConfig, design_constellation, run_sweep,
                      ser_u2_analytic)
 from vlcnoma.analytic import ser_center_lower_bound
+from vlcnoma import montecarlo
 from vlcnoma.constellation import from_raw_levels
-from vlcnoma.link import oma_pam_points, oma_round
+from vlcnoma.link import oma_links, oma_pam_points
 from vlcnoma.montecarlo import philox_stream, sigma_from_snr, wilson_interval
 from vlcnoma.errors import ParameterError
 
@@ -77,6 +79,12 @@ def small_sweep(**overrides):
     return SweepConfig(**defaults)
 
 
+# At seed 3 its points stop after 1, 2, 3 and 4 of their 16 batches (at batch
+# indices 0, 1, 2 and 3), so the sweep ends on a point that stops early.
+MIXED_STOP = dict(snr_points_db=(130.0, 144.0, 146.0, 148.0), trials_per_point=8192,
+                  schemes=("noma-sic",), min_errors=25, batch_size=512)
+
+
 class TestRunSweep:
     def test_identical_runs_are_bit_identical(self, reference_set, reference_gains):
         config = small_sweep()
@@ -87,12 +95,49 @@ class TestRunSweep:
     def test_result_independent_of_worker_count(
         self, reference_set, reference_gains, min_errors
     ):
-        # five batches per point leave a partial last window for 2, 3 and 4 workers
-        config = small_sweep(min_errors=min_errors)
+        # five batches per point, and a sweep whose points stop at different batches
+        for config in (small_sweep(min_errors=min_errors),
+                       small_sweep(**{**MIXED_STOP, "min_errors": min_errors})):
+            serial = run_sweep(config, reference_set, reference_gains, workers=1)
+            for workers in (2, 3, 4):
+                assert run_sweep(config, reference_set, reference_gains,
+                                 workers=workers) == serial, workers
+
+    def test_two_workers_compute_at_most_one_discarded_batch(
+        self, reference_set, reference_gains, monkeypatch
+    ):
+        calls = []
+        philox_stream = montecarlo.philox_stream
+
+        def counted(*args):
+            calls.append(args)
+            return philox_stream(*args)
+
+        monkeypatch.setattr(montecarlo, "philox_stream", counted)
+        config = small_sweep(**MIXED_STOP)
+        # the last point's speculative batch may finish before the batch that
+        # stops it; a few repeats give that race a chance to show
+        for _ in range(10):
+            calls.clear()
+            points = run_sweep(config, reference_set, reference_gains, workers=2)
+            consumed = [p.estimate.trials // config.batch_size for p in points if p.user == "u1"]
+            assert consumed == [1, 2, 3, 4]
+            assert len(calls) <= sum(consumed) + 2 - 1, calls
+
+    def test_more_workers_than_cores_under_fast_switching_match_one(
+        self, reference_set, reference_gains
+    ):
+        # small batches and a short switch interval interleave the workers'
+        # picks and consumes; a lost update would change some total
+        config = small_sweep(**{**MIXED_STOP, "batch_size": 128})
         serial = run_sweep(config, reference_set, reference_gains, workers=1)
-        for workers in (2, 3, 4):
-            assert run_sweep(config, reference_set, reference_gains,
-                             workers=workers) == serial, workers
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_sweep(config, reference_set, reference_gains, workers=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_workers_below_one(self, reference_set, reference_gains, workers):
@@ -185,8 +230,8 @@ def sweep_with(**overrides):
 # "function.field" or "function.field=value" -> a call that must reject the
 # value (NaN unless named) with a message naming the field.
 NAN_CASES = {
-    "oma_round.avg_intensity_w": lambda cset, g: oma_round(
-        (1, 1, 1), g, 0.0, (4, 4, 4), NAN, philox_stream(0, 0, 0)),
+    "oma_links.avg_intensity_w": lambda cset, g: oma_links(
+        SpectralEfficiencies(1, 1, 1), g, NAN),
     "oma_pam_points.avg_intensity_w": lambda cset, g: oma_pam_points(4, NAN),
     "oma_pam_points.avg_intensity_w=inf": lambda cset, g: oma_pam_points(4, INF),
     "SweepConfig.target_power_w": lambda cset, g: sweep_with(target_power_w=NAN),

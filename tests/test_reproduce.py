@@ -33,9 +33,14 @@ def load_script():
 
 
 def generate(outdir: Path) -> None:
-    """Write every golden output into outdir."""
+    """Write every golden output into outdir.
+
+    The reproduce script runs on VLCNOMA_WORKERS workers (1 when unset), so
+    the same goldens check any worker count.
+    """
     quiet = contextlib.redirect_stdout(io.StringIO())
-    with quiet, mock.patch.dict(os.environ, {"VLCNOMA_WORKERS": "1"}):
+    workers = os.environ.get("VLCNOMA_WORKERS", "1")
+    with quiet, mock.patch.dict(os.environ, {"VLCNOMA_WORKERS": workers}):
         assert load_script().main([str(outdir / "reproduce"), "--config", str(CONFIG)]) == 0
     with quiet, mock.patch.dict(os.environ, {"VLCNOMA_WORKERS": "2"}):
         assert cli_main(["simulate", "--config", str(CONFIG), "--out",
