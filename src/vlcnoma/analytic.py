@@ -72,21 +72,22 @@ def decision_boundaries(cset: ConstellationSet, gains: ChannelGains) -> Decision
     )
 
 
-def ser_u2_analytic(cset: ConstellationSet, gains: ChannelGains, sigma2: float) -> float:
-    """Exact SER of the edge user under the interference-as-noise rule.
+def ser_u2_analytic(cset: ConstellationSet, gains: ChannelGains, sigma: float) -> float:
+    """Exact SER of the edge user under the interference-as-noise rule, for
+    noise of standard deviation sigma.
 
-    At sigma2 = 0 the continuous limit is returned: each tail probability
+    At sigma = 0 the continuous limit is returned: each tail probability
     becomes an indicator of its boundary distance being negative (one half
     exactly on the boundary).
     """
-    if not sigma2 >= 0:
-        raise ParameterError(f"sigma2 must be >= 0, got {sigma2}")
+    if not sigma >= 0:
+        raise ParameterError(f"sigma must be >= 0, got {sigma}")
     b = decision_boundaries(cset, gains)
     m2 = cset.bpcu.sizes[1]
-    if sigma2 == 0:
+    if sigma == 0:
         tails = _indicator(b.rho_plus) + _indicator(b.rho_minus)
     else:
-        tails = q_function(b.rho_plus / sigma2) + q_function(b.rho_minus / sigma2)
+        tails = q_function(b.rho_plus / sigma) + q_function(b.rho_minus / sigma)
     return float((1.0 - 1.0 / m2) * tails.mean())
 
 

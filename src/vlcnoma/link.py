@@ -9,22 +9,26 @@ the candidate whose computed distance ``|y - c|`` is smallest, a tie going
 to the lowest index, and equal candidates resolve to their lowest index.
 Such a decision is piecewise constant in y, so each receiver is tabulated
 once per design as a ``DecisionTable`` (sorted thresholds and the label of
-every interval between them), and decoding is one ``searchsorted``.
+every interval between them).  Decoding finds y's interval from a
+monotone bucket index and a few compares with the exact thresholds, so it
+agrees with a binary search exactly (see DecisionTable).
 
 The thresholds are exact, not midpoints.  Between adjacent distinct
 candidates a < b the rule picks b where the computed ``|y - b| < |y - a|``,
 or where the two are equal and b has the lower index.  For y in (a, b],
 fl(y - a) never decreases and fl(b - y) never increases as y grows, so the
 choice flips exactly once; bisection over the ordered bit patterns of the
-floats finds the smallest float at which it picks b.  Only the two
-candidates adjacent to y compete, so a rounding tie with a farther one
-(possible only far outside the codebook) is not a tie.  A sample at or
-below the lowest candidate takes it, one above the highest takes that.
-The SIC receiver's second stage is the same decision on fl(y - c), which
-is also monotone in y, so both stages fold into one table over the raw
-sample.  Adjacent intervals with the same label are merged: joint ML over
-the 128 tuples of the reference design returns only the edge coordinate
-and keeps 3 of its 127 thresholds.  Candidates must be finite.
+floats finds the smallest float at which it picks b, starting one ulp
+either side of fl(a/2 + b/2) where the rule switches in between.  Only
+the two candidates adjacent to y compete, so a rounding tie with a
+farther one (possible only far outside the codebook) is not a tie.  A
+sample at or below the lowest candidate takes it, one above the highest
+takes that.  The SIC receiver's second stage is the same decision on
+fl(y - c), which is also monotone in y, so both stages fold into one
+table over the raw sample.  Adjacent intervals with the same label are
+merged: joint ML over the 128 tuples of the reference design returns only
+the edge coordinate and keeps 3 of its 127 thresholds.  Candidates must
+be finite.
 
 Passing a MetricCounter tallies the paper's brute-force cost model: per
 sample, one evaluation per candidate of the original set (n x K per call),
@@ -34,7 +38,7 @@ not the table's smaller work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,8 +53,8 @@ class MetricCounter:
 
     Each decoded sample adds the size of its candidate set (n x K per call),
     as the brute-force receivers of the complexity table (AC-5) would
-    evaluate; a decision-table lookup is one binary search over its merged
-    thresholds.
+    evaluate; a decision-table lookup is one bucket index and at most
+    ``span`` compares with its merged thresholds.
     """
 
     evaluations: int = 0
@@ -103,6 +107,7 @@ def awgn_sample(noiseless, sigma: float, rng: np.random.Generator):
 
 
 _SIGN_FREE = np.int64(0x7FFFFFFFFFFFFFFF)
+_LARGEST = float(np.finfo(float).max)
 
 
 def _flip(bits: np.ndarray) -> np.ndarray:
@@ -110,43 +115,95 @@ def _flip(bits: np.ndarray) -> np.ndarray:
     return bits ^ ((bits >> 63) & _SIGN_FREE)
 
 
-def _first_true(rule, low, high) -> np.ndarray:
+def _first_true(rule, low, high, guess) -> np.ndarray:
     """Elementwise smallest float y in (low, high] at which ``rule(y)`` holds.
 
     ``rule`` must be False at low, True at high and switch once in between.
-    The bisection runs over the int64 keys that order the floats, 64 steps
-    for any bracket; the midpoint of two keys is taken without forming
-    their sum or difference, which overflow for brackets that straddle
-    zero from magnitude 2 up (the SIC stage-2 bracket is all floats).
+    The bisection starts from the floats next to ``guess`` (clipped into
+    [low, high]) where the rule is False below and True above, else from
+    (low, high], and runs over the int64 keys that order the floats until
+    every bracket holds one float, at most 64 steps.  The midpoint of two
+    keys is taken without forming their sum or difference, which overflow
+    for brackets that straddle zero from magnitude 2 up (the SIC stage-2
+    bracket is all floats).
     """
-    lo = _flip(np.asarray(low, dtype=float).view(np.int64))
-    hi = _flip(np.asarray(high, dtype=float).view(np.int64))
+    low, high = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
+    guess = np.minimum(np.maximum(guess, low), high)
+    below = np.maximum(np.nextafter(guess, -np.inf), low)
+    above = np.minimum(np.nextafter(guess, np.inf), high)
     with np.errstate(over="ignore"):
-        for _ in range(64):
+        seeded = ~rule(below) & rule(above)
+        lo = _flip(np.where(seeded, below, low).view(np.int64))
+        hi = _flip(np.where(seeded, above, high).view(np.int64))
+        while np.any(lo + 1 < hi):
             mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
             take = rule(_flip(mid).view(float))
             lo, hi = np.where(take, lo, mid), np.where(take, mid, hi)
     return _flip(hi).view(float)
 
 
+def _bucket(y, low, high, scale, shift, top) -> np.ndarray:
+    """Bucket index of each sample: y clipped into [low, high], times scale,
+    less shift (the scaled low), truncated; NaN goes to ``top``.  Monotone
+    in y, as each step is in IEEE arithmetic, and it never overflows."""
+    return np.fmin(np.clip(y, low, high) * scale - shift, top).astype(np.intp)
+
+
 @dataclass(frozen=True)
 class DecisionTable:
-    """A decision on one real sample: ``labels[:, searchsorted(thresholds, y, 'right')]``.
+    """A decision on one real sample: ``labels[:, slot]``, where the slot of y
+    counts the ``thresholds`` at or below it, all of them for NaN, as
+    ``np.searchsorted(thresholds, y, 'right')`` does.
 
     ``labels`` has one row per decided quantity and one column per interval;
-    adjacent columns differ.  ``candidates`` is the per-sample cost of the
-    brute-force receiver the table replaces (see MetricCounter).
+    adjacent columns differ.  ``thresholds`` are sorted and finite.
+    ``candidates`` is the per-sample cost of the brute-force receiver the
+    table replaces (see MetricCounter).
+
+    The slot comes from four uniform buckets per threshold over [t_0, t_last]
+    (``_bucket``), not a binary search.  The bucket is monotone in y and
+    thresholds go through it too, so those in lower buckets than y's are
+    below y and those in higher ones above it.  The slot starts at the count
+    in lower buckets and takes ``_span`` steps (the most thresholds in one
+    bucket), each adding whether y is at or above the next exact threshold,
+    so it is exact with no rounding analysis.  A NaN after the last
+    threshold ends the steps; NaN samples go to a top bucket above t_last's
+    and so count every threshold.
     """
 
     thresholds: np.ndarray
     labels: np.ndarray
     candidates: int
+    _geometry: tuple = field(init=False, repr=False, compare=False)
+    _start: np.ndarray = field(init=False, repr=False, compare=False)
+    _span: int = field(init=False, repr=False, compare=False)
+    _padded: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        t = self.thresholds
+        low, high = (float(t[0]), float(t[-1])) if t.size else (0.0, 0.0)
+        if not (math.isfinite(low) and math.isfinite(high)):  # sorted: any NaN or inf is at an end
+            raise ParameterError("decision thresholds must be finite")
+        # a zero width (one threshold) or one that overflows (ends of
+        # opposite sign beyond 2^1023) gets scale 0: one bucket for all
+        width = high - low
+        scale = min(4 * t.size / width, _LARGEST) if 0 < width < math.inf else 0.0
+        shift = low * scale
+        top = math.floor(high * scale - shift) + 1
+        counts = np.bincount(_bucket(t, low, high, scale, shift, top), minlength=top + 1)
+        for name, value in (("_geometry", (low, high, scale, shift, top)),
+                            ("_start", counts.cumsum() - counts), ("_span", int(counts.max())),
+                            ("_padded", np.concatenate([t, [np.nan]]))):
+            object.__setattr__(self, name, value)
 
     def decide(self, y, counter: MetricCounter | None = None) -> tuple[np.ndarray, ...]:
         """One array (or scalar) per label row, shaped like y."""
         if counter is not None:
             counter.evaluations += np.size(y) * self.candidates
-        slot = np.searchsorted(self.thresholds, y, side="right")
+        y = np.asarray(y)
+        slot = self._start[_bucket(y, *self._geometry)]
+        for _ in range(self._span):
+            slot += y >= self._padded[slot]
         return tuple(row[slot] for row in self.labels)
 
 
@@ -176,7 +233,7 @@ def nearest_tables(sets) -> list[DecisionTable]:
     cuts = np.cumsum([values.size - 1 for values, _ in distinct])[:-1]
     tables = []
     for (c, outputs), (_, lowest), thresholds in zip(
-            sets, distinct, np.split(_first_true(picks_b, a, b), cuts)):
+            sets, distinct, np.split(_first_true(picks_b, a, b, a / 2 + b / 2), cuts)):
         labels = lowest + 1 if outputs is None else np.asarray(outputs).reshape(-1)[lowest]
         tables.append(_merged(thresholds, labels[np.newaxis], c.size))
     return tables
@@ -202,7 +259,9 @@ def sic_tables(pairs) -> list[DecisionTable]:
     target = np.concatenate([np.tile(second.thresholds, first.labels.shape[1])
                              for first, second in zip(firsts, seconds)])
     below = np.full(shift.size, -np.inf)
-    moved = _first_true(lambda y: y - shift >= target, below, -below)
+    with np.errstate(over="ignore"):
+        guess = target + shift
+    moved = _first_true(lambda y: y - shift >= target, below, -below, guess)
     cuts = np.cumsum([first.labels.shape[1] * second.thresholds.size
                       for first, second in zip(firsts, seconds)])[:-1]
     tables = []

@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from vlcnoma import ChannelGains, SpectralEfficiencies
 from vlcnoma.channel import OpticalFrontEnd, ScenarioGeometry
+
+# A deterministic, deeper search, selected with --hypothesis-profile=ci; tests
+# that fix max_examples themselves keep their own count.
+settings.register_profile("ci", derandomize=True, max_examples=1000)
 
 # Reference scenario: room and link geometry of the bundled default config.
 REFERENCE_GAINS = ChannelGains(h11=2.5892e-6, h21=7.8573e-7, h22=6.8573e-7, h32=3.5892e-6)

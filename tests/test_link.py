@@ -1,14 +1,15 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlcnoma import ChannelGains, SpectralEfficiencies, design_constellation
+from vlcnoma import ChannelGains, SpectralEfficiencies, design_constellation, link
 from vlcnoma.constellation import from_raw_levels
 from vlcnoma.errors import ParameterError
-from vlcnoma.link import (MetricCounter, awgn_sample, center_tables, center_user,
+from vlcnoma.link import (DecisionTable, MetricCounter, awgn_sample, center_tables, center_user,
                           decode_center_sic, decode_u2_jml, decode_u2_sic, edge_jml_candidates,
                           nearest_tables, oma_links, oma_pam_points, oma_round, oma_sizes,
                           sic_tables, superpose_transmit)
@@ -34,11 +35,50 @@ def table_nearest(y, candidates):
     return nearest_tables([(candidates, None)])[0].decide(y)[0]
 
 
+def searchsorted_decide(table, y):
+    """Reference lookup: every label row at ``np.searchsorted(thresholds, y, 'right')``."""
+    slot = np.searchsorted(table.thresholds, y, side="right")
+    return tuple(row[slot] for row in table.labels)
+
+
+def assert_same_lookup(table, y):
+    """``table.decide(y)`` equals the reference lookup, value and shape, and warns nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = table.decide(y)
+    for got_row, want_row in zip(got, searchsorted_decide(table, y), strict=True):
+        assert np.shape(got_row) == np.shape(want_row)
+        assert np.array_equal(got_row, want_row)
+
+
+def slot_table(thresholds):
+    """A table whose one label row is the slot itself."""
+    thresholds = np.asarray(thresholds, dtype=float)
+    return DecisionTable(thresholds, np.arange(thresholds.size + 1)[np.newaxis], 1)
+
+
+def bisect_64(rule, low, high, guess):
+    """The unseeded bisection: always 64 steps from (low, high], guess ignored."""
+    lo = link._flip(np.asarray(low, dtype=float).view(np.int64))
+    hi = link._flip(np.asarray(high, dtype=float).view(np.int64))
+    with np.errstate(over="ignore"):
+        for _ in range(64):
+            mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
+            take = rule(link._flip(mid).view(float))
+            lo, hi = np.where(take, lo, mid), np.where(take, mid, hi)
+    return link._flip(hi).view(float)
+
+
+# samples at the ends of the float range, NaN and both zeros
+EXTREMES = np.array([-np.inf, -1.7e308, -1e300, -0.0, 0.0, 1e300, 1.7e308, np.inf, np.nan])
+
+
 def around(points):
-    """Each point and the floats one ulp either side of it."""
+    """Each point and the floats one ulp either side of it (past the largest: infinity)."""
     points = np.asarray(points, dtype=float)
-    return np.concatenate([points, np.nextafter(points, -np.inf),
-                           np.nextafter(points, np.inf)])
+    with np.errstate(over="ignore"):
+        return np.concatenate([points, np.nextafter(points, -np.inf),
+                               np.nextafter(points, np.inf)])
 
 
 def probes(candidates, rng, n=200):
@@ -271,6 +311,114 @@ class TestDecisionTables:
         y = np.concatenate([y, around(table.thresholds)])
         for got, want in zip(table.decide(y), argmin_sic(y, edge, own), strict=True):
             assert np.array_equal(got, want)
+
+    def test_lookup_matches_searchsorted_on_reference_tables(self, reference_tables):
+        tables = [reference_tables[name] for name in ("u1", "u3", "noma-sic", "noma-jml")]
+        tables += list(reference_tables["oma"].tables)
+        assert len(tables) == 7
+        for table in tables:
+            y = np.concatenate([around(table.thresholds), EXTREMES])
+            assert_same_lookup(table, y)
+
+    @pytest.mark.parametrize("name", CODEBOOKS)
+    def test_lookup_matches_searchsorted_on_codebooks(self, name):
+        candidates = self.CODEBOOKS[name]
+        table = nearest_tables([(candidates, None)])[0]
+        y = np.concatenate([around(table.thresholds), EXTREMES,
+                            probes(candidates, np.random.default_rng(2))])
+        assert_same_lookup(table, y)
+
+    GEOMETRIES = {
+        "ulp_apart": 1.0 + np.spacing(1.0) * np.arange(4),
+        "ulp_apart_subnormal": [0.0, 5e-324, 1e-323, 1.5e-323],
+        "ulp_apart_huge": [1e308, np.nextafter(1e308, np.inf)],
+        "single": [0.25],
+        "empty": [],
+        "width_overflows": [-1e308, 1e308],
+        "width_overflows_full_range": [-1.7976931348623157e308, -1.0, 0.0,
+                                       1.7976931348623157e308],
+        "negative": [-3.0, -2.0, -1e-300],
+    }
+
+    @pytest.mark.parametrize("name", GEOMETRIES)
+    def test_lookup_matches_searchsorted_on_edge_geometries(self, name):
+        table = slot_table(self.GEOMETRIES[name])
+        assert np.all(table.thresholds[1:] > table.thresholds[:-1])
+        y = np.concatenate([around(table.thresholds), EXTREMES])
+        assert_same_lookup(table, y)
+
+    def test_geometries_cover_an_overflowing_width(self):
+        with np.errstate(over="ignore"):
+            ends = np.array(self.GEOMETRIES["width_overflows"])
+            assert np.isinf(ends[-1] - ends[0])
+
+    @pytest.mark.parametrize("y", [0.5, np.float64(-1e300), np.array(1.25e-6), np.array(np.nan),
+                                   np.array([]), np.zeros((0, 3)), np.array([3e-6]),
+                                   np.full((2, 2), 2e-6)],
+                             ids=["float", "float64", "0-d", "0-d-nan", "empty", "empty-2d",
+                                  "one", "2x2"])
+    def test_lookup_keeps_scalars_and_shapes(self, reference_tables, y):
+        for table in (reference_tables["u1"], reference_tables["noma-jml"]):
+            assert_same_lookup(table, y)
+
+    def test_non_finite_thresholds_rejected(self):
+        for bad in ([0.0, np.inf], [np.nan], [-np.inf, 0.0]):
+            with pytest.raises(ParameterError):
+                slot_table(bad)
+
+    @settings(deadline=None)
+    @given(spread=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30),
+           base=st.floats(allow_nan=False, allow_infinity=False),
+           steps=st.lists(st.integers(1, 3), max_size=8),
+           y=st.lists(st.floats(), max_size=30))
+    def test_property_lookup_matches_searchsorted(self, spread, base, steps, y):
+        # a spread of arbitrary floats plus a chain a few ulps apart
+        chain = [base]
+        with np.errstate(over="ignore"):
+            for step in steps:
+                for _ in range(step):
+                    chain.append(float(np.nextafter(chain[-1], np.inf)))
+        thresholds = np.unique([t for t in spread + chain if np.isfinite(t)])
+        table = slot_table(thresholds)
+        assert_same_lookup(table, np.concatenate([np.array(y), around(thresholds), EXTREMES]))
+
+    def test_seeded_build_equals_64_step_bisection(self, reference_set, reference_gains,
+                                                   monkeypatch):
+        def build():
+            tables = receivers(reference_set, reference_gains, ALL_SCHEMES, 1.0)
+            tables = [tables[k] for k in ("u1", "u3", "noma-sic", "noma-jml")] + list(
+                tables["oma"].tables)
+            tables += nearest_tables([(c, None) for c in self.CODEBOOKS.values()])
+            codebooks = list(self.CODEBOOKS.values())
+            return tables + sic_tables(list(zip(codebooks, codebooks[1:])))
+
+        seeded = build()
+        monkeypatch.setattr(link, "_first_true", bisect_64)
+        for fresh, old in zip(seeded, build(), strict=True):
+            assert np.array_equal(fresh.thresholds, old.thresholds)
+            assert np.array_equal(fresh.labels, old.labels)
+
+    def test_reference_build_takes_one_bisection_step(self, reference_set, reference_gains,
+                                                      monkeypatch):
+        calls = []
+        seeded = link._first_true
+
+        def counting(rule, low, high, guess):
+            count = [0]
+
+            def counted(y):
+                count[0] += 1
+                return rule(y)
+
+            out = seeded(counted, low, high, guess)
+            calls.append(count[0])
+            return out
+
+        monkeypatch.setattr(link, "_first_true", counting)
+        receivers(reference_set, reference_gains, ALL_SCHEMES, 1.0)
+        # the two seed ends, then one step: every threshold lies within an
+        # ulp of its computed guess at the reference design
+        assert calls == [3, 3, 3, 3]
 
 
 class TestSicDecoders:

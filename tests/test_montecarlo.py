@@ -247,7 +247,7 @@ NAN_CASES = {
         SpectralEfficiencies(1, 1, 1), [1, 2], [4, 9], [4, 9], [1, 2], NAN),
     "from_raw_levels.avg_power_w=inf": lambda cset, g: from_raw_levels(
         SpectralEfficiencies(1, 1, 1), [1, 2], [4, 9], [4, 9], [1, 2], INF),
-    "ser_u2_analytic.sigma2": lambda cset, g: ser_u2_analytic(cset, g, NAN),
+    "ser_u2_analytic.sigma": lambda cset, g: ser_u2_analytic(cset, g, NAN),
     "ser_center_lower_bound.sigma": lambda cset, g: ser_center_lower_bound(cset, g, NAN, 1),
 }
 
