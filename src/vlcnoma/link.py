@@ -30,9 +30,13 @@ merged: joint ML over the 128 tuples of the reference design returns only
 the edge coordinate and keeps 3 of its 127 thresholds.  Candidates must
 be finite.
 
-Passing a MetricCounter tallies the paper's brute-force cost model: per
-sample, one evaluation per candidate of the original set (n x K per call),
-not the table's smaller work.
+The hot-path stages (``superpose_transmit``, ``awgn_sample``,
+``DecisionTable.decide`` and so the three ``decode_*``, ``oma_round``)
+take an optional ``Workspace``.  With one, every array they compute goes
+into the workspace's reusable arrays, and what they return aliases them
+until the next call that takes the same names; with ``ws=None`` numpy
+allocates each result, through the same code.  Either way the arithmetic
+is the same operations on the same operands.
 """
 
 from __future__ import annotations
@@ -47,17 +51,32 @@ from .constellation import ConstellationSet
 from .errors import ParameterError
 
 
-@dataclass
-class MetricCounter:
-    """Counts candidate-distance evaluations in the paper's cost model.
+class Workspace:
+    """Reusable arrays for the hot path, so that a Monte Carlo batch
+    allocates no temporaries.
 
-    Each decoded sample adds the size of its candidate set (n x K per call),
-    as the brute-force receivers of the complexity table (AC-5) would
-    evaluate; a decision-table lookup is one bucket index and at most
-    ``span`` compares with its merged thresholds.
+    ``take(name, shape, dtype)`` hands out the leading elements, shaped, of
+    the array held under ``(name, dtype)``.  It is allocated on first use
+    with ``capacity`` elements, or more if a request needs them.  A later
+    request for the same name overwrites what an earlier one handed out, so
+    the stages give different names to arrays that must coexist.
     """
 
-    evaluations: int = 0
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._arrays: dict = {}
+
+    def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        array = self._arrays.get((name, dtype))
+        if array is None or array.size < size:
+            array = self._arrays[name, dtype] = np.empty(max(size, self.capacity), dtype)
+        return array[:size].reshape(shape)
+
+
+def _out(ws: Workspace | None, name: str, shape: tuple, dtype=float) -> np.ndarray | None:
+    """The ``out=`` of a stage: the workspace's array, or None to let numpy allocate."""
+    return None if ws is None else ws.take(name, shape, dtype)
 
 
 def oma_sizes(bpcu) -> tuple[int, int, int]:
@@ -71,39 +90,63 @@ def oma_sizes(bpcu) -> tuple[int, int, int]:
     return tuple(m * m for m in bpcu.sizes)
 
 
-def _indices(symbols, sizes) -> tuple[np.ndarray, ...]:
-    """Zero-based arrays of the (u1, u2, u3) symbol indices, checked against sizes."""
+def _indices(symbols, sizes, ws: Workspace | None) -> tuple[np.ndarray, ...]:
+    """Zero-based (u1, u2, u3) symbol indices, checked against sizes; with a
+    workspace they are its arrays "i1", "i2" and "i3"."""
     arrays = tuple(np.asarray(values) for values in symbols)
     for name, arr, size in zip(("u1", "u2", "u3"), arrays, sizes):
         if arr.size and (arr.min() < 1 or arr.max() > size):
             raise ParameterError(f"{name} indices must be in 1..{size}")
-    return tuple(arr - 1 for arr in arrays)
+    return tuple(np.subtract(arr, 1, out=_out(ws, f"i{k}", arr.shape, np.intp))
+                 for k, arr in enumerate(arrays, 1))
 
 
-def superpose_transmit(symbols, cset: ConstellationSet, gains: ChannelGains):
+def _gather(levels: np.ndarray, index, ws: Workspace | None, name: str):
+    """``levels[index]`` for in-range indices, into the workspace array ``name``."""
+    return np.take(levels, index, out=_out(ws, name, np.shape(index)), mode="clip")
+
+
+def superpose_transmit(symbols, cset: ConstellationSet, gains: ChannelGains,
+                       ws: Workspace | None = None):
     """Noiseless received amplitudes ``(y1, y2, y3)`` for the symbol indices.
 
     User 1 sees cell 1's superposition through h11, user 3 sees cell 2's
     through h32, and the edge user sees both superpositions through its two
-    weak links.
+    weak links.  With a workspace the amplitudes are its arrays "y1", "y2"
+    and "y3".
     """
-    i1, i2, i3 = _indices(symbols, cset.bpcu.sizes)
-    tx1 = cset.cell1_center[i1] + cset.cell1_edge[i2]
-    tx2 = cset.cell2_edge[i2] + cset.cell2_center[i3]
-    return tx1 * gains.h11, tx1 * gains.h21 + tx2 * gains.h22, tx2 * gains.h32
+    i1, i2, i3 = _indices(symbols, cset.bpcu.sizes, ws)
+    shape = np.broadcast_shapes(np.shape(i1), np.shape(i2), np.shape(i3))
+    # each cell's transmit sum builds up in the array of the user it scales into last
+    tx1 = np.add(_gather(cset.cell1_center, i1, ws, "y1"), _gather(cset.cell1_edge, i2, ws, "t"),
+                 out=_out(ws, "y1", shape))
+    tx2 = np.add(_gather(cset.cell2_edge, i2, ws, "y3"), _gather(cset.cell2_center, i3, ws, "t"),
+                 out=_out(ws, "y3", shape))
+    y2 = np.multiply(tx1, gains.h21, out=_out(ws, "y2", shape))
+    y2 = np.add(y2, np.multiply(tx2, gains.h22, out=_out(ws, "t", shape)),
+                out=_out(ws, "y2", shape))
+    return (np.multiply(tx1, gains.h11, out=_out(ws, "y1", shape)), y2,
+            np.multiply(tx2, gains.h32, out=_out(ws, "y3", shape)))
 
 
-def awgn_sample(noiseless, sigma: float, rng: np.random.Generator):
+def awgn_sample(noiseless, sigma: float, rng: np.random.Generator, ws: Workspace | None = None):
     """Add independent zero-mean Gaussian noise of std sigma to ``(y1, y2, y3)``.
 
     The caller owns the stream; hand in a counter-addressed generator (see
     montecarlo.philox_stream) and repeated calls at the same stream position
-    reproduce bit-identical output.  Draw order is fixed: y1, y2, y3.
+    reproduce bit-identical output.  Draw order is fixed: y1, y2, y3.  With
+    a workspace the noisy amplitudes are its arrays "y1", "y2" and "y3", so
+    they replace the output of ``superpose_transmit`` on the same workspace.
     """
     if not sigma >= 0:
         raise ParameterError(f"sigma must be >= 0, got {sigma}")
-    noiseless = (np.asarray(y, dtype=float) for y in noiseless)
-    return tuple(y + sigma * rng.standard_normal(y.shape) for y in noiseless)
+    received = []
+    for name, y in zip(("y1", "y2", "y3"), noiseless):
+        y = np.asarray(y, dtype=float)
+        noise = rng.standard_normal(y.shape, out=_out(ws, "z", y.shape))
+        noise *= sigma
+        received.append(np.add(y, noise, out=_out(ws, name, y.shape)))
+    return tuple(received)
 
 
 _SIGN_FREE = np.int64(0x7FFFFFFFFFFFFFFF)
@@ -142,11 +185,19 @@ def _first_true(rule, low, high, guess) -> np.ndarray:
     return _flip(hi).view(float)
 
 
-def _bucket(y, low, high, scale, shift, top) -> np.ndarray:
+def _bucket(y, low, high, scale, shift, top, ws: Workspace | None = None) -> np.ndarray:
     """Bucket index of each sample: y clipped into [low, high], times scale,
     less shift (the scaled low), truncated; NaN goes to ``top``.  Monotone
     in y, as each step is in IEEE arithmetic, and it never overflows."""
-    return np.fmin(np.clip(y, low, high) * scale - shift, top).astype(np.intp)
+    shape = np.shape(y)
+    x = np.clip(y, low, high, out=_out(ws, "x", shape))
+    x *= scale
+    x -= shift
+    x = np.fmin(x, top, out=_out(ws, "x", shape))
+    # copyto truncates toward zero, as astype does, and needs no cast buffer
+    bucket = np.empty(shape, np.intp) if ws is None else ws.take("bucket", shape, np.intp)
+    np.copyto(bucket, x, casting="unsafe")
+    return bucket
 
 
 @dataclass(frozen=True)
@@ -158,7 +209,8 @@ class DecisionTable:
     ``labels`` has one row per decided quantity and one column per interval;
     adjacent columns differ.  ``thresholds`` are sorted and finite.
     ``candidates`` is the per-sample cost of the brute-force receiver the
-    table replaces (see MetricCounter).
+    table replaces: the size of its candidate set, or of both SIC stages'
+    sets, as the paper's complexity table counts it.
 
     The slot comes from four uniform buckets per threshold over [t_0, t_last]
     (``_bucket``), not a binary search.  The bucket is monotone in y and
@@ -196,30 +248,33 @@ class DecisionTable:
                             ("_padded", np.concatenate([t, [np.nan]]))):
             object.__setattr__(self, name, value)
 
-    def decide(self, y, counter: MetricCounter | None = None) -> tuple[np.ndarray, ...]:
-        """One array (or scalar) per label row, shaped like y."""
-        if counter is not None:
-            counter.evaluations += np.size(y) * self.candidates
+    def decide(self, y, ws: Workspace | None = None, name: str = "label"
+               ) -> tuple[np.ndarray, ...]:
+        """One array (or scalar) per label row, shaped like y; with a
+        workspace, row k is its array ``f"{name}.{k}"``."""
         y = np.asarray(y)
-        slot = self._start[_bucket(y, *self._geometry)]
+        shape = y.shape
+        # every index below is in range by construction, so mode="clip" clips nothing
+        slot = np.take(self._start, _bucket(y, *self._geometry, ws),
+                       out=_out(ws, "slot", shape, np.intp), mode="clip")
         for _ in range(self._span):
-            slot += y >= self._padded[slot]
-        return tuple(row[slot] for row in self.labels)
+            slot += np.greater_equal(
+                y, np.take(self._padded, slot, out=_out(ws, "x", shape), mode="clip"),
+                out=_out(ws, "ge", shape, np.intp))
+        return tuple(np.take(row, slot, out=_out(ws, f"{name}.{k}", shape, row.dtype), mode="clip")
+                     for k, row in enumerate(self.labels))
 
 
-def _merged(thresholds: np.ndarray, labels: np.ndarray, candidates: int) -> DecisionTable:
-    """The table without the thresholds between equally labelled intervals."""
+def _merged(thresholds: np.ndarray, labels: np.ndarray, candidates: int) -> tuple:
+    """``DecisionTable`` fields without the thresholds between equally
+    labelled intervals."""
     keep = np.any(labels[:, 1:] != labels[:, :-1], axis=0)
-    return DecisionTable(thresholds[keep], labels[:, np.concatenate([[True], keep])],
-                         candidates)
+    return thresholds[keep], labels[:, np.concatenate([[True], keep])], candidates
 
 
-def nearest_tables(sets) -> list[DecisionTable]:
-    """Exact tables of the nearest-candidate rule, one per ``(candidates, outputs)``.
-
-    Labels are 1-based candidate indices, or ``outputs[index - 1]`` where
-    outputs is not None.  One bisection finds every set's thresholds.
-    """
+def _nearest(sets) -> list[tuple]:
+    """``_merged`` fields of the nearest-candidate rule for every
+    ``(candidates, outputs)``, from one bisection."""
     sets = [(np.asarray(c, dtype=float).reshape(-1), outputs) for c, outputs in sets]
     distinct = [np.unique(c, return_index=True) for c, _ in sets]
     a = np.concatenate([values[:-1] for values, _ in distinct])
@@ -231,47 +286,58 @@ def nearest_tables(sets) -> list[DecisionTable]:
         return (d_b < d_a) | ((d_b == d_a) & b_first)
 
     cuts = np.cumsum([values.size - 1 for values, _ in distinct])[:-1]
-    tables = []
+    rules = []
     for (c, outputs), (_, lowest), thresholds in zip(
             sets, distinct, np.split(_first_true(picks_b, a, b, a / 2 + b / 2), cuts)):
         labels = lowest + 1 if outputs is None else np.asarray(outputs).reshape(-1)[lowest]
-        tables.append(_merged(thresholds, labels[np.newaxis], c.size))
-    return tables
+        rules.append(_merged(thresholds, labels[np.newaxis], c.size))
+    return rules
 
 
-def sic_tables(pairs) -> list[DecisionTable]:
-    """Both SIC stages as one table over the raw sample, one per ``(edge, own)``.
-
-    Stage 1 picks the nearest ``edge`` candidate c; stage 2 picks the
-    nearest ``own`` candidate to the residual fl(y - c).  Labels are
-    ``(own, edge)``.  Within each stage-1 interval a stage-2 threshold t
-    moves to the smallest y with fl(y - c) >= t; the decision is constant
-    between consecutive breakpoints of both kinds, so each interval is
-    labelled by decoding its left end.
-    """
-    pairs = [(np.asarray(edge, dtype=float), np.asarray(own, dtype=float))
-             for edge, own in pairs]
-    stages = nearest_tables([(x, None) for pair in pairs for x in pair])
-    firsts, seconds = stages[0::2], stages[1::2]
+def _sic(pairs, stages) -> list[DecisionTable]:
+    """SIC tables of ``(edge, own)`` pairs from their stages' ``_nearest``
+    fields, two per pair, with one more bisection."""
+    # per pair: edge and own levels, then each stage's thresholds and labels
+    parts = [(edge, own, t1, labels1[0], t2, labels2[0]) for (edge, own), (t1, labels1, _),
+             (t2, labels2, _) in zip(pairs, stages[0::2], stages[1::2])]
     # every stage-1 decision c (its distinct edge value) against every stage-2 threshold
-    shift = np.concatenate([np.repeat(edge[first.labels[0] - 1], second.thresholds.size)
-                            for (edge, _), first, second in zip(pairs, firsts, seconds)])
-    target = np.concatenate([np.tile(second.thresholds, first.labels.shape[1])
-                             for first, second in zip(firsts, seconds)])
+    shift = np.concatenate([np.repeat(edge[e - 1], t2.size) for edge, _, _, e, t2, _ in parts])
+    target = np.concatenate([np.tile(t2, e.size) for _, _, _, e, t2, _ in parts])
     below = np.full(shift.size, -np.inf)
     with np.errstate(over="ignore"):
         guess = target + shift
     moved = _first_true(lambda y: y - shift >= target, below, -below, guess)
-    cuts = np.cumsum([first.labels.shape[1] * second.thresholds.size
-                      for first, second in zip(firsts, seconds)])[:-1]
+    cuts = np.cumsum([e.size * t2.size for _, _, _, e, t2, _ in parts])[:-1]
     tables = []
-    for (edge, own), first, second, shifted in zip(pairs, firsts, seconds, np.split(moved, cuts)):
-        breaks = np.unique(np.concatenate([first.thresholds, shifted]))
+    for (edge, own, t1, e, t2, o), shifted in zip(parts, np.split(moved, cuts)):
+        breaks = np.unique(np.concatenate([t1, shifted]))
         left = np.concatenate([[-np.inf], breaks])
-        (edge_hat,) = first.decide(left)
-        (own_hat,) = second.decide(left - edge[edge_hat - 1])
-        tables.append(_merged(breaks, np.stack([own_hat, edge_hat]), edge.size + own.size))
+        # label each interval by its left end, as both stages' tables would decide it
+        edge_hat = e[np.searchsorted(t1, left, "right")]
+        own_hat = o[np.searchsorted(t2, left - edge[edge_hat - 1], "right")]
+        tables.append(DecisionTable(*_merged(breaks, np.stack([own_hat, edge_hat]),
+                                             edge.size + own.size)))
     return tables
+
+
+def nearest_tables(sets, pairs=()) -> list[DecisionTable]:
+    """Exact tables of the nearest-candidate rule, one per ``(candidates,
+    outputs)`` in ``sets``, then one SIC table per ``(edge, own)`` in ``pairs``.
+
+    Labels are 1-based candidate indices, or ``outputs[index - 1]`` where
+    outputs is not None.  SIC stage 1 picks the nearest ``edge`` candidate
+    c; stage 2 picks the nearest ``own`` candidate to the residual
+    fl(y - c); the labels are ``(own, edge)``.  One bisection finds the
+    thresholds of every set and of both stages of every pair.  A second
+    moves each stage-2 threshold t, within each stage-1 interval, to the
+    smallest y with fl(y - c) >= t.  The SIC decision is constant between
+    consecutive breakpoints of both kinds.
+    """
+    pairs = [(np.asarray(edge, dtype=float), np.asarray(own, dtype=float))
+             for edge, own in pairs]
+    rules = _nearest([*sets, *((x, None) for pair in pairs for x in pair)])
+    tables = [DecisionTable(*rule) for rule in rules[:len(sets)]]
+    return tables + (_sic(pairs, rules[len(sets):]) if pairs else [])
 
 
 def center_user(cset: ConstellationSet, gains: ChannelGains, user: int):
@@ -287,15 +353,14 @@ def center_user(cset: ConstellationSet, gains: ChannelGains, user: int):
     raise ParameterError(f"center users are 1 and 3, got {user}")
 
 
-def center_tables(cset: ConstellationSet, gains: ChannelGains) -> list[DecisionTable]:
-    """SIC tables of center users 1 and 3.
+def center_pairs(cset: ConstellationSet, gains: ChannelGains) -> list[tuple]:
+    """``nearest_tables`` SIC pairs of center users 1 and 3.
 
     Stage 1 estimates the (stronger) edge-user level from the raw signal,
     stage 2 subtracts it and finds the nearest own level; stage-1 mistakes
     propagate, as in the receiver.
     """
-    return sic_tables([(h * edge, h * own)
-                       for edge, own, h in (center_user(cset, gains, u) for u in (1, 3))])
+    return [(h * edge, h * own) for edge, own, h in (center_user(cset, gains, u) for u in (1, 3))]
 
 
 def edge_sic_candidates(cset: ConstellationSet, gains: ChannelGains):
@@ -312,19 +377,20 @@ def edge_jml_candidates(cset: ConstellationSet, gains: ChannelGains):
     return superpose_transmit(tuples, cset, gains)[1], tuples[1]
 
 
-def decode_center_sic(y, table: DecisionTable, counter: MetricCounter | None = None):
-    """``(own_index, edge_index)`` at a center user, from its ``center_tables`` entry."""
-    return table.decide(y, counter)
+def decode_center_sic(y, table: DecisionTable, ws: Workspace | None = None,
+                      name: str = "center"):
+    """``(own_index, edge_index)`` at a center user, from its ``center_pairs`` table."""
+    return table.decide(y, ws, name)
 
 
-def decode_u2_sic(y2, table: DecisionTable, counter: MetricCounter | None = None):
+def decode_u2_sic(y2, table: DecisionTable, ws: Workspace | None = None):
     """Edge-user decode by the interference-as-noise rule (``edge_sic_candidates``)."""
-    return table.decide(y2, counter)[0]
+    return table.decide(y2, ws, "u2-sic")[0]
 
 
-def decode_u2_jml(y2, table: DecisionTable, counter: MetricCounter | None = None):
+def decode_u2_jml(y2, table: DecisionTable, ws: Workspace | None = None):
     """Edge-user decode by joint maximum likelihood (``edge_jml_candidates``)."""
-    return table.decide(y2, counter)[0]
+    return table.decide(y2, ws, "u2-jml")[0]
 
 
 def oma_pam_points(size: int, avg_intensity_w: float) -> np.ndarray:
@@ -342,46 +408,50 @@ def oma_pam_points(size: int, avg_intensity_w: float) -> np.ndarray:
 @dataclass(frozen=True)
 class OmaLinks:
     """The orthogonal baseline's three PAM links, in user order 1, 2, 3:
-    the transmitted levels, the gain each rides and its detector's table."""
+    the levels each user receives (``oma_levels``) and its detector's table."""
 
     levels: tuple[np.ndarray, np.ndarray, np.ndarray]
-    gains: tuple[float, float, float]
     tables: tuple[DecisionTable, DecisionTable, DecisionTable]
 
 
-def oma_links(bpcu, gains: ChannelGains, avg_intensity_w: float) -> OmaLinks:
-    """PAM levels of sizes ``oma_sizes(bpcu)``, with mean ``avg_intensity_w``.
+def oma_levels(bpcu, gains: ChannelGains, avg_intensity_w: float) -> tuple[np.ndarray, ...]:
+    """Received levels of users 1, 2, 3: PAM of sizes ``oma_sizes(bpcu)``
+    with mean ``avg_intensity_w``, times the gain of each user's link.
 
     Slot A: Tx1 sends user 1's level, Tx2 sends user 3's.  Slot B: both
-    transmitters send the edge user's level, so its candidate set rides the
-    combined gain h21 + h22.  The mean PAM level of every transmitter in
-    every slot is ``avg_intensity_w``, which keeps the average transmit
-    power per channel use equal to the superposed scheme's target.
+    transmitters send the edge user's level, so it rides the combined gain
+    h21 + h22.  The mean PAM level of every transmitter in every slot is
+    ``avg_intensity_w``, which keeps the average transmit power per channel
+    use equal to the superposed scheme's target.
     """
-    levels = tuple(oma_pam_points(size, avg_intensity_w) for size in oma_sizes(bpcu))
     link_gains = (gains.h11, gains.h21 + gains.h22, gains.h32)
-    return OmaLinks(levels, link_gains,
-                    tuple(nearest_tables([(pam * g, None) for pam, g in zip(levels, link_gains)])))
+    return tuple(oma_pam_points(size, avg_intensity_w) * g
+                 for size, g in zip(oma_sizes(bpcu), link_gains))
 
 
-def oma_round(
-    symbols,
-    links: OmaLinks,
-    sigma: float,
-    rng: np.random.Generator,
-    counter: MetricCounter | None = None,
-):
+def oma_links(bpcu, gains: ChannelGains, avg_intensity_w: float) -> OmaLinks:
+    """The ``oma_levels`` links with their nearest-level tables."""
+    levels = oma_levels(bpcu, gains, avg_intensity_w)
+    return OmaLinks(levels, tuple(nearest_tables([(x, None) for x in levels])))
+
+
+def oma_round(symbols, links: OmaLinks, sigma: float, rng: np.random.Generator,
+              ws: Workspace | None = None):
     """One two-slot orthogonal frame: transmit, add noise, decode all users.
 
-    Noise draw order is fixed: user 1, user 3, then the edge user.  Returns
-    the three decoded indices.
+    Noise draw order is fixed: user 1, user 3, then the edge user.  Each
+    user is decoded as soon as its noise is drawn; decoding draws nothing.
+    Returns the three decoded indices, with a workspace its arrays
+    "oma-u1.0", "oma-u2.0" and "oma-u3.0".
     """
     if not sigma >= 0:
         raise ParameterError(f"sigma must be >= 0, got {sigma}")
-    i1, i2, i3 = _indices(symbols, tuple(pam.size for pam in links.levels))
-    (pam1, pam2, pam3), (g1, g2, g3) = links.levels, links.gains
-    shape = np.broadcast_shapes(np.shape(i1), np.shape(i2), np.shape(i3))
-    y1 = pam1[i1] * g1 + sigma * rng.standard_normal(shape)
-    y3 = pam3[i3] * g3 + sigma * rng.standard_normal(shape)
-    y2 = pam2[i2] * g2 + sigma * rng.standard_normal(shape)
-    return tuple(table.decide(y, counter)[0] for table, y in zip(links.tables, (y1, y2, y3)))
+    indices = _indices(symbols, tuple(x.size for x in links.levels), ws)
+    shape = np.broadcast_shapes(*(np.shape(i) for i in indices))
+    decided = [None, None, None]
+    for k in (0, 2, 1):
+        y = rng.standard_normal(shape, out=_out(ws, "z", shape))
+        y *= sigma
+        y += _gather(links.levels[k], indices[k], ws, "t")
+        decided[k] = links.tables[k].decide(y, ws, f"oma-u{k + 1}")[0]
+    return tuple(decided)

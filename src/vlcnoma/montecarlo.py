@@ -21,6 +21,12 @@ Within a batch the draw order is fixed by ``_frame``: the superposed
 symbols u1, u2, u3, the noise on y1, y2, y3, then, if the orthogonal
 baseline runs, its symbols and its noise on users 1, 3 and 2.  ``vlcnoma
 simulate --trace`` prints one channel use of the same frame code.
+
+Each worker holds one ``link.Workspace`` of one batch for the whole sweep,
+and every stage of ``_frame`` writes into it instead of allocating, so a
+batch allocates only its symbol draws.  What ``_frame`` returns aliases
+that workspace until the worker's next frame, and the worker has counted
+its errors by then.
 """
 
 from __future__ import annotations
@@ -38,9 +44,9 @@ from . import analytic
 from .channel import ChannelGains
 from .constellation import ConstellationSet, verify_gap_condition
 from .errors import ParameterError
-from .link import (awgn_sample, center_tables, decode_center_sic, decode_u2_jml, decode_u2_sic,
-                   edge_jml_candidates, edge_sic_candidates, nearest_tables, oma_links, oma_round,
-                   superpose_transmit)
+from .link import (OmaLinks, Workspace, awgn_sample, center_pairs, decode_center_sic,
+                   decode_u2_jml, decode_u2_sic, edge_jml_candidates, edge_sic_candidates,
+                   nearest_tables, oma_levels, oma_round, superpose_transmit)
 
 USERS = ("u1", "u2", "u3")
 Z_95 = 1.959963984540054
@@ -161,16 +167,19 @@ def receivers(
     "u1" and "u3" (SIC at the center users) are there for any superposed
     scheme, "noma-sic" and "noma-jml" (the edge user) and "oma"
     (``OmaLinks`` at average intensity ``power_w``) when their scheme runs.
+    One ``nearest_tables`` call builds them all.
     """
-    tables: dict = {}
-    if any(s.startswith("noma") for s in schemes):
-        tables["u1"], tables["u3"] = center_tables(cset, gains)
     edge = {"noma-sic": edge_sic_candidates, "noma-jml": edge_jml_candidates}
     wanted = [scheme for scheme in edge if scheme in schemes]
-    if wanted:
-        tables.update(zip(wanted, nearest_tables([edge[s](cset, gains) for s in wanted])))
-    if "oma" in schemes:
-        tables["oma"] = oma_links(cset.bpcu, gains, power_w)
+    oma = oma_levels(cset.bpcu, gains, power_w) if "oma" in schemes else ()
+    pairs = center_pairs(cset, gains) if wanted else []
+    built = nearest_tables([edge[s](cset, gains) for s in wanted] + [(x, None) for x in oma],
+                           pairs)
+    tables: dict = dict(zip(wanted, built))
+    if oma:
+        tables["oma"] = OmaLinks(oma, tuple(built[len(wanted):len(wanted) + 3]))
+    if pairs:
+        tables["u1"], tables["u3"] = built[-2:]
     return tables
 
 
@@ -181,6 +190,7 @@ def _frame(
     cset: ConstellationSet,
     gains: ChannelGains,
     tables: dict,
+    ws: Workspace | None = None,
 ) -> tuple[dict, tuple | None, dict]:
     """n channel uses of every scheme that ``tables`` (see ``receivers``)
     decodes: ``(sent, received, decided)``.
@@ -190,27 +200,31 @@ def _frame(
     superposed (y1, y2, y3), None without a superposed scheme, and
     ``decided["sic-stage1"]`` holds the edge indices that SIC stage 1 at
     users 1 and 3 subtracted.
+
+    With a workspace, ``received`` and ``decided`` are its arrays: they hold
+    until the next frame on that workspace, which overwrites them.  The
+    symbols in ``sent`` are always fresh arrays.
     """
     sent: dict[str, tuple] = {}
     decided: dict[str, tuple] = {}
     received = None
     if "u1" in tables:
         symbols = tuple(rng.integers(1, m + 1, n) for m in cset.bpcu.sizes)
-        received = awgn_sample(superpose_transmit(symbols, cset, gains), sigma, rng)
+        received = awgn_sample(superpose_transmit(symbols, cset, gains, ws), sigma, rng, ws)
         y1, y2, y3 = received
-        u1_hat, edge1 = decode_center_sic(y1, tables["u1"])
-        u3_hat, edge3 = decode_center_sic(y3, tables["u3"])
+        u1_hat, edge1 = decode_center_sic(y1, tables["u1"], ws, "u1")
+        u3_hat, edge3 = decode_center_sic(y3, tables["u3"], ws, "u3")
         decided["sic-stage1"] = (edge1, edge3)
         if "noma-sic" in tables:
             sent["noma-sic"] = symbols
-            decided["noma-sic"] = (u1_hat, decode_u2_sic(y2, tables["noma-sic"]), u3_hat)
+            decided["noma-sic"] = (u1_hat, decode_u2_sic(y2, tables["noma-sic"], ws), u3_hat)
         if "noma-jml" in tables:
             sent["noma-jml"] = symbols
-            decided["noma-jml"] = (u1_hat, decode_u2_jml(y2, tables["noma-jml"]), u3_hat)
+            decided["noma-jml"] = (u1_hat, decode_u2_jml(y2, tables["noma-jml"], ws), u3_hat)
     if "oma" in tables:
         links = tables["oma"]
         sent["oma"] = tuple(rng.integers(1, pam.size + 1, n) for pam in links.levels)
-        decided["oma"] = oma_round(sent["oma"], links, sigma, rng)
+        decided["oma"] = oma_round(sent["oma"], links, sigma, rng, ws)
     return sent, received, decided
 
 
@@ -224,8 +238,9 @@ def _run_points(
     """Error totals and trials of every SNR point, under the in-order early-stop rule.
 
     ``workers`` threads, the calling thread among them, run one loop: take
-    a batch (certain ones first, see the module docstring), compute it, and
-    consume whatever that makes consumable in index order.
+    a batch (certain ones first, see the module docstring), compute it in
+    the worker's own workspace, and consume whatever that makes consumable
+    in index order.
     """
     total, size = config.trials_per_point, config.batch_size
     sizes = [min(size, total - start) for start in range(0, total, size)]
@@ -239,11 +254,12 @@ def _run_points(
     changed = threading.Condition()
     low = 0  # points below it have no batch left to issue
 
-    def compute(point: int, batch: int) -> dict[tuple[str, str], int]:
+    def compute(point: int, batch: int, ws: Workspace) -> dict[tuple[str, str], int]:
         """Symbol error counts of one batch, keyed by (scheme, user)."""
         rng = philox_stream(config.seed, point, batch)
-        sent, _, decided = _frame(rng, sizes[batch], sigmas[point], cset, gains, tables)
-        return {(scheme, user): int(np.count_nonzero(got != want))
+        sent, _, decided = _frame(rng, sizes[batch], sigmas[point], cset, gains, tables, ws)
+        return {(scheme, user): int(np.count_nonzero(
+                    np.not_equal(got, want, out=ws.take("errors", got.shape, bool))))
                 for scheme in config.schemes
                 for user, want, got in zip(USERS, sent[scheme], decided[scheme])}
 
@@ -282,6 +298,7 @@ def _run_points(
             waiting[point].clear()
 
     def work() -> None:
+        ws = Workspace(sizes[0])
         while True:
             with changed:
                 while (point := pick()) is None:
@@ -291,7 +308,7 @@ def _run_points(
                 batch = issued[point]
                 issued[point] += 1
             try:
-                result = compute(point, batch)
+                result = compute(point, batch, ws)
             except BaseException:
                 with changed:  # the other workers stop at their next pick
                     done[:] = [True] * count

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import warnings
 
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 from vlcnoma import ChannelGains, SpectralEfficiencies, design_constellation, link
 from vlcnoma.constellation import from_raw_levels
 from vlcnoma.errors import ParameterError
-from vlcnoma.link import (DecisionTable, MetricCounter, awgn_sample, center_tables, center_user,
+from vlcnoma.link import (DecisionTable, Workspace, awgn_sample, center_pairs, center_user,
                           decode_center_sic, decode_u2_jml, decode_u2_sic, edge_jml_candidates,
-                          nearest_tables, oma_links, oma_pam_points, oma_round, oma_sizes,
-                          sic_tables, superpose_transmit)
+                          edge_sic_candidates, nearest_tables, oma_levels, oma_links,
+                          oma_pam_points, oma_round, oma_sizes, superpose_transmit)
 from vlcnoma.montecarlo import philox_stream, receivers
 
 ALL_SCHEMES = ("noma-sic", "noma-jml", "oma")
@@ -284,11 +285,10 @@ class TestDecisionTables:
             for got, want in zip(table.decide(y), argmin_sic(y, h * edge, h * own),
                                  strict=True):
                 assert np.array_equal(got, want)
-        for links_table, pam, gain in zip(reference_tables["oma"].tables,
-                                          reference_tables["oma"].levels,
-                                          reference_tables["oma"].gains):
+        for links_table, levels in zip(reference_tables["oma"].tables,
+                                       reference_tables["oma"].levels, strict=True):
             y = around(links_table.thresholds)
-            assert np.array_equal(links_table.decide(y)[0], argmin_nearest(y, pam * gain))
+            assert np.array_equal(links_table.decide(y)[0], argmin_nearest(y, levels))
 
     def test_merged_jml_table_matches_tuple_argmin(self, reference_set, reference_gains,
                                                    reference_tables):
@@ -307,7 +307,7 @@ class TestDecisionTables:
     def test_property_sic_table_matches_two_stage_argmin(self, edge, own, y):
         # dyadic values: distances and residuals are exact, midpoints included
         edge, own, y = np.array(edge) / 8.0, np.array(own) / 16.0, np.array(y) / 32.0
-        table = sic_tables([(edge, own)])[0]
+        table = nearest_tables([], [(edge, own)])[0]
         y = np.concatenate([y, around(table.thresholds)])
         for got, want in zip(table.decide(y), argmin_sic(y, edge, own), strict=True):
             assert np.array_equal(got, want)
@@ -361,6 +361,19 @@ class TestDecisionTables:
         for table in (reference_tables["u1"], reference_tables["noma-jml"]):
             assert_same_lookup(table, y)
 
+    @pytest.mark.parametrize("y", [0.5, np.array(1.25e-6), np.array(np.nan), np.array([]),
+                                   np.zeros((0, 3)), np.full((2, 2), 2e-6),
+                                   np.linspace(-1e-6, 9e-6, 50)],
+                             ids=["float", "0-d", "0-d-nan", "empty", "empty-2d", "2x2",
+                                  "grown"])
+    def test_lookup_into_workspace_matches_allocating(self, reference_tables, y):
+        # capacity 1: the 2x2 and 50-sample lookups grow the workspace's arrays
+        ws = Workspace(1)
+        for table in (reference_tables["u1"], reference_tables["noma-jml"]):
+            for got, want in zip(table.decide(y, ws), table.decide(y), strict=True):
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want)
+
     def test_non_finite_thresholds_rejected(self):
         for bad in ([0.0, np.inf], [np.nan], [-np.inf, 0.0]):
             with pytest.raises(ParameterError):
@@ -390,13 +403,37 @@ class TestDecisionTables:
                 tables["oma"].tables)
             tables += nearest_tables([(c, None) for c in self.CODEBOOKS.values()])
             codebooks = list(self.CODEBOOKS.values())
-            return tables + sic_tables(list(zip(codebooks, codebooks[1:])))
+            return tables + nearest_tables([], list(zip(codebooks, codebooks[1:])))
 
         seeded = build()
         monkeypatch.setattr(link, "_first_true", bisect_64)
         for fresh, old in zip(seeded, build(), strict=True):
             assert np.array_equal(fresh.thresholds, old.thresholds)
             assert np.array_equal(fresh.labels, old.labels)
+
+    # sha256 of the reference tables (thresholds, labels, candidates) as four
+    # separate bisections built them: SIC stages, SIC shifts, edge sets, OMA sets
+    FOUR_BISECTION_DIGEST = "9448451007502382255caf01a32db9bb46ed6fe2138af13dd0355823f6c64829"
+
+    def test_one_build_equals_the_four_bisection_build(self, reference_set, reference_gains,
+                                                       reference_tables):
+        cset, gains = reference_set, reference_gains
+        oma = oma_levels(cset.bpcu, gains, 1.0)
+        separate = (nearest_tables([], center_pairs(cset, gains))
+                    + [nearest_tables([rule(cset, gains)])[0]
+                       for rule in (edge_sic_candidates, edge_jml_candidates)]
+                    + nearest_tables([(x, None) for x in oma]))
+        built = [reference_tables[k] for k in ("u1", "u3", "noma-sic", "noma-jml")]
+        built += list(reference_tables["oma"].tables)
+        digest = hashlib.sha256()
+        for fresh, old in zip(built, separate, strict=True):
+            assert np.array_equal(fresh.thresholds, old.thresholds)
+            assert np.array_equal(fresh.labels, old.labels)
+            assert fresh.candidates == old.candidates
+            digest.update(fresh.thresholds.astype("<f8").tobytes())
+            digest.update(fresh.labels.astype("<i8").tobytes())
+            digest.update(str(fresh.candidates).encode())
+        assert digest.hexdigest() == self.FOUR_BISECTION_DIGEST
 
     def test_reference_build_takes_one_bisection_step(self, reference_set, reference_gains,
                                                       monkeypatch):
@@ -416,9 +453,10 @@ class TestDecisionTables:
 
         monkeypatch.setattr(link, "_first_true", counting)
         receivers(reference_set, reference_gains, ALL_SCHEMES, 1.0)
-        # the two seed ends, then one step: every threshold lies within an
-        # ulp of its computed guess at the reference design
-        assert calls == [3, 3, 3, 3]
+        # one bisection for every nearest set and SIC stage, one for the SIC
+        # shifts; each takes the two seed ends, then one step: every
+        # threshold lies within an ulp of its computed guess at the reference design
+        assert calls == [3, 3]
 
 
 class TestSicDecoders:
@@ -446,16 +484,13 @@ class TestSicDecoders:
         assert edge.tolist() == [0.5, 1.125]
         midpoint = float((edge[0] + edge[1]) / 2.0)
         unit = ChannelGains(1.0, 0.0, 0.0, 1.0)
-        _, stage1 = decode_center_sic(midpoint, center_tables(cset, unit)[0])
+        _, stage1 = decode_center_sic(midpoint, nearest_tables([], center_pairs(cset, unit))[0])
         assert int(stage1) == 1
 
     def test_stage_counts(self, reference_tables):
-        counter = MetricCounter()
-        decode_center_sic(np.zeros(10), reference_tables["u1"], counter)
-        assert counter.evaluations == 10 * (2**2 + 2**3)
-        counter = MetricCounter()
-        decode_center_sic(np.zeros(10), reference_tables["u3"], counter)
-        assert counter.evaluations == 10 * (2**2 + 2**2)
+        # both stages' candidates: the edge levels, then the user's own
+        assert reference_tables["u1"].candidates == 2**2 + 2**3
+        assert reference_tables["u3"].candidates == 2**2 + 2**2
 
     def test_invalid_user_rejected(self, reference_set, reference_gains):
         with pytest.raises(ParameterError):
@@ -464,14 +499,10 @@ class TestSicDecoders:
 
 class TestEdgeDecoders:
     def test_interference_as_noise_counts(self, reference_tables):
-        counter = MetricCounter()
-        decode_u2_sic(np.zeros(5), reference_tables["noma-sic"], counter)
-        assert counter.evaluations == 5 * 4
+        assert reference_tables["noma-sic"].candidates == 4
 
     def test_joint_ml_counts(self, reference_tables):
-        counter = MetricCounter()
-        decode_u2_jml(np.zeros(5), reference_tables["noma-jml"], counter)
-        assert counter.evaluations == 5 * 128
+        assert reference_tables["noma-jml"].candidates == 128
 
     def test_noiseless_joint_ml_recovers_edge_symbol(self, reference_set, reference_gains,
                                                      reference_tables):
@@ -538,11 +569,9 @@ class TestOmaRound:
             assert np.array_equal(sent, got)
 
     def test_per_frame_metric_counts(self, reference_bpcu, reference_gains):
-        counter = MetricCounter()
-        oma_round((1, 1, 1), oma_links(reference_bpcu, reference_gains, 1.0), 0.0,
-                  philox_stream(0, 0, 0), counter)
+        links = oma_links(reference_bpcu, reference_gains, 1.0)
         # frame total is twice the per-channel-use average of 48
-        assert counter.evaluations == 64 + 16 + 16
+        assert sum(table.candidates for table in links.tables) == 64 + 16 + 16
 
     def test_average_transmit_power_per_slot_is_target(self, reference_bpcu):
         for size in oma_sizes(reference_bpcu):

@@ -1,6 +1,9 @@
+import itertools
 import math
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +13,8 @@ from vlcnoma import (SpectralEfficiencies, SweepConfig, design_constellation, ru
 from vlcnoma.analytic import ser_center_lower_bound
 from vlcnoma import montecarlo
 from vlcnoma.constellation import from_raw_levels
-from vlcnoma.link import oma_links, oma_pam_points
-from vlcnoma.montecarlo import philox_stream, sigma_from_snr, wilson_interval
+from vlcnoma.link import Workspace, oma_links, oma_pam_points
+from vlcnoma.montecarlo import _frame, philox_stream, receivers, sigma_from_snr, wilson_interval
 from vlcnoma.errors import ParameterError
 
 NAN = float("nan")
@@ -256,6 +259,59 @@ NAN_CASES = {
 def test_nan_rejected_naming_the_field(field, reference_set, reference_gains):
     with pytest.raises(ParameterError, match=field.split("=")[0].rsplit(".", 1)[1]):
         NAN_CASES[field](reference_set, reference_gains)
+
+
+SCHEME_SUBSETS = [subset for size in (1, 2, 3)
+                  for subset in itertools.combinations(("noma-sic", "noma-jml", "oma"), size)]
+
+
+def frame_arrays(frame) -> dict:
+    """Every array of a ``_frame`` result, keyed by where it sits."""
+    sent, received, decided = frame
+    arrays = {("received", k): y for k, y in enumerate(received or ())}
+    for part, mapping in (("sent", sent), ("decided", decided)):
+        arrays.update({(part, key, k): x for key, xs in mapping.items() for k, x in enumerate(xs)})
+    return arrays
+
+
+@pytest.mark.parametrize("schemes", SCHEME_SUBSETS, ids="+".join)
+class TestFrameWorkspace:
+    BATCH = 4096
+
+    def test_reused_workspace_matches_allocating_frame(self, schemes, reference_set,
+                                                       reference_gains):
+        tables = receivers(reference_set, reference_gains, schemes, 1.0)
+        frame_args = (reference_set, reference_gains, tables)
+        sigma = sigma_from_snr(136.0, 1.0)
+        ws = Workspace(self.BATCH)
+        # a full batch, a partial last batch and one trial, each right after
+        # a frame of another size at another SNR has filled the workspace
+        for n, other in ((self.BATCH, 1), (1808, self.BATCH), (1, 1808)):
+            _frame(philox_stream(9, 1, n), other, sigma_from_snr(112.0, 1.0), *frame_args, ws)
+            got = frame_arrays(_frame(philox_stream(5, 0, n), n, sigma, *frame_args, ws))
+            want = frame_arrays(_frame(philox_stream(5, 0, n), n, sigma, *frame_args))
+            assert got.keys() == want.keys()
+            for key, array in want.items():
+                assert got[key].dtype == array.dtype and got[key].shape == (n,), key
+                assert np.array_equal(got[key], array), (n, key)
+
+    def test_warmed_frame_allocates_only_symbol_draws(self, schemes, reference_set,
+                                                      reference_gains):
+        # a default-size batch, so the constant slack is 2 B per trial
+        n = 1 << 15
+        tables = receivers(reference_set, reference_gains, schemes, 1.0)
+        frame_args = (sigma_from_snr(136.0, 1.0), reference_set, reference_gains, tables)
+        ws = Workspace(n)
+        _frame(philox_stream(5, 0, 0), n, *frame_args, ws)
+        tracemalloc.start()
+        try:
+            _frame(philox_stream(5, 0, 1), n, *frame_args, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # three int64 symbol draws per transmission, superposed and orthogonal
+        draws = 3 * (any(s.startswith("noma") for s in schemes) + ("oma" in schemes))
+        assert peak <= 8 * draws * n + 64 * 1024, peak / n
 
 
 class TestStreamAddressing:
