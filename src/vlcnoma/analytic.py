@@ -15,7 +15,6 @@ only the no-propagation lower bound is provided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,99 +35,92 @@ def q_function(t):
     return 0.5 * erfc(np.asarray(t, dtype=float) / math.sqrt(2.0))
 
 
-@dataclass(frozen=True)
-class DecisionBoundaries:
-    """Noiseless boundary distances for the edge user.
+def _per_sigma(sigma) -> np.ndarray:
+    """sigma as a float array, checked: every value >= 0 (inf too, not NaN)."""
+    sigma = np.asarray(sigma, dtype=float)
+    if not np.all(sigma >= 0):
+        raise ParameterError(f"sigma must be >= 0, got {sigma}")
+    return sigma
 
-    ``gamma`` is the half-gap between consecutive combined edge levels.
-    ``rho_plus[i, j]`` / ``rho_minus[i, j]`` are the distances to the next /
-    previous boundary when center users transmit levels i+1 and j+1; the
-    always-positive interference shifts the signal upward, so
-    rho_plus = gamma - shift and rho_minus = gamma + shift.
+
+def _result(value: np.ndarray):
+    """A float for one sigma, else the array of one value per sigma."""
+    return float(value) if value.ndim == 0 else value
+
+
+def ser_u2_analytic(cset: ConstellationSet, gains: ChannelGains, sigma):
+    """Exact SER of the edge user under the interference-as-noise rule, for
+    noise of standard deviation sigma: a float, or one per sigma of an array.
+
+    The combined edge levels are uniformly spaced, 2*gamma apart.  Center
+    levels i+1 and j+1 shift the noiseless point up by h21*c1[i] +
+    h22*c2[j], so the boundary above is rho+ = gamma - shift away and the
+    one below rho- = gamma + shift.  Each sigma's value is a mean over one
+    contiguous row of the (i, j) pairs.  At sigma = 0 the continuous limit
+    is returned: each tail probability becomes an indicator of its boundary
+    distance being negative (one half exactly on the boundary).  Requires
+    uniform per-cell edge spacing; otherwise one gamma does not describe
+    the constellation.
     """
-
-    gamma: float
-    rho_plus: np.ndarray
-    rho_minus: np.ndarray
-
-
-def decision_boundaries(cset: ConstellationSet, gains: ChannelGains) -> DecisionBoundaries:
-    """Boundary distances from the first consecutive pair of edge levels.
-
-    Requires uniform per-cell spacing, otherwise a single gamma does not
-    describe the whole constellation.
-    """
+    sigma = _per_sigma(sigma)
     gap1 = uniform_spacing(cset.cell1_edge, "cell1_edge")
     gap2 = uniform_spacing(cset.cell2_edge, "cell2_edge")
     gamma = 0.5 * gap1 * gains.h21 + 0.5 * gap2 * gains.h22
-    shift = (
-        gains.h21 * cset.cell1_center[:, np.newaxis]
-        + gains.h22 * cset.cell2_center[np.newaxis, :]
-    )
-    return DecisionBoundaries(
-        gamma=float(gamma),
-        rho_plus=gamma - shift,
-        rho_minus=gamma + shift,
-    )
-
-
-def ser_u2_analytic(cset: ConstellationSet, gains: ChannelGains, sigma: float) -> float:
-    """Exact SER of the edge user under the interference-as-noise rule, for
-    noise of standard deviation sigma.
-
-    At sigma = 0 the continuous limit is returned: each tail probability
-    becomes an indicator of its boundary distance being negative (one half
-    exactly on the boundary).
-    """
-    if not sigma >= 0:
-        raise ParameterError(f"sigma must be >= 0, got {sigma}")
-    b = decision_boundaries(cset, gains)
-    m2 = cset.bpcu.sizes[1]
-    if sigma == 0:
-        tails = _indicator(b.rho_plus) + _indicator(b.rho_minus)
-    else:
-        tails = q_function(b.rho_plus / sigma) + q_function(b.rho_minus / sigma)
-    return float((1.0 - 1.0 / m2) * tails.mean())
+    shift = (gains.h21 * cset.cell1_center[:, np.newaxis]
+             + gains.h22 * cset.cell2_center[np.newaxis, :]).reshape(-1)
+    rho_plus, rho_minus = gamma - shift, gamma + shift
+    zero = sigma[..., np.newaxis] == 0
+    scale = np.where(zero, 1.0, sigma[..., np.newaxis])
+    tails = np.where(zero, _indicator(rho_plus) + _indicator(rho_minus),
+                     q_function(rho_plus / scale) + q_function(rho_minus / scale))
+    return _result((1.0 - 1.0 / cset.bpcu.sizes[1]) * tails.mean(axis=-1))
 
 
 def _indicator(rho: np.ndarray) -> np.ndarray:
     return np.where(rho < 0, 1.0, np.where(rho == 0, 0.5, 0.0))
 
 
-def ser_center_lower_bound(
-    cset: ConstellationSet, gains: ChannelGains, sigma: float, user: int
-) -> float:
-    """No-error-propagation lower bound on a center user's SER.
+def ser_center_lower_bound(cset: ConstellationSet, gains: ChannelGains, sigma, user: int):
+    """No-error-propagation lower bound on a center user's SER: a float, or
+    one per sigma of an array.
 
     Models the center user as plain PAM with its own level gap, assuming the
     stage-1 subtraction is always correct; real SIC does worse, so the
     simulated SER sits above this value.
     """
-    if not sigma >= 0:
-        raise ParameterError(f"sigma must be >= 0, got {sigma}")
+    sigma = _per_sigma(sigma)
     _, own, h = center_user(cset, gains, user)
     gap = uniform_spacing(own, f"u{user}")
-    if sigma == 0:
-        return 0.0
-    return float(2.0 * (1.0 - 1.0 / own.size) * q_function(gap * h / (2.0 * sigma)))
+    zero = sigma == 0
+    bound = 2.0 * (1.0 - 1.0 / own.size) * q_function(gap * h / (2.0 * np.where(zero, 1.0, sigma)))
+    return _result(np.where(zero, 0.0, bound))
 
 
-def closed_form(
-    scheme: str, user: str, cset: ConstellationSet, gains: ChannelGains, sigma: float
-) -> float | None:
-    """The closed form or bound for one (scheme, user) SER, None if there is none.
+def closed_forms(schemes, cset: ConstellationSet, gains: ChannelGains, sigmas) -> dict:
+    """The closed form or bound of every (scheme, user) SER of ``schemes``,
+    user "u1", "u2" or "u3": a list of one float per sigma, None where there
+    is none.
 
     Center users of either superposed scheme get the no-propagation lower
-    bound; the edge user gets the exact SER under the interference-as-noise
-    rule only.
+    bound, evaluated once for both; the edge user gets the exact SER under
+    the interference-as-noise rule only.  Each function runs once over the
+    whole sigma grid.
     """
-    if scheme == "oma":
-        return None
-    if user in ("u1", "u3"):
-        return ser_center_lower_bound(cset, gains, sigma, int(user[1]))
-    if scheme == "noma-sic" and user == "u2":
-        return ser_u2_analytic(cset, gains, sigma)
-    return None
+    sigmas = np.asarray(sigmas, dtype=float)
+    bounds: dict = {}
+    forms: dict = {}
+    for scheme in schemes:
+        for user in ("u1", "u2", "u3"):
+            if scheme == "oma" or (user == "u2" and scheme != "noma-sic"):
+                forms[scheme, user] = None
+            elif user == "u2":
+                forms[scheme, user] = ser_u2_analytic(cset, gains, sigmas).tolist()
+            else:
+                if user not in bounds:
+                    bounds[user] = ser_center_lower_bound(cset, gains, sigmas,
+                                                          int(user[1])).tolist()
+                forms[scheme, user] = bounds[user]
+    return forms
 
 
 SCHEMES = ("noma-sic", "noma-jml", "oma")

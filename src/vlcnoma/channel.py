@@ -152,6 +152,8 @@ def concentrator_gain(incidence_deg: float, fov_deg: float, refractive_index: fl
     if incidence_deg > fov_deg:
         return 0.0
     s = math.sin(math.radians(fov_deg))
+    if s * s == 0:  # sin^2 underflows: the field of view is narrower than any float resolves
+        return math.inf
     return refractive_index * refractive_index / (s * s)
 
 

@@ -99,11 +99,11 @@ def experiment_design(cfg: ExperimentConfig, out: Path) -> Path:
 def experiment_analytic(cfg: ExperimentConfig, out: Path) -> Path:
     """Closed-form SER (edge user) and lower bounds (center users) vs SNR."""
     gains, cset = cfg.design()
-    rows = []
-    for snr_db in cfg.sweep.snr_points_db:
-        sigma = sigma_from_snr(snr_db, cfg.target_power_w)
-        rows.extend((snr_db, user, analytic.closed_form("noma-sic", user, cset, gains, sigma))
-                    for user in USERS)
+    grid = cfg.sweep.snr_points_db
+    forms = analytic.closed_forms(("noma-sic",), cset, gains,
+                                  [sigma_from_snr(snr_db, cfg.target_power_w) for snr_db in grid])
+    rows = [(snr_db, user, forms["noma-sic", user][point])
+            for point, snr_db in enumerate(grid) for user in USERS]
     return write_csv(out, "snr_db,user,analytic", rows, echo_comments(cfg))
 
 

@@ -9,9 +9,11 @@ the candidate whose computed distance ``|y - c|`` is smallest, a tie going
 to the lowest index, and equal candidates resolve to their lowest index.
 Such a decision is piecewise constant in y, so each receiver is tabulated
 once per design as a ``DecisionTable`` (sorted thresholds and the label of
-every interval between them).  Decoding finds y's interval from a
-monotone bucket index and a few compares with the exact thresholds, so it
-agrees with a binary search exactly (see DecisionTable).
+every interval between them).  Decoding counts the thresholds at or
+below y: by comparing y with every threshold of a small table, or from a
+monotone bucket index and a few compares for a large one.  Either way
+only compares with the exact thresholds decide, so it agrees with a binary
+search exactly (see DecisionTable).
 
 The thresholds are exact, not midpoints.  Between adjacent distinct
 candidates a < b the rule picks b where the computed ``|y - b| < |y - a|``,
@@ -23,15 +25,16 @@ either side of fl(a/2 + b/2) where the rule switches in between.  Only
 the two candidates adjacent to y compete, so a rounding tie with a
 farther one (possible only far outside the codebook) is not a tie.  A
 sample at or below the lowest candidate takes it, one above the highest
-takes that.  The SIC receiver's second stage is the same decision on
-fl(y - c), which is also monotone in y, so both stages fold into one
-table over the raw sample.  Adjacent intervals with the same label are
-merged: joint ML over the 128 tuples of the reference design returns only
-the edge coordinate and keeps 3 of its 127 thresholds.  Candidates must
-be finite.
+takes that.  The SIC receiver is two such tables, run as the receiver
+runs them: stage 1 decides the edge level c from y, stage 2 decides the
+user's own level from the residual fl(y - c) (``SicReceiver``).  Adjacent
+intervals with the same label are merged: joint ML over the 128 tuples of
+the reference design returns only the edge coordinate and keeps 3 of its
+127 thresholds.  Candidates must be finite.
 
 The hot-path stages (``superpose_transmit``, ``awgn_sample``,
-``DecisionTable.decide`` and so the three ``decode_*``, ``oma_round``)
+``DecisionTable.decide``, ``SicReceiver.decide`` and so the three
+``decode_*``, ``oma_round``)
 take an optional ``Workspace``.  With one, every array they compute goes
 into the workspace's reusable arrays, and what they return aliases them
 until the next call that takes the same names; with ``ws=None`` numpy
@@ -77,6 +80,12 @@ class Workspace:
 def _out(ws: Workspace | None, name: str, shape: tuple, dtype=float) -> np.ndarray | None:
     """The ``out=`` of a stage: the workspace's array, or None to let numpy allocate."""
     return None if ws is None else ws.take(name, shape, dtype)
+
+
+def _array(ws: Workspace | None, name: str, shape: tuple, dtype) -> np.ndarray:
+    """The workspace's array ``name``, or a fresh one: a destination for
+    ``np.copyto`` and in-place steps, where ``_out``'s None would not do."""
+    return np.empty(shape, dtype) if ws is None else ws.take(name, shape, dtype)
 
 
 def oma_sizes(bpcu) -> tuple[int, int, int]:
@@ -167,8 +176,8 @@ def _first_true(rule, low, high, guess) -> np.ndarray:
     (low, high], and runs over the int64 keys that order the floats until
     every bracket holds one float, at most 64 steps.  The midpoint of two
     keys is taken without forming their sum or difference, which overflow
-    for brackets that straddle zero from magnitude 2 up (the SIC stage-2
-    bracket is all floats).
+    for brackets that straddle zero from magnitude 2 up (a codebook from
+    -4096 to 1000, say).
     """
     low, high = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
     guess = np.minimum(np.maximum(guess, low), high)
@@ -195,9 +204,12 @@ def _bucket(y, low, high, scale, shift, top, ws: Workspace | None = None) -> np.
     x -= shift
     x = np.fmin(x, top, out=_out(ws, "x", shape))
     # copyto truncates toward zero, as astype does, and needs no cast buffer
-    bucket = np.empty(shape, np.intp) if ws is None else ws.take("bucket", shape, np.intp)
+    bucket = _array(ws, "bucket", shape, np.intp)
     np.copyto(bucket, x, casting="unsafe")
     return bucket
+
+
+_COUNTED = 32  # the most thresholds a table counts; larger tables use buckets
 
 
 @dataclass(frozen=True)
@@ -209,23 +221,41 @@ class DecisionTable:
     ``labels`` has one row per decided quantity and one column per interval;
     adjacent columns differ.  ``thresholds`` are sorted and finite.
     ``candidates`` is the per-sample cost of the brute-force receiver the
-    table replaces: the size of its candidate set, or of both SIC stages'
-    sets, as the paper's complexity table counts it.
+    table replaces, the size of its candidate set, as the paper's
+    complexity table counts it.
 
-    The slot comes from four uniform buckets per threshold over [t_0, t_last]
-    (``_bucket``), not a binary search.  The bucket is monotone in y and
-    thresholds go through it too, so those in lower buckets than y's are
-    below y and those in higher ones above it.  The slot starts at the count
-    in lower buckets and takes ``_span`` steps (the most thresholds in one
-    bucket), each adding whether y is at or above the next exact threshold,
-    so it is exact with no rounding analysis.  A NaN after the last
-    threshold ends the steps; NaN samples go to a top bucket above t_last's
-    and so count every threshold.
+    ``__post_init__`` fixes the lookup from the threshold count K:
+
+    - Counting, for 1 <= K <= 32: the slot is K less the count of
+      thresholds above y, from one broadcast ``y < t`` into a (K, n) bool
+      array and one uint8 sum over its rows.  NaN compares false, so it
+      counts every threshold; +-inf need no special case.
+    - Buckets, for larger K: four uniform buckets per threshold over
+      [t_0, t_last] (``_bucket``).  The bucket is monotone in y and
+      thresholds go through it too, so those in lower buckets than y's are
+      below y and those in higher ones above it.  The slot starts at the
+      count in lower buckets and takes ``_span`` steps (the most thresholds
+      in one bucket), each adding whether y is at or above the next exact
+      threshold.  A NaN after the last threshold ends the steps; NaN
+      samples go to a top bucket above t_last's and so count every
+      threshold.
+
+    Only compares with the exact thresholds decide, so both are exact with
+    no rounding analysis.  Where the one label row is 1..K+1, as in every
+    table of the reference design, the label is the slot plus one, written
+    with no gather.  Counting costs about K/8 ns per sample and buckets a
+    flat 4-5 (32768 samples, numpy 2.4, shared 2-core sandbox): the
+    reference tables with K = 3 and 15 took 0.8-0.9 and 2.5 ns/sample
+    counted against 4.6-4.8 in buckets, evenly spaced K = 31 took 4.1
+    against 4.2, and K = 63 took 9.0 against 4.3.  Hence the cutoff, which
+    at the reference design leaves only OMA user 1's 64-PAM on buckets.
     """
 
     thresholds: np.ndarray
     labels: np.ndarray
     candidates: int
+    _counted: bool = field(init=False, repr=False, compare=False)
+    _direct: bool = field(init=False, repr=False, compare=False)
     _geometry: tuple = field(init=False, repr=False, compare=False)
     _start: np.ndarray = field(init=False, repr=False, compare=False)
     _span: int = field(init=False, repr=False, compare=False)
@@ -236,6 +266,11 @@ class DecisionTable:
         low, high = (float(t[0]), float(t[-1])) if t.size else (0.0, 0.0)
         if not (math.isfinite(low) and math.isfinite(high)):  # sorted: any NaN or inf is at an end
             raise ParameterError("decision thresholds must be finite")
+        object.__setattr__(self, "_counted", 1 <= t.size <= _COUNTED)
+        object.__setattr__(self, "_direct", self.labels.shape == (1, t.size + 1) and bool(
+            np.all(self.labels[0] == np.arange(1, t.size + 2))))
+        if self._counted:
+            return  # the bucket fields below serve the other lookup only
         # a zero width (one threshold) or one that overflows (ends of
         # opposite sign beyond 2^1023) gets scale 0: one bucket for all
         width = high - low
@@ -250,19 +285,70 @@ class DecisionTable:
 
     def decide(self, y, ws: Workspace | None = None, name: str = "label"
                ) -> tuple[np.ndarray, ...]:
-        """One array (or scalar) per label row, shaped like y; with a
-        workspace, row k is its array ``f"{name}.{k}"``."""
+        """One array per label row, shaped like y; with a workspace, row k
+        is its array ``f"{name}.{k}"``."""
         y = np.asarray(y)
         shape = y.shape
-        # every index below is in range by construction, so mode="clip" clips nothing
-        slot = np.take(self._start, _bucket(y, *self._geometry, ws),
-                       out=_out(ws, "slot", shape, np.intp), mode="clip")
-        for _ in range(self._span):
-            slot += np.greater_equal(
-                y, np.take(self._padded, slot, out=_out(ws, "x", shape), mode="clip"),
-                out=_out(ws, "ge", shape, np.intp))
+        # a direct label is the slot plus one, computed where it is returned
+        slot = _array(ws, f"{name}.0" if self._direct else "slot", shape, np.intp)
+        if self._counted:
+            size = self.thresholds.size
+            below = np.less(y, self.thresholds.reshape(size, *(1,) * y.ndim),
+                            out=_out(ws, "below", (size, *shape), bool))
+            # K <= 32 fits a uint8, so the bools sum as their bytes, with no cast
+            count = np.add.reduce(below.view(np.uint8), axis=0, dtype=np.uint8,
+                                  out=_out(ws, "count", shape, np.uint8))
+            # the slot is K - count, so a direct label is K + 1 - count
+            count = np.subtract(size + 1 if self._direct else size, count,
+                                out=_out(ws, "count", shape, np.uint8))
+            # copyto casts without the 64 KiB buffer that a ufunc's cast allocates
+            np.copyto(slot, count, casting="unsafe")
+        else:
+            # every index below is in range by construction, so mode="clip" clips nothing
+            np.take(self._start, _bucket(y, *self._geometry, ws), out=slot, mode="clip")
+            for _ in range(self._span):
+                slot += np.greater_equal(
+                    y, np.take(self._padded, slot, out=_out(ws, "x", shape), mode="clip"),
+                    out=_out(ws, "ge", shape, np.intp))
+            if self._direct:
+                slot += 1
+        if self._direct:
+            return (slot,)
         return tuple(np.take(row, slot, out=_out(ws, f"{name}.{k}", shape, row.dtype), mode="clip")
                      for k, row in enumerate(self.labels))
+
+
+@dataclass(frozen=True)
+class SicReceiver:
+    """Successive interference cancellation at a center user, as its two
+    stages: ``stage1`` decides the edge label e of the sample y, then
+    ``stage2`` decides the user's own label of the residual
+    fl(y - levels[e]).  That is the two-stage receiver itself, so it is
+    exact by construction, and stage-1 mistakes propagate as they do in it.
+
+    ``levels[e]`` is the edge level that stage-1 label e subtracts;
+    ``levels[0]`` is unused, as labels are 1-based.  ``candidates`` counts
+    both stages' candidate sets, as the paper's complexity table does.
+    """
+
+    stage1: DecisionTable
+    levels: np.ndarray
+    stage2: DecisionTable
+
+    @property
+    def candidates(self) -> int:
+        return self.stage1.candidates + self.stage2.candidates
+
+    def decide(self, y, ws: Workspace | None = None, name: str = "sic"
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """``(own, edge)`` labels shaped like y; with a workspace, its arrays
+        ``f"{name}-own.0"`` and ``f"{name}-edge.0"``."""
+        (edge,) = self.stage1.decide(y, ws, f"{name}-edge")
+        shape = np.shape(edge)
+        shift = np.take(self.levels, edge, out=_out(ws, "residual", shape), mode="clip")
+        residual = np.subtract(y, shift, out=_out(ws, "residual", shape))
+        (own,) = self.stage2.decide(residual, ws, f"{name}-own")
+        return own, edge
 
 
 def _merged(thresholds: np.ndarray, labels: np.ndarray, candidates: int) -> tuple:
@@ -294,50 +380,22 @@ def _nearest(sets) -> list[tuple]:
     return rules
 
 
-def _sic(pairs, stages) -> list[DecisionTable]:
-    """SIC tables of ``(edge, own)`` pairs from their stages' ``_nearest``
-    fields, two per pair, with one more bisection."""
-    # per pair: edge and own levels, then each stage's thresholds and labels
-    parts = [(edge, own, t1, labels1[0], t2, labels2[0]) for (edge, own), (t1, labels1, _),
-             (t2, labels2, _) in zip(pairs, stages[0::2], stages[1::2])]
-    # every stage-1 decision c (its distinct edge value) against every stage-2 threshold
-    shift = np.concatenate([np.repeat(edge[e - 1], t2.size) for edge, _, _, e, t2, _ in parts])
-    target = np.concatenate([np.tile(t2, e.size) for _, _, _, e, t2, _ in parts])
-    below = np.full(shift.size, -np.inf)
-    with np.errstate(over="ignore"):
-        guess = target + shift
-    moved = _first_true(lambda y: y - shift >= target, below, -below, guess)
-    cuts = np.cumsum([e.size * t2.size for _, _, _, e, t2, _ in parts])[:-1]
-    tables = []
-    for (edge, own, t1, e, t2, o), shifted in zip(parts, np.split(moved, cuts)):
-        breaks = np.unique(np.concatenate([t1, shifted]))
-        left = np.concatenate([[-np.inf], breaks])
-        # label each interval by its left end, as both stages' tables would decide it
-        edge_hat = e[np.searchsorted(t1, left, "right")]
-        own_hat = o[np.searchsorted(t2, left - edge[edge_hat - 1], "right")]
-        tables.append(DecisionTable(*_merged(breaks, np.stack([own_hat, edge_hat]),
-                                             edge.size + own.size)))
-    return tables
-
-
-def nearest_tables(sets, pairs=()) -> list[DecisionTable]:
+def nearest_tables(sets, pairs=()) -> list:
     """Exact tables of the nearest-candidate rule, one per ``(candidates,
-    outputs)`` in ``sets``, then one SIC table per ``(edge, own)`` in ``pairs``.
+    outputs)`` in ``sets``, then one ``SicReceiver`` per ``(edge, own)`` in
+    ``pairs``, all from one bisection.
 
     Labels are 1-based candidate indices, or ``outputs[index - 1]`` where
-    outputs is not None.  SIC stage 1 picks the nearest ``edge`` candidate
-    c; stage 2 picks the nearest ``own`` candidate to the residual
-    fl(y - c); the labels are ``(own, edge)``.  One bisection finds the
-    thresholds of every set and of both stages of every pair.  A second
-    moves each stage-2 threshold t, within each stage-1 interval, to the
-    smallest y with fl(y - c) >= t.  The SIC decision is constant between
-    consecutive breakpoints of both kinds.
+    outputs is not None.  A SIC receiver's stages are the tables of its
+    ``edge`` and ``own`` candidates, labelled ``(own, edge)``.
     """
-    pairs = [(np.asarray(edge, dtype=float), np.asarray(own, dtype=float))
-             for edge, own in pairs]
-    rules = _nearest([*sets, *((x, None) for pair in pairs for x in pair)])
-    tables = [DecisionTable(*rule) for rule in rules[:len(sets)]]
-    return tables + (_sic(pairs, rules[len(sets):]) if pairs else [])
+    pairs = [(np.asarray(edge, dtype=float).reshape(-1), own) for edge, own in pairs]
+    tables = [DecisionTable(*rule)
+              for rule in _nearest([*sets, *((x, None) for pair in pairs for x in pair)])]
+    stages = tables[len(sets):]
+    return tables[:len(sets)] + [
+        SicReceiver(stage1, np.concatenate([[np.nan], edge]), stage2)
+        for (edge, _), stage1, stage2 in zip(pairs, stages[0::2], stages[1::2])]
 
 
 def center_user(cset: ConstellationSet, gains: ChannelGains, user: int):
@@ -377,9 +435,10 @@ def edge_jml_candidates(cset: ConstellationSet, gains: ChannelGains):
     return superpose_transmit(tuples, cset, gains)[1], tuples[1]
 
 
-def decode_center_sic(y, table: DecisionTable, ws: Workspace | None = None,
+def decode_center_sic(y, table: SicReceiver, ws: Workspace | None = None,
                       name: str = "center"):
-    """``(own_index, edge_index)`` at a center user, from its ``center_pairs`` table."""
+    """``(own_index, edge_index)`` at a center user, from the ``SicReceiver``
+    of its ``center_pairs`` pair."""
     return table.decide(y, ws, name)
 
 

@@ -258,9 +258,17 @@ def _run_points(
         """Symbol error counts of one batch, keyed by (scheme, user)."""
         rng = philox_stream(config.seed, point, batch)
         sent, _, decided = _frame(rng, sizes[batch], sigmas[point], cset, gains, tables, ws)
-        return {(scheme, user): int(np.count_nonzero(
+        counted: dict[tuple[int, int], int] = {}  # by the arrays compared
+
+        def errors(want: np.ndarray, got: np.ndarray) -> int:
+            # the superposed schemes share the center users' sent and decided arrays
+            key = id(want), id(got)
+            if key not in counted:
+                counted[key] = int(np.count_nonzero(
                     np.not_equal(got, want, out=ws.take("errors", got.shape, bool))))
-                for scheme in config.schemes
+            return counted[key]
+
+        return {(scheme, user): errors(want, got) for scheme in config.schemes
                 for user, want, got in zip(USERS, sent[scheme], decided[scheme])}
 
     def pick() -> int | None:
@@ -348,14 +356,16 @@ def run_sweep(
         warnings.warn("constellation fails the zero-error gap condition", stacklevel=2)
     sigmas = [sigma_from_snr(snr_db, config.target_power_w) for snr_db in config.snr_points_db]
     all_totals, all_trials = _run_points(config, sigmas, cset, gains, workers)
+    forms = analytic.closed_forms(config.schemes, cset, gains, sigmas)
+    none = [None] * len(sigmas)
     points = []
-    for snr_db, sigma, totals, trials in zip(config.snr_points_db, sigmas, all_totals,
-                                             all_trials):
+    for point, (snr_db, totals, trials) in enumerate(zip(config.snr_points_db, all_totals,
+                                                         all_trials)):
         for scheme in config.schemes:
             counts = {user: (totals[(scheme, user)], trials) for user in USERS}
             counts["avg"] = (sum(totals[(scheme, user)] for user in USERS), 3 * trials)
             points.extend(SerPoint(snr_db, user, scheme, SerEstimate.from_counts(*count),
-                                   analytic.closed_form(scheme, user, cset, gains, sigma))
+                                   (forms.get((scheme, user)) or none)[point])
                           for user, count in counts.items())
     points.sort(key=lambda p: (p.snr_db, p.user, p.scheme))
     return points

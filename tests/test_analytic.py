@@ -9,15 +9,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlcnoma import SpectralEfficiencies, design_constellation, ser_u2_analytic
-from vlcnoma.analytic import (complexity_counts, decision_boundaries, q_function,
+from vlcnoma.analytic import (closed_forms, complexity_counts, q_function,
                               ser_center_lower_bound)
+from vlcnoma.config import snr_grid
 from vlcnoma.constellation import from_raw_levels, verify_gap_condition
 from vlcnoma.errors import ConstellationError, ParameterError
+from vlcnoma.link import edge_sic_candidates, nearest_tables, superpose_transmit
+from vlcnoma.montecarlo import sigma_from_snr
 
 
 @pytest.fixture(scope="module")
 def reference_set(reference_bpcu, reference_gains):
     return design_constellation(reference_bpcu, reference_gains, 1.0)
+
+
+def boundary_distances(cset, gains):
+    """The edge user's half-gap gamma and the interference shift of every
+    (u1, u3) level pair, written out independently of ``analytic``."""
+    gamma = (0.5 * np.diff(cset.cell1_edge)[0] * gains.h21
+             + 0.5 * np.diff(cset.cell2_edge)[0] * gains.h22)
+    shift = gains.h21 * cset.cell1_center[:, None] + gains.h22 * cset.cell2_center[None, :]
+    return gamma, shift
+
+
+def table_mass(cset, gains, sigma):
+    """The edge user's SER from its exact decision table: the Gaussian mass
+    outside the sent level's interval, averaged over every sent tuple."""
+    tuples = np.indices(cset.bpcu.sizes).reshape(3, -1) + 1
+    _, y2, _ = superpose_transmit(tuples, cset, gains)
+    table = nearest_tables([edge_sic_candidates(cset, gains)])[0]
+    slot = np.searchsorted(table.thresholds, y2, side="right")
+    assert np.array_equal(table.labels[0][slot], tuples[1])
+    ends = np.concatenate([[-np.inf], table.thresholds, [np.inf]])
+    return float(np.mean(q_function((ends[slot + 1] - y2) / sigma)
+                         + q_function((y2 - ends[slot]) / sigma)))
 
 
 class TestQFunction:
@@ -52,34 +77,37 @@ class TestQFunction:
 
 
 class TestDecisionBoundaries:
+    """The boundary distances, asserted through ``ser_u2_analytic``."""
+
     def test_smallest_case_half_gap(self, reference_gains):
         cset = design_constellation(SpectralEfficiencies(1, 1, 1), reference_gains, 1.0)
-        b = decision_boundaries(cset, reference_gains)
-        expected = 0.5 * (5 / 7) * reference_gains.h21 + 0.5 * (5 / 7) * reference_gains.h22
-        assert b.gamma == pytest.approx(expected, rel=1e-12)
+        gamma = 0.5 * (5 / 7) * reference_gains.h21 + 0.5 * (5 / 7) * reference_gains.h22
+        _, shift = boundary_distances(cset, reference_gains)
+        sigma = gamma / 2
+        expected = 0.5 * np.mean(q_function((gamma - shift) / sigma)
+                                 + q_function((gamma + shift) / sigma))
+        assert ser_u2_analytic(cset, reference_gains, sigma) == pytest.approx(expected,
+                                                                              rel=1e-12)
 
     def test_rho_plus_positive_when_gap_condition_holds(self, reference_set, reference_gains):
         ok, _ = verify_gap_condition(reference_set, reference_gains)
         assert ok
-        b = decision_boundaries(reference_set, reference_gains)
-        assert np.all(b.rho_plus > 0)
+        # a boundary distance at or below zero would count 1/2 or 1 at sigma = 0
+        assert ser_u2_analytic(reference_set, reference_gains, 0.0) == 0.0
 
-    def test_boundary_distances_are_symmetric_about_gamma(self, reference_set, reference_gains):
-        b = decision_boundaries(reference_set, reference_gains)
-        # rho+ and rho- are gamma -/+ the same interference shift
-        assert np.allclose(b.rho_plus + b.rho_minus, 2 * b.gamma, rtol=1e-12)
-        assert np.all(b.rho_minus >= b.rho_plus)
-
-    def test_shift_grows_with_center_levels(self, reference_set, reference_gains):
-        b = decision_boundaries(reference_set, reference_gains)
-        assert np.all(np.diff(b.rho_plus, axis=0) < 0)
-        assert np.all(np.diff(b.rho_plus, axis=1) < 0)
+    def test_boundary_distances_are_symmetric_about_gamma(self, reference_set,
+                                                          reference_gains):
+        # rho+ and rho- are gamma -/+ the same shift exactly when the closed
+        # form equals the mass outside the decision table's intervals
+        for sigma in (2e-8, 5e-8, 1e-7, 1e-6, 1e-3):
+            assert ser_u2_analytic(reference_set, reference_gains, sigma) == pytest.approx(
+                table_mass(reference_set, reference_gains, sigma), rel=1e-9)
 
     def test_non_uniform_spacing_rejected(self, reference_gains):
         crooked = from_raw_levels(SpectralEfficiencies(1, 2, 1),
                                   [1, 2], [3, 8, 20, 21], [3, 8, 13, 18], [1, 2], 1.0)
         with pytest.raises(ConstellationError):
-            decision_boundaries(crooked, reference_gains)
+            ser_u2_analytic(crooked, reference_gains, 1e-7)
 
 
 class TestSerEdgeUser:
@@ -97,9 +125,9 @@ class TestSerEdgeUser:
     def test_zero_sigma_counts_negative_boundaries(self, reference_gains):
         bad = from_raw_levels(SpectralEfficiencies(1, 1, 1),
                               [1, 2], [3, 4], [3, 4], [1, 2], 1.0)
-        b = decision_boundaries(bad, reference_gains)
+        gamma, shift = boundary_distances(bad, reference_gains)
         expected = 0.5 * np.mean(
-            np.where(b.rho_plus < 0, 1.0, 0.0) + np.where(b.rho_minus < 0, 1.0, 0.0))
+            np.where(gamma - shift < 0, 1.0, 0.0) + np.where(gamma + shift < 0, 1.0, 0.0))
         value = ser_u2_analytic(bad, reference_gains, 0.0)
         assert value == pytest.approx(expected, rel=1e-12)
         assert value > 0
@@ -142,6 +170,51 @@ class TestSerCenterBound:
     def test_edge_user_not_accepted(self, reference_set, reference_gains):
         with pytest.raises(ParameterError):
             ser_center_lower_bound(reference_set, reference_gains, 1e-7, 2)
+
+
+class TestClosedFormsOverAGrid:
+    """One call over a sigma grid equals one scalar call per sigma, bit for bit."""
+
+    GRIDS = {"default": (100.0, 150.0, 2.0), "bench": (110.0, 150.0, 2.0),
+             "fine": (90.0, 160.0, 0.5)}
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_grid_equals_scalar_calls(self, reference_set, reference_gains, grid):
+        sigmas = [sigma_from_snr(snr, 1.0) for snr in snr_grid(*self.GRIDS[grid])]
+        sigmas += [0.0, float("inf")]
+        edge = ser_u2_analytic(reference_set, reference_gains, np.array(sigmas))
+        assert edge.tolist() == [ser_u2_analytic(reference_set, reference_gains, s)
+                                 for s in sigmas]
+        for user in (1, 3):
+            bound = ser_center_lower_bound(reference_set, reference_gains, np.array(sigmas), user)
+            assert bound.tolist() == [ser_center_lower_bound(reference_set, reference_gains, s,
+                                                             user) for s in sigmas]
+
+    def test_scalar_calls_return_floats(self, reference_set, reference_gains):
+        assert type(ser_u2_analytic(reference_set, reference_gains, 1e-7)) is float
+        assert type(ser_center_lower_bound(reference_set, reference_gains, 1e-7, 1)) is float
+
+    def test_closed_forms_by_scheme_and_user(self, reference_set, reference_gains):
+        sigmas = [1e-7, 5e-8]
+        forms = closed_forms(("noma-sic", "noma-jml", "oma"), reference_set, reference_gains,
+                             sigmas)
+        assert forms["noma-sic", "u2"] == [ser_u2_analytic(reference_set, reference_gains, s)
+                                           for s in sigmas]
+        for user in (1, 3):
+            bound = [ser_center_lower_bound(reference_set, reference_gains, s, user)
+                     for s in sigmas]
+            # both superposed schemes share one evaluation of the bound
+            assert forms["noma-sic", f"u{user}"] is forms["noma-jml", f"u{user}"]
+            assert forms["noma-sic", f"u{user}"] == bound
+        assert forms["noma-jml", "u2"] is None
+        assert all(forms["oma", user] is None for user in ("u1", "u2", "u3"))
+
+    def test_negative_sigma_in_a_grid_rejected(self, reference_set, reference_gains):
+        for sigmas in ([1e-7, -1.0], [float("nan"), 1e-7]):
+            with pytest.raises(ParameterError):
+                ser_u2_analytic(reference_set, reference_gains, np.array(sigmas))
+            with pytest.raises(ParameterError):
+                ser_center_lower_bound(reference_set, reference_gains, np.array(sigmas), 1)
 
 
 class TestComplexityCounts:

@@ -68,6 +68,9 @@ class TestConcentratorGain:
     def test_unit_index_hemisphere(self):
         assert concentrator_gain(45.0, 90.0, 1.0) == pytest.approx(1.0, rel=1e-12)
 
+    def test_unresolvably_narrow_fov_is_infinite(self):
+        assert concentrator_gain(0.0, 1e-308, 1.5) == float("inf")
+
 
 class TestDcGain:
     def test_reference_link_near_quoted_value(self, reference_front_end):

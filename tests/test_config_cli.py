@@ -210,6 +210,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "h11" in err and "r11_m" in err and "rx_height_u1_m" in err
 
+    def test_field_of_view_too_narrow_for_a_finite_gain_exits_1_naming_keys(self, tmp_path,
+                                                                           capsys):
+        # sin^2 of the field of view underflows, which used to exit 2
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text("room_height_m = 1e308\nfov_deg = 1e-308\n")
+        assert run_cli("gains", "--config", str(cfg), "--out", str(tmp_path / "g.csv")) == 1
+        err = capsys.readouterr().err
+        assert "fov_deg" in err and "room_height_m" in err
+
     def test_non_finite_snr_spec_exits_1(self, capsys):
         assert run_cli("simulate", "--snr", "nan:150:2") == 1
         assert "--snr" in capsys.readouterr().err

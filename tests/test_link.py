@@ -1,6 +1,8 @@
 import hashlib
 import itertools
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +12,15 @@ from hypothesis import strategies as st
 from vlcnoma import ChannelGains, SpectralEfficiencies, design_constellation, link
 from vlcnoma.constellation import from_raw_levels
 from vlcnoma.errors import ParameterError
-from vlcnoma.link import (DecisionTable, Workspace, awgn_sample, center_pairs, center_user,
-                          decode_center_sic, decode_u2_jml, decode_u2_sic, edge_jml_candidates,
-                          edge_sic_candidates, nearest_tables, oma_levels, oma_links,
-                          oma_pam_points, oma_round, oma_sizes, superpose_transmit)
+from vlcnoma.link import (DecisionTable, SicReceiver, Workspace, awgn_sample, center_pairs,
+                          center_user, decode_center_sic, decode_u2_jml, decode_u2_sic,
+                          edge_jml_candidates, edge_sic_candidates, nearest_tables, oma_levels,
+                          oma_links, oma_pam_points, oma_round, oma_sizes, superpose_transmit)
 from vlcnoma.montecarlo import philox_stream, receivers
 
 ALL_SCHEMES = ("noma-sic", "noma-jml", "oma")
+# the one-table SIC receivers of users 1 and 3 that two counted stages replaced
+MERGED_SIC = Path(__file__).resolve().with_name("golden") / "sic_merged_tables.json"
 
 
 def argmin_nearest(y, candidates):
@@ -42,12 +46,13 @@ def searchsorted_decide(table, y):
     return tuple(row[slot] for row in table.labels)
 
 
-def assert_same_lookup(table, y):
-    """``table.decide(y)`` equals the reference lookup, value and shape, and warns nothing."""
+def assert_same_lookup(table, y, reference=None):
+    """``table.decide(y)`` equals the lookup of ``reference`` (default: the
+    table itself) by ``searchsorted``, value and shape, and warns nothing."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = table.decide(y)
-    for got_row, want_row in zip(got, searchsorted_decide(table, y), strict=True):
+    for got_row, want_row in zip(got, searchsorted_decide(reference or table, y), strict=True):
         assert np.shape(got_row) == np.shape(want_row)
         assert np.array_equal(got_row, want_row)
 
@@ -56,6 +61,32 @@ def slot_table(thresholds):
     """A table whose one label row is the slot itself."""
     thresholds = np.asarray(thresholds, dtype=float)
     return DecisionTable(thresholds, np.arange(thresholds.size + 1)[np.newaxis], 1)
+
+
+def stage_tables(tables):
+    """Every ``DecisionTable`` among ``tables``, a SIC receiver's two stages in its place."""
+    return [stage for table in tables for stage in (
+        (table.stage1, table.stage2) if isinstance(table, SicReceiver) else (table,))]
+
+
+def sic_breakpoints(receiver):
+    """Where a SIC receiver's decision may switch: its stage-1 thresholds, and
+    every stage-2 threshold moved by every edge level, to within rounding."""
+    with np.errstate(over="ignore"):
+        moved = receiver.stage2.thresholds[:, np.newaxis] + receiver.levels[1:]
+    return np.concatenate([receiver.stage1.thresholds, moved.reshape(-1)])
+
+
+def exactly(size, values):
+    """``size`` sorted distinct finite floats: the lowest of ``values``,
+    padded with floats stepped one ulp at a time up from the lowest (down
+    from the highest, where stepping up could pass the largest float)."""
+    distinct = set(v for v in values if np.isfinite(v)) or {0.0}
+    t, way = (min(distinct), np.inf) if min(distinct) < 1e308 else (max(distinct), -np.inf)
+    while len(distinct) < size:
+        t = float(np.nextafter(t, way))
+        distinct.add(t)
+    return np.array(sorted(distinct)[:size])
 
 
 def bisect_64(rule, low, high, guess):
@@ -114,6 +145,15 @@ def reference_set(reference_bpcu, reference_gains):
 @pytest.fixture(scope="module")
 def reference_tables(reference_set, reference_gains):
     return receivers(reference_set, reference_gains, ALL_SCHEMES, 1.0)
+
+
+@pytest.fixture(scope="module")
+def merged_sic():
+    """The frozen one-table SIC receivers, by user, as ``DecisionTable``s."""
+    frozen = json.loads(MERGED_SIC.read_text())
+    return {user: DecisionTable(np.array([float.fromhex(t) for t in frozen[user]["thresholds"]]),
+                                np.array(frozen[user]["labels"]), frozen[user]["candidates"])
+            for user in ("u1", "u3")}
 
 
 class TestSuperposeTransmit:
@@ -280,9 +320,13 @@ class TestDecisionTables:
                                                       reference_tables):
         g, cset = reference_gains, reference_set
         for user, (edge, own, h) in ((u, center_user(cset, g, u)) for u in (1, 3)):
-            table = reference_tables[f"u{user}"]
-            y = around(table.thresholds)
-            for got, want in zip(table.decide(y), argmin_sic(y, h * edge, h * own),
+            receiver = reference_tables[f"u{user}"]
+            for stage, candidates in ((receiver.stage1, h * edge), (receiver.stage2, h * own)):
+                y = around(stage.thresholds)
+                assert np.array_equal(stage.decide(y)[0], argmin_nearest(y, candidates))
+            assert np.array_equal(receiver.levels[1:], h * edge)
+            y = around(sic_breakpoints(receiver))
+            for got, want in zip(receiver.decide(y), argmin_sic(y, h * edge, h * own),
                                  strict=True):
                 assert np.array_equal(got, want)
         for links_table, levels in zip(reference_tables["oma"].tables,
@@ -307,15 +351,16 @@ class TestDecisionTables:
     def test_property_sic_table_matches_two_stage_argmin(self, edge, own, y):
         # dyadic values: distances and residuals are exact, midpoints included
         edge, own, y = np.array(edge) / 8.0, np.array(own) / 16.0, np.array(y) / 32.0
-        table = nearest_tables([], [(edge, own)])[0]
-        y = np.concatenate([y, around(table.thresholds)])
-        for got, want in zip(table.decide(y), argmin_sic(y, edge, own), strict=True):
+        receiver = nearest_tables([], [(edge, own)])[0]
+        y = np.concatenate([y, around(sic_breakpoints(receiver))])
+        for got, want in zip(receiver.decide(y), argmin_sic(y, edge, own), strict=True):
             assert np.array_equal(got, want)
 
     def test_lookup_matches_searchsorted_on_reference_tables(self, reference_tables):
-        tables = [reference_tables[name] for name in ("u1", "u3", "noma-sic", "noma-jml")]
+        tables = stage_tables(reference_tables[name]
+                              for name in ("u1", "u3", "noma-sic", "noma-jml"))
         tables += list(reference_tables["oma"].tables)
-        assert len(tables) == 7
+        assert len(tables) == 9
         for table in tables:
             y = np.concatenate([around(table.thresholds), EXTREMES])
             assert_same_lookup(table, y)
@@ -357,9 +402,11 @@ class TestDecisionTables:
                                    np.full((2, 2), 2e-6)],
                              ids=["float", "float64", "0-d", "0-d-nan", "empty", "empty-2d",
                                   "one", "2x2"])
-    def test_lookup_keeps_scalars_and_shapes(self, reference_tables, y):
-        for table in (reference_tables["u1"], reference_tables["noma-jml"]):
-            assert_same_lookup(table, y)
+    def test_lookup_keeps_scalars_and_shapes(self, reference_tables, merged_sic, y):
+        # a counted table, a bucketed one, and a SIC receiver against its merged table
+        assert_same_lookup(reference_tables["noma-jml"], y)
+        assert_same_lookup(reference_tables["oma"].tables[0], y)
+        assert_same_lookup(reference_tables["u1"], y, merged_sic["u1"])
 
     @pytest.mark.parametrize("y", [0.5, np.array(1.25e-6), np.array(np.nan), np.array([]),
                                    np.zeros((0, 3)), np.full((2, 2), 2e-6),
@@ -395,6 +442,36 @@ class TestDecisionTables:
         table = slot_table(thresholds)
         assert_same_lookup(table, np.concatenate([np.array(y), around(thresholds), EXTREMES]))
 
+    @pytest.mark.parametrize("size", [0, 1, 2, 31, 32, 33, 64])
+    def test_lookup_rule_follows_the_threshold_count(self, size):
+        table = slot_table(np.arange(size, dtype=float))
+        assert table._counted == (1 <= size <= 32)
+        assert not table._direct
+        identity = DecisionTable(table.thresholds, table.labels + 1, 1)
+        assert identity._direct
+
+    @pytest.mark.parametrize("size", [1, 2, 31, 32, 33, 64])
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=64),
+           base=st.floats(allow_nan=False, allow_infinity=False),
+           ulps=st.booleans(),
+           labels=st.sampled_from(["identity", "reversed", "two_rows"]),
+           y=st.lists(st.floats(), max_size=20),
+           form=st.sampled_from(["1-d", "scalar", "0-d", "empty", "2-d"]))
+    def test_property_lookup_at_the_cutoff_matches_searchsorted(self, size, values, base,
+                                                                ulps, labels, y, form):
+        # counted up to 32 thresholds, bucketed above: ulp-spaced or spread thresholds
+        thresholds = exactly(size, [base] if ulps else values + [base])
+        slot = np.arange(size + 1)
+        rows = {"identity": [slot + 1], "reversed": [size + 1 - slot],
+                "two_rows": [slot + 1, slot % 3]}[labels]
+        table = DecisionTable(thresholds, np.array(rows), 1)
+        assert table._direct == (labels == "identity")
+        y = np.concatenate([np.array(y), around(thresholds), EXTREMES])
+        samples = {"1-d": y, "scalar": float(y[0]), "0-d": np.array(y[-1]),
+                   "empty": y[:0], "2-d": y[:y.size // 2 * 2].reshape(2, -1)}[form]
+        assert_same_lookup(table, samples)
+
     def test_seeded_build_equals_64_step_bisection(self, reference_set, reference_gains,
                                                    monkeypatch):
         def build():
@@ -403,7 +480,7 @@ class TestDecisionTables:
                 tables["oma"].tables)
             tables += nearest_tables([(c, None) for c in self.CODEBOOKS.values()])
             codebooks = list(self.CODEBOOKS.values())
-            return tables + nearest_tables([], list(zip(codebooks, codebooks[1:])))
+            return stage_tables(tables + nearest_tables([], list(zip(codebooks, codebooks[1:]))))
 
         seeded = build()
         monkeypatch.setattr(link, "_first_true", bisect_64)
@@ -411,12 +488,12 @@ class TestDecisionTables:
             assert np.array_equal(fresh.thresholds, old.thresholds)
             assert np.array_equal(fresh.labels, old.labels)
 
-    # sha256 of the reference tables (thresholds, labels, candidates) as four
-    # separate bisections built them: SIC stages, SIC shifts, edge sets, OMA sets
-    FOUR_BISECTION_DIGEST = "9448451007502382255caf01a32db9bb46ed6fe2138af13dd0355823f6c64829"
+    # sha256 of the five reference tables that are not SIC (edge rule, JML, the
+    # three OMA links: thresholds, labels, candidates), as built at cae01a9
+    NON_SIC_DIGEST = "8b06754b13081cd3a2d0faad45dc91e4c885776af03752729222a212334df210"
 
     def test_one_build_equals_the_four_bisection_build(self, reference_set, reference_gains,
-                                                       reference_tables):
+                                                       reference_tables, merged_sic):
         cset, gains = reference_set, reference_gains
         oma = oma_levels(cset.bpcu, gains, 1.0)
         separate = (nearest_tables([], center_pairs(cset, gains))
@@ -425,15 +502,33 @@ class TestDecisionTables:
                     + nearest_tables([(x, None) for x in oma]))
         built = [reference_tables[k] for k in ("u1", "u3", "noma-sic", "noma-jml")]
         built += list(reference_tables["oma"].tables)
-        digest = hashlib.sha256()
-        for fresh, old in zip(built, separate, strict=True):
+        for fresh, old in zip(stage_tables(built), stage_tables(separate), strict=True):
             assert np.array_equal(fresh.thresholds, old.thresholds)
             assert np.array_equal(fresh.labels, old.labels)
             assert fresh.candidates == old.candidates
-            digest.update(fresh.thresholds.astype("<f8").tobytes())
-            digest.update(fresh.labels.astype("<i8").tobytes())
-            digest.update(str(fresh.candidates).encode())
-        assert digest.hexdigest() == self.FOUR_BISECTION_DIGEST
+        digest = hashlib.sha256()
+        for table in built[2:]:
+            digest.update(table.thresholds.astype("<f8").tobytes())
+            digest.update(table.labels.astype("<i8").tobytes())
+            digest.update(str(table.candidates).encode())
+        assert digest.hexdigest() == self.NON_SIC_DIGEST
+        for user in ("u1", "u3"):
+            assert reference_tables[user].candidates == merged_sic[user].candidates
+            y = np.concatenate([around(merged_sic[user].thresholds), EXTREMES])
+            assert_same_lookup(reference_tables[user], y, merged_sic[user])
+
+    def test_reference_sic_receivers_equal_the_merged_tables(self, reference_tables,
+                                                             merged_sic):
+        # the merged tables' breakpoints, with both stages' own breakpoints and
+        # samples across the whole codebook as well
+        rng = np.random.default_rng(8)
+        for user in ("u1", "u3"):
+            receiver, merged = reference_tables[user], merged_sic[user]
+            ends = merged.thresholds[[0, -1]]
+            y = np.concatenate([around(merged.thresholds), around(sic_breakpoints(receiver)),
+                                rng.uniform(2 * ends[0] - ends[1], 2 * ends[1] - ends[0], 5000),
+                                EXTREMES])
+            assert_same_lookup(receiver, y, merged)
 
     def test_reference_build_takes_one_bisection_step(self, reference_set, reference_gains,
                                                       monkeypatch):
@@ -453,10 +548,10 @@ class TestDecisionTables:
 
         monkeypatch.setattr(link, "_first_true", counting)
         receivers(reference_set, reference_gains, ALL_SCHEMES, 1.0)
-        # one bisection for every nearest set and SIC stage, one for the SIC
-        # shifts; each takes the two seed ends, then one step: every
-        # threshold lies within an ulp of its computed guess at the reference design
-        assert calls == [3, 3]
+        # one bisection for every nearest set and SIC stage: the two seed ends,
+        # then one step, as every threshold lies within an ulp of its
+        # computed guess at the reference design
+        assert calls == [3]
 
 
 class TestSicDecoders:
