@@ -57,22 +57,23 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 
 def _trace(cfg: ExperimentConfig) -> None:
-    """Print one channel use of the sweep's own frame code, at the first SNR."""
+    """Print one channel use of the sweep's own frame code, at the first SNR,
+    with every symbol index 1-based like the paper's level numbering."""
     gains, cset = cfg.design()
     snr_db = cfg.sweep.snr_points_db[0]
     sigma = sigma_from_snr(snr_db, cfg.target_power_w)
     tables = receivers(cset, gains, ("noma-sic", "noma-jml"), cfg.target_power_w)
     sent, received, decided = _frame(philox_stream(cfg.sweep.seed, 0, 0), 1, sigma, cset,
                                       gains, tables)
-    u1, u2, u3 = (x.item() for x in sent["noma-sic"])
+    u1, u2, u3, u1_hat, u2_sic, u3_hat, u2_jml, edge1, edge3 = (x.item() + 1 for x in (
+        *sent["noma-sic"], *decided["noma-sic"], decided["noma-jml"][1], *decided["sic-stage1"]))
     y1, y2, y3 = (y.item() for y in received)
-    (u1_hat, u2_sic, u3_hat), (edge1, edge3) = decided["noma-sic"], decided["sic-stage1"]
     print(f"snr_db = {snr_db}  sigma = {sigma!r}")
     print(f"sent: u1={u1} u2={u2} u3={u3}")
     print(f"received: y1={y1!r} y2={y2!r} y3={y3!r}")
-    print(f"user1 sic: own={u1_hat.item()} edge_stage={edge1.item()}")
-    print(f"user2 sic: {u2_sic.item()}   user2 jml: {decided['noma-jml'][1].item()}")
-    print(f"user3 sic: own={u3_hat.item()} edge_stage={edge3.item()}")
+    print(f"user1 sic: own={u1_hat} edge_stage={edge1}")
+    print(f"user2 sic: {u2_sic}   user2 jml: {u2_jml}")
+    print(f"user3 sic: own={u3_hat} edge_stage={edge3}")
 
 
 def _cmd_simulate(args) -> None:

@@ -25,6 +25,10 @@ GAP_RTOL = 1e-12
 # physical link, it keeps every sum, difference and noise ratio that the
 # decoders and closed forms compute finite.
 MAX_AMPLITUDE = 1e100
+# Most entries of any grid built from the efficiencies: the joint-ML tuples,
+# 2**(bpcu_u1 + bpcu_u2 + bpcu_u3), which also bound the closed form's
+# (u1, u3) level pairs, and each user's orthogonal PAM, 4**bpcu.
+MAX_GRID = 2**20
 # (name, cell, user) of every level set: cell 1 carries users 1 and 2, cell 2
 # carries users 2 and 3.
 LEVEL_SETS = (("cell1_center", 1, "u1"), ("cell1_edge", 1, "u2"),
@@ -33,17 +37,26 @@ LEVEL_SETS = (("cell1_center", 1, "u1"), ("cell1_edge", 1, "u2"),
 
 @dataclass(frozen=True)
 class SpectralEfficiencies:
-    """Per-user spectral efficiencies in bits per channel use."""
+    """Per-user spectral efficiencies in bits per channel use, small enough
+    that no grid built from them exceeds MAX_GRID entries."""
 
     u1: int
     u2: int
     u3: int
 
     def __post_init__(self):
+        # compared as bits: a huge value must not be raised to a power
+        bits = MAX_GRID.bit_length() - 1
         for name in ("u1", "u2", "u3"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ParameterError(f"bpcu_{name} must be an integer >= 1, got {value!r}")
+            if 2 * value > bits:
+                raise ParameterError(f"bpcu_{name} = {value} makes a 4**{value}-level orthogonal"
+                                     f" PAM, more than {MAX_GRID} levels")
+        if self.u1 + self.u2 + self.u3 > bits:
+            raise ParameterError(f"bpcu_u1..bpcu_u3 sum to {self.u1 + self.u2 + self.u3} bits,"
+                                 f" so joint ML would search more than {MAX_GRID} tuples")
 
     @property
     def sizes(self) -> tuple[int, int, int]:

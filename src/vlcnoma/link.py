@@ -1,17 +1,19 @@
 """Transmit superposition, AWGN, and all symbol decoders.
 
 All functions are vectorized: symbol indices and received amplitudes may be
-scalars or equally shaped numpy arrays.  Indices are 1-based like the level
-numbering.
+scalars or equally shaped numpy arrays.  Symbol indices and decided labels
+are 0-based positions in the level arrays; only ``vlcnoma simulate --trace``
+prints them 1-based, like the paper's level numbering.
 
 Every receiver is a nearest-candidate decision on one real sample: it picks
 the candidate whose computed distance ``|y - c|`` is smallest, a tie going
 to the lowest index, and equal candidates resolve to their lowest index.
 Such a decision is piecewise constant in y, so each receiver is tabulated
 once per design as a ``DecisionTable`` (sorted thresholds and the label of
-every interval between them).  Decoding counts the thresholds at or
-below y: by comparing y with every threshold of a small table, or from a
-monotone bucket index and a few compares for a large one.  Either way
+every interval between them, the index of the candidate it picks).
+Decoding counts the thresholds at or below y: by comparing y with every
+threshold of a small table, or from a monotone bucket index and a few
+compares for a large one.  Either way
 only compares with the exact thresholds decide, so it agrees with a binary
 search exactly (see DecisionTable).
 
@@ -99,15 +101,14 @@ def oma_sizes(bpcu) -> tuple[int, int, int]:
     return tuple(m * m for m in bpcu.sizes)
 
 
-def _indices(symbols, sizes, ws: Workspace | None) -> tuple[np.ndarray, ...]:
-    """Zero-based (u1, u2, u3) symbol indices, checked against sizes; with a
-    workspace they are its arrays "i1", "i2" and "i3"."""
+def _indices(symbols, sizes) -> tuple[np.ndarray, ...]:
+    """The (u1, u2, u3) symbol indices as arrays, each checked to lie in
+    0..size-1: the gathers clip, so this check is their only guard."""
     arrays = tuple(np.asarray(values) for values in symbols)
     for name, arr, size in zip(("u1", "u2", "u3"), arrays, sizes):
-        if arr.size and (arr.min() < 1 or arr.max() > size):
-            raise ParameterError(f"{name} indices must be in 1..{size}")
-    return tuple(np.subtract(arr, 1, out=_out(ws, f"i{k}", arr.shape, np.intp))
-                 for k, arr in enumerate(arrays, 1))
+        if arr.size and (arr.min() < 0 or arr.max() >= size):
+            raise ParameterError(f"{name} indices must be >= 0 and < {size}")
+    return arrays
 
 
 def _gather(levels: np.ndarray, index, ws: Workspace | None, name: str):
@@ -124,7 +125,7 @@ def superpose_transmit(symbols, cset: ConstellationSet, gains: ChannelGains,
     weak links.  With a workspace the amplitudes are its arrays "y1", "y2"
     and "y3".
     """
-    i1, i2, i3 = _indices(symbols, cset.bpcu.sizes, ws)
+    i1, i2, i3 = _indices(symbols, cset.bpcu.sizes)
     shape = np.broadcast_shapes(np.shape(i1), np.shape(i2), np.shape(i3))
     # each cell's transmit sum builds up in the array of the user it scales into last
     tx1 = np.add(_gather(cset.cell1_center, i1, ws, "y1"), _gather(cset.cell1_edge, i2, ws, "t"),
@@ -214,15 +215,15 @@ _COUNTED = 32  # the most thresholds a table counts; larger tables use buckets
 
 @dataclass(frozen=True)
 class DecisionTable:
-    """A decision on one real sample: ``labels[:, slot]``, where the slot of y
+    """A decision on one real sample: ``labels[slot]``, where the slot of y
     counts the ``thresholds`` at or below it, all of them for NaN, as
     ``np.searchsorted(thresholds, y, 'right')`` does.
 
-    ``labels`` has one row per decided quantity and one column per interval;
-    adjacent columns differ.  ``thresholds`` are sorted and finite.
-    ``candidates`` is the per-sample cost of the brute-force receiver the
-    table replaces, the size of its candidate set, as the paper's
-    complexity table counts it.
+    ``thresholds`` are sorted and finite.  ``labels`` holds one label per
+    interval, K + 1 for K thresholds, and adjacent labels differ.  The
+    tables of ``nearest_tables`` label an interval with the 0-based index
+    of its candidate, which compares with a sent symbol index as it is;
+    ``vlcnoma simulate --trace`` alone prints indices 1-based.
 
     ``__post_init__`` fixes the lookup from the threshold count K:
 
@@ -241,9 +242,9 @@ class DecisionTable:
       threshold.
 
     Only compares with the exact thresholds decide, so both are exact with
-    no rounding analysis.  Where the one label row is 1..K+1, as in every
-    table of the reference design, the label is the slot plus one, written
-    with no gather.  Counting costs about K/8 ns per sample and buckets a
+    no rounding analysis.  Where the labels are 0..K, as in every table of
+    the reference design, the label is the slot itself, written with no
+    gather.  Counting costs about K/8 ns per sample and buckets a
     flat 4-5 (32768 samples, numpy 2.4, shared 2-core sandbox): the
     reference tables with K = 3 and 15 took 0.8-0.9 and 2.5 ns/sample
     counted against 4.6-4.8 in buckets, evenly spaced K = 31 took 4.1
@@ -253,7 +254,6 @@ class DecisionTable:
 
     thresholds: np.ndarray
     labels: np.ndarray
-    candidates: int
     _counted: bool = field(init=False, repr=False, compare=False)
     _direct: bool = field(init=False, repr=False, compare=False)
     _geometry: tuple = field(init=False, repr=False, compare=False)
@@ -266,9 +266,11 @@ class DecisionTable:
         low, high = (float(t[0]), float(t[-1])) if t.size else (0.0, 0.0)
         if not (math.isfinite(low) and math.isfinite(high)):  # sorted: any NaN or inf is at an end
             raise ParameterError("decision thresholds must be finite")
+        if self.labels.shape != (t.size + 1,):
+            raise ParameterError(f"{t.size} decision thresholds need {t.size + 1} labels in one"
+                                 f" row, got shape {self.labels.shape}")
         object.__setattr__(self, "_counted", 1 <= t.size <= _COUNTED)
-        object.__setattr__(self, "_direct", self.labels.shape == (1, t.size + 1) and bool(
-            np.all(self.labels[0] == np.arange(1, t.size + 2))))
+        object.__setattr__(self, "_direct", np.array_equal(self.labels, np.arange(t.size + 1)))
         if self._counted:
             return  # the bucket fields below serve the other lookup only
         # a zero width (one threshold) or one that overflows (ends of
@@ -283,14 +285,12 @@ class DecisionTable:
                             ("_padded", np.concatenate([t, [np.nan]]))):
             object.__setattr__(self, name, value)
 
-    def decide(self, y, ws: Workspace | None = None, name: str = "label"
-               ) -> tuple[np.ndarray, ...]:
-        """One array per label row, shaped like y; with a workspace, row k
-        is its array ``f"{name}.{k}"``."""
+    def decide(self, y, ws: Workspace | None = None, name: str = "label") -> np.ndarray:
+        """The labels, shaped like y; with a workspace, its array ``name``."""
         y = np.asarray(y)
         shape = y.shape
-        # a direct label is the slot plus one, computed where it is returned
-        slot = _array(ws, f"{name}.0" if self._direct else "slot", shape, np.intp)
+        # a direct label is the slot itself, computed where it is returned
+        slot = _array(ws, name if self._direct else "slot", shape, np.intp)
         if self._counted:
             size = self.thresholds.size
             below = np.less(y, self.thresholds.reshape(size, *(1,) * y.ndim),
@@ -298,9 +298,7 @@ class DecisionTable:
             # K <= 32 fits a uint8, so the bools sum as their bytes, with no cast
             count = np.add.reduce(below.view(np.uint8), axis=0, dtype=np.uint8,
                                   out=_out(ws, "count", shape, np.uint8))
-            # the slot is K - count, so a direct label is K + 1 - count
-            count = np.subtract(size + 1 if self._direct else size, count,
-                                out=_out(ws, "count", shape, np.uint8))
+            count = np.subtract(size, count, out=_out(ws, "count", shape, np.uint8))
             # copyto casts without the 64 KiB buffer that a ufunc's cast allocates
             np.copyto(slot, count, casting="unsafe")
         else:
@@ -310,12 +308,9 @@ class DecisionTable:
                 slot += np.greater_equal(
                     y, np.take(self._padded, slot, out=_out(ws, "x", shape), mode="clip"),
                     out=_out(ws, "ge", shape, np.intp))
-            if self._direct:
-                slot += 1
         if self._direct:
-            return (slot,)
-        return tuple(np.take(row, slot, out=_out(ws, f"{name}.{k}", shape, row.dtype), mode="clip")
-                     for k, row in enumerate(self.labels))
+            return slot
+        return np.take(self.labels, slot, out=_out(ws, name, shape, self.labels.dtype), mode="clip")
 
 
 @dataclass(frozen=True)
@@ -326,36 +321,31 @@ class SicReceiver:
     fl(y - levels[e]).  That is the two-stage receiver itself, so it is
     exact by construction, and stage-1 mistakes propagate as they do in it.
 
-    ``levels[e]`` is the edge level that stage-1 label e subtracts;
-    ``levels[0]`` is unused, as labels are 1-based.  ``candidates`` counts
-    both stages' candidate sets, as the paper's complexity table does.
+    Both labels are 0-based indices, into the edge levels and the user's own
+    levels; ``levels`` are the edge levels, so stage-1 label e subtracts
+    ``levels[e]``.  Only ``vlcnoma simulate --trace`` prints them 1-based.
     """
 
     stage1: DecisionTable
     levels: np.ndarray
     stage2: DecisionTable
 
-    @property
-    def candidates(self) -> int:
-        return self.stage1.candidates + self.stage2.candidates
-
     def decide(self, y, ws: Workspace | None = None, name: str = "sic"
                ) -> tuple[np.ndarray, np.ndarray]:
         """``(own, edge)`` labels shaped like y; with a workspace, its arrays
-        ``f"{name}-own.0"`` and ``f"{name}-edge.0"``."""
-        (edge,) = self.stage1.decide(y, ws, f"{name}-edge")
+        ``f"{name}-own"`` and ``f"{name}-edge"``."""
+        edge = self.stage1.decide(y, ws, f"{name}-edge")
         shape = np.shape(edge)
         shift = np.take(self.levels, edge, out=_out(ws, "residual", shape), mode="clip")
         residual = np.subtract(y, shift, out=_out(ws, "residual", shape))
-        (own,) = self.stage2.decide(residual, ws, f"{name}-own")
-        return own, edge
+        return self.stage2.decide(residual, ws, f"{name}-own"), edge
 
 
-def _merged(thresholds: np.ndarray, labels: np.ndarray, candidates: int) -> tuple:
+def _merged(thresholds: np.ndarray, labels: np.ndarray) -> tuple:
     """``DecisionTable`` fields without the thresholds between equally
     labelled intervals."""
-    keep = np.any(labels[:, 1:] != labels[:, :-1], axis=0)
-    return thresholds[keep], labels[:, np.concatenate([[True], keep])], candidates
+    keep = labels[1:] != labels[:-1]
+    return thresholds[keep], labels[np.concatenate([[True], keep])]
 
 
 def _nearest(sets) -> list[tuple]:
@@ -375,8 +365,8 @@ def _nearest(sets) -> list[tuple]:
     rules = []
     for (c, outputs), (_, lowest), thresholds in zip(
             sets, distinct, np.split(_first_true(picks_b, a, b, a / 2 + b / 2), cuts)):
-        labels = lowest + 1 if outputs is None else np.asarray(outputs).reshape(-1)[lowest]
-        rules.append(_merged(thresholds, labels[np.newaxis], c.size))
+        labels = lowest if outputs is None else np.asarray(outputs).reshape(-1)[lowest]
+        rules.append(_merged(thresholds, labels))
     return rules
 
 
@@ -385,16 +375,16 @@ def nearest_tables(sets, pairs=()) -> list:
     outputs)`` in ``sets``, then one ``SicReceiver`` per ``(edge, own)`` in
     ``pairs``, all from one bisection.
 
-    Labels are 1-based candidate indices, or ``outputs[index - 1]`` where
-    outputs is not None.  A SIC receiver's stages are the tables of its
-    ``edge`` and ``own`` candidates, labelled ``(own, edge)``.
+    Labels are candidate indices, or ``outputs[index]`` where outputs is not
+    None.  A SIC receiver's stages are the tables of its ``edge`` and ``own``
+    candidates, labelled ``(own, edge)``.
     """
     pairs = [(np.asarray(edge, dtype=float).reshape(-1), own) for edge, own in pairs]
     tables = [DecisionTable(*rule)
               for rule in _nearest([*sets, *((x, None) for pair in pairs for x in pair)])]
     stages = tables[len(sets):]
     return tables[:len(sets)] + [
-        SicReceiver(stage1, np.concatenate([[np.nan], edge]), stage2)
+        SicReceiver(stage1, edge, stage2)
         for (edge, _), stage1, stage2 in zip(pairs, stages[0::2], stages[1::2])]
 
 
@@ -431,7 +421,7 @@ def edge_jml_candidates(cset: ConstellationSet, gains: ChannelGains):
     """Nearest-table set of the edge user's joint maximum likelihood: every
     (u1, u2, u3) tuple, labelled by its edge coordinate.  Ties break toward
     the lexicographically lowest tuple."""
-    tuples = np.indices(cset.bpcu.sizes).reshape(3, -1) + 1
+    tuples = np.indices(cset.bpcu.sizes).reshape(3, -1)
     return superpose_transmit(tuples, cset, gains)[1], tuples[1]
 
 
@@ -444,12 +434,12 @@ def decode_center_sic(y, table: SicReceiver, ws: Workspace | None = None,
 
 def decode_u2_sic(y2, table: DecisionTable, ws: Workspace | None = None):
     """Edge-user decode by the interference-as-noise rule (``edge_sic_candidates``)."""
-    return table.decide(y2, ws, "u2-sic")[0]
+    return table.decide(y2, ws, "u2-sic")
 
 
 def decode_u2_jml(y2, table: DecisionTable, ws: Workspace | None = None):
     """Edge-user decode by joint maximum likelihood (``edge_jml_candidates``)."""
-    return table.decide(y2, ws, "u2-jml")[0]
+    return table.decide(y2, ws, "u2-jml")
 
 
 def oma_pam_points(size: int, avg_intensity_w: float) -> np.ndarray:
@@ -488,12 +478,6 @@ def oma_levels(bpcu, gains: ChannelGains, avg_intensity_w: float) -> tuple[np.nd
                  for size, g in zip(oma_sizes(bpcu), link_gains))
 
 
-def oma_links(bpcu, gains: ChannelGains, avg_intensity_w: float) -> OmaLinks:
-    """The ``oma_levels`` links with their nearest-level tables."""
-    levels = oma_levels(bpcu, gains, avg_intensity_w)
-    return OmaLinks(levels, tuple(nearest_tables([(x, None) for x in levels])))
-
-
 def oma_round(symbols, links: OmaLinks, sigma: float, rng: np.random.Generator,
               ws: Workspace | None = None):
     """One two-slot orthogonal frame: transmit, add noise, decode all users.
@@ -501,16 +485,16 @@ def oma_round(symbols, links: OmaLinks, sigma: float, rng: np.random.Generator,
     Noise draw order is fixed: user 1, user 3, then the edge user.  Each
     user is decoded as soon as its noise is drawn; decoding draws nothing.
     Returns the three decoded indices, with a workspace its arrays
-    "oma-u1.0", "oma-u2.0" and "oma-u3.0".
+    "oma-u1", "oma-u2" and "oma-u3".
     """
     if not sigma >= 0:
         raise ParameterError(f"sigma must be >= 0, got {sigma}")
-    indices = _indices(symbols, tuple(x.size for x in links.levels), ws)
+    indices = _indices(symbols, tuple(x.size for x in links.levels))
     shape = np.broadcast_shapes(*(np.shape(i) for i in indices))
     decided = [None, None, None]
-    for k in (0, 2, 1):
+    for k, user in ((0, "u1"), (2, "u3"), (1, "u2")):
         y = rng.standard_normal(shape, out=_out(ws, "z", shape))
         y *= sigma
         y += _gather(links.levels[k], indices[k], ws, "t")
-        decided[k] = links.tables[k].decide(y, ws, f"oma-u{k + 1}")[0]
+        decided[k] = links.tables[k].decide(y, ws, f"oma-{user}")
     return tuple(decided)

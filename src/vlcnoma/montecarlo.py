@@ -195,7 +195,7 @@ def _frame(
     """n channel uses of every scheme that ``tables`` (see ``receivers``)
     decodes: ``(sent, received, decided)``.
 
-    ``sent`` and ``decided`` map each scheme to its (u1, u2, u3) indices;
+    ``sent`` and ``decided`` map each scheme to its 0-based (u1, u2, u3) indices;
     both superposed schemes share one transmission.  ``received`` is the
     superposed (y1, y2, y3), None without a superposed scheme, and
     ``decided["sic-stage1"]`` holds the edge indices that SIC stage 1 at
@@ -209,7 +209,7 @@ def _frame(
     decided: dict[str, tuple] = {}
     received = None
     if "u1" in tables:
-        symbols = tuple(rng.integers(1, m + 1, n) for m in cset.bpcu.sizes)
+        symbols = tuple(rng.integers(0, m, n) for m in cset.bpcu.sizes)
         received = awgn_sample(superpose_transmit(symbols, cset, gains, ws), sigma, rng, ws)
         y1, y2, y3 = received
         u1_hat, edge1 = decode_center_sic(y1, tables["u1"], ws, "u1")
@@ -223,7 +223,7 @@ def _frame(
             decided["noma-jml"] = (u1_hat, decode_u2_jml(y2, tables["noma-jml"], ws), u3_hat)
     if "oma" in tables:
         links = tables["oma"]
-        sent["oma"] = tuple(rng.integers(1, pam.size + 1, n) for pam in links.levels)
+        sent["oma"] = tuple(rng.integers(0, pam.size, n) for pam in links.levels)
         decided["oma"] = oma_round(sent["oma"], links, sigma, rng, ws)
     return sent, received, decided
 

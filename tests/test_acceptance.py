@@ -14,7 +14,8 @@ from vlcnoma.analytic import complexity_counts
 from vlcnoma.channel import OpticalFrontEnd, dc_gain
 from vlcnoma.cli import main
 from vlcnoma.constellation import peak_powers
-from vlcnoma.link import (decode_center_sic, decode_u2_jml, decode_u2_sic, oma_pam_points,
+from vlcnoma.link import (center_pairs, decode_center_sic, decode_u2_jml, decode_u2_sic,
+                          edge_jml_candidates, edge_sic_candidates, oma_levels, oma_pam_points,
                           oma_sizes, superpose_transmit)
 from vlcnoma.montecarlo import receivers, sigma_from_snr, wilson_interval
 
@@ -68,8 +69,7 @@ def jml_sweep(cset, midband_grid):
 
 def all_tuples():
     m1, m2, m3 = BPCU.sizes
-    grid = np.array(list(itertools.product(
-        range(1, m1 + 1), range(1, m2 + 1), range(1, m3 + 1)))).T
+    grid = np.array(list(itertools.product(range(m1), range(m2), range(m3)))).T
     return grid[0], grid[1], grid[2]
 
 
@@ -134,18 +134,19 @@ def test_ac4_joint_ml_dominates_on_common_noise(jml_sweep):
            f" and below half the SIC-rule SER somewhere (halved={halved})")
 
 
-def test_ac5_complexity_table_and_instrumented_counts(tables):
+def test_ac5_complexity_table_and_instrumented_counts(cset):
     table_ok = (
         complexity_counts(BPCU, "noma-sic") == (24, 4)
         and complexity_counts(BPCU, "noma-jml") == (148, 128)
         and complexity_counts(BPCU, "oma") == (48, 8)
     )
-    # each receiver's brute-force cost per decoded sample: the center users
-    # pay for both SIC stages, and the two-slot orthogonal frame decodes
-    # every user once, so its per-channel-use figures are frame sums halved
-    u1, u3 = tables["u1"].candidates, tables["u3"].candidates
-    sic, jml = tables["noma-sic"].candidates, tables["noma-jml"].candidates
-    oma = [table.candidates for table in tables["oma"].tables]
+    # each receiver's brute-force cost per decoded sample, the size of the
+    # candidate set its table is built from: the center users pay for both
+    # SIC stages, and the two-slot orthogonal frame decodes every user once,
+    # so its per-channel-use figures are frame sums halved
+    u1, u3 = (edge.size + own.size for edge, own in center_pairs(cset, GAINS))
+    sic, jml = (rule(cset, GAINS)[0].size for rule in (edge_sic_candidates, edge_jml_candidates))
+    oma = [levels.size for levels in oma_levels(BPCU, GAINS, POWER)]
     measured_ok = (
         (u1, sic, u3, jml) == (8 + 4, 4, 4 + 4, 128)
         and (u1 + sic + u3, sic) == complexity_counts(BPCU, "noma-sic")

@@ -35,11 +35,11 @@ def boundary_distances(cset, gains):
 def table_mass(cset, gains, sigma):
     """The edge user's SER from its exact decision table: the Gaussian mass
     outside the sent level's interval, averaged over every sent tuple."""
-    tuples = np.indices(cset.bpcu.sizes).reshape(3, -1) + 1
+    tuples = np.indices(cset.bpcu.sizes).reshape(3, -1)
     _, y2, _ = superpose_transmit(tuples, cset, gains)
     table = nearest_tables([edge_sic_candidates(cset, gains)])[0]
     slot = np.searchsorted(table.thresholds, y2, side="right")
-    assert np.array_equal(table.labels[0][slot], tuples[1])
+    assert np.array_equal(table.labels[slot], tuples[1])
     ends = np.concatenate([[-np.inf], table.thresholds, [np.inf]])
     return float(np.mean(q_function((ends[slot + 1] - y2) / sigma)
                          + q_function((y2 - ends[slot]) / sigma)))

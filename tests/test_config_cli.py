@@ -201,6 +201,21 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("values,key", [
+        ({"bpcu_u1": 40}, "bpcu_u1"),
+        ({"bpcu_u3": 11}, "bpcu_u3"),
+        ({"bpcu_u1": 7, "bpcu_u2": 7, "bpcu_u3": 7}, "bpcu_u1..bpcu_u3"),
+    ], ids=["u1=40", "u3=11", "all=7"])
+    def test_efficiencies_past_the_grid_bound_exit_1_naming_keys(self, tmp_path, capsys,
+                                                                values, key):
+        # bpcu_u1 = 40 used to exit 2 on an 8 TiB allocation
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("".join(f"{name} = {value}\n" for name, value in values.items()))
+        out = tmp_path / "design.csv"
+        assert run_cli("design", "--config", str(cfg), "--out", str(out)) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_link_too_short_for_a_finite_gain_exits_1_naming_keys(self, tmp_path, capsys):
         # the LED-to-receiver distance squares to zero, which used to exit 2
         cfg = tmp_path / "near.cfg"

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlcnoma import ChannelGains, SpectralEfficiencies, design_constellation
-from vlcnoma.constellation import (center_points, edge_points, from_raw_levels, peak_powers,
-                                   verify_gap_condition)
+from vlcnoma.constellation import (MAX_GRID, center_points, edge_points, from_raw_levels,
+                                   peak_powers, verify_gap_condition)
 from vlcnoma.link import decode_center_sic, decode_u2_jml, decode_u2_sic, superpose_transmit
 from vlcnoma.montecarlo import receivers
 from vlcnoma.errors import ConstellationError, ParameterError
@@ -42,6 +43,14 @@ class TestCenterPoints:
     def test_rejects_non_positive_bpcu(self):
         with pytest.raises(ParameterError):
             center_points(0)
+
+
+class TestSpectralEfficiencies:
+    def test_grids_up_to_max_grid_accepted_and_past_it_rejected(self):
+        # 2**20 joint-ML tuples, and no PAM past 4**10 levels
+        assert math.prod(SpectralEfficiencies(10, 1, 9).sizes) == MAX_GRID
+        with pytest.raises(ParameterError, match=r"bpcu_u1\.\.bpcu_u3"):
+            SpectralEfficiencies(10, 2, 9)
 
 
 class TestEdgePoints:
@@ -175,8 +184,7 @@ class TestNoiselessRoundTrip:
         ok, _ = verify_gap_condition(cset, gains)
         assert ok
         m1, m2, m3 = bpcu.sizes
-        grid = np.array(list(itertools.product(
-            range(1, m1 + 1), range(1, m2 + 1), range(1, m3 + 1)))).T
+        grid = np.array(list(itertools.product(range(m1), range(m2), range(m3)))).T
         y1, y2, y3 = superpose_transmit((grid[0], grid[1], grid[2]), cset, gains)
         tables = receivers(cset, gains, ("noma-sic", "noma-jml"), 1.0)
         u1_hat, _ = decode_center_sic(y1, tables["u1"])

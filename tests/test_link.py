@@ -15,7 +15,7 @@ from vlcnoma.errors import ParameterError
 from vlcnoma.link import (DecisionTable, SicReceiver, Workspace, awgn_sample, center_pairs,
                           center_user, decode_center_sic, decode_u2_jml, decode_u2_sic,
                           edge_jml_candidates, edge_sic_candidates, nearest_tables, oma_levels,
-                          oma_links, oma_pam_points, oma_round, oma_sizes, superpose_transmit)
+                          oma_pam_points, oma_round, oma_sizes, superpose_transmit)
 from vlcnoma.montecarlo import philox_stream, receivers
 
 ALL_SCHEMES = ("noma-sic", "noma-jml", "oma")
@@ -26,41 +26,53 @@ MERGED_SIC = Path(__file__).resolve().with_name("golden") / "sic_merged_tables.j
 def argmin_nearest(y, candidates):
     """Brute-force reference decoder: first minimum of every computed distance."""
     y = np.asarray(y, dtype=float)
-    return np.argmin(np.abs(y[..., np.newaxis] - candidates), axis=-1) + 1
+    return np.argmin(np.abs(y[..., np.newaxis] - candidates), axis=-1)
 
 
 def argmin_sic(y, edge, own):
     """Brute-force two-stage SIC: (own, edge) indices, stage-1 mistakes kept."""
     edge_hat = argmin_nearest(y, edge)
-    return argmin_nearest(y - edge[edge_hat - 1], own), edge_hat
+    return argmin_nearest(y - edge[edge_hat], own), edge_hat
 
 
 def table_nearest(y, candidates):
     """The decision-table lookup of the nearest-candidate rule."""
-    return nearest_tables([(candidates, None)])[0].decide(y)[0]
+    return nearest_tables([(candidates, None)])[0].decide(y)
 
 
 def searchsorted_decide(table, y):
-    """Reference lookup: every label row at ``np.searchsorted(thresholds, y, 'right')``."""
-    slot = np.searchsorted(table.thresholds, y, side="right")
-    return tuple(row[slot] for row in table.labels)
+    """Reference lookup: the label at ``np.searchsorted(thresholds, y, 'right')``."""
+    return table.labels[np.searchsorted(table.thresholds, y, side="right")]
 
 
-def assert_same_lookup(table, y, reference=None):
-    """``table.decide(y)`` equals the lookup of ``reference`` (default: the
-    table itself) by ``searchsorted``, value and shape, and warns nothing."""
+def merged_decide(merged, y):
+    """``(own, edge)`` of a frozen merged SIC table (see ``merged_sic``): both
+    label rows at ``np.searchsorted(thresholds, y, 'right')``."""
+    thresholds, labels = merged["thresholds"], merged["labels"]
+    return tuple(labels[:, np.searchsorted(thresholds, y, side="right")])
+
+
+def as_tuple(decided):
+    """A SIC receiver's ``(own, edge)`` as it is, a table's one array as a 1-tuple."""
+    return decided if isinstance(decided, tuple) else (decided,)
+
+
+def assert_same_lookup(table, y, want=None):
+    """``table.decide(y)`` equals ``want`` (default: the table's own lookup
+    by ``searchsorted``), value and shape, and warns nothing."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = table.decide(y)
-    for got_row, want_row in zip(got, searchsorted_decide(reference or table, y), strict=True):
-        assert np.shape(got_row) == np.shape(want_row)
-        assert np.array_equal(got_row, want_row)
+    want = searchsorted_decide(table, y) if want is None else want
+    for got_one, want_one in zip(as_tuple(got), as_tuple(want), strict=True):
+        assert np.shape(got_one) == np.shape(want_one)
+        assert np.array_equal(got_one, want_one)
 
 
 def slot_table(thresholds):
-    """A table whose one label row is the slot itself."""
+    """A table whose label is the slot itself."""
     thresholds = np.asarray(thresholds, dtype=float)
-    return DecisionTable(thresholds, np.arange(thresholds.size + 1)[np.newaxis], 1)
+    return DecisionTable(thresholds, np.arange(thresholds.size + 1))
 
 
 def stage_tables(tables):
@@ -73,7 +85,7 @@ def sic_breakpoints(receiver):
     """Where a SIC receiver's decision may switch: its stage-1 thresholds, and
     every stage-2 threshold moved by every edge level, to within rounding."""
     with np.errstate(over="ignore"):
-        moved = receiver.stage2.thresholds[:, np.newaxis] + receiver.levels[1:]
+        moved = receiver.stage2.thresholds[:, np.newaxis] + receiver.levels
     return np.concatenate([receiver.stage1.thresholds, moved.reshape(-1)])
 
 
@@ -149,44 +161,49 @@ def reference_tables(reference_set, reference_gains):
 
 @pytest.fixture(scope="module")
 def merged_sic():
-    """The frozen one-table SIC receivers, by user, as ``DecisionTable``s."""
+    """The frozen one-table SIC receivers, by user: thresholds, the two label
+    rows (own, edge) and the candidate count.  The file holds the 1-based
+    labels of the commit that froze it; here they are 0-based."""
     frozen = json.loads(MERGED_SIC.read_text())
-    return {user: DecisionTable(np.array([float.fromhex(t) for t in frozen[user]["thresholds"]]),
-                                np.array(frozen[user]["labels"]), frozen[user]["candidates"])
+    return {user: {"thresholds": np.array([float.fromhex(t) for t in frozen[user]["thresholds"]]),
+                   "labels": np.array(frozen[user]["labels"]) - 1,
+                   "candidates": frozen[user]["candidates"]}
             for user in ("u1", "u3")}
 
 
 class TestSuperposeTransmit:
     def test_smallest_case_first_tuple(self, small_set, reference_gains):
-        y1, _, _ = superpose_transmit((1, 1, 1), small_set, reference_gains)
+        y1, _, _ = superpose_transmit((0, 0, 0), small_set, reference_gains)
         assert float(y1) == pytest.approx((1 / 7 + 3 / 7) * reference_gains.h11, rel=1e-12)
 
     def test_zero_gains_give_zero_signals(self, small_set):
         zero = ChannelGains(0.0, 0.0, 0.0, 0.0)
-        y1, y2, y3 = superpose_transmit((2, 2, 1), small_set, zero)
+        y1, y2, y3 = superpose_transmit((1, 1, 0), small_set, zero)
         assert float(y1) == 0.0 and float(y2) == 0.0 and float(y3) == 0.0
 
     def test_far_cell_signal_ignores_near_cell_symbol(self, reference_set, reference_gains):
-        fixed = superpose_transmit((1, 2, 3), reference_set, reference_gains)
-        moved = superpose_transmit((8, 2, 3), reference_set, reference_gains)
+        fixed = superpose_transmit((0, 1, 2), reference_set, reference_gains)
+        moved = superpose_transmit((7, 1, 2), reference_set, reference_gains)
         assert float(fixed[2]) == float(moved[2])
         assert float(fixed[0]) != float(moved[0])
 
     def test_out_of_range_index_rejected(self, small_set, reference_gains):
-        with pytest.raises(ParameterError):
-            superpose_transmit((3, 1, 1), small_set, reference_gains)
+        # the gathers clip, so the range check is what rejects these
+        for symbols in ((2, 0, 0), (0, 0, -1)):
+            with pytest.raises(ParameterError):
+                superpose_transmit(symbols, small_set, reference_gains)
 
 
 class TestAwgnSample:
     def test_zero_sigma_is_identity(self, small_set, reference_gains):
-        y = superpose_transmit((1, 2, 1), small_set, reference_gains)
+        y = superpose_transmit((0, 1, 0), small_set, reference_gains)
         noisy = awgn_sample(y, 0.0, philox_stream(0, 0, 0))
         assert float(noisy[0]) == float(y[0])
         assert float(noisy[1]) == float(y[1])
         assert float(noisy[2]) == float(y[2])
 
     def test_same_stream_address_replays_identically(self, small_set, reference_gains):
-        y = superpose_transmit((1, 2, 1), small_set, reference_gains)
+        y = superpose_transmit((0, 1, 0), small_set, reference_gains)
         a = awgn_sample(y, 2.5, philox_stream(42, 3, 7))
         b = awgn_sample(y, 2.5, philox_stream(42, 3, 7))
         assert float(a[0]) == float(b[0]) and float(a[1]) == float(b[1])
@@ -222,7 +239,7 @@ class TestNearestMatchesArgmin:
     def test_exact_midpoint_goes_to_lowest_index_of_either_side(self):
         candidates = np.array([3.0, 1.0, 3.0, 1.0, 2.0])
         assert table_nearest(np.array([1.5, 2.5, 0.0, 9.0]), candidates).tolist() == [
-            2, 1, 2, 1]
+            1, 0, 1, 0]
 
     def test_reference_jml_grid(self, reference_set, reference_gains):
         grid = jml_grid(reference_set, reference_gains)
@@ -233,7 +250,7 @@ class TestNearestMatchesArgmin:
         candidates = np.array([0.0, 1.0, 2.0])
         assert table_nearest(np.zeros((2, 3)), candidates).shape == (2, 3)
         scalar = table_nearest(1.4, candidates)
-        assert np.ndim(scalar) == 0 and int(scalar) == 2
+        assert np.ndim(scalar) == 0 and int(scalar) == 1
 
     @settings(max_examples=300, deadline=None)
     @given(candidates=st.lists(st.integers(-64, 64), min_size=1, max_size=129),
@@ -251,7 +268,7 @@ class TestNearestMatchesArgmin:
         # distance of the answer rather than its index
         candidates, y = np.array(candidates), np.array(y)
         distance = np.abs(y[:, np.newaxis] - candidates)
-        chosen = table_nearest(y, candidates) - 1
+        chosen = table_nearest(y, candidates)
         assert np.array_equal(distance[np.arange(y.size), chosen], distance.min(axis=-1))
 
     def test_public_decoders_match_argmin(self, reference_set, reference_gains,
@@ -260,7 +277,7 @@ class TestNearestMatchesArgmin:
         y = probes(jml_grid(cset, g), np.random.default_rng(11), n=20_000)
         scaled = np.concatenate([y, probes(g.h11 * cset.cell1_edge,
                                            np.random.default_rng(12))])
-        symbols = (np.arange(64) + 1, np.arange(64) % 16 + 1, np.arange(64) // 4 + 1)
+        symbols = (np.arange(64), np.arange(64) % 16, np.arange(64) // 4)
         links = tables["oma"]
         for got, want in zip(decode_center_sic(scaled, tables["u1"]),
                              argmin_sic(scaled, g.h11 * cset.cell1_edge,
@@ -272,14 +289,14 @@ class TestNearestMatchesArgmin:
             assert np.array_equal(got, want)
         assert np.array_equal(decode_u2_sic(y, tables["noma-sic"]), argmin_nearest(
             y, g.h21 * cset.cell1_edge + g.h22 * cset.cell2_edge))
-        tuples = np.indices(cset.bpcu.sizes).reshape(3, -1) + 1
+        tuples = np.indices(cset.bpcu.sizes).reshape(3, -1)
         assert np.array_equal(decode_u2_jml(y, tables["noma-jml"]),
-                              tuples[1][argmin_nearest(y, jml_grid(cset, g)) - 1])
+                              tuples[1][argmin_nearest(y, jml_grid(cset, g))])
         pam = oma_pam_points(64, 1.0) * (g.h21 + g.h22)
         assert np.array_equal(table_nearest(y, pam), argmin_nearest(y, pam))
         for sigma in (0.0, 1e-7, 1e-5):
             rng = philox_stream(1, 0, 0)
-            i1, i2, i3 = (np.asarray(u) - 1 for u in symbols)
+            i1, i2, i3 = symbols
             pam1, pam2, pam3 = (oma_pam_points(s, 1.0) for s in oma_sizes(reference_set.bpcu))
             y1 = pam1[i1] * g.h11 + sigma * rng.standard_normal(64)
             y3 = pam3[i3] * g.h32 + sigma * rng.standard_normal(64)
@@ -311,10 +328,10 @@ class TestDecisionTables:
         assert np.all(np.diff(table.thresholds) > 0)
         y = np.concatenate([around(table.thresholds), probes(candidates,
                                                               np.random.default_rng(1))])
-        assert np.array_equal(table.decide(y)[0], argmin_nearest(y, candidates))
+        assert np.array_equal(table.decide(y), argmin_nearest(y, candidates))
         # at a threshold the decision has just switched
-        assert np.all(table.decide(table.thresholds)[0]
-                      != table.decide(np.nextafter(table.thresholds, -np.inf))[0])
+        assert np.all(table.decide(table.thresholds)
+                      != table.decide(np.nextafter(table.thresholds, -np.inf)))
 
     def test_reference_tables_thresholds_match_argmin(self, reference_set, reference_gains,
                                                       reference_tables):
@@ -323,8 +340,8 @@ class TestDecisionTables:
             receiver = reference_tables[f"u{user}"]
             for stage, candidates in ((receiver.stage1, h * edge), (receiver.stage2, h * own)):
                 y = around(stage.thresholds)
-                assert np.array_equal(stage.decide(y)[0], argmin_nearest(y, candidates))
-            assert np.array_equal(receiver.levels[1:], h * edge)
+                assert np.array_equal(stage.decide(y), argmin_nearest(y, candidates))
+            assert np.array_equal(receiver.levels, h * edge)
             y = around(sic_breakpoints(receiver))
             for got, want in zip(receiver.decide(y), argmin_sic(y, h * edge, h * own),
                                  strict=True):
@@ -332,17 +349,17 @@ class TestDecisionTables:
         for links_table, levels in zip(reference_tables["oma"].tables,
                                        reference_tables["oma"].levels, strict=True):
             y = around(links_table.thresholds)
-            assert np.array_equal(links_table.decide(y)[0], argmin_nearest(y, levels))
+            assert np.array_equal(links_table.decide(y), argmin_nearest(y, levels))
 
     def test_merged_jml_table_matches_tuple_argmin(self, reference_set, reference_gains,
                                                    reference_tables):
         joint, labels = edge_jml_candidates(reference_set, reference_gains)
         table = reference_tables["noma-jml"]
-        assert table.thresholds.size == 3 and table.candidates == 128
+        assert table.thresholds.size == 3 and joint.size == 128
         unmerged = nearest_tables([(joint, None)])[0]
         y = np.concatenate([around(unmerged.thresholds),
                             probes(joint, np.random.default_rng(4), n=20_000)])
-        assert np.array_equal(decode_u2_jml(y, table), labels[argmin_nearest(y, joint) - 1])
+        assert np.array_equal(decode_u2_jml(y, table), labels[argmin_nearest(y, joint)])
 
     @settings(max_examples=200, deadline=None)
     @given(edge=st.lists(st.integers(-64, 64), min_size=1, max_size=9),
@@ -406,7 +423,7 @@ class TestDecisionTables:
         # a counted table, a bucketed one, and a SIC receiver against its merged table
         assert_same_lookup(reference_tables["noma-jml"], y)
         assert_same_lookup(reference_tables["oma"].tables[0], y)
-        assert_same_lookup(reference_tables["u1"], y, merged_sic["u1"])
+        assert_same_lookup(reference_tables["u1"], y, merged_decide(merged_sic["u1"], y))
 
     @pytest.mark.parametrize("y", [0.5, np.array(1.25e-6), np.array(np.nan), np.array([]),
                                    np.zeros((0, 3)), np.full((2, 2), 2e-6),
@@ -417,9 +434,27 @@ class TestDecisionTables:
         # capacity 1: the 2x2 and 50-sample lookups grow the workspace's arrays
         ws = Workspace(1)
         for table in (reference_tables["u1"], reference_tables["noma-jml"]):
-            for got, want in zip(table.decide(y, ws), table.decide(y), strict=True):
+            for got, want in zip(as_tuple(table.decide(y, ws)), as_tuple(table.decide(y)),
+                                 strict=True):
                 assert np.shape(got) == np.shape(want)
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("labels", [[10, 11], [[10, 11, 12, 13]], [10, 11, 12, 13, 14]],
+                             ids=["short", "row-of-a-2d-array", "long"])
+    def test_labels_not_one_per_interval_rejected(self, labels):
+        # a short row was clipped silently: [0, 1.5, 2.5, 9] decided [10, 11, 11, 11]
+        with pytest.raises(ParameterError, match="labels"):
+            DecisionTable(np.array([1.0, 2.0, 3.0]), np.array(labels))
+
+    def test_reference_tables_label_every_interval_by_its_slot(self, reference_tables):
+        # labels 0..K: both lookups return the slot itself, with no gather
+        tables = stage_tables(reference_tables[name]
+                              for name in ("u1", "u3", "noma-sic", "noma-jml"))
+        tables += list(reference_tables["oma"].tables)
+        assert len(tables) == 9
+        for table in tables:
+            assert np.array_equal(table.labels, np.arange(table.thresholds.size + 1))
+            assert table._direct
 
     def test_non_finite_thresholds_rejected(self):
         for bad in ([0.0, np.inf], [np.nan], [-np.inf, 0.0]):
@@ -446,16 +481,16 @@ class TestDecisionTables:
     def test_lookup_rule_follows_the_threshold_count(self, size):
         table = slot_table(np.arange(size, dtype=float))
         assert table._counted == (1 <= size <= 32)
-        assert not table._direct
-        identity = DecisionTable(table.thresholds, table.labels + 1, 1)
-        assert identity._direct
+        assert table._direct
+        shifted = DecisionTable(table.thresholds, table.labels + 1)
+        assert not shifted._direct
 
     @pytest.mark.parametrize("size", [1, 2, 31, 32, 33, 64])
     @settings(max_examples=60, deadline=None)
     @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=64),
            base=st.floats(allow_nan=False, allow_infinity=False),
            ulps=st.booleans(),
-           labels=st.sampled_from(["identity", "reversed", "two_rows"]),
+           labels=st.sampled_from(["identity", "reversed", "one_based"]),
            y=st.lists(st.floats(), max_size=20),
            form=st.sampled_from(["1-d", "scalar", "0-d", "empty", "2-d"]))
     def test_property_lookup_at_the_cutoff_matches_searchsorted(self, size, values, base,
@@ -463,9 +498,8 @@ class TestDecisionTables:
         # counted up to 32 thresholds, bucketed above: ulp-spaced or spread thresholds
         thresholds = exactly(size, [base] if ulps else values + [base])
         slot = np.arange(size + 1)
-        rows = {"identity": [slot + 1], "reversed": [size + 1 - slot],
-                "two_rows": [slot + 1, slot % 3]}[labels]
-        table = DecisionTable(thresholds, np.array(rows), 1)
+        table = DecisionTable(thresholds, {"identity": slot, "reversed": size - slot,
+                                           "one_based": slot + 1}[labels])
         assert table._direct == (labels == "identity")
         y = np.concatenate([np.array(y), around(thresholds), EXTREMES])
         samples = {"1-d": y, "scalar": float(y[0]), "0-d": np.array(y[-1]),
@@ -489,7 +523,8 @@ class TestDecisionTables:
             assert np.array_equal(fresh.labels, old.labels)
 
     # sha256 of the five reference tables that are not SIC (edge rule, JML, the
-    # three OMA links: thresholds, labels, candidates), as built at cae01a9
+    # three OMA links: thresholds, 1-based labels, candidate counts), as built
+    # at cae01a9
     NON_SIC_DIGEST = "8b06754b13081cd3a2d0faad45dc91e4c885776af03752729222a212334df210"
 
     def test_one_build_equals_the_four_bisection_build(self, reference_set, reference_gains,
@@ -505,17 +540,18 @@ class TestDecisionTables:
         for fresh, old in zip(stage_tables(built), stage_tables(separate), strict=True):
             assert np.array_equal(fresh.thresholds, old.thresholds)
             assert np.array_equal(fresh.labels, old.labels)
-            assert fresh.candidates == old.candidates
+        sizes = [rule(cset, gains)[0].size for rule in (edge_sic_candidates, edge_jml_candidates)]
         digest = hashlib.sha256()
-        for table in built[2:]:
+        for table, size in zip(built[2:], sizes + [x.size for x in oma], strict=True):
             digest.update(table.thresholds.astype("<f8").tobytes())
-            digest.update(table.labels.astype("<i8").tobytes())
-            digest.update(str(table.candidates).encode())
+            digest.update((table.labels + 1).astype("<i8").tobytes())
+            digest.update(str(size).encode())
         assert digest.hexdigest() == self.NON_SIC_DIGEST
-        for user in ("u1", "u3"):
-            assert reference_tables[user].candidates == merged_sic[user].candidates
-            y = np.concatenate([around(merged_sic[user].thresholds), EXTREMES])
-            assert_same_lookup(reference_tables[user], y, merged_sic[user])
+        for (edge, own), user in zip(center_pairs(cset, gains), ("u1", "u3")):
+            merged = merged_sic[user]
+            assert edge.size + own.size == merged["candidates"]
+            y = np.concatenate([around(merged["thresholds"]), EXTREMES])
+            assert_same_lookup(reference_tables[user], y, merged_decide(merged, y))
 
     def test_reference_sic_receivers_equal_the_merged_tables(self, reference_tables,
                                                              merged_sic):
@@ -524,11 +560,11 @@ class TestDecisionTables:
         rng = np.random.default_rng(8)
         for user in ("u1", "u3"):
             receiver, merged = reference_tables[user], merged_sic[user]
-            ends = merged.thresholds[[0, -1]]
-            y = np.concatenate([around(merged.thresholds), around(sic_breakpoints(receiver)),
+            ends = merged["thresholds"][[0, -1]]
+            y = np.concatenate([around(merged["thresholds"]), around(sic_breakpoints(receiver)),
                                 rng.uniform(2 * ends[0] - ends[1], 2 * ends[1] - ends[0], 5000),
                                 EXTREMES])
-            assert_same_lookup(receiver, y, merged)
+            assert_same_lookup(receiver, y, merged_decide(merged, y))
 
     def test_reference_build_takes_one_bisection_step(self, reference_set, reference_gains,
                                                       monkeypatch):
@@ -558,8 +594,7 @@ class TestSicDecoders:
     def test_noiseless_round_trip_reference_set(self, reference_set, reference_gains,
                                                 reference_tables):
         m1, m2, m3 = reference_set.bpcu.sizes
-        grid = np.array(list(itertools.product(
-            range(1, m1 + 1), range(1, m2 + 1), range(1, m3 + 1)))).T
+        grid = np.array(list(itertools.product(range(m1), range(m2), range(m3)))).T
         y1, _, y3 = superpose_transmit((grid[0], grid[1], grid[2]), reference_set,
                                        reference_gains)
         u1_hat, stage1 = decode_center_sic(y1, reference_tables["u1"])
@@ -580,12 +615,13 @@ class TestSicDecoders:
         midpoint = float((edge[0] + edge[1]) / 2.0)
         unit = ChannelGains(1.0, 0.0, 0.0, 1.0)
         _, stage1 = decode_center_sic(midpoint, nearest_tables([], center_pairs(cset, unit))[0])
-        assert int(stage1) == 1
+        assert int(stage1) == 0
 
-    def test_stage_counts(self, reference_tables):
+    def test_stage_counts(self, reference_set, reference_gains):
         # both stages' candidates: the edge levels, then the user's own
-        assert reference_tables["u1"].candidates == 2**2 + 2**3
-        assert reference_tables["u3"].candidates == 2**2 + 2**2
+        (edge1, own1), (edge3, own3) = center_pairs(reference_set, reference_gains)
+        assert edge1.size + own1.size == 2**2 + 2**3
+        assert edge3.size + own3.size == 2**2 + 2**2
 
     def test_invalid_user_rejected(self, reference_set, reference_gains):
         with pytest.raises(ParameterError):
@@ -593,17 +629,16 @@ class TestSicDecoders:
 
 
 class TestEdgeDecoders:
-    def test_interference_as_noise_counts(self, reference_tables):
-        assert reference_tables["noma-sic"].candidates == 4
+    def test_interference_as_noise_counts(self, reference_set, reference_gains):
+        assert edge_sic_candidates(reference_set, reference_gains)[0].size == 4
 
-    def test_joint_ml_counts(self, reference_tables):
-        assert reference_tables["noma-jml"].candidates == 128
+    def test_joint_ml_counts(self, reference_set, reference_gains):
+        assert edge_jml_candidates(reference_set, reference_gains)[0].size == 128
 
     def test_noiseless_joint_ml_recovers_edge_symbol(self, reference_set, reference_gains,
                                                      reference_tables):
         m1, m2, m3 = reference_set.bpcu.sizes
-        grid = np.array(list(itertools.product(
-            range(1, m1 + 1), range(1, m2 + 1), range(1, m3 + 1)))).T
+        grid = np.array(list(itertools.product(range(m1), range(m2), range(m3)))).T
         _, y2, _ = superpose_transmit((grid[0], grid[1], grid[2]), reference_set,
                                       reference_gains)
         assert np.array_equal(decode_u2_jml(y2, reference_tables["noma-jml"]), grid[1])
@@ -612,7 +647,7 @@ class TestEdgeDecoders:
     def test_gap_violating_levels_misdecode_noiselessly(self, reference_gains):
         bad = from_raw_levels(SpectralEfficiencies(1, 1, 1),
                               [1, 2], [3, 4], [3, 4], [1, 2], 1.0)
-        grid = np.array(list(itertools.product((1, 2), (1, 2), (1, 2)))).T
+        grid = np.array(list(itertools.product((0, 1), (0, 1), (0, 1)))).T
         _, y2, _ = superpose_transmit((grid[0], grid[1], grid[2]), bad, reference_gains)
         tables = receivers(bad, reference_gains, ("noma-sic",), 1.0)
         decoded = decode_u2_sic(y2, tables["noma-sic"])
@@ -624,8 +659,7 @@ class TestEdgeDecoders:
         rng = philox_stream(5, 0, 0)
         n = 20_000
         m1, m2, m3 = reference_set.bpcu.sizes
-        symbols = (rng.integers(1, m1 + 1, n), rng.integers(1, m2 + 1, n),
-                   rng.integers(1, m3 + 1, n))
+        symbols = (rng.integers(0, m1, n), rng.integers(0, m2, n), rng.integers(0, m3, n))
         _, y2, _ = awgn_sample(superpose_transmit(symbols, reference_set, reference_gains),
                                1e-7, rng)
         sic_errors = np.count_nonzero(
@@ -652,28 +686,29 @@ class TestOmaPam:
 
 
 class TestOmaRound:
-    def test_noiseless_frame_decodes_exactly(self, reference_bpcu, reference_gains):
+    def test_noiseless_frame_decodes_exactly(self, reference_bpcu, reference_set,
+                                             reference_gains):
         sizes = oma_sizes(reference_bpcu)
         assert sizes == (64, 16, 16)
         rng = philox_stream(0, 0, 0)
-        symbols = (rng.integers(1, sizes[0] + 1, 500), rng.integers(1, sizes[1] + 1, 500),
-                   rng.integers(1, sizes[2] + 1, 500))
-        decoded = oma_round(symbols, oma_links(reference_bpcu, reference_gains, 1.0), 0.0,
-                            philox_stream(0, 0, 1))
+        symbols = (rng.integers(0, sizes[0], 500), rng.integers(0, sizes[1], 500),
+                   rng.integers(0, sizes[2], 500))
+        links = receivers(reference_set, reference_gains, ("oma",), 1.0)["oma"]
+        decoded = oma_round(symbols, links, 0.0, philox_stream(0, 0, 1))
         for sent, got in zip(symbols, decoded):
             assert np.array_equal(sent, got)
 
     def test_per_frame_metric_counts(self, reference_bpcu, reference_gains):
-        links = oma_links(reference_bpcu, reference_gains, 1.0)
+        levels = oma_levels(reference_bpcu, reference_gains, 1.0)
         # frame total is twice the per-channel-use average of 48
-        assert sum(table.candidates for table in links.tables) == 64 + 16 + 16
+        assert sum(x.size for x in levels) == 64 + 16 + 16
 
     def test_average_transmit_power_per_slot_is_target(self, reference_bpcu):
         for size in oma_sizes(reference_bpcu):
             assert oma_pam_points(size, 2.5).mean() == pytest.approx(2.5, rel=1e-12)
 
     @pytest.mark.parametrize("sigma", [-1.0, float("nan")])
-    def test_bad_sigma_rejected(self, sigma, reference_bpcu, reference_gains):
+    def test_bad_sigma_rejected(self, sigma, reference_set, reference_gains):
+        links = receivers(reference_set, reference_gains, ("oma",), 1.0)["oma"]
         with pytest.raises(ParameterError):
-            oma_round((1, 1, 1), oma_links(reference_bpcu, reference_gains, 1.0), sigma,
-                      philox_stream(0, 0, 0))
+            oma_round((0, 0, 0), links, sigma, philox_stream(0, 0, 0))

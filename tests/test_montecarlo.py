@@ -13,7 +13,7 @@ from vlcnoma import (SpectralEfficiencies, SweepConfig, design_constellation, ru
 from vlcnoma.analytic import ser_center_lower_bound
 from vlcnoma import montecarlo
 from vlcnoma.constellation import from_raw_levels
-from vlcnoma.link import Workspace, oma_links, oma_pam_points
+from vlcnoma.link import Workspace, oma_levels, oma_pam_points
 from vlcnoma.montecarlo import _frame, philox_stream, receivers, sigma_from_snr, wilson_interval
 from vlcnoma.errors import ParameterError
 
@@ -233,7 +233,7 @@ def sweep_with(**overrides):
 # "function.field" or "function.field=value" -> a call that must reject the
 # value (NaN unless named) with a message naming the field.
 NAN_CASES = {
-    "oma_links.avg_intensity_w": lambda cset, g: oma_links(
+    "oma_levels.avg_intensity_w": lambda cset, g: oma_levels(
         SpectralEfficiencies(1, 1, 1), g, NAN),
     "oma_pam_points.avg_intensity_w": lambda cset, g: oma_pam_points(4, NAN),
     "oma_pam_points.avg_intensity_w=inf": lambda cset, g: oma_pam_points(4, INF),
