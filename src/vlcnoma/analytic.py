@@ -1,13 +1,6 @@
 """Closed-form symbol error rates and decoder complexity accounting.
 
-The edge user's SER under the interference-as-noise rule is exact: its
-received constellation is uniformly spaced, the center users shift the
-noiseless point toward the next boundary by a known amount, and averaging
-the two tail probabilities over all center symbol pairs gives
-
-    SER = (1 - 2^-b2) * mean over (u1, u3) of [Q(rho+/sigma) + Q(rho-/sigma)]
-
-where rho+/- are the distances to the upper/lower decision boundary.  The
+The edge user's SER under the interference-as-noise rule is exact.  The
 center users' SER has no closed form once stage-1 mistakes propagate, so
 only the no-propagation lower bound is provided.
 """
@@ -55,12 +48,15 @@ def ser_u2_analytic(cset: ConstellationSet, gains: ChannelGains, sigma):
     The combined edge levels are uniformly spaced, 2*gamma apart.  Center
     levels i+1 and j+1 shift the noiseless point up by h21*c1[i] +
     h22*c2[j], so the boundary above is rho+ = gamma - shift away and the
-    one below rho- = gamma + shift.  Each sigma's value is a mean over one
-    contiguous row of the (i, j) pairs.  At sigma = 0 the continuous limit
-    is returned: each tail probability becomes an indicator of its boundary
-    distance being negative (one half exactly on the boundary).  Requires
-    uniform per-cell edge spacing; otherwise one gamma does not describe
-    the constellation.
+    one below rho- = gamma + shift, and
+
+        SER = (1 - 2^-b2) * mean over (i, j) of [Q(rho+/sigma) + Q(rho-/sigma)]
+
+    where each sigma's mean runs over one contiguous row of the (i, j)
+    pairs.  At sigma = 0 the continuous limit is returned: each tail
+    probability becomes an indicator of its boundary distance being
+    negative (one half exactly on the boundary).  Requires uniform per-cell
+    edge spacing; otherwise one gamma does not describe the constellation.
     """
     sigma = _per_sigma(sigma)
     gap1 = uniform_spacing(cset.cell1_edge, "cell1_edge")

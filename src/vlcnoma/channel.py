@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 from .errors import GeometryError, ParameterError
 
-USERS = (1, 2, 3)
-
 
 @dataclass(frozen=True)
 class ScenarioGeometry:
@@ -38,7 +36,9 @@ class ScenarioGeometry:
 
     room_height_m: float
     cell_radius_m: float
-    rx_heights_m: tuple[float, float, float]
+    rx_height_u1_m: float
+    rx_height_u2_m: float
+    rx_height_u3_m: float
     r11_m: float
     r21_m: float
     r22_m: float
@@ -49,10 +49,10 @@ class ScenarioGeometry:
             raise GeometryError(f"room_height_m must be > 0, got {self.room_height_m}")
         if self.cell_radius_m <= 0:
             raise GeometryError(f"cell_radius_m must be > 0, got {self.cell_radius_m}")
-        for w, height in zip(USERS, self.rx_heights_m):
-            if not 0 <= height < self.room_height_m:
+        for name in ("rx_height_u1_m", "rx_height_u2_m", "rx_height_u3_m"):
+            if not 0 <= getattr(self, name) < self.room_height_m:
                 raise GeometryError(
-                    f"rx_height_u{w}_m must be in [0, room_height_m), got {height}"
+                    f"{name} must be in [0, room_height_m), got {getattr(self, name)}"
                 )
         for name in ("r11_m", "r21_m", "r22_m", "r32_m"):
             if getattr(self, name) < 0:
@@ -191,12 +191,11 @@ def gain_matrix(geometry: ScenarioGeometry, front_end: OpticalFrontEnd) -> Chann
     finite is rejected, naming the keys it reads.
     """
     L = geometry.room_height_m
-    heights = geometry.rx_heights_m
     gains = {
-        "h11": dc_gain(front_end, geometry.r11_m, L, heights[0]),
-        "h21": dc_gain(front_end, geometry.r21_m, L, heights[1]),
-        "h22": dc_gain(front_end, geometry.r22_m, L, heights[1]),
-        "h32": dc_gain(front_end, geometry.r32_m, L, heights[2]),
+        "h11": dc_gain(front_end, geometry.r11_m, L, geometry.rx_height_u1_m),
+        "h21": dc_gain(front_end, geometry.r21_m, L, geometry.rx_height_u2_m),
+        "h22": dc_gain(front_end, geometry.r22_m, L, geometry.rx_height_u2_m),
+        "h32": dc_gain(front_end, geometry.r32_m, L, geometry.rx_height_u3_m),
     }
     for name, h in gains.items():
         if not math.isfinite(h):  # name h<w><c>: receiver w, transmitter c

@@ -12,11 +12,16 @@ import os
 import sys
 from pathlib import Path
 
-from .config import (ExperimentConfig, load_config, parse_finite, parse_schemes, snr_grid,
-                     with_sweep)
+from .config import ExperimentConfig, load_config
 from .errors import ConfigError, ParameterError
 from .experiments import SER_HEADER, echo_comments, run_experiment, ser_rows, write_csv
 from .montecarlo import _frame, philox_stream, receivers, run_sweep, sigma_from_snr
+
+MAX_WORKERS = 64  # threads, each with a workspace of one batch (see SweepConfig.batch_size)
+SNR_KEYS = ("snr_start_db", "snr_stop_db", "snr_step_db")
+# simulate option -> the config key its value sets; --snr sets SNR_KEYS
+SIMULATE_KEYS = {"seed": "seed", "trials": "trials_per_point", "min_errors": "min_errors",
+                 "schemes": "schemes"}
 
 
 def _workers() -> int:
@@ -25,35 +30,28 @@ def _workers() -> int:
         value = int(raw)
     except ValueError as exc:
         raise ConfigError(f"VLCNOMA_WORKERS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ConfigError(f"VLCNOMA_WORKERS must be >= 1, got {value}")
+    if not 1 <= value <= MAX_WORKERS:
+        raise ConfigError(f"VLCNOMA_WORKERS must be in 1..{MAX_WORKERS}, got {value}")
     return value
 
 
-def _parse_snr_spec(spec: str) -> tuple[float, ...]:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"--snr expects start:stop:step, got {spec!r}")
-    try:
-        start, stop, step = (parse_finite(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"--snr expects numbers, got {spec!r}") from exc
-    return snr_grid(start, stop, step)
-
-
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    changes = {}
-    if getattr(args, "seed", None) is not None:
-        changes["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        changes["trials_per_point"] = args.trials
-    if getattr(args, "min_errors", None) is not None:
-        changes["min_errors"] = args.min_errors
-    if getattr(args, "snr", None) is not None:
-        changes["snr_points_db"] = _parse_snr_spec(args.snr)
-    if getattr(args, "schemes", None) is not None:
-        changes["schemes"] = parse_schemes(args.schemes)
-    return with_sweep(cfg, **changes) if changes else cfg
+def overridden_config(args, keys: dict[str, str]) -> ExperimentConfig:
+    """``args.config`` with each given option of ``keys`` setting its key,
+    the raw value parsed and checked as a config line is; ``--snr``, where
+    ``args`` has it, sets ``SNR_KEYS`` and drops a listed ``snr_points_db``.
+    """
+    raw, given = {}, []
+    for option, key in keys.items():
+        if (value := getattr(args, option)) is not None:
+            raw[key] = value
+            given.append(f"--{option.replace('_', '-')} {value}")
+    spec = getattr(args, "snr", None)
+    if spec is not None:
+        given.append(f"--snr {spec}")
+        if spec.count(":") != 2:
+            raise ConfigError(f"--snr expects {':'.join(SNR_KEYS)}, got {spec!r}")
+        raw.update(zip(SNR_KEYS, spec.split(":")), snr_points_db=None)
+    return load_config(args.config, raw, " ".join(given))
 
 
 def _trace(cfg: ExperimentConfig) -> None:
@@ -77,7 +75,7 @@ def _trace(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_simulate(args) -> None:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = overridden_config(args, SIMULATE_KEYS)
     if args.trace:
         _trace(cfg)
         return
@@ -114,12 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
     add("complexity", "decoding-cost table")
 
     sim = add("simulate", "Monte Carlo SER sweep")
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--trials", type=int, default=None)
-    sim.add_argument("--snr", type=str, default=None, metavar="START:STOP:STEP")
-    sim.add_argument("--schemes", type=str, default=None,
-                     help="comma list from noma-sic,noma-jml,oma")
-    sim.add_argument("--min-errors", type=int, default=None, dest="min_errors")
+    # every value is the raw text of a config line (overridden_config)
+    sim.add_argument("--seed", help="seed")
+    sim.add_argument("--trials", help="trials_per_point")
+    sim.add_argument("--snr", metavar="START:STOP:STEP",
+                     help="snr_start_db:snr_stop_db:snr_step_db, replacing snr_points_db")
+    sim.add_argument("--schemes", help="schemes: comma list from noma-sic,noma-jml,oma")
+    sim.add_argument("--min-errors", help="min_errors")
     sim.add_argument("--trace", action="store_true",
                      help="print one frame's signals and decisions, then exit")
 
@@ -128,15 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def exit_code(action) -> int:
+    """Run ``action()``: 0, else 1 for bad input or 2 for any other error, reported on stderr."""
     try:
-        if args.command == "simulate":
-            _cmd_simulate(args)
-        elif args.command == "reproduce":
-            _cmd_experiment(args.figure, args)
-        else:
-            _cmd_experiment(args.command, args)
+        action()
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -144,6 +138,13 @@ def main(argv=None) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     return 0
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    if args.command == "simulate":
+        return exit_code(lambda: _cmd_simulate(args))
+    return exit_code(lambda: _cmd_experiment(getattr(args, "figure", args.command), args))
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ reproducing the reference results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -38,17 +38,17 @@ def _parse_snr_points(text: str) -> tuple[float, ...]:
 
 
 # key -> (parser, default, location).  None defaults mean "absent unless
-# configured"; location is the dotted path of the value in a validated
+# configured"; location is the ``section.field`` of the value in a validated
 # ExperimentConfig: build_config places the value there and config_echo
-# reads it back.  A numeric part indexes a tuple.  Keys without a location
-# only feed other values and are not echoed.
+# reads it back.  Keys without a location only feed other values and are
+# not echoed.
 SCHEMA: dict[str, tuple] = {
     "room_height_m": (parse_finite, 4.0, "geometry.room_height_m"),
     # feeds no computation, but every output header echoes it
     "cell_radius_m": (parse_finite, 3.6, "geometry.cell_radius_m"),
-    "rx_height_u1_m": (parse_finite, 0.5, "geometry.rx_heights_m.0"),
-    "rx_height_u2_m": (parse_finite, 0.5, "geometry.rx_heights_m.1"),
-    "rx_height_u3_m": (parse_finite, 1.0, "geometry.rx_heights_m.2"),
+    "rx_height_u1_m": (parse_finite, 0.5, "geometry.rx_height_u1_m"),
+    "rx_height_u2_m": (parse_finite, 0.5, "geometry.rx_height_u2_m"),
+    "rx_height_u3_m": (parse_finite, 1.0, "geometry.rx_height_u3_m"),
     "r11_m": (parse_finite, 0.4885, "geometry.r11_m"),
     "r21_m": (parse_finite, 3.2880, "geometry.r21_m"),
     "r22_m": (parse_finite, 3.4670, "geometry.r22_m"),
@@ -154,7 +154,10 @@ def snr_grid(start_db: float, stop_db: float, step_db: float) -> tuple[float, ..
 def parse_kv_file(path) -> dict[str, str]:
     """Raw key/value strings from a flat config file; strict about shape."""
     values: dict[str, str] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -186,14 +189,11 @@ def build_config(raw: dict[str, str], source: str = "<config>") -> ExperimentCon
         else:
             typed[key] = default
 
-    def domain(cls, kwargs):
-        # domain-type validators already name the offending key
-        try:
-            return cls(**kwargs)
-        except ParameterError as exc:
-            raise ConfigError(f"{source}: {exc}") from exc
-
-    placed = _place(typed)
+    placed: dict[str, dict] = {}
+    for key, (_, _, location) in SCHEMA.items():
+        if location is not None:
+            section, name = location.split(".")
+            placed.setdefault(section, {})[name] = typed[key]
     # the override's keys are gain_h11 .. gain_h32, located at gain_override.h11 ..
     gains = placed.pop("gain_override")
     missing = [f"gain_{name}" for name, value in gains.items() if value is None]
@@ -206,56 +206,38 @@ def build_config(raw: dict[str, str], source: str = "<config>") -> ExperimentCon
     if placed["sweep"]["snr_points_db"] is None:
         placed["sweep"]["snr_points_db"] = snr_grid(
             typed["snr_start_db"], typed["snr_stop_db"], typed["snr_step_db"])
-    sections = {name: domain(cls, placed[name]) for name, cls in SECTIONS.items()}
+    sections = {}
+    for name, cls in SECTIONS.items():
+        try:  # domain-type validators already name the offending key
+            sections[name] = cls(**placed[name])
+        except ParameterError as exc:
+            raise ConfigError(f"{source}: {exc}") from exc
     return ExperimentConfig(gain_override=override, **sections)
 
 
-def _place(typed: dict[str, object]) -> dict[str, dict]:
-    """``{section: {field: value}}`` by each key's location ``section.field``;
-    a third, numeric part is the value's index in a tuple field."""
-    placed: dict[str, dict] = {}
-    for key, (_, _, location) in SCHEMA.items():
-        if location is not None:
-            section, field, *index = location.split(".")
-            fields = placed.setdefault(section, {})
-            if index:
-                fields.setdefault(field, {})[int(index[0])] = typed[key]
-            else:
-                fields[field] = typed[key]
-    for fields in placed.values():
-        for field, value in fields.items():
-            if isinstance(value, dict):
-                fields[field] = tuple(value[i] for i in range(len(value)))
-    return placed
+def load_config(path=None, overrides=None, flags: str = "") -> ExperimentConfig:
+    """Load and validate a config file; the bundled defaults when path is None.
 
-
-def load_config(path=None) -> ExperimentConfig:
-    """Load and validate a config file; the bundled defaults when path is None."""
+    ``overrides`` maps keys to raw values that replace the file's, None
+    removing one, parsed as its lines are; messages name the file and then
+    ``flags``, the command-line text the overrides came from.
+    """
     actual = default_config_path() if path is None else Path(path)
     if not actual.is_file():
         raise ConfigError(f"config file not found: {actual}")
-    return build_config(parse_kv_file(actual), source=str(actual))
-
-
-def _lookup(cfg: ExperimentConfig, location: str):
-    value = cfg
-    for part in location.split("."):
-        if value is None:
-            return None
-        value = value[int(part)] if part.isdigit() else getattr(value, part)
-    return value
+    raw = {**parse_kv_file(actual), **(overrides or {})}
+    return build_config({key: value for key, value in raw.items() if value is not None},
+                        source=f"{actual} {flags}".rstrip())
 
 
 def config_echo(cfg: ExperimentConfig) -> list[tuple[str, str]]:
     """Canonical (key, value) pairs describing cfg, for embedding in outputs."""
     pairs = []
     for key, (parser, _, location) in SCHEMA.items():
-        value = None if location is None else _lookup(cfg, location)
-        if value is not None:
-            pairs.append((key, ECHO_FORMAT[parser](value)))
+        if location is not None:
+            section, name = location.split(".")
+            owner = getattr(cfg, section)  # None: no gain override
+            value = None if owner is None else getattr(owner, name)
+            if value is not None:
+                pairs.append((key, ECHO_FORMAT[parser](value)))
     return pairs
-
-
-def with_sweep(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
-    """Copy of cfg with selected sweep fields replaced."""
-    return replace(cfg, sweep=replace(cfg.sweep, **changes))

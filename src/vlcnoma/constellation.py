@@ -183,8 +183,6 @@ def from_raw_levels(
     arrays = {f"raw_{name}": _frozen(values) for (name, _, _), values in zip(LEVEL_SETS, raw)}
     for (name, arr), (_, _, user) in zip(arrays.items(), LEVEL_SETS):
         expected = bpcu.sizes[int(user[1]) - 1]
-        if arr.size == 0:
-            raise ConstellationError(f"{name} is empty")
         if arr.size != expected:
             raise ConstellationError(
                 f"{name} must have {expected} levels for bpcu {bpcu}, got {arr.size}"

@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import analytic
-from .config import ExperimentConfig, config_echo, with_sweep
+from .config import ExperimentConfig, config_echo
 from .constellation import LEVEL_SETS, SpectralEfficiencies, peak_powers, verify_gap_condition
 from .errors import ParameterError
 from .montecarlo import USERS, SerPoint, run_sweep, sigma_from_snr
@@ -24,8 +24,6 @@ SER_HEADER = "snr_db,user,scheme,trials,errors,ser,ci_low,ci_high,analytic"
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, numbers.Integral):
         return str(int(value))
     if isinstance(value, numbers.Real):
@@ -118,7 +116,6 @@ def experiment_complexity(cfg: ExperimentConfig, out: Path) -> Path:
 
 
 REFERENCE_BPCU = SpectralEfficiencies(3, 2, 2)
-ALL_SCHEMES = ("noma-sic", "noma-jml", "oma")
 BASELINE_NOTE = ("note: the prior single-cell superposition baseline is omitted; its level"
                  " design rules are not part of this package")
 
@@ -131,9 +128,9 @@ BASELINE_NOTE = ("note: the prior single-cell superposition baseline is omitted;
 # all schemes cuts each point at a different batch and changes fig2's rows.
 FIGURES = {
     "fig2": (("noma-sic",), lambda p: p.user != "avg", ()),
-    "fig3": (ALL_SCHEMES, lambda p: p.user == "avg",
+    "fig3": (analytic.SCHEMES, lambda p: p.user == "avg",
              ("series = average SER per scheme", BASELINE_NOTE)),
-    "fig4": (ALL_SCHEMES, lambda p: p.user == "u2",
+    "fig4": (analytic.SCHEMES, lambda p: p.user == "u2",
              ("series = cell-edge user SER per scheme", BASELINE_NOTE)),
 }
 TABLES = {
@@ -154,7 +151,7 @@ def experiment_figure(name: str, cfg: ExperimentConfig, out: Path, workers: int,
     so an entry is never reused for a different one.
     """
     schemes, keep, notes = FIGURES[name]
-    cfg = with_sweep(replace(cfg, bpcu=REFERENCE_BPCU), schemes=schemes)
+    cfg = replace(cfg, bpcu=REFERENCE_BPCU, sweep=replace(cfg.sweep, schemes=schemes))
     memo = {} if memo is None else memo
     if cfg not in memo:
         gains, cset = cfg.design()

@@ -4,44 +4,6 @@ All functions are vectorized: symbol indices and received amplitudes may be
 scalars or equally shaped numpy arrays.  Symbol indices and decided labels
 are 0-based positions in the level arrays; only ``vlcnoma simulate --trace``
 prints them 1-based, like the paper's level numbering.
-
-Every receiver is a nearest-candidate decision on one real sample: it picks
-the candidate whose computed distance ``|y - c|`` is smallest, a tie going
-to the lowest index, and equal candidates resolve to their lowest index.
-Such a decision is piecewise constant in y, so each receiver is tabulated
-once per design as a ``DecisionTable`` (sorted thresholds and the label of
-every interval between them, the index of the candidate it picks).
-Decoding counts the thresholds at or below y: by comparing y with every
-threshold of a small table, or from a monotone bucket index and a few
-compares for a large one.  Either way
-only compares with the exact thresholds decide, so it agrees with a binary
-search exactly (see DecisionTable).
-
-The thresholds are exact, not midpoints.  Between adjacent distinct
-candidates a < b the rule picks b where the computed ``|y - b| < |y - a|``,
-or where the two are equal and b has the lower index.  For y in (a, b],
-fl(y - a) never decreases and fl(b - y) never increases as y grows, so the
-choice flips exactly once; bisection over the ordered bit patterns of the
-floats finds the smallest float at which it picks b, starting one ulp
-either side of fl(a/2 + b/2) where the rule switches in between.  Only
-the two candidates adjacent to y compete, so a rounding tie with a
-farther one (possible only far outside the codebook) is not a tie.  A
-sample at or below the lowest candidate takes it, one above the highest
-takes that.  The SIC receiver is two such tables, run as the receiver
-runs them: stage 1 decides the edge level c from y, stage 2 decides the
-user's own level from the residual fl(y - c) (``SicReceiver``).  Adjacent
-intervals with the same label are merged: joint ML over the 128 tuples of
-the reference design returns only the edge coordinate and keeps 3 of its
-127 thresholds.  Candidates must be finite.
-
-The hot-path stages (``superpose_transmit``, ``awgn_sample``,
-``DecisionTable.decide``, ``SicReceiver.decide`` and so the three
-``decode_*``, ``oma_round``)
-take an optional ``Workspace``.  With one, every array they compute goes
-into the workspace's reusable arrays, and what they return aliases them
-until the next call that takes the same names; with ``ws=None`` numpy
-allocates each result, through the same code.  Either way the arithmetic
-is the same operations on the same operands.
 """
 
 from __future__ import annotations
@@ -93,10 +55,8 @@ def _array(ws: Workspace | None, name: str, shape: tuple, dtype) -> np.ndarray:
 def oma_sizes(bpcu) -> tuple[int, int, int]:
     """PAM sizes of the orthogonal baseline: each superposed size squared.
 
-    The baseline runs a two-slot frame.  Slot A carries both center users at
-    once (disjoint cells); slot B carries the edge user from both
-    transmitters jointly.  Efficiencies are doubled relative to the
-    superposed scheme so each user moves the same bits per channel use.
+    The baseline's two-slot frame (``oma_levels``) doubles every efficiency,
+    so each user moves the same bits per channel use as when superposed.
     """
     return tuple(m * m for m in bpcu.sizes)
 
@@ -142,11 +102,9 @@ def superpose_transmit(symbols, cset: ConstellationSet, gains: ChannelGains,
 def awgn_sample(noiseless, sigma: float, rng: np.random.Generator, ws: Workspace | None = None):
     """Add independent zero-mean Gaussian noise of std sigma to ``(y1, y2, y3)``.
 
-    The caller owns the stream; hand in a counter-addressed generator (see
-    montecarlo.philox_stream) and repeated calls at the same stream position
-    reproduce bit-identical output.  Draw order is fixed: y1, y2, y3.  With
-    a workspace the noisy amplitudes are its arrays "y1", "y2" and "y3", so
-    they replace the output of ``superpose_transmit`` on the same workspace.
+    Draw order is fixed: y1, y2, y3.  With a workspace the noisy amplitudes
+    are its arrays "y1", "y2" and "y3", so they replace the output of
+    ``superpose_transmit`` on the same workspace.
     """
     if not sigma >= 0:
         raise ParameterError(f"sigma must be >= 0, got {sigma}")
@@ -220,10 +178,7 @@ class DecisionTable:
     ``np.searchsorted(thresholds, y, 'right')`` does.
 
     ``thresholds`` are sorted and finite.  ``labels`` holds one label per
-    interval, K + 1 for K thresholds, and adjacent labels differ.  The
-    tables of ``nearest_tables`` label an interval with the 0-based index
-    of its candidate, which compares with a sent symbol index as it is;
-    ``vlcnoma simulate --trace`` alone prints indices 1-based.
+    interval, K + 1 for K thresholds, and adjacent labels differ.
 
     ``__post_init__`` fixes the lookup from the threshold count K:
 
@@ -244,12 +199,9 @@ class DecisionTable:
     Only compares with the exact thresholds decide, so both are exact with
     no rounding analysis.  Where the labels are 0..K, as in every table of
     the reference design, the label is the slot itself, written with no
-    gather.  Counting costs about K/8 ns per sample and buckets a
-    flat 4-5 (32768 samples, numpy 2.4, shared 2-core sandbox): the
-    reference tables with K = 3 and 15 took 0.8-0.9 and 2.5 ns/sample
-    counted against 4.6-4.8 in buckets, evenly spaced K = 31 took 4.1
-    against 4.2, and K = 63 took 9.0 against 4.3.  Hence the cutoff, which
-    at the reference design leaves only OMA user 1's 64-PAM on buckets.
+    gather.  Counting costs about K/8 ns per sample and buckets a flat few,
+    hence the cutoff, which at the reference design leaves only OMA user
+    1's 64-PAM on buckets.
     """
 
     thresholds: np.ndarray
@@ -320,10 +272,7 @@ class SicReceiver:
     ``stage2`` decides the user's own label of the residual
     fl(y - levels[e]).  That is the two-stage receiver itself, so it is
     exact by construction, and stage-1 mistakes propagate as they do in it.
-
-    Both labels are 0-based indices, into the edge levels and the user's own
-    levels; ``levels`` are the edge levels, so stage-1 label e subtracts
-    ``levels[e]``.  Only ``vlcnoma simulate --trace`` prints them 1-based.
+    ``levels`` are the edge levels.
     """
 
     stage1: DecisionTable
@@ -341,16 +290,16 @@ class SicReceiver:
         return self.stage2.decide(residual, ws, f"{name}-own"), edge
 
 
-def _merged(thresholds: np.ndarray, labels: np.ndarray) -> tuple:
-    """``DecisionTable`` fields without the thresholds between equally
-    labelled intervals."""
-    keep = labels[1:] != labels[:-1]
-    return thresholds[keep], labels[np.concatenate([[True], keep])]
-
-
 def _nearest(sets) -> list[tuple]:
-    """``_merged`` fields of the nearest-candidate rule for every
-    ``(candidates, outputs)``, from one bisection."""
+    """``DecisionTable`` fields of the nearest-candidate rule for every
+    ``(candidates, outputs)``, from one bisection, adjacent equal labels merged.
+
+    The rule picks the smallest computed ``|y - c|`` of the two candidates
+    adjacent to y, a tie going to the lowest index.  Between adjacent
+    distinct candidates a < b, fl(y - a) never decreases and fl(b - y)
+    never increases as y grows through (a, b], so the choice flips once,
+    at the float ``_first_true`` finds.
+    """
     sets = [(np.asarray(c, dtype=float).reshape(-1), outputs) for c, outputs in sets]
     distinct = [np.unique(c, return_index=True) for c, _ in sets]
     a = np.concatenate([values[:-1] for values, _ in distinct])
@@ -366,7 +315,8 @@ def _nearest(sets) -> list[tuple]:
     for (c, outputs), (_, lowest), thresholds in zip(
             sets, distinct, np.split(_first_true(picks_b, a, b, a / 2 + b / 2), cuts)):
         labels = lowest if outputs is None else np.asarray(outputs).reshape(-1)[lowest]
-        rules.append(_merged(thresholds, labels))
+        keep = labels[1:] != labels[:-1]
+        rules.append((thresholds[keep], labels[np.concatenate([[True], keep])]))
     return rules
 
 
@@ -402,12 +352,7 @@ def center_user(cset: ConstellationSet, gains: ChannelGains, user: int):
 
 
 def center_pairs(cset: ConstellationSet, gains: ChannelGains) -> list[tuple]:
-    """``nearest_tables`` SIC pairs of center users 1 and 3.
-
-    Stage 1 estimates the (stronger) edge-user level from the raw signal,
-    stage 2 subtracts it and finds the nearest own level; stage-1 mistakes
-    propagate, as in the receiver.
-    """
+    """``nearest_tables`` SIC pairs ``(edge, own)`` of center users 1 and 3."""
     return [(h * edge, h * own) for edge, own, h in (center_user(cset, gains, u) for u in (1, 3))]
 
 
@@ -454,15 +399,6 @@ def oma_pam_points(size: int, avg_intensity_w: float) -> np.ndarray:
     return levels
 
 
-@dataclass(frozen=True)
-class OmaLinks:
-    """The orthogonal baseline's three PAM links, in user order 1, 2, 3:
-    the levels each user receives (``oma_levels``) and its detector's table."""
-
-    levels: tuple[np.ndarray, np.ndarray, np.ndarray]
-    tables: tuple[DecisionTable, DecisionTable, DecisionTable]
-
-
 def oma_levels(bpcu, gains: ChannelGains, avg_intensity_w: float) -> tuple[np.ndarray, ...]:
     """Received levels of users 1, 2, 3: PAM of sizes ``oma_sizes(bpcu)``
     with mean ``avg_intensity_w``, times the gain of each user's link.
@@ -478,10 +414,12 @@ def oma_levels(bpcu, gains: ChannelGains, avg_intensity_w: float) -> tuple[np.nd
                  for size, g in zip(oma_sizes(bpcu), link_gains))
 
 
-def oma_round(symbols, links: OmaLinks, sigma: float, rng: np.random.Generator,
+def oma_round(symbols, links, sigma: float, rng: np.random.Generator,
               ws: Workspace | None = None):
     """One two-slot orthogonal frame: transmit, add noise, decode all users.
 
+    ``links`` holds one ``(levels, table)`` pair per user, in user order 1,
+    2, 3: the levels it receives (``oma_levels``) and its detector's table.
     Noise draw order is fixed: user 1, user 3, then the edge user.  Each
     user is decoded as soon as its noise is drawn; decoding draws nothing.
     Returns the three decoded indices, with a workspace its arrays
@@ -489,12 +427,13 @@ def oma_round(symbols, links: OmaLinks, sigma: float, rng: np.random.Generator,
     """
     if not sigma >= 0:
         raise ParameterError(f"sigma must be >= 0, got {sigma}")
-    indices = _indices(symbols, tuple(x.size for x in links.levels))
+    indices = _indices(symbols, tuple(levels.size for levels, _ in links))
     shape = np.broadcast_shapes(*(np.shape(i) for i in indices))
     decided = [None, None, None]
     for k, user in ((0, "u1"), (2, "u3"), (1, "u2")):
+        levels, table = links[k]
         y = rng.standard_normal(shape, out=_out(ws, "z", shape))
         y *= sigma
-        y += _gather(links.levels[k], indices[k], ws, "t")
-        decided[k] = links.tables[k].decide(y, ws, f"oma-{user}")
+        y += _gather(levels, indices[k], ws, "t")
+        decided[k] = table.decide(y, ws, f"oma-{user}")
     return tuple(decided)

@@ -8,25 +8,9 @@ them until optional early stopping cuts in.  The cut point depends only on
 cumulative counts, so the result is bit-identical no matter how many
 workers run or how batches are scheduled.
 
-One scheduler serves the whole sweep.  A worker that is free takes the next
-batch of the lowest SNR point whose next batch is certain to be consumed:
-every batch issued for that point has been consumed and the point has not
-stopped.  Only when no such batch exists does it take a speculative one, the
-next batch of the lowest point still running; early stopping may discard
-it.  With two workers at most one batch per sweep is discarded.  Scheduling
-decides only when a batch is computed, never which batches a point
-consumes, so it cannot change any result.
-
 Within a batch the draw order is fixed by ``_frame``: the superposed
 symbols u1, u2, u3, the noise on y1, y2, y3, then, if the orthogonal
-baseline runs, its symbols and its noise on users 1, 3 and 2.  ``vlcnoma
-simulate --trace`` prints one channel use of the same frame code.
-
-Each worker holds one ``link.Workspace`` of one batch for the whole sweep,
-and every stage of ``_frame`` writes into it instead of allocating, so a
-batch allocates only its symbol draws.  What ``_frame`` returns aliases
-that workspace until the worker's next frame, and the worker has counted
-its errors by then.
+baseline runs, its symbols and its noise on users 1, 3 and 2.
 """
 
 from __future__ import annotations
@@ -44,12 +28,13 @@ from . import analytic
 from .channel import ChannelGains
 from .constellation import ConstellationSet, verify_gap_condition
 from .errors import ParameterError
-from .link import (OmaLinks, Workspace, awgn_sample, center_pairs, decode_center_sic,
+from .link import (Workspace, awgn_sample, center_pairs, decode_center_sic,
                    decode_u2_jml, decode_u2_sic, edge_jml_candidates, edge_sic_candidates,
                    nearest_tables, oma_levels, oma_round, superpose_transmit)
 
 USERS = ("u1", "u2", "u3")
 Z_95 = 1.959963984540054
+MAX_BATCH = 1 << 20  # trials; a worker's workspace of one batch is then about 170 MB
 
 
 @dataclass(frozen=True)
@@ -81,8 +66,8 @@ class SweepConfig:
             raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.min_errors < 0:
             raise ParameterError(f"min_errors must be >= 0, got {self.min_errors}")
-        if self.batch_size < 1:
-            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 1 <= self.batch_size <= MAX_BATCH:
+            raise ParameterError(f"batch_size must be in 1..{MAX_BATCH}, got {self.batch_size}")
         if not self.schemes or not set(self.schemes) <= set(analytic.SCHEMES):
             raise ParameterError(
                 f"schemes must name some of {analytic.SCHEMES}, got {self.schemes}")
@@ -162,12 +147,11 @@ def philox_stream(seed: int, snr_index: int, batch_index: int) -> np.random.Gene
 def receivers(
     cset: ConstellationSet, gains: ChannelGains, schemes: tuple[str, ...], power_w: float
 ) -> dict:
-    """The decision tables that ``schemes`` decode with, built once per sweep.
-
-    "u1" and "u3" (SIC at the center users) are there for any superposed
-    scheme, "noma-sic" and "noma-jml" (the edge user) and "oma"
-    (``OmaLinks`` at average intensity ``power_w``) when their scheme runs.
-    One ``nearest_tables`` call builds them all.
+    """The decision tables that ``schemes`` decode with, built once per sweep
+    by one ``nearest_tables`` call: "u1" and "u3" (SIC at the center users)
+    for any superposed scheme, "noma-sic" and "noma-jml" (the edge user) and
+    "oma" (``oma_round``'s links at average intensity ``power_w``) when
+    their scheme runs.
     """
     edge = {"noma-sic": edge_sic_candidates, "noma-jml": edge_jml_candidates}
     wanted = [scheme for scheme in edge if scheme in schemes]
@@ -177,7 +161,7 @@ def receivers(
                            pairs)
     tables: dict = dict(zip(wanted, built))
     if oma:
-        tables["oma"] = OmaLinks(oma, tuple(built[len(wanted):len(wanted) + 3]))
+        tables["oma"] = tuple(zip(oma, built[len(wanted):len(wanted) + 3]))
     if pairs:
         tables["u1"], tables["u3"] = built[-2:]
     return tables
@@ -222,9 +206,8 @@ def _frame(
             sent["noma-jml"] = symbols
             decided["noma-jml"] = (u1_hat, decode_u2_jml(y2, tables["noma-jml"], ws), u3_hat)
     if "oma" in tables:
-        links = tables["oma"]
-        sent["oma"] = tuple(rng.integers(0, pam.size, n) for pam in links.levels)
-        decided["oma"] = oma_round(sent["oma"], links, sigma, rng, ws)
+        sent["oma"] = tuple(rng.integers(0, levels.size, n) for levels, _ in tables["oma"])
+        decided["oma"] = oma_round(sent["oma"], tables["oma"], sigma, rng, ws)
     return sent, received, decided
 
 
@@ -237,13 +220,14 @@ def _run_points(
 ) -> tuple[list[dict[tuple[str, str], int]], list[int]]:
     """Error totals and trials of every SNR point, under the in-order early-stop rule.
 
-    ``workers`` threads, the calling thread among them, run one loop: take
-    a batch (certain ones first, see the module docstring), compute it in
-    the worker's own workspace, and consume whatever that makes consumable
-    in index order.
+    ``workers`` threads, the calling thread among them, but no more than
+    the sweep has batches, run one loop: take a batch (``pick``), compute
+    it in the worker's own workspace, and consume whatever that makes
+    consumable in index order.
     """
     total, size = config.trials_per_point, config.batch_size
-    sizes = [min(size, total - start) for start in range(0, total, size)]
+    batches = -(-total // size)  # per point, each of ``size`` trials but the last
+    workers = min(workers, len(sigmas) * batches)
     tables = receivers(cset, gains, config.schemes, config.target_power_w)
     tracked = [(s, u) for s in config.schemes for u in USERS]
     count = len(sigmas)
@@ -257,7 +241,8 @@ def _run_points(
     def compute(point: int, batch: int, ws: Workspace) -> dict[tuple[str, str], int]:
         """Symbol error counts of one batch, keyed by (scheme, user)."""
         rng = philox_stream(config.seed, point, batch)
-        sent, _, decided = _frame(rng, sizes[batch], sigmas[point], cset, gains, tables, ws)
+        sent, _, decided = _frame(rng, min(size, total - batch * size), sigmas[point], cset,
+                                  gains, tables, ws)
         counted: dict[tuple[int, int], int] = {}  # by the arrays compared
 
         def errors(want: np.ndarray, got: np.ndarray) -> int:
@@ -272,18 +257,19 @@ def _run_points(
                 for user, want, got in zip(USERS, sent[scheme], decided[scheme])}
 
     def pick() -> int | None:
-        """The point to issue a batch of now, if any.
-
-        A point never has more than ``workers`` batches issued and not yet
-        consumed, so no point stops with more than ``workers - 1`` computed
-        past its cut.
+        """The point to issue a batch of now, if any: the lowest whose next
+        batch is certain to be consumed, as all its issued ones have been,
+        else the lowest still running, whose batch early stopping may
+        discard.  A point never has more than ``workers`` batches issued and
+        not yet consumed, so no point stops with more than ``workers - 1``
+        computed past its cut.
         """
         nonlocal low
-        while low < count and (done[low] or issued[low] == len(sizes)):
+        while low < count and (done[low] or issued[low] == batches):
             low += 1
         speculative = None
         for point in range(low, count):
-            if done[point] or issued[point] == len(sizes):
+            if done[point] or issued[point] == batches:
                 continue
             ahead = issued[point] - consumed[point]
             if ahead == 0:
@@ -297,16 +283,16 @@ def _run_points(
         while not done[point] and consumed[point] in waiting[point]:
             for key, errors in waiting[point].pop(consumed[point]).items():
                 totals[point][key] += errors
-            trials[point] += sizes[consumed[point]]
+            trials[point] += min(size, total - consumed[point] * size)
             consumed[point] += 1
-            done[point] = consumed[point] == len(sizes) or (
+            done[point] = consumed[point] == batches or (
                 config.min_errors > 0
                 and min(totals[point][key] for key in tracked) >= config.min_errors)
         if done[point]:
             waiting[point].clear()
 
     def work() -> None:
-        ws = Workspace(sizes[0])
+        ws = Workspace(min(size, total))
         while True:
             with changed:
                 while (point := pick()) is None:

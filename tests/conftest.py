@@ -22,7 +22,9 @@ def reference_geometry():
     return ScenarioGeometry(
         room_height_m=4.0,
         cell_radius_m=3.6,
-        rx_heights_m=(0.5, 0.5, 1.0),
+        rx_height_u1_m=0.5,
+        rx_height_u2_m=0.5,
+        rx_height_u3_m=1.0,
         r11_m=0.4885,
         r21_m=3.2880,
         r22_m=3.4670,

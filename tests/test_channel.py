@@ -116,7 +116,8 @@ class TestGainMatrix:
 
     def test_symmetric_scenario_gives_equal_edge_gains(self, reference_front_end):
         geometry = ScenarioGeometry(
-            room_height_m=4.0, cell_radius_m=3.6, rx_heights_m=(0.5, 0.5, 0.5),
+            room_height_m=4.0, cell_radius_m=3.6, rx_height_u1_m=0.5, rx_height_u2_m=0.5,
+            rx_height_u3_m=0.5,
             r11_m=0.5, r21_m=3.0, r22_m=3.0, r32_m=0.5,
         )
         computed = gain_matrix(geometry, reference_front_end)

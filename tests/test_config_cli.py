@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vlcnoma import montecarlo
 from vlcnoma.cli import main
 from vlcnoma.config import (SCHEMA, build_config, config_echo, default_config_path, load_config,
                             parse_kv_file, snr_grid)
@@ -72,6 +73,15 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.cfg")
+
+    def test_non_utf8_file_names_the_file(self, tmp_path, capsys):
+        # a leading 0xff byte used to exit 2 with a codec error
+        path = tmp_path / "latin.cfg"
+        path.write_bytes(b"\xffseed = 1\n")
+        with pytest.raises(ConfigError, match="latin.cfg: not UTF-8"):
+            load_config(path)
+        assert run_cli("gains", "--config", str(path), "--out", str(tmp_path / "g.csv")) == 1
+        assert "latin.cfg" in capsys.readouterr().err
 
     def test_explicit_snr_points_key(self, tmp_path):
         path = tmp_path / "pts.cfg"
@@ -233,6 +243,60 @@ class TestCli:
         assert run_cli("gains", "--config", str(cfg), "--out", str(tmp_path / "g.csv")) == 1
         err = capsys.readouterr().err
         assert "fov_deg" in err and "room_height_m" in err
+
+    @pytest.mark.parametrize("flag,value,keys", [
+        ("--seed", "4", {"seed": "4"}),
+        ("--trials", "900", {"trials_per_point": "900"}),
+        ("--min-errors", "3", {"min_errors": "3"}),
+        ("--schemes", "noma-sic,oma", {"schemes": "noma-sic,oma"}),
+        ("--snr", "141:145:4", {"snr_start_db": "141", "snr_stop_db": "145",
+                                "snr_step_db": "4"}),
+    ])
+    def test_simulate_flag_writes_what_its_config_key_does(self, tmp_path, flag, value, keys):
+        # the base file lists snr_points_db, which --snr replaces
+        base = {"trials_per_point": "600", "batch_size": "256", "seed": "2",
+                "snr_points_db": "140.0:146.0"}
+        keyed = {k: v for k, v in base.items() if not (flag == "--snr" and k == "snr_points_db")}
+        paths = {}
+        for name, values in (("base", base), ("keyed", {**keyed, **keys})):
+            paths[name] = tmp_path / f"{name}.cfg"
+            paths[name].write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        by_flag, by_key = tmp_path / "flag.csv", tmp_path / "key.csv"
+        assert run_cli("simulate", "--config", str(paths["base"]), flag, value,
+                       "--out", str(by_flag)) == 0
+        assert run_cli("simulate", "--config", str(paths["keyed"]), "--out", str(by_key)) == 0
+        assert by_flag.read_bytes() == by_key.read_bytes()
+
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--trials", "abc", "trials_per_point"),
+        ("--seed", "x", "seed"),
+        ("--min-errors", "1.5", "min_errors"),
+        ("--snr", "a:150:2", "snr_start_db"),
+        ("--snr", "10:20", "snr_start_db"),
+        ("--schemes", "fft", "schemes"),
+        ("--trials", "0", "trials_per_point"),
+    ])
+    def test_bad_override_exits_1_naming_key_and_flag(self, tmp_path, capsys, flag, value,
+                                                      key):
+        # argparse's type=int used to exit 2 with a usage dump for the first three
+        out = tmp_path / "out.csv"
+        assert run_cli("simulate", flag, value, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert key in err and flag in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "65", str(10**30)])
+    def test_worker_count_out_of_bounds_exits_1(self, tmp_path, capsys, monkeypatch, workers):
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} threads was asked for")
+
+        # checked before any thread could start: a pool here fails the run
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setenv("VLCNOMA_WORKERS", workers)
+        out = tmp_path / "out.csv"
+        assert run_cli("simulate", "--trials", "64", "--out", str(out)) == 1
+        assert "VLCNOMA_WORKERS" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_snr_spec_exits_1(self, capsys):
         assert run_cli("simulate", "--snr", "nan:150:2") == 1

@@ -346,8 +346,7 @@ class TestDecisionTables:
             for got, want in zip(receiver.decide(y), argmin_sic(y, h * edge, h * own),
                                  strict=True):
                 assert np.array_equal(got, want)
-        for links_table, levels in zip(reference_tables["oma"].tables,
-                                       reference_tables["oma"].levels, strict=True):
+        for levels, links_table in reference_tables["oma"]:
             y = around(links_table.thresholds)
             assert np.array_equal(links_table.decide(y), argmin_nearest(y, levels))
 
@@ -376,7 +375,7 @@ class TestDecisionTables:
     def test_lookup_matches_searchsorted_on_reference_tables(self, reference_tables):
         tables = stage_tables(reference_tables[name]
                               for name in ("u1", "u3", "noma-sic", "noma-jml"))
-        tables += list(reference_tables["oma"].tables)
+        tables += [table for _, table in reference_tables["oma"]]
         assert len(tables) == 9
         for table in tables:
             y = np.concatenate([around(table.thresholds), EXTREMES])
@@ -422,7 +421,7 @@ class TestDecisionTables:
     def test_lookup_keeps_scalars_and_shapes(self, reference_tables, merged_sic, y):
         # a counted table, a bucketed one, and a SIC receiver against its merged table
         assert_same_lookup(reference_tables["noma-jml"], y)
-        assert_same_lookup(reference_tables["oma"].tables[0], y)
+        assert_same_lookup(reference_tables["oma"][0][1], y)
         assert_same_lookup(reference_tables["u1"], y, merged_decide(merged_sic["u1"], y))
 
     @pytest.mark.parametrize("y", [0.5, np.array(1.25e-6), np.array(np.nan), np.array([]),
@@ -450,7 +449,7 @@ class TestDecisionTables:
         # labels 0..K: both lookups return the slot itself, with no gather
         tables = stage_tables(reference_tables[name]
                               for name in ("u1", "u3", "noma-sic", "noma-jml"))
-        tables += list(reference_tables["oma"].tables)
+        tables += [table for _, table in reference_tables["oma"]]
         assert len(tables) == 9
         for table in tables:
             assert np.array_equal(table.labels, np.arange(table.thresholds.size + 1))
@@ -510,8 +509,8 @@ class TestDecisionTables:
                                                    monkeypatch):
         def build():
             tables = receivers(reference_set, reference_gains, ALL_SCHEMES, 1.0)
-            tables = [tables[k] for k in ("u1", "u3", "noma-sic", "noma-jml")] + list(
-                tables["oma"].tables)
+            tables = [tables[k] for k in ("u1", "u3", "noma-sic", "noma-jml")] + [
+                table for _, table in tables["oma"]]
             tables += nearest_tables([(c, None) for c in self.CODEBOOKS.values()])
             codebooks = list(self.CODEBOOKS.values())
             return stage_tables(tables + nearest_tables([], list(zip(codebooks, codebooks[1:]))))
@@ -536,7 +535,7 @@ class TestDecisionTables:
                        for rule in (edge_sic_candidates, edge_jml_candidates)]
                     + nearest_tables([(x, None) for x in oma]))
         built = [reference_tables[k] for k in ("u1", "u3", "noma-sic", "noma-jml")]
-        built += list(reference_tables["oma"].tables)
+        built += [table for _, table in reference_tables["oma"]]
         for fresh, old in zip(stage_tables(built), stage_tables(separate), strict=True):
             assert np.array_equal(fresh.thresholds, old.thresholds)
             assert np.array_equal(fresh.labels, old.labels)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import sys
@@ -334,3 +335,60 @@ class TestStreamAddressing:
         with pytest.raises(ParameterError, match="stream-addressing"):
             SweepConfig(snr_points_db=(100.0,), trials_per_point=2**32, seed=0,
                         target_power_w=1.0, batch_size=1)
+
+
+class RecordingPool:
+    """Stands in for ThreadPoolExecutor: records ``max_workers`` and starts no
+    thread, so the calling thread computes every batch."""
+
+    recorded: list[int] = []
+
+    def __init__(self, max_workers):
+        self.recorded.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn):
+        done = concurrent.futures.Future()
+        done.set_result(None)
+        return done
+
+
+class TestResourceBounds:
+    def test_batch_size_bound(self):
+        SweepConfig(snr_points_db=(100.0,), trials_per_point=1, seed=0, target_power_w=1.0,
+                    batch_size=montecarlo.MAX_BATCH)
+        # a batch of 2**40 trials used to exit 2 on an 8 TiB allocation
+        for size in (montecarlo.MAX_BATCH + 1, 2**40):
+            with pytest.raises(ParameterError, match="batch_size"):
+                SweepConfig(snr_points_db=(100.0,), trials_per_point=1, seed=0,
+                            target_power_w=1.0, batch_size=size)
+
+    @pytest.mark.parametrize("workers,pool", [(2, 1), (3, 2), (4, 2), (1000, 2)])
+    def test_workers_clamped_to_the_sweeps_batch_count(self, reference_set, reference_gains,
+                                                       monkeypatch, workers, pool):
+        # one point of three batches: at most three workers, so a pool of two
+        config = small_sweep(snr_points_db=(140.0,), trials_per_point=300, batch_size=128)
+        serial = run_sweep(config, reference_set, reference_gains)
+        RecordingPool.recorded = []
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        assert run_sweep(config, reference_set, reference_gains, workers=workers) == serial
+        assert RecordingPool.recorded == [pool]
+
+    def test_batch_sizes_come_from_the_index(self, reference_set, reference_gains):
+        # 2**22 batches per point; a list of their sizes would take 32 MiB.
+        # Every user errs in the first batch at 100 dB, so the point stops there.
+        config = small_sweep(snr_points_db=(100.0,), trials_per_point=64 << 22, batch_size=64,
+                             schemes=("noma-sic",), min_errors=1)
+        tracemalloc.start()
+        try:
+            points = run_sweep(config, reference_set, reference_gains)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert {p.estimate.trials for p in points if p.user != "avg"} == {64}
+        assert peak < 4 << 20, peak

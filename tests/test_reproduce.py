@@ -82,5 +82,30 @@ def test_fig3_and_fig4_share_one_sweep(tmp_path, monkeypatch):
         assert alone.read_bytes() == (tmp_path / "all" / f"{name}.csv").read_bytes()
 
 
+
+def test_bad_trials_exits_1_naming_the_key(tmp_path, capsys):
+    # argparse's type=int used to exit 2 with a usage dump
+    out = tmp_path / "r"
+    assert load_script().main([str(out), "--trials", "abc"]) == 1
+    err = capsys.readouterr().err
+    assert "trials_per_point" in err and "--trials" in err, err
+    assert not out.exists()
+
+
+def test_trials_flag_writes_what_its_config_key_does(tmp_path, monkeypatch):
+    monkeypatch.setenv("VLCNOMA_WORKERS", "1")
+    keyed = tmp_path / "keyed.cfg"
+    keyed.write_text(CONFIG.read_text().replace("trials_per_point = 2048",
+                                                "trials_per_point = 300"))
+    quiet = contextlib.redirect_stdout(io.StringIO())
+    with quiet:
+        assert load_script().main([str(tmp_path / "flag"), "--config", str(CONFIG),
+                                   "--trials", "300"]) == 0
+        assert load_script().main([str(tmp_path / "key"), "--config", str(keyed)]) == 0
+    for name in experiments.EXPERIMENTS:
+        flag, key = (tmp_path / side / f"{name}.csv" for side in ("flag", "key"))
+        assert flag.read_bytes() == key.read_bytes(), name
+    assert "trials_per_point = 300" in (tmp_path / "flag" / "fig2.csv").read_text()
+
 if __name__ == "__main__":
     generate(GOLDEN)
