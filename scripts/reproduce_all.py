@@ -14,13 +14,17 @@ import sys
 from pathlib import Path
 
 from vlcnoma.cli import _workers, exit_code, overridden_config
+from vlcnoma.errors import ConfigError
 from vlcnoma.experiments import EXPERIMENTS, run_experiment
 
 
 def run_all(args) -> None:
     cfg = overridden_config(args, {"trials": "trials_per_point"})
     workers = _workers()
-    args.outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        args.outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {args.outdir} cannot be made: {exc.strerror}") from exc
     memo = {}
     for name in EXPERIMENTS:
         path = run_experiment(name, cfg, args.outdir / f"{name}.csv", workers=workers,

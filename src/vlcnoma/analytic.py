@@ -16,15 +16,55 @@ from .constellation import ConstellationSet, uniform_spacing
 from .errors import ParameterError
 from .link import center_user, oma_sizes
 
+# erfc as scipy.special.erfc computes doubles, from Cephes' ndtr.c (S. L.
+# Moshier): 1 - x T(x^2) / U(x^2) for |x| < 1, else exp(-x^2) P(|x|) / Q(|x|)
+# below 8 and exp(-x^2) R(|x|) / S(|x|) from 8, and 2 minus that for x < 0.
+MAXLOG = 7.09782712893383996843e2  # past x^2 = MAXLOG, exp(-x^2) underflows: 0 or 2
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+
+
+def _horner(x, coefs):  # coefs[0] x^n + ... + coefs[n], each step rounded as in Cephes
+    y = coefs[0] * x + coefs[1]
+    for c in coefs[2:]:
+        y *= x
+        y += c
+    return y
+
+
+def erfc(x) -> np.ndarray:
+    """Complementary error function, bit for bit scipy.special.erfc's for doubles: separate
+    numpy multiplies and adds round as the C's do, and exp is libm's, not numpy's."""
+    flat = np.asarray(x, dtype=float).reshape(-1)
+    a = np.abs(flat)
+    with np.errstate(over="ignore"):  # a square that overflows is past MAXLOG anyway
+        square = a * a
+    # the rationals see only |x| <= sqrt(MAXLOG), so none overflows; NaN is in neither
+    small, tail = np.flatnonzero(a < 1.0), np.flatnonzero((a >= 1.0) & (square <= MAXLOG))
+    out = 1.0 - np.sign(flat)  # 0 or 2 where exp(-x^2) underflows, NaN for NaN
+    out[small] = 1.0 - flat[small] * _horner(square[small], _T) / _horner(square[small], _U)
+    v = a[tail]
+    y = (np.fromiter(map(math.exp, (-square[tail]).tolist()), float, v.size)
+         * np.where(v < 8.0, _horner(v, _P), _horner(v, _R))
+         / np.where(v < 8.0, _horner(v, _Q), _horner(v, _S)))
+    out[tail] = np.where(flat[tail] < 0, 2.0 - y, y)
+    return out.reshape(np.shape(x))
+
 
 def q_function(t):
-    """Standard normal tail probability, Q(t) = erfc(t / sqrt(2)) / 2.
-
-    scipy is imported here, on first use, because importing it costs most of
-    the package's import time and only the closed forms need it.
-    """
-    from scipy.special import erfc
-
+    """Standard normal tail probability, Q(t) = erfc(t / sqrt(2)) / 2."""
     return 0.5 * erfc(np.asarray(t, dtype=float) / math.sqrt(2.0))
 
 
@@ -36,9 +76,13 @@ def _per_sigma(sigma) -> np.ndarray:
     return sigma
 
 
-def _result(value: np.ndarray):
-    """A float for one sigma, else the array of one value per sigma."""
-    return float(value) if value.ndim == 0 else value
+def _evaluate(forms) -> list:
+    """``finish(Q(arguments))`` of each ``(arguments, finish)`` form, from one Q
+    evaluation: a float for one sigma, else the array of one value per sigma."""
+    ends = np.cumsum([np.size(args) for args, _ in forms])[:-1]
+    q = np.split(q_function(np.concatenate([np.ravel(args) for args, _ in forms])), ends)
+    values = [finish(part.reshape(np.shape(args))) for (args, finish), part in zip(forms, q)]
+    return [float(value) if value.ndim == 0 else value for value in values]
 
 
 def ser_u2_analytic(cset: ConstellationSet, gains: ChannelGains, sigma):
@@ -58,22 +102,22 @@ def ser_u2_analytic(cset: ConstellationSet, gains: ChannelGains, sigma):
     negative (one half exactly on the boundary).  Requires uniform per-cell
     edge spacing; otherwise one gamma does not describe the constellation.
     """
+    return _evaluate([_u2_form(cset, gains, sigma)])[0]
+
+
+def _u2_form(cset: ConstellationSet, gains: ChannelGains, sigma):
     sigma = _per_sigma(sigma)
-    gap1 = uniform_spacing(cset.cell1_edge, "cell1_edge")
-    gap2 = uniform_spacing(cset.cell2_edge, "cell2_edge")
-    gamma = 0.5 * gap1 * gains.h21 + 0.5 * gap2 * gains.h22
+    gamma = (0.5 * uniform_spacing(cset.cell1_edge, "cell1_edge") * gains.h21
+             + 0.5 * uniform_spacing(cset.cell2_edge, "cell2_edge") * gains.h22)
     shift = (gains.h21 * cset.cell1_center[:, np.newaxis]
              + gains.h22 * cset.cell2_center[np.newaxis, :]).reshape(-1)
     rho_plus, rho_minus = gamma - shift, gamma + shift
     zero = sigma[..., np.newaxis] == 0
     scale = np.where(zero, 1.0, sigma[..., np.newaxis])
-    tails = np.where(zero, _indicator(rho_plus) + _indicator(rho_minus),
-                     q_function(rho_plus / scale) + q_function(rho_minus / scale))
-    return _result((1.0 - 1.0 / cset.bpcu.sizes[1]) * tails.mean(axis=-1))
-
-
-def _indicator(rho: np.ndarray) -> np.ndarray:
-    return np.where(rho < 0, 1.0, np.where(rho == 0, 0.5, 0.0))
+    limit = 1.0 - 0.5 * (np.sign(rho_plus) + np.sign(rho_minus))  # the two tails at sigma = 0
+    factor = 1.0 - 1.0 / cset.bpcu.sizes[1]
+    return (np.stack((rho_plus / scale, rho_minus / scale)),
+            lambda q: factor * np.where(zero, limit, q[0] + q[1]).mean(axis=-1))
 
 
 def ser_center_lower_bound(cset: ConstellationSet, gains: ChannelGains, sigma, user: int):
@@ -84,12 +128,15 @@ def ser_center_lower_bound(cset: ConstellationSet, gains: ChannelGains, sigma, u
     stage-1 subtraction is always correct; real SIC does worse, so the
     simulated SER sits above this value.
     """
+    return _evaluate([_center_form(cset, gains, sigma, user)])[0]
+
+
+def _center_form(cset: ConstellationSet, gains: ChannelGains, sigma, user: int):
     sigma = _per_sigma(sigma)
     _, own, h = center_user(cset, gains, user)
-    gap = uniform_spacing(own, f"u{user}")
     zero = sigma == 0
-    bound = 2.0 * (1.0 - 1.0 / own.size) * q_function(gap * h / (2.0 * np.where(zero, 1.0, sigma)))
-    return _result(np.where(zero, 0.0, bound))
+    return (uniform_spacing(own, f"u{user}") * h / (2.0 * np.where(zero, 1.0, sigma)),
+            lambda q: np.where(zero, 0.0, 2.0 * (1.0 - 1.0 / own.size) * q))
 
 
 def closed_forms(schemes, cset: ConstellationSet, gains: ChannelGains, sigmas) -> dict:
@@ -99,24 +146,15 @@ def closed_forms(schemes, cset: ConstellationSet, gains: ChannelGains, sigmas) -
 
     Center users of either superposed scheme get the no-propagation lower
     bound, evaluated once for both; the edge user gets the exact SER under
-    the interference-as-noise rule only.  Each function runs once over the
-    whole sigma grid.
+    the interference-as-noise rule only.  Q is evaluated once for them all.
     """
-    sigmas = np.asarray(sigmas, dtype=float)
-    bounds: dict = {}
-    forms: dict = {}
-    for scheme in schemes:
-        for user in ("u1", "u2", "u3"):
-            if scheme == "oma" or (user == "u2" and scheme != "noma-sic"):
-                forms[scheme, user] = None
-            elif user == "u2":
-                forms[scheme, user] = ser_u2_analytic(cset, gains, sigmas).tolist()
-            else:
-                if user not in bounds:
-                    bounds[user] = ser_center_lower_bound(cset, gains, sigmas,
-                                                          int(user[1])).tolist()
-                forms[scheme, user] = bounds[user]
-    return forms
+    forms = ({user: _center_form(cset, gains, sigmas, int(user[1])) for user in ("u1", "u3")}
+             if any(scheme != "oma" for scheme in schemes) else {})
+    if "noma-sic" in schemes:
+        forms["u2"] = _u2_form(cset, gains, sigmas)
+    values = dict(zip(forms, [v.tolist() for v in _evaluate([*forms.values()])]) if forms else {})
+    return {(scheme, user): None if scheme == "oma" or (user == "u2" and scheme != "noma-sic")
+            else values[user] for scheme in schemes for user in ("u1", "u2", "u3")}
 
 
 SCHEMES = ("noma-sic", "noma-jml", "oma")

@@ -35,6 +35,13 @@ def _workers() -> int:
     return value
 
 
+def output_path(path: Path, name: str) -> Path:
+    """``path`` if a file can be written there, else a ConfigError naming ``name``."""
+    if path.is_dir() or not path.parent.is_dir() or not os.access(path.parent, os.W_OK):
+        raise ConfigError(f"{name} {path} must be a file in an existing, writable directory")
+    return path
+
+
 def overridden_config(args, keys: dict[str, str]) -> ExperimentConfig:
     """``args.config`` with each given option of ``keys`` setting its key,
     the raw value parsed and checked as a config line is; ``--snr``, where
@@ -79,16 +86,16 @@ def _cmd_simulate(args) -> None:
     if args.trace:
         _trace(cfg)
         return
+    out = output_path(args.out or Path("ser_sweep.csv"), "--out")
     gains, cset = cfg.design()
     points = run_sweep(cfg.sweep, cset, gains, workers=_workers())
-    out = Path(args.out) if args.out else Path("ser_sweep.csv")
     write_csv(out, SER_HEADER, ser_rows(points), echo_comments(cfg))
     print(out)
 
 
 def _cmd_experiment(name: str, args) -> None:
     cfg = load_config(args.config)
-    out = Path(args.out) if args.out else Path(f"{name}.csv")
+    out = output_path(args.out or Path(f"{name}.csv"), "--out")
     print(run_experiment(name, cfg, out, workers=_workers()))
 
 

@@ -118,7 +118,7 @@ def uniform_spacing(levels: np.ndarray, name: str, rtol: float = 1e-9) -> float:
         raise ConstellationError(f"{name} needs at least two levels to have a spacing")
     gaps = np.diff(levels)
     spacing = float(gaps[0])
-    if spacing <= 0 or not np.allclose(gaps, spacing, rtol=rtol, atol=0.0):
+    if not 0 < spacing < math.inf or not np.all(np.abs(gaps - spacing) <= rtol * spacing):
         raise ConstellationError(f"{name} levels are not uniformly increasing: {levels}")
     return spacing
 

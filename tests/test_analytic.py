@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,15 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlcnoma import SpectralEfficiencies, design_constellation, ser_u2_analytic
-from vlcnoma.analytic import (closed_forms, complexity_counts, q_function,
+from vlcnoma import SpectralEfficiencies, analytic, design_constellation, ser_u2_analytic
+from vlcnoma.analytic import (MAXLOG, closed_forms, complexity_counts, erfc, q_function,
                               ser_center_lower_bound)
-from vlcnoma.config import snr_grid
+from vlcnoma.config import load_config, snr_grid
 from vlcnoma.constellation import from_raw_levels, verify_gap_condition
 from vlcnoma.errors import ConstellationError, ParameterError
 from vlcnoma.link import edge_sic_candidates, nearest_tables, superpose_transmit
 from vlcnoma.montecarlo import sigma_from_snr
 
+GOLDEN_CONFIG = Path(__file__).resolve().with_name("golden") / "golden.cfg"
 
 @pytest.fixture(scope="module")
 def reference_set(reference_bpcu, reference_gains):
@@ -45,18 +47,43 @@ def table_mass(cset, gains, sigma):
                          + q_function((y2 - ends[slot]) / sigma)))
 
 
+# Run in a child process, so that no earlier test has loaded scipy: a sweep
+# over all three schemes and the analytic experiment, at tiny sizes.
+RUNS = """
+import sys, tempfile
+from pathlib import Path
+import vlcnoma, vlcnoma.cli
+from vlcnoma.experiments import run_experiment
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+
+print(vlcnoma.__file__)
+print(scipy_modules())
+cfg = vlcnoma.load_config(None, {'trials_per_point': '256', 'batch_size': '128',
+                                 'snr_points_db': '120:140',
+                                 'schemes': 'noma-sic,noma-jml,oma'})
+gains, cset = cfg.design()
+points = vlcnoma.run_sweep(cfg.sweep, cset, gains)
+assert any(p.analytic is not None for p in points)
+with tempfile.TemporaryDirectory() as tmp:
+    run_experiment('analytic', cfg, Path(tmp) / 'analytic.csv')
+print(scipy_modules())
+"""
+
+
 class TestQFunction:
     def test_package_import_leaves_scipy_unloaded(self):
-        # scipy costs most of the import time and only q_function needs it
+        # neither importing the package nor running it, closed forms included,
+        # loads scipy: the runtime needs only numpy
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-        code = ("import sys, vlcnoma, vlcnoma.cli; print(vlcnoma.__file__); "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, timeout=60, check=True).stdout.splitlines()
+        out = subprocess.run([sys.executable, "-c", RUNS], capture_output=True, text=True,
+                             env=env, timeout=120, check=True).stdout.splitlines()
         assert Path(out[0]).resolve().parent == src / "vlcnoma"
         assert out[1] == "[]"
+        assert out[2] == "[]"
 
     def test_zero_is_half(self):
         assert q_function(0.0) == pytest.approx(0.5, rel=1e-15)
@@ -74,6 +101,51 @@ class TestQFunction:
         value = float(q_function(t))
         assert 0.0 <= value <= 1.0
         assert float(q_function(t + 0.5)) <= value
+
+
+def assert_same_bits(x):
+    """erfc(x) equals scipy.special.erfc(x) bit for bit, any NaN equal to any NaN."""
+    special = pytest.importorskip("scipy.special")
+    x = np.asarray(x, dtype=float)
+    ours, theirs = erfc(x), special.erfc(x)
+    assert ours.shape == theirs.shape == x.shape
+    nan = np.isnan(theirs)
+    assert np.array_equal(np.isnan(ours), nan)
+    differ = ours[~nan].view(np.int64) != theirs[~nan].view(np.int64)
+    assert not differ.any(), f"{differ.sum()} of {x.size} differ, e.g. at {x[~nan][differ][:4]}"
+
+
+class TestErfcMatchesScipy:
+    """The Cephes port against the scipy it was taken from; skipped without scipy."""
+
+    def test_seeded_arguments(self):
+        assert_same_bits(np.random.default_rng(2021).uniform(-30.0, 30.0, 200_000))
+
+    @pytest.mark.parametrize("edge", [1.0, 8.0, math.sqrt(MAXLOG)])
+    def test_dense_around_branch_and_underflow_edges(self, edge):
+        ulps = edge + np.arange(-2000, 2001) * np.spacing(edge)
+        x = np.concatenate([ulps, edge + np.linspace(-1e-3, 1e-3, 20_001)])
+        assert_same_bits(np.concatenate([x, -x]))
+
+    def test_special_values(self):
+        assert_same_bits([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300, -1e300])
+        assert_same_bits(np.linspace(-3.0, 3.0, 12).reshape(3, 4))
+
+    @pytest.mark.parametrize("config", [None, GOLDEN_CONFIG], ids=["default", "golden"])
+    def test_every_argument_of_closed_forms(self, monkeypatch, config):
+        seen = []
+
+        def recorded(x):
+            seen.append(np.array(x, dtype=float))
+            return erfc(x)
+
+        monkeypatch.setattr(analytic, "erfc", recorded)
+        cfg = load_config(config)
+        gains, cset = cfg.design()
+        closed_forms(("noma-sic", "noma-jml", "oma"), cset, gains,
+                     [sigma_from_snr(snr, cfg.target_power_w) for snr in cfg.sweep.snr_points_db])
+        assert len(seen) == 1  # one evaluation over every form's arguments
+        assert_same_bits(seen[0])
 
 
 class TestDecisionBoundaries:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlcnoma import montecarlo
+from vlcnoma import cli, experiments, montecarlo
 from vlcnoma.cli import main
 from vlcnoma.config import (SCHEMA, build_config, config_echo, default_config_path, load_config,
                             parse_kv_file, snr_grid)
@@ -297,6 +297,22 @@ class TestCli:
         assert run_cli("simulate", "--trials", "64", "--out", str(out)) == 1
         assert "VLCNOMA_WORKERS" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [("simulate", "--trials", "2000"), ("reproduce", "fig2"),
+                                         ("analytic",)])
+    def test_unwritable_out_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                    command):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep ran")
+
+        # a sweep here would fail the run with exit 2, as the write used to after it
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        monkeypatch.setattr(experiments, "run_sweep", no_sweep)
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+            assert run_cli(*command, "--out", str(out)) == 1
+            err = capsys.readouterr().err
+            assert "--out" in err and str(out) in err, err
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_snr_spec_exits_1(self, capsys):
         assert run_cli("simulate", "--snr", "nan:150:2") == 1

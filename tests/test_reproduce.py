@@ -92,6 +92,21 @@ def test_bad_trials_exits_1_naming_the_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_output_directory_that_cannot_be_made_exits_1_before_any_work(tmp_path, capsys,
+                                                                     monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(experiments, "run_sweep", no_sweep)
+    existing = tmp_path / "file"
+    existing.write_text("kept\n")
+    for outdir in (existing, existing / "sub"):
+        assert load_script().main([str(outdir), "--config", str(CONFIG)]) == 1
+        err = capsys.readouterr().err
+        assert "output directory" in err and str(outdir) in err, err
+    assert existing.read_text() == "kept\n"
+
+
 def test_trials_flag_writes_what_its_config_key_does(tmp_path, monkeypatch):
     monkeypatch.setenv("VLCNOMA_WORKERS", "1")
     keyed = tmp_path / "keyed.cfg"
