@@ -76,15 +76,6 @@ def _per_sigma(sigma) -> np.ndarray:
     return sigma
 
 
-def _evaluate(forms) -> list:
-    """``finish(Q(arguments))`` of each ``(arguments, finish)`` form, from one Q
-    evaluation: a float for one sigma, else the array of one value per sigma."""
-    ends = np.cumsum([np.size(args) for args, _ in forms])[:-1]
-    q = np.split(q_function(np.concatenate([np.ravel(args) for args, _ in forms])), ends)
-    values = [finish(part.reshape(np.shape(args))) for (args, finish), part in zip(forms, q)]
-    return [float(value) if value.ndim == 0 else value for value in values]
-
-
 def ser_u2_analytic(cset: ConstellationSet, gains: ChannelGains, sigma):
     """Exact SER of the edge user under the interference-as-noise rule, for
     noise of standard deviation sigma: a float, or one per sigma of an array.
@@ -102,10 +93,6 @@ def ser_u2_analytic(cset: ConstellationSet, gains: ChannelGains, sigma):
     negative (one half exactly on the boundary).  Requires uniform per-cell
     edge spacing; otherwise one gamma does not describe the constellation.
     """
-    return _evaluate([_u2_form(cset, gains, sigma)])[0]
-
-
-def _u2_form(cset: ConstellationSet, gains: ChannelGains, sigma):
     sigma = _per_sigma(sigma)
     gamma = (0.5 * uniform_spacing(cset.cell1_edge, "cell1_edge") * gains.h21
              + 0.5 * uniform_spacing(cset.cell2_edge, "cell2_edge") * gains.h22)
@@ -114,10 +101,10 @@ def _u2_form(cset: ConstellationSet, gains: ChannelGains, sigma):
     rho_plus, rho_minus = gamma - shift, gamma + shift
     zero = sigma[..., np.newaxis] == 0
     scale = np.where(zero, 1.0, sigma[..., np.newaxis])
+    q = q_function(np.stack((rho_plus / scale, rho_minus / scale)))
     limit = 1.0 - 0.5 * (np.sign(rho_plus) + np.sign(rho_minus))  # the two tails at sigma = 0
-    factor = 1.0 - 1.0 / cset.bpcu.sizes[1]
-    return (np.stack((rho_plus / scale, rho_minus / scale)),
-            lambda q: factor * np.where(zero, limit, q[0] + q[1]).mean(axis=-1))
+    ser = (1.0 - 1.0 / cset.bpcu.sizes[1]) * np.where(zero, limit, q[0] + q[1]).mean(axis=-1)
+    return float(ser) if ser.ndim == 0 else ser
 
 
 def ser_center_lower_bound(cset: ConstellationSet, gains: ChannelGains, sigma, user: int):
@@ -128,15 +115,12 @@ def ser_center_lower_bound(cset: ConstellationSet, gains: ChannelGains, sigma, u
     stage-1 subtraction is always correct; real SIC does worse, so the
     simulated SER sits above this value.
     """
-    return _evaluate([_center_form(cset, gains, sigma, user)])[0]
-
-
-def _center_form(cset: ConstellationSet, gains: ChannelGains, sigma, user: int):
     sigma = _per_sigma(sigma)
     _, own, h = center_user(cset, gains, user)
     zero = sigma == 0
-    return (uniform_spacing(own, f"u{user}") * h / (2.0 * np.where(zero, 1.0, sigma)),
-            lambda q: np.where(zero, 0.0, 2.0 * (1.0 - 1.0 / own.size) * q))
+    q = q_function(uniform_spacing(own, f"u{user}") * h / (2.0 * np.where(zero, 1.0, sigma)))
+    ser = np.where(zero, 0.0, 2.0 * (1.0 - 1.0 / own.size) * q)
+    return float(ser) if ser.ndim == 0 else ser
 
 
 def closed_forms(schemes, cset: ConstellationSet, gains: ChannelGains, sigmas) -> dict:
@@ -146,13 +130,12 @@ def closed_forms(schemes, cset: ConstellationSet, gains: ChannelGains, sigmas) -
 
     Center users of either superposed scheme get the no-propagation lower
     bound, evaluated once for both; the edge user gets the exact SER under
-    the interference-as-noise rule only.  Q is evaluated once for them all.
+    the interference-as-noise rule only.
     """
-    forms = ({user: _center_form(cset, gains, sigmas, int(user[1])) for user in ("u1", "u3")}
-             if any(scheme != "oma" for scheme in schemes) else {})
+    values = ({user: ser_center_lower_bound(cset, gains, sigmas, int(user[1])).tolist()
+               for user in ("u1", "u3")} if any(scheme != "oma" for scheme in schemes) else {})
     if "noma-sic" in schemes:
-        forms["u2"] = _u2_form(cset, gains, sigmas)
-    values = dict(zip(forms, [v.tolist() for v in _evaluate([*forms.values()])]) if forms else {})
+        values["u2"] = ser_u2_analytic(cset, gains, sigmas).tolist()
     return {(scheme, user): None if scheme == "oma" or (user == "u2" and scheme != "noma-sic")
             else values[user] for scheme in schemes for user in ("u1", "u2", "u3")}
 

@@ -148,6 +148,10 @@ def exit_code(action) -> int:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    while "--snr" in argv[:-1]:  # argparse takes "--snr -10:-6:2"'s value for an option
+        at = argv.index("--snr")
+        argv[at:at + 2] = [f"--snr={argv[at + 1]}"]
     args = build_parser().parse_args(argv)
     if args.command == "simulate":
         return exit_code(lambda: _cmd_simulate(args))

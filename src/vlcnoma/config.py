@@ -204,8 +204,11 @@ def build_config(raw: dict[str, str], source: str = "<config>") -> ExperimentCon
             raise ConfigError(f"{source}: gain_{name} must be > 0, got {value}")
     override = None if missing else ChannelGains(**gains)
     if placed["sweep"]["snr_points_db"] is None:
-        placed["sweep"]["snr_points_db"] = snr_grid(
-            typed["snr_start_db"], typed["snr_stop_db"], typed["snr_step_db"])
+        try:
+            placed["sweep"]["snr_points_db"] = snr_grid(
+                typed["snr_start_db"], typed["snr_stop_db"], typed["snr_step_db"])
+        except ConfigError as exc:
+            raise ConfigError(f"{source}: {exc}") from exc
     sections = {}
     for name, cls in SECTIONS.items():
         try:  # domain-type validators already name the offending key

@@ -290,9 +290,10 @@ class SicReceiver:
         return self.stage2.decide(residual, ws, f"{name}-own"), edge
 
 
-def _nearest(sets) -> list[tuple]:
-    """``DecisionTable`` fields of the nearest-candidate rule for every
-    ``(candidates, outputs)``, from one bisection, adjacent equal labels merged.
+def nearest_table(candidates, outputs=None) -> DecisionTable:
+    """Exact table of the nearest-candidate rule over ``candidates``, adjacent
+    equal labels merged.  Labels are candidate indices, or
+    ``outputs[index]`` where outputs is not None.
 
     The rule picks the smallest computed ``|y - c|`` of the two candidates
     adjacent to y, a tie going to the lowest index.  Between adjacent
@@ -300,42 +301,18 @@ def _nearest(sets) -> list[tuple]:
     never increases as y grows through (a, b], so the choice flips once,
     at the float ``_first_true`` finds.
     """
-    sets = [(np.asarray(c, dtype=float).reshape(-1), outputs) for c, outputs in sets]
-    distinct = [np.unique(c, return_index=True) for c, _ in sets]
-    a = np.concatenate([values[:-1] for values, _ in distinct])
-    b = np.concatenate([values[1:] for values, _ in distinct])
-    b_first = np.concatenate([lowest[1:] < lowest[:-1] for _, lowest in distinct])
+    values, lowest = np.unique(np.asarray(candidates, dtype=float).reshape(-1), return_index=True)
+    a, b = values[:-1], values[1:]
+    b_first = lowest[1:] < lowest[:-1]
 
     def picks_b(y):
         d_a, d_b = np.abs(y - a), np.abs(y - b)
         return (d_b < d_a) | ((d_b == d_a) & b_first)
 
-    cuts = np.cumsum([values.size - 1 for values, _ in distinct])[:-1]
-    rules = []
-    for (c, outputs), (_, lowest), thresholds in zip(
-            sets, distinct, np.split(_first_true(picks_b, a, b, a / 2 + b / 2), cuts)):
-        labels = lowest if outputs is None else np.asarray(outputs).reshape(-1)[lowest]
-        keep = labels[1:] != labels[:-1]
-        rules.append((thresholds[keep], labels[np.concatenate([[True], keep])]))
-    return rules
-
-
-def nearest_tables(sets, pairs=()) -> list:
-    """Exact tables of the nearest-candidate rule, one per ``(candidates,
-    outputs)`` in ``sets``, then one ``SicReceiver`` per ``(edge, own)`` in
-    ``pairs``, all from one bisection.
-
-    Labels are candidate indices, or ``outputs[index]`` where outputs is not
-    None.  A SIC receiver's stages are the tables of its ``edge`` and ``own``
-    candidates, labelled ``(own, edge)``.
-    """
-    pairs = [(np.asarray(edge, dtype=float).reshape(-1), own) for edge, own in pairs]
-    tables = [DecisionTable(*rule)
-              for rule in _nearest([*sets, *((x, None) for pair in pairs for x in pair)])]
-    stages = tables[len(sets):]
-    return tables[:len(sets)] + [
-        SicReceiver(stage1, edge, stage2)
-        for (edge, _), stage1, stage2 in zip(pairs, stages[0::2], stages[1::2])]
+    thresholds = _first_true(picks_b, a, b, a / 2 + b / 2)
+    labels = lowest if outputs is None else np.asarray(outputs).reshape(-1)[lowest]
+    keep = labels[1:] != labels[:-1]
+    return DecisionTable(thresholds[keep], labels[np.concatenate([[True], keep])])
 
 
 def center_user(cset: ConstellationSet, gains: ChannelGains, user: int):
@@ -351,39 +328,27 @@ def center_user(cset: ConstellationSet, gains: ChannelGains, user: int):
     raise ParameterError(f"center users are 1 and 3, got {user}")
 
 
-def center_pairs(cset: ConstellationSet, gains: ChannelGains) -> list[tuple]:
-    """``nearest_tables`` SIC pairs ``(edge, own)`` of center users 1 and 3."""
-    return [(h * edge, h * own) for edge, own, h in (center_user(cset, gains, u) for u in (1, 3))]
-
-
-def edge_sic_candidates(cset: ConstellationSet, gains: ChannelGains):
-    """Nearest-table set of the edge user's interference-as-noise rule: the
-    combined edge levels."""
-    return gains.h21 * cset.cell1_edge + gains.h22 * cset.cell2_edge, None
-
-
 def edge_jml_candidates(cset: ConstellationSet, gains: ChannelGains):
-    """Nearest-table set of the edge user's joint maximum likelihood: every
-    (u1, u2, u3) tuple, labelled by its edge coordinate.  Ties break toward
-    the lexicographically lowest tuple."""
+    """``nearest_table`` arguments of the edge user's joint maximum
+    likelihood: every (u1, u2, u3) tuple's amplitude, labelled by its edge
+    coordinate.  Ties break toward the lexicographically lowest tuple."""
     tuples = np.indices(cset.bpcu.sizes).reshape(3, -1)
     return superpose_transmit(tuples, cset, gains)[1], tuples[1]
 
 
 def decode_center_sic(y, table: SicReceiver, ws: Workspace | None = None,
                       name: str = "center"):
-    """``(own_index, edge_index)`` at a center user, from the ``SicReceiver``
-    of its ``center_pairs`` pair."""
+    """``(own_index, edge_index)`` at a center user, from its ``SicReceiver``."""
     return table.decide(y, ws, name)
 
 
 def decode_u2_sic(y2, table: DecisionTable, ws: Workspace | None = None):
-    """Edge-user decode by the interference-as-noise rule (``edge_sic_candidates``)."""
+    """Edge-user decode by the interference-as-noise rule: nearest combined edge level."""
     return table.decide(y2, ws, "u2-sic")
 
 
 def decode_u2_jml(y2, table: DecisionTable, ws: Workspace | None = None):
-    """Edge-user decode by joint maximum likelihood (``edge_jml_candidates``)."""
+    """Edge-user decode by joint maximum likelihood (``edge_jml_candidates``'s table)."""
     return table.decide(y2, ws, "u2-jml")
 
 

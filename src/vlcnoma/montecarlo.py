@@ -28,9 +28,9 @@ from . import analytic
 from .channel import ChannelGains
 from .constellation import ConstellationSet, verify_gap_condition
 from .errors import ParameterError
-from .link import (Workspace, awgn_sample, center_pairs, decode_center_sic,
-                   decode_u2_jml, decode_u2_sic, edge_jml_candidates, edge_sic_candidates,
-                   nearest_tables, oma_levels, oma_round, superpose_transmit)
+from .link import (SicReceiver, Workspace, awgn_sample, center_user, decode_center_sic,
+                   decode_u2_jml, decode_u2_sic, edge_jml_candidates, nearest_table, oma_levels,
+                   oma_round, superpose_transmit)
 
 USERS = ("u1", "u2", "u3")
 Z_95 = 1.959963984540054
@@ -147,23 +147,26 @@ def philox_stream(seed: int, snr_index: int, batch_index: int) -> np.random.Gene
 def receivers(
     cset: ConstellationSet, gains: ChannelGains, schemes: tuple[str, ...], power_w: float
 ) -> dict:
-    """The decision tables that ``schemes`` decode with, built once per sweep
-    by one ``nearest_tables`` call: "u1" and "u3" (SIC at the center users)
-    for any superposed scheme, "noma-sic" and "noma-jml" (the edge user) and
-    "oma" (``oma_round``'s links at average intensity ``power_w``) when
-    their scheme runs.
+    """The decision tables that ``schemes`` decode with, built once per
+    sweep: "u1" and "u3" (SIC at the center users) for any superposed
+    scheme, "noma-sic" and "noma-jml" (the edge user) and "oma"
+    (``oma_round``'s links at average intensity ``power_w``) when their
+    scheme runs.
     """
-    edge = {"noma-sic": edge_sic_candidates, "noma-jml": edge_jml_candidates}
-    wanted = [scheme for scheme in edge if scheme in schemes]
-    oma = oma_levels(cset.bpcu, gains, power_w) if "oma" in schemes else ()
-    pairs = center_pairs(cset, gains) if wanted else []
-    built = nearest_tables([edge[s](cset, gains) for s in wanted] + [(x, None) for x in oma],
-                           pairs)
-    tables: dict = dict(zip(wanted, built))
-    if oma:
-        tables["oma"] = tuple(zip(oma, built[len(wanted):len(wanted) + 3]))
-    if pairs:
-        tables["u1"], tables["u3"] = built[-2:]
+    tables: dict = {}
+    if "noma-sic" in schemes:
+        tables["noma-sic"] = nearest_table(gains.h21 * cset.cell1_edge
+                                           + gains.h22 * cset.cell2_edge)
+    if "noma-jml" in schemes:
+        tables["noma-jml"] = nearest_table(*edge_jml_candidates(cset, gains))
+    if tables:  # a superposed scheme runs
+        for user in (1, 3):
+            edge, own, h = center_user(cset, gains, user)
+            tables[f"u{user}"] = SicReceiver(nearest_table(h * edge), h * edge,
+                                             nearest_table(h * own))
+    if "oma" in schemes:
+        tables["oma"] = tuple((levels, nearest_table(levels))
+                              for levels in oma_levels(cset.bpcu, gains, power_w))
     return tables
 
 

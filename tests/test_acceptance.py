@@ -14,9 +14,9 @@ from vlcnoma.analytic import complexity_counts
 from vlcnoma.channel import OpticalFrontEnd, dc_gain
 from vlcnoma.cli import main
 from vlcnoma.constellation import peak_powers
-from vlcnoma.link import (center_pairs, decode_center_sic, decode_u2_jml, decode_u2_sic,
-                          edge_jml_candidates, edge_sic_candidates, oma_levels, oma_pam_points,
-                          oma_sizes, superpose_transmit)
+from vlcnoma.link import (center_user, decode_center_sic, decode_u2_jml, decode_u2_sic,
+                          edge_jml_candidates, oma_levels, oma_pam_points, oma_sizes,
+                          superpose_transmit)
 from vlcnoma.montecarlo import receivers, sigma_from_snr, wilson_interval
 
 GAINS = ChannelGains(h11=2.5892e-6, h21=7.8573e-7, h22=6.8573e-7, h32=3.5892e-6)
@@ -144,8 +144,10 @@ def test_ac5_complexity_table_and_instrumented_counts(cset):
     # candidate set its table is built from: the center users pay for both
     # SIC stages, and the two-slot orthogonal frame decodes every user once,
     # so its per-channel-use figures are frame sums halved
-    u1, u3 = (edge.size + own.size for edge, own in center_pairs(cset, GAINS))
-    sic, jml = (rule(cset, GAINS)[0].size for rule in (edge_sic_candidates, edge_jml_candidates))
+    u1, u3 = (edge.size + own.size for edge, own, _ in (center_user(cset, GAINS, u)
+                                                         for u in (1, 3)))
+    sic = (GAINS.h21 * cset.cell1_edge + GAINS.h22 * cset.cell2_edge).size
+    jml = edge_jml_candidates(cset, GAINS)[0].size
     oma = [levels.size for levels in oma_levels(BPCU, GAINS, POWER)]
     measured_ok = (
         (u1, sic, u3, jml) == (8 + 4, 4, 4 + 4, 128)

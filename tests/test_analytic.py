@@ -15,7 +15,7 @@ from vlcnoma.analytic import (MAXLOG, closed_forms, complexity_counts, erfc, q_f
 from vlcnoma.config import load_config, snr_grid
 from vlcnoma.constellation import from_raw_levels, verify_gap_condition
 from vlcnoma.errors import ConstellationError, ParameterError
-from vlcnoma.link import edge_sic_candidates, nearest_tables, superpose_transmit
+from vlcnoma.link import nearest_table, superpose_transmit
 from vlcnoma.montecarlo import sigma_from_snr
 
 GOLDEN_CONFIG = Path(__file__).resolve().with_name("golden") / "golden.cfg"
@@ -39,7 +39,7 @@ def table_mass(cset, gains, sigma):
     outside the sent level's interval, averaged over every sent tuple."""
     tuples = np.indices(cset.bpcu.sizes).reshape(3, -1)
     _, y2, _ = superpose_transmit(tuples, cset, gains)
-    table = nearest_tables([edge_sic_candidates(cset, gains)])[0]
+    table = nearest_table(gains.h21 * cset.cell1_edge + gains.h22 * cset.cell2_edge)
     slot = np.searchsorted(table.thresholds, y2, side="right")
     assert np.array_equal(table.labels[slot], tuples[1])
     ends = np.concatenate([[-np.inf], table.thresholds, [np.inf]])
@@ -144,8 +144,8 @@ class TestErfcMatchesScipy:
         gains, cset = cfg.design()
         closed_forms(("noma-sic", "noma-jml", "oma"), cset, gains,
                      [sigma_from_snr(snr, cfg.target_power_w) for snr in cfg.sweep.snr_points_db])
-        assert len(seen) == 1  # one evaluation over every form's arguments
-        assert_same_bits(seen[0])
+        assert len(seen) == 3  # one evaluation per closed form: the u1 and u3 bounds, u2
+        assert_same_bits(np.concatenate([x.ravel() for x in seen]))
 
 
 class TestDecisionBoundaries:

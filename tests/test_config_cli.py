@@ -318,6 +318,34 @@ class TestCli:
         assert run_cli("simulate", "--snr", "nan:150:2") == 1
         assert "--snr" in capsys.readouterr().err
 
+    def test_snr_spec_with_a_negative_start_runs_as_written(self, tmp_path):
+        # argparse takes a separate value that starts with '-' for an option
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert run_cli("simulate", "--snr", "-10:-6:2", "--trials", "5",
+                       "--out", str(spaced)) == 0
+        assert run_cli("simulate", "--snr=-10:-6:2", "--trials", "5", "--out", str(joined)) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        rows = [line for line in spaced.read_text().splitlines() if not line.startswith("#")]
+        assert sorted({float(row.split(",")[0]) for row in rows[1:]}) == [-10.0, -8.0, -6.0]
+
+    @pytest.mark.parametrize("start,stop,step,message", [
+        ("100", "150", "0", "snr_step_db must be > 0, got 0.0"),
+        ("150", "100", "2", "snr_stop_db 100.0 is below snr_start_db 150.0"),
+        ("0", "1e300", "1e-300", "snr_start_db 0.0 to snr_stop_db 1e+300 in steps of"
+                                 " snr_step_db 1e-300 gives too many points"),
+    ], ids=["zero-step", "stop-below-start", "too-many-points"])
+    def test_snr_grid_error_names_its_source(self, tmp_path, capsys, start, stop, step,
+                                             message):
+        spec = f"{start}:{stop}:{step}"
+        assert run_cli("simulate", "--snr", spec, "--out", str(tmp_path / "out.csv")) == 1
+        err = capsys.readouterr().err
+        assert f"error: {default_config_path()} --snr {spec}: {message}" in err, err
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"snr_start_db = {start}\nsnr_stop_db = {stop}\nsnr_step_db = {step}\n")
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "out.csv")) == 1
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_reproduce_fig2_deterministic_across_workers(self, tmp_path, monkeypatch):
         cfg = tmp_path / "small.cfg"
         cfg.write_text(

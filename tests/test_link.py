@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from vlcnoma import ChannelGains, SpectralEfficiencies, design_constellation, link
 from vlcnoma.constellation import from_raw_levels
 from vlcnoma.errors import ParameterError
-from vlcnoma.link import (DecisionTable, SicReceiver, Workspace, awgn_sample, center_pairs,
-                          center_user, decode_center_sic, decode_u2_jml, decode_u2_sic,
-                          edge_jml_candidates, edge_sic_candidates, nearest_tables, oma_levels,
-                          oma_pam_points, oma_round, oma_sizes, superpose_transmit)
+from vlcnoma.link import (DecisionTable, SicReceiver, Workspace, awgn_sample, center_user,
+                          decode_center_sic, decode_u2_jml, decode_u2_sic, edge_jml_candidates,
+                          nearest_table, oma_levels, oma_pam_points, oma_round, oma_sizes,
+                          superpose_transmit)
 from vlcnoma.montecarlo import philox_stream, receivers
 
 ALL_SCHEMES = ("noma-sic", "noma-jml", "oma")
@@ -37,7 +37,13 @@ def argmin_sic(y, edge, own):
 
 def table_nearest(y, candidates):
     """The decision-table lookup of the nearest-candidate rule."""
-    return nearest_tables([(candidates, None)])[0].decide(y)
+    return nearest_table(candidates).decide(y)
+
+
+def sic_receiver(edge, own):
+    """Two-stage SIC over ``edge`` then ``own`` candidates, as ``receivers``
+    builds it for a center user."""
+    return SicReceiver(nearest_table(edge), edge, nearest_table(own))
 
 
 def searchsorted_decide(table, y):
@@ -324,7 +330,7 @@ class TestDecisionTables:
     @pytest.mark.parametrize("name", CODEBOOKS)
     def test_each_threshold_and_its_neighbours_match_argmin(self, name):
         candidates = self.CODEBOOKS[name]
-        table = nearest_tables([(candidates, None)])[0]
+        table = nearest_table(candidates)
         assert np.all(np.diff(table.thresholds) > 0)
         y = np.concatenate([around(table.thresholds), probes(candidates,
                                                               np.random.default_rng(1))])
@@ -355,7 +361,7 @@ class TestDecisionTables:
         joint, labels = edge_jml_candidates(reference_set, reference_gains)
         table = reference_tables["noma-jml"]
         assert table.thresholds.size == 3 and joint.size == 128
-        unmerged = nearest_tables([(joint, None)])[0]
+        unmerged = nearest_table(joint)
         y = np.concatenate([around(unmerged.thresholds),
                             probes(joint, np.random.default_rng(4), n=20_000)])
         assert np.array_equal(decode_u2_jml(y, table), labels[argmin_nearest(y, joint)])
@@ -367,7 +373,7 @@ class TestDecisionTables:
     def test_property_sic_table_matches_two_stage_argmin(self, edge, own, y):
         # dyadic values: distances and residuals are exact, midpoints included
         edge, own, y = np.array(edge) / 8.0, np.array(own) / 16.0, np.array(y) / 32.0
-        receiver = nearest_tables([], [(edge, own)])[0]
+        receiver = sic_receiver(edge, own)
         y = np.concatenate([y, around(sic_breakpoints(receiver))])
         for got, want in zip(receiver.decide(y), argmin_sic(y, edge, own), strict=True):
             assert np.array_equal(got, want)
@@ -384,7 +390,7 @@ class TestDecisionTables:
     @pytest.mark.parametrize("name", CODEBOOKS)
     def test_lookup_matches_searchsorted_on_codebooks(self, name):
         candidates = self.CODEBOOKS[name]
-        table = nearest_tables([(candidates, None)])[0]
+        table = nearest_table(candidates)
         y = np.concatenate([around(table.thresholds), EXTREMES,
                             probes(candidates, np.random.default_rng(2))])
         assert_same_lookup(table, y)
@@ -511,9 +517,10 @@ class TestDecisionTables:
             tables = receivers(reference_set, reference_gains, ALL_SCHEMES, 1.0)
             tables = [tables[k] for k in ("u1", "u3", "noma-sic", "noma-jml")] + [
                 table for _, table in tables["oma"]]
-            tables += nearest_tables([(c, None) for c in self.CODEBOOKS.values()])
+            tables += [nearest_table(c) for c in self.CODEBOOKS.values()]
             codebooks = list(self.CODEBOOKS.values())
-            return stage_tables(tables + nearest_tables([], list(zip(codebooks, codebooks[1:]))))
+            return stage_tables(tables + [sic_receiver(edge, own)
+                                          for edge, own in zip(codebooks, codebooks[1:])])
 
         seeded = build()
         monkeypatch.setattr(link, "_first_true", bisect_64)
@@ -526,27 +533,22 @@ class TestDecisionTables:
     # at cae01a9
     NON_SIC_DIGEST = "8b06754b13081cd3a2d0faad45dc91e4c885776af03752729222a212334df210"
 
-    def test_one_build_equals_the_four_bisection_build(self, reference_set, reference_gains,
-                                                       reference_tables, merged_sic):
+    def test_reference_tables_equal_the_frozen_builds(self, reference_set, reference_gains,
+                                                      reference_tables, merged_sic):
         cset, gains = reference_set, reference_gains
-        oma = oma_levels(cset.bpcu, gains, 1.0)
-        separate = (nearest_tables([], center_pairs(cset, gains))
-                    + [nearest_tables([rule(cset, gains)])[0]
-                       for rule in (edge_sic_candidates, edge_jml_candidates)]
-                    + nearest_tables([(x, None) for x in oma]))
-        built = [reference_tables[k] for k in ("u1", "u3", "noma-sic", "noma-jml")]
+        built = [reference_tables[k] for k in ("noma-sic", "noma-jml")]
         built += [table for _, table in reference_tables["oma"]]
-        for fresh, old in zip(stage_tables(built), stage_tables(separate), strict=True):
-            assert np.array_equal(fresh.thresholds, old.thresholds)
-            assert np.array_equal(fresh.labels, old.labels)
-        sizes = [rule(cset, gains)[0].size for rule in (edge_sic_candidates, edge_jml_candidates)]
+        sizes = [(gains.h21 * cset.cell1_edge + gains.h22 * cset.cell2_edge).size,
+                 edge_jml_candidates(cset, gains)[0].size]
+        sizes += [x.size for x in oma_levels(cset.bpcu, gains, 1.0)]
         digest = hashlib.sha256()
-        for table, size in zip(built[2:], sizes + [x.size for x in oma], strict=True):
+        for table, size in zip(built, sizes, strict=True):
             digest.update(table.thresholds.astype("<f8").tobytes())
             digest.update((table.labels + 1).astype("<i8").tobytes())
             digest.update(str(size).encode())
         assert digest.hexdigest() == self.NON_SIC_DIGEST
-        for (edge, own), user in zip(center_pairs(cset, gains), ("u1", "u3")):
+        for user in ("u1", "u3"):
+            edge, own, _ = center_user(cset, gains, int(user[1]))
             merged = merged_sic[user]
             assert edge.size + own.size == merged["candidates"]
             y = np.concatenate([around(merged["thresholds"]), EXTREMES])
@@ -565,8 +567,8 @@ class TestDecisionTables:
                                 EXTREMES])
             assert_same_lookup(receiver, y, merged_decide(merged, y))
 
-    def test_reference_build_takes_one_bisection_step(self, reference_set, reference_gains,
-                                                      monkeypatch):
+    def test_reference_build_takes_one_step_per_bisection(self, reference_set,
+                                                          reference_gains, monkeypatch):
         calls = []
         seeded = link._first_true
 
@@ -583,10 +585,11 @@ class TestDecisionTables:
 
         monkeypatch.setattr(link, "_first_true", counting)
         receivers(reference_set, reference_gains, ALL_SCHEMES, 1.0)
-        # one bisection for every nearest set and SIC stage: the two seed ends,
-        # then one step, as every threshold lies within an ulp of its
+        # one bisection for each of the nine tables (both SIC stages of users 1
+        # and 3, the two edge rules and the three OMA links): the two seed
+        # ends, then one step, as every threshold lies within an ulp of its
         # computed guess at the reference design
-        assert calls == [3]
+        assert calls == [3] * 9
 
 
 class TestSicDecoders:
@@ -613,12 +616,14 @@ class TestSicDecoders:
         assert edge.tolist() == [0.5, 1.125]
         midpoint = float((edge[0] + edge[1]) / 2.0)
         unit = ChannelGains(1.0, 0.0, 0.0, 1.0)
-        _, stage1 = decode_center_sic(midpoint, nearest_tables([], center_pairs(cset, unit))[0])
+        edge1, own1, h = center_user(cset, unit, 1)
+        _, stage1 = decode_center_sic(midpoint, sic_receiver(h * edge1, h * own1))
         assert int(stage1) == 0
 
     def test_stage_counts(self, reference_set, reference_gains):
         # both stages' candidates: the edge levels, then the user's own
-        (edge1, own1), (edge3, own3) = center_pairs(reference_set, reference_gains)
+        (edge1, own1, _), (edge3, own3, _) = (center_user(reference_set, reference_gains, u)
+                                              for u in (1, 3))
         assert edge1.size + own1.size == 2**2 + 2**3
         assert edge3.size + own3.size == 2**2 + 2**2
 
@@ -629,7 +634,8 @@ class TestSicDecoders:
 
 class TestEdgeDecoders:
     def test_interference_as_noise_counts(self, reference_set, reference_gains):
-        assert edge_sic_candidates(reference_set, reference_gains)[0].size == 4
+        g, cset = reference_gains, reference_set
+        assert (g.h21 * cset.cell1_edge + g.h22 * cset.cell2_edge).size == 4
 
     def test_joint_ml_counts(self, reference_set, reference_gains):
         assert edge_jml_candidates(reference_set, reference_gains)[0].size == 128

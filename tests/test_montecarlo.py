@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from vlcnoma import (SpectralEfficiencies, SweepConfig, design_constellation, run_sweep,
                      ser_u2_analytic)
 from vlcnoma.analytic import ser_center_lower_bound
-from vlcnoma import montecarlo
+from vlcnoma import analytic, montecarlo
 from vlcnoma.constellation import from_raw_levels
 from vlcnoma.link import Workspace, oma_levels, oma_pam_points
 from vlcnoma.montecarlo import _frame, philox_stream, receivers, sigma_from_snr, wilson_interval
@@ -191,6 +191,29 @@ class TestRunSweep:
             assert expected * p.estimate.trials >= 50
             low, high = wilson_interval(p.estimate.errors, p.estimate.trials, z=3.0)
             assert low <= expected <= high
+
+    @pytest.mark.parametrize("schemes,u2_calls,center_calls", [
+        (("noma-sic", "noma-jml", "oma"), 1, 2), (("noma-jml",), 0, 2), (("oma",), 0, 0)])
+    def test_closed_forms_are_called_by_their_module_names(
+        self, reference_set, reference_gains, monkeypatch, schemes, u2_calls, center_calls
+    ):
+        # the benchmark's tracer times the closed forms by replacing these attributes
+        calls = []
+
+        def counted(name):
+            original = getattr(analytic, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("ser_u2_analytic", "ser_center_lower_bound"):
+            monkeypatch.setattr(analytic, name, counted(name))
+        run_sweep(small_sweep(trials_per_point=64, schemes=schemes), reference_set,
+                  reference_gains)
+        assert calls.count("ser_u2_analytic") == u2_calls
+        assert calls.count("ser_center_lower_bound") == center_calls
 
     def test_rows_sorted_and_average_pools_users(self, reference_set, reference_gains):
         config = small_sweep(trials_per_point=4_000, schemes=("noma-sic",))
