@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from vlcnoma.cli import _workers, exit_code, overridden_config
-from vlcnoma.errors import ConfigError
+from vlcnoma.errors import ParameterError
 from vlcnoma.experiments import EXPERIMENTS, run_experiment
 
 
@@ -24,7 +24,8 @@ def run_all(args) -> None:
     try:
         args.outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"output directory {args.outdir} cannot be made: {exc.strerror}") from exc
+        raise ParameterError(
+            f"output directory {args.outdir} cannot be made: {exc.strerror}") from exc
     memo = {}
     for name in EXPERIMENTS:
         path = run_experiment(name, cfg, args.outdir / f"{name}.csv", workers=workers,

@@ -125,13 +125,14 @@ def ser_center_lower_bound(cset: ConstellationSet, gains: ChannelGains, sigma, u
 
 def closed_forms(schemes, cset: ConstellationSet, gains: ChannelGains, sigmas) -> dict:
     """The closed form or bound of every (scheme, user) SER of ``schemes``,
-    user "u1", "u2" or "u3": a list of one float per sigma, None where there
-    is none.
+    user "u1", "u2" or "u3": a list of one float per sigma (one sigma may
+    be a float), None where there is none.
 
     Center users of either superposed scheme get the no-propagation lower
     bound, evaluated once for both; the edge user gets the exact SER under
     the interference-as-noise rule only.
     """
+    sigmas = np.atleast_1d(sigmas)
     values = ({user: ser_center_lower_bound(cset, gains, sigmas, int(user[1])).tolist()
                for user in ("u1", "u3")} if any(scheme != "oma" for scheme in schemes) else {})
     if "noma-sic" in schemes:

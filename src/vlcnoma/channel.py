@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import GeometryError, ParameterError
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -46,17 +46,17 @@ class ScenarioGeometry:
 
     def __post_init__(self):
         if self.room_height_m <= 0:
-            raise GeometryError(f"room_height_m must be > 0, got {self.room_height_m}")
+            raise ParameterError(f"room_height_m must be > 0, got {self.room_height_m}")
         if self.cell_radius_m <= 0:
-            raise GeometryError(f"cell_radius_m must be > 0, got {self.cell_radius_m}")
+            raise ParameterError(f"cell_radius_m must be > 0, got {self.cell_radius_m}")
         for name in ("rx_height_u1_m", "rx_height_u2_m", "rx_height_u3_m"):
             if not 0 <= getattr(self, name) < self.room_height_m:
-                raise GeometryError(
+                raise ParameterError(
                     f"{name} must be in [0, room_height_m), got {getattr(self, name)}"
                 )
         for name in ("r11_m", "r21_m", "r22_m", "r32_m"):
             if getattr(self, name) < 0:
-                raise GeometryError(f"{name} must be >= 0, got {getattr(self, name)}")
+                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -135,11 +135,11 @@ def link_geometry(
     emission and incidence cosines are equal: (L - L_w) / d.
     """
     if room_height_m <= rx_height_m:
-        raise GeometryError(
+        raise ParameterError(
             f"receiver height {rx_height_m} must be below room height {room_height_m}"
         )
     if top_view_m < 0:
-        raise GeometryError(f"top-view distance must be >= 0, got {top_view_m}")
+        raise ParameterError(f"top-view distance must be >= 0, got {top_view_m}")
     drop = room_height_m - rx_height_m
     d = math.hypot(top_view_m, drop)
     return d, drop / d

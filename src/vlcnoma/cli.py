@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 configuration/validation error, 2 runtime error.
+Exit codes: 0 success, 1 bad input (``ParameterError``), 2 any other error.
 Worker count comes from the VLCNOMA_WORKERS environment variable only;
 results are bit-identical for any value.
 """
@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, ParameterError
+from .errors import ParameterError
 from .experiments import SER_HEADER, echo_comments, run_experiment, ser_rows, write_csv
 from .montecarlo import _frame, philox_stream, receivers, run_sweep, sigma_from_snr
 
@@ -29,16 +29,16 @@ def _workers() -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ConfigError(f"VLCNOMA_WORKERS must be an integer, got {raw!r}") from exc
+        raise ParameterError(f"VLCNOMA_WORKERS must be an integer, got {raw!r}") from exc
     if not 1 <= value <= MAX_WORKERS:
-        raise ConfigError(f"VLCNOMA_WORKERS must be in 1..{MAX_WORKERS}, got {value}")
+        raise ParameterError(f"VLCNOMA_WORKERS must be in 1..{MAX_WORKERS}, got {value}")
     return value
 
 
 def output_path(path: Path, name: str) -> Path:
-    """``path`` if a file can be written there, else a ConfigError naming ``name``."""
+    """``path`` if a file can be written there, else a ParameterError naming ``name``."""
     if path.is_dir() or not path.parent.is_dir() or not os.access(path.parent, os.W_OK):
-        raise ConfigError(f"{name} {path} must be a file in an existing, writable directory")
+        raise ParameterError(f"{name} {path} must be a file in an existing, writable directory")
     return path
 
 
@@ -56,7 +56,7 @@ def overridden_config(args, keys: dict[str, str]) -> ExperimentConfig:
     if spec is not None:
         given.append(f"--snr {spec}")
         if spec.count(":") != 2:
-            raise ConfigError(f"--snr expects {':'.join(SNR_KEYS)}, got {spec!r}")
+            raise ParameterError(f"--snr expects {':'.join(SNR_KEYS)}, got {spec!r}")
         raw.update(zip(SNR_KEYS, spec.split(":")), snr_points_db=None)
     return load_config(args.config, raw, " ".join(given))
 
@@ -138,7 +138,7 @@ def exit_code(action) -> int:
     """Run ``action()``: 0, else 1 for bad input or 2 for any other error, reported on stderr."""
     try:
         action()
-    except (ConfigError, ParameterError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .channel import ChannelGains, OpticalFrontEnd, ScenarioGeometry, gain_matrix
 from .constellation import ConstellationSet, SpectralEfficiencies, design_constellation
-from .errors import ConfigError, ParameterError
+from .errors import ParameterError
 from .montecarlo import SweepConfig
 
 
@@ -129,8 +129,8 @@ class ExperimentConfig:
             gains = self.effective_gains()
             return gains, design_constellation(self.bpcu, gains, self.target_power_w)
         except ParameterError as exc:
-            raise ConfigError(f"{exc}; the design reads bpcu_u1..bpcu_u3, target_power_w and"
-                              " gain_h11..gain_h32, else the geometry keys") from exc
+            raise ParameterError(f"{exc}; the design reads bpcu_u1..bpcu_u3, target_power_w and"
+                                 " gain_h11..gain_h32, else the geometry keys") from exc
 
 
 def default_config_path() -> Path:
@@ -138,17 +138,20 @@ def default_config_path() -> Path:
 
 
 def snr_grid(start_db: float, stop_db: float, step_db: float) -> tuple[float, ...]:
-    """Inclusive arithmetic SNR grid, robust to floating-point step error."""
+    """Inclusive arithmetic SNR grid, robust to floating-point step error;
+    a step too fine for start + k * step to tell two points apart is rejected."""
     if step_db <= 0:
-        raise ConfigError(f"snr_step_db must be > 0, got {step_db}")
+        raise ParameterError(f"snr_step_db must be > 0, got {step_db}")
     if stop_db < start_db:
-        raise ConfigError(f"snr_stop_db {stop_db} is below snr_start_db {start_db}")
+        raise ParameterError(f"snr_stop_db {stop_db} is below snr_start_db {start_db}")
     steps = (stop_db - start_db) / step_db + 1e-9
+    grid = f"snr_start_db {start_db} to snr_stop_db {stop_db} in steps of snr_step_db {step_db}"
     if not steps < 2**31:
-        raise ConfigError(f"snr_start_db {start_db} to snr_stop_db {stop_db} in steps of"
-                          f" snr_step_db {step_db} gives too many points")
-    count = int(math.floor(steps)) + 1
-    return tuple(start_db + k * step_db for k in range(count))
+        raise ParameterError(f"{grid} gives too many points")
+    points = tuple(start_db + k * step_db for k in range(int(math.floor(steps)) + 1))
+    if len(set(points)) < len(points):
+        raise ParameterError(f"{grid} gives repeated points")
+    return points
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -157,22 +160,22 @@ def parse_kv_file(path) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+        raise ParameterError(f"{path}: not UTF-8 text: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ParameterError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in SCHEMA:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise ParameterError(f"{path}:{lineno}: duplicate key {key!r}")
         if not value:
-            raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
+            raise ParameterError(f"{path}:{lineno}: empty value for {key!r}")
         values[key] = value
     return values
 
@@ -185,7 +188,7 @@ def build_config(raw: dict[str, str], source: str = "<config>") -> ExperimentCon
             try:
                 typed[key] = parser(raw[key])
             except ValueError as exc:
-                raise ConfigError(f"{source}: bad value for {key!r}: {exc}") from exc
+                raise ParameterError(f"{source}: bad value for {key!r}: {exc}") from exc
         else:
             typed[key] = default
 
@@ -198,23 +201,18 @@ def build_config(raw: dict[str, str], source: str = "<config>") -> ExperimentCon
     gains = placed.pop("gain_override")
     missing = [f"gain_{name}" for name, value in gains.items() if value is None]
     if 0 < len(missing) < len(gains):
-        raise ConfigError(f"{source}: gain override needs all four gains, missing {missing}")
+        raise ParameterError(f"{source}: gain override needs all four gains, missing {missing}")
     for name, value in gains.items():
         if not missing and value <= 0:
-            raise ConfigError(f"{source}: gain_{name} must be > 0, got {value}")
+            raise ParameterError(f"{source}: gain_{name} must be > 0, got {value}")
     override = None if missing else ChannelGains(**gains)
-    if placed["sweep"]["snr_points_db"] is None:
-        try:
+    try:  # snr_grid and the domain-type validators already name the offending key
+        if placed["sweep"]["snr_points_db"] is None:
             placed["sweep"]["snr_points_db"] = snr_grid(
                 typed["snr_start_db"], typed["snr_stop_db"], typed["snr_step_db"])
-        except ConfigError as exc:
-            raise ConfigError(f"{source}: {exc}") from exc
-    sections = {}
-    for name, cls in SECTIONS.items():
-        try:  # domain-type validators already name the offending key
-            sections[name] = cls(**placed[name])
-        except ParameterError as exc:
-            raise ConfigError(f"{source}: {exc}") from exc
+        sections = {name: cls(**placed[name]) for name, cls in SECTIONS.items()}
+    except ParameterError as exc:
+        raise ParameterError(f"{source}: {exc}") from exc
     return ExperimentConfig(gain_override=override, **sections)
 
 
@@ -227,7 +225,7 @@ def load_config(path=None, overrides=None, flags: str = "") -> ExperimentConfig:
     """
     actual = default_config_path() if path is None else Path(path)
     if not actual.is_file():
-        raise ConfigError(f"config file not found: {actual}")
+        raise ParameterError(f"config file not found: {actual}")
     raw = {**parse_kv_file(actual), **(overrides or {})}
     return build_config({key: value for key, value in raw.items() if value is not None},
                         source=f"{actual} {flags}".rstrip())

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelGains
-from .errors import ConstellationError, ParameterError
+from .errors import ParameterError
 
 # Strictness tolerance for the zero-error gap check: an inequality counts as
 # satisfied only with margin above this fraction of its right-hand side.
@@ -72,7 +72,7 @@ class ConstellationSet:
     and ``cell2_edge`` carry the two halves of the edge user's signal.  The
     ``raw_*`` arrays are the dimensionless design-domain levels, the plain
     arrays are in watts after scaling each cell so its average superposed
-    transmit power per channel use equals ``avg_power_w``.
+    transmit power per channel use equals the ``avg_power_w`` it was built for.
     """
 
     bpcu: SpectralEfficiencies
@@ -82,7 +82,6 @@ class ConstellationSet:
     raw_cell2_center: np.ndarray
     scale_cell1: float
     scale_cell2: float
-    avg_power_w: float
 
     @property
     def cell1_center(self) -> np.ndarray:
@@ -112,14 +111,14 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
-def uniform_spacing(levels: np.ndarray, name: str, rtol: float = 1e-9) -> float:
-    """The constant consecutive gap; raises if the gaps are not uniform."""
+def uniform_spacing(levels: np.ndarray, name: str) -> float:
+    """The constant consecutive gap; raises if the gaps are not uniform to 1e-9 relative."""
     if levels.size < 2:
-        raise ConstellationError(f"{name} needs at least two levels to have a spacing")
+        raise ParameterError(f"{name} needs at least two levels to have a spacing")
     gaps = np.diff(levels)
     spacing = float(gaps[0])
-    if not 0 < spacing < math.inf or not np.all(np.abs(gaps - spacing) <= rtol * spacing):
-        raise ConstellationError(f"{name} levels are not uniformly increasing: {levels}")
+    if not 0 < spacing < math.inf or not np.all(np.abs(gaps - spacing) <= 1e-9 * spacing):
+        raise ParameterError(f"{name} levels are not uniformly increasing: {levels}")
     return spacing
 
 
@@ -184,20 +183,19 @@ def from_raw_levels(
     for (name, arr), (_, _, user) in zip(arrays.items(), LEVEL_SETS):
         expected = bpcu.sizes[int(user[1]) - 1]
         if arr.size != expected:
-            raise ConstellationError(
+            raise ParameterError(
                 f"{name} must have {expected} levels for bpcu {bpcu}, got {arr.size}"
             )
         if not np.all(arr > 0):
-            raise ConstellationError(f"{name} levels must be strictly positive: {arr}")
+            raise ParameterError(f"{name} levels must be strictly positive: {arr}")
         if not np.all(np.diff(arr) > 0):
-            raise ConstellationError(f"{name} levels must be strictly increasing: {arr}")
+            raise ParameterError(f"{name} levels must be strictly increasing: {arr}")
     s1 = _scale_factor(arrays["raw_cell1_center"], arrays["raw_cell1_edge"], avg_power_w)
     s2 = _scale_factor(arrays["raw_cell2_center"], arrays["raw_cell2_edge"], avg_power_w)
     return ConstellationSet(
         bpcu=bpcu,
         scale_cell1=s1,
         scale_cell2=s2,
-        avg_power_w=avg_power_w,
         **arrays,
     )
 

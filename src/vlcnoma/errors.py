@@ -1,17 +1,5 @@
-"""Exception types shared across the package."""
+"""The package's one exception type for bad input."""
 
 
 class ParameterError(ValueError):
-    """An argument violates a documented precondition."""
-
-
-class GeometryError(ParameterError):
-    """Physically impossible transmitter/receiver placement."""
-
-
-class ConstellationError(ParameterError):
-    """Power levels violate ordering, positivity, or spacing requirements."""
-
-
-class ConfigError(ValueError):
-    """Configuration file could not be parsed or validated."""
+    """An argument, config value or setting violates a documented precondition."""

@@ -41,14 +41,8 @@ class Workspace:
         return array[:size].reshape(shape)
 
 
-def _out(ws: Workspace | None, name: str, shape: tuple, dtype=float) -> np.ndarray | None:
-    """The ``out=`` of a stage: the workspace's array, or None to let numpy allocate."""
-    return None if ws is None else ws.take(name, shape, dtype)
-
-
-def _array(ws: Workspace | None, name: str, shape: tuple, dtype) -> np.ndarray:
-    """The workspace's array ``name``, or a fresh one: a destination for
-    ``np.copyto`` and in-place steps, where ``_out``'s None would not do."""
+def _out(ws: Workspace | None, name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """The destination of a stage: the workspace's array ``name``, or a fresh one."""
     return np.empty(shape, dtype) if ws is None else ws.take(name, shape, dtype)
 
 
@@ -163,7 +157,7 @@ def _bucket(y, low, high, scale, shift, top, ws: Workspace | None = None) -> np.
     x -= shift
     x = np.fmin(x, top, out=_out(ws, "x", shape))
     # copyto truncates toward zero, as astype does, and needs no cast buffer
-    bucket = _array(ws, "bucket", shape, np.intp)
+    bucket = _out(ws, "bucket", shape, np.intp)
     np.copyto(bucket, x, casting="unsafe")
     return bucket
 
@@ -242,7 +236,7 @@ class DecisionTable:
         y = np.asarray(y)
         shape = y.shape
         # a direct label is the slot itself, computed where it is returned
-        slot = _array(ws, name if self._direct else "slot", shape, np.intp)
+        slot = _out(ws, name if self._direct else "slot", shape, np.intp)
         if self._counted:
             size = self.thresholds.size
             below = np.less(y, self.thresholds.reshape(size, *(1,) * y.ndim),

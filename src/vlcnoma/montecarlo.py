@@ -62,6 +62,8 @@ class SweepConfig:
                 sigma_from_snr(snr_db, self.target_power_w)
             except ParameterError:
                 raise ParameterError(f"snr_points_db: no finite noise at {snr_db} dB") from None
+        if len(set(self.snr_points_db)) < len(self.snr_points_db):
+            raise ParameterError(f"snr_points_db lists a point twice: {self.snr_points_db}")
         if not 0 <= self.seed < 2**64:
             raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.min_errors < 0:
@@ -71,6 +73,8 @@ class SweepConfig:
         if not self.schemes or not set(self.schemes) <= set(analytic.SCHEMES):
             raise ParameterError(
                 f"schemes must name some of {analytic.SCHEMES}, got {self.schemes}")
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ParameterError(f"schemes lists a scheme twice: {self.schemes}")
         if len(self.snr_points_db) >= 2**31 or self.trials_per_point >= self.batch_size << 32:
             raise ParameterError("sweep too large for the stream-addressing scheme")
 
@@ -84,11 +88,6 @@ class SerEstimate:
     ser: float
     ci_low: float
     ci_high: float
-
-    @classmethod
-    def from_counts(cls, errors: int, trials: int) -> "SerEstimate":
-        low, high = wilson_interval(errors, trials)
-        return cls(errors, trials, errors / trials, low, high)
 
 
 @dataclass(frozen=True)
@@ -235,7 +234,7 @@ def _run_points(
     tracked = [(s, u) for s in config.schemes for u in USERS]
     count = len(sigmas)
     totals = [dict.fromkeys(tracked, 0) for _ in range(count)]
-    trials, issued, consumed = [0] * count, [0] * count, [0] * count
+    issued, consumed = [0] * count, [0] * count
     done = [False] * count  # stopped early, or every batch consumed
     waiting: list[dict[int, dict]] = [{} for _ in range(count)]  # results ahead of order
     changed = threading.Condition()
@@ -286,7 +285,6 @@ def _run_points(
         while not done[point] and consumed[point] in waiting[point]:
             for key, errors in waiting[point].pop(consumed[point]).items():
                 totals[point][key] += errors
-            trials[point] += min(size, total - consumed[point] * size)
             consumed[point] += 1
             done[point] = consumed[point] == batches or (
                 config.min_errors > 0
@@ -321,7 +319,7 @@ def _run_points(
         work()
         for helper in helpers:
             helper.result()
-    return totals, trials
+    return totals, [min(used * size, total) for used in consumed]
 
 
 def run_sweep(
@@ -353,8 +351,9 @@ def run_sweep(
         for scheme in config.schemes:
             counts = {user: (totals[(scheme, user)], trials) for user in USERS}
             counts["avg"] = (sum(totals[(scheme, user)] for user in USERS), 3 * trials)
-            points.extend(SerPoint(snr_db, user, scheme, SerEstimate.from_counts(*count),
+            points.extend(SerPoint(snr_db, user, scheme,
+                                   SerEstimate(errors, n, errors / n, *wilson_interval(errors, n)),
                                    (forms.get((scheme, user)) or none)[point])
-                          for user, count in counts.items())
+                          for user, (errors, n) in counts.items())
     points.sort(key=lambda p: (p.snr_db, p.user, p.scheme))
     return points

@@ -14,7 +14,7 @@ from vlcnoma.analytic import (MAXLOG, closed_forms, complexity_counts, erfc, q_f
                               ser_center_lower_bound)
 from vlcnoma.config import load_config, snr_grid
 from vlcnoma.constellation import from_raw_levels, verify_gap_condition
-from vlcnoma.errors import ConstellationError, ParameterError
+from vlcnoma.errors import ParameterError
 from vlcnoma.link import nearest_table, superpose_transmit
 from vlcnoma.montecarlo import sigma_from_snr
 
@@ -178,7 +178,7 @@ class TestDecisionBoundaries:
     def test_non_uniform_spacing_rejected(self, reference_gains):
         crooked = from_raw_levels(SpectralEfficiencies(1, 2, 1),
                                   [1, 2], [3, 8, 20, 21], [3, 8, 13, 18], [1, 2], 1.0)
-        with pytest.raises(ConstellationError):
+        with pytest.raises(ParameterError, match="cell1_edge levels are not uniformly increasing"):
             ser_u2_analytic(crooked, reference_gains, 1e-7)
 
 
@@ -280,6 +280,11 @@ class TestClosedFormsOverAGrid:
             assert forms["noma-sic", f"u{user}"] == bound
         assert forms["noma-jml", "u2"] is None
         assert all(forms["oma", user] is None for user in ("u1", "u2", "u3"))
+
+    def test_one_float_is_a_one_point_grid(self, reference_set, reference_gains):
+        schemes = ("noma-sic", "noma-jml", "oma")
+        assert (closed_forms(schemes, reference_set, reference_gains, 1e-6)
+                == closed_forms(schemes, reference_set, reference_gains, [1e-6]))
 
     def test_negative_sigma_in_a_grid_rejected(self, reference_set, reference_gains):
         for sigmas in ([1e-7, -1.0], [float("nan"), 1e-7]):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from vlcnoma import ChannelGains, gain_matrix, load_config
 from vlcnoma.channel import (OpticalFrontEnd, ScenarioGeometry, concentrator_gain, dc_gain,
                              lambertian_order, link_geometry)
-from vlcnoma.errors import GeometryError, ParameterError
+from vlcnoma.errors import ParameterError
 
 
 class TestLambertianOrder:
@@ -52,9 +52,11 @@ class TestLinkGeometry:
         assert cosine == pytest.approx(3.5 / expected_d, rel=1e-14)
 
     def test_receiver_above_ceiling_rejected(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ParameterError,
+                           match=r"receiver height 4\.0 must be below room height 4\.0"):
             link_geometry(1.0, 4.0, 4.0)
-        with pytest.raises(GeometryError):
+        with pytest.raises(ParameterError,
+                           match=r"receiver height 5\.0 must be below room height 4\.0"):
             link_geometry(1.0, 4.0, 5.0)
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from vlcnoma import cli, experiments, montecarlo
 from vlcnoma.cli import main
 from vlcnoma.config import (SCHEMA, build_config, config_echo, default_config_path, load_config,
                             parse_kv_file, snr_grid)
-from vlcnoma.errors import ConfigError
+from vlcnoma.errors import ParameterError
 
 
 class TestLoadConfig:
@@ -32,37 +33,41 @@ class TestLoadConfig:
     def test_out_of_range_value_names_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("semi_angle_deg = 120\n")
-        with pytest.raises(ConfigError, match="semi_angle_deg"):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"{path}: semi_angle_deg must be in (0, 90), got 120.0")):
             load_config(path)
 
     def test_unknown_key_names_key_and_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("# comment line\nsemiangle = 60\n")
-        with pytest.raises(ConfigError, match=r":2: unknown key 'semiangle'"):
+        with pytest.raises(ParameterError, match=re.escape(f"{path}:2: unknown key 'semiangle'")):
             load_config(path)
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("room_height_m = 4.0\nnot a kv line\n")
-        with pytest.raises(ConfigError, match=":2:"):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"{path}:2: expected 'key = value', got 'not a kv line'")):
             load_config(path)
 
     def test_unparseable_value_names_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("trials_per_point = many\n")
-        with pytest.raises(ConfigError, match="trials_per_point"):
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"{path}: bad value for 'trials_per_point': invalid")):
             load_config(path)
 
     def test_partial_gain_override_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("gain_h11 = 1e-6\ngain_h21 = 5e-7\n")
-        with pytest.raises(ConfigError, match="gain override"):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"{path}: gain override needs all four gains, missing ['gain_h22', 'gain_h32']")):
             load_config(path)
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("seed = 1\nseed = 2\n")
-        with pytest.raises(ConfigError, match="duplicate"):
+        with pytest.raises(ParameterError, match=re.escape(f"{path}:2: duplicate key 'seed'")):
             load_config(path)
 
     def test_inline_comments_and_blank_lines(self, tmp_path):
@@ -71,14 +76,15 @@ class TestLoadConfig:
         assert load_config(path).sweep.seed == 9
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="not found"):
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"config file not found: {tmp_path / 'nope.cfg'}")):
             load_config(tmp_path / "nope.cfg")
 
     def test_non_utf8_file_names_the_file(self, tmp_path, capsys):
         # a leading 0xff byte used to exit 2 with a codec error
         path = tmp_path / "latin.cfg"
         path.write_bytes(b"\xffseed = 1\n")
-        with pytest.raises(ConfigError, match="latin.cfg: not UTF-8"):
+        with pytest.raises(ParameterError, match=re.escape(f"{path}: not UTF-8 text")):
             load_config(path)
         assert run_cli("gains", "--config", str(path), "--out", str(tmp_path / "g.csv")) == 1
         assert "latin.cfg" in capsys.readouterr().err
@@ -115,8 +121,15 @@ class TestSnrGrid:
         assert grid[-1] == pytest.approx(1.0)
 
     def test_bad_step_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError, match=r"snr_step_db must be > 0, got 0\.0"):
             snr_grid(0.0, 1.0, 0.0)
+
+    def test_step_too_fine_to_tell_points_apart_rejected(self):
+        # fl(100 + k * 1e-15) takes 8 distinct values over the 100 points
+        with pytest.raises(ParameterError, match=re.escape(
+                "snr_start_db 100.0 to snr_stop_db 100.0000000000001 in steps of snr_step_db"
+                " 1e-15 gives repeated points")):
+            snr_grid(100.0, 100.0000000000001, 1e-15)
 
 
 def run_cli(*argv):
@@ -199,6 +212,9 @@ class TestCli:
         ("design", "target_power_w", "1e308"),
         ("gains", "rx_height_u3_m", "4"),
         ("gains", "detector_area_m2", "1e308"),
+        # listed twice, which used to write the rows twice
+        ("simulate", "schemes", "noma-sic, noma-sic"),
+        ("simulate", "snr_points_db", "110:110"),
     ])
     def test_non_finite_value_exits_1_naming_key(self, tmp_path, capsys, command, key, value):
         # the bundled file with one value replaced, so the gain override stays complete
@@ -275,6 +291,9 @@ class TestCli:
         ("--snr", "10:20", "snr_start_db"),
         ("--schemes", "fft", "schemes"),
         ("--trials", "0", "trials_per_point"),
+        # a scheme twice, and a step that leaves 100 points on 8 distinct SNRs
+        ("--schemes", "oma,oma", "schemes"),
+        ("--snr", "100:100.0000000000001:1e-15", "snr_step_db"),
     ])
     def test_bad_override_exits_1_naming_key_and_flag(self, tmp_path, capsys, flag, value,
                                                       key):

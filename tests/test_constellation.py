@@ -11,7 +11,7 @@ from vlcnoma.constellation import (MAX_GRID, center_points, edge_points, from_ra
                                    peak_powers, verify_gap_condition)
 from vlcnoma.link import decode_center_sic, decode_u2_jml, decode_u2_sic, superpose_transmit
 from vlcnoma.montecarlo import receivers
-from vlcnoma.errors import ConstellationError, ParameterError
+from vlcnoma.errors import ParameterError
 
 gain_values = st.floats(min_value=1e-9, max_value=1e-3)
 
@@ -117,7 +117,7 @@ class TestNormalize:
             assert np.allclose(norm / norm[0], raw / raw[0], rtol=1e-12)
 
     def test_empty_levels_rejected(self, reference_gains):
-        with pytest.raises(ConstellationError):
+        with pytest.raises(ParameterError, match=r"raw_cell1_edge must have 2 levels for bpcu"):
             from_raw_levels(SpectralEfficiencies(1, 1, 1), [1, 2], [], [3, 8], [1, 2], 1.0)
 
 

@@ -249,6 +249,19 @@ class TestRunSweep:
         with pytest.raises(ParameterError):
             SweepConfig(snr_points_db=(), trials_per_point=10, seed=0, target_power_w=1.0)
 
+    def test_rejects_a_repeated_scheme(self):
+        # a repeated scheme used to run again and write its rows twice
+        with pytest.raises(ParameterError, match=r"schemes lists a scheme twice: \('oma', 'oma'\)"):
+            SweepConfig(snr_points_db=(100.0,), trials_per_point=10, seed=0,
+                        target_power_w=1.0, schemes=("oma", "oma"))
+
+    def test_rejects_a_repeated_point(self):
+        # a repeated point used to write two row sets at one SNR
+        with pytest.raises(ParameterError,
+                           match=r"snr_points_db lists a point twice: \(110\.0, 120\.0, 110\.0\)"):
+            SweepConfig(snr_points_db=(110.0, 120.0, 110.0), trials_per_point=10, seed=0,
+                        target_power_w=1.0)
+
 
 def sweep_with(**overrides):
     return small_sweep(**{"snr_points_db": (100.0,), "trials_per_point": 10, **overrides})
