@@ -6,14 +6,14 @@ Usage: python scripts/reproduce_all.py [outdir] [--config PATH] [--trials N]
 The sweep experiments honor trials/seed from the config; ``--trials N``
 sets ``trials_per_point`` as a config line would.  gains/design/complexity
 are instant.  fig3 and fig4 are drawn from one shared sweep; fig2 runs its
-own.  Exit codes are the CLI's: 1 for bad input, naming the key.
+own.  Every output path is checked before any experiment runs.  Exit codes
+are the CLI's: 1 for bad input, usage errors too, naming the key or path.
 """
 
-import argparse
 import sys
 from pathlib import Path
 
-from vlcnoma.cli import _workers, exit_code, overridden_config
+from vlcnoma.cli import ArgumentParser, _workers, exit_code, output_path, overridden_config
 from vlcnoma.errors import ParameterError
 from vlcnoma.experiments import EXPERIMENTS, run_experiment
 
@@ -26,20 +26,18 @@ def run_all(args) -> None:
     except OSError as exc:
         raise ParameterError(
             f"output directory {args.outdir} cannot be made: {exc.strerror}") from exc
+    paths = {name: output_path(args.outdir / f"{name}.csv", "output") for name in EXPERIMENTS}
     memo = {}
-    for name in EXPERIMENTS:
-        path = run_experiment(name, cfg, args.outdir / f"{name}.csv", workers=workers,
-                              memo=memo)
-        print(f"{name}: {path}")
+    for name, path in paths.items():
+        print(f"{name}: {run_experiment(name, cfg, path, workers=workers, memo=memo)}")
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = ArgumentParser(description=__doc__)
     parser.add_argument("outdir", nargs="?", type=Path, default=Path("results"))
     parser.add_argument("--config", type=Path, default=None)
     parser.add_argument("--trials", help="trials_per_point")
-    args = parser.parse_args(argv)
-    return exit_code(lambda: run_all(args))
+    return exit_code(lambda: run_all(parser.parse_args(argv)))
 
 
 if __name__ == "__main__":

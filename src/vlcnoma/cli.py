@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 bad input (``ParameterError``), 2 any other error.
+Exit codes: 0 success, 1 bad input (a ``ParameterError`` or usage error), 2 any other error.
 Worker count comes from the VLCNOMA_WORKERS environment variable only;
 results are bit-identical for any value.
 """
@@ -99,8 +99,16 @@ def _cmd_experiment(name: str, args) -> None:
     print(run_experiment(name, cfg, out, workers=_workers()))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class ArgumentParser(argparse.ArgumentParser):
+    """A parser whose usage errors are bad input: a ParameterError, so exit 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParameterError(f"{self.prog}: {message}")
+
+
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="vlcnoma",
         description="Two-cell indoor visible-light superposition link simulator",
     )
@@ -147,15 +155,18 @@ def exit_code(action) -> int:
     return 0
 
 
+def _dispatch(args) -> None:
+    if args.command == "simulate":
+        return _cmd_simulate(args)
+    return _cmd_experiment(getattr(args, "figure", args.command), args)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     while "--snr" in argv[:-1]:  # argparse takes "--snr -10:-6:2"'s value for an option
         at = argv.index("--snr")
         argv[at:at + 2] = [f"--snr={argv[at + 1]}"]
-    args = build_parser().parse_args(argv)
-    if args.command == "simulate":
-        return exit_code(lambda: _cmd_simulate(args))
-    return exit_code(lambda: _cmd_experiment(getattr(args, "figure", args.command), args))
+    return exit_code(lambda: _dispatch(build_parser().parse_args(argv)))
 
 
 if __name__ == "__main__":

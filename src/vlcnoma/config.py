@@ -3,8 +3,8 @@
 Files hold one ``key = value`` per line with ``#`` comments.  Unknown keys
 are hard errors so typos cannot silently fall back to defaults.  Every key
 has a default matching the bundled reference scenario (``default.cfg``),
-including the externally supplied channel-gain override used when
-reproducing the reference results.
+but for that file's channel-gain override: ``gain_h11``..``gain_h32``
+default to None, so a file without them uses the computed gain matrix.
 """
 
 from __future__ import annotations
@@ -225,7 +225,8 @@ def load_config(path=None, overrides=None, flags: str = "") -> ExperimentConfig:
     """
     actual = default_config_path() if path is None else Path(path)
     if not actual.is_file():
-        raise ParameterError(f"config file not found: {actual}")
+        raise ParameterError(f"config path {actual} is not a file" if actual.exists()
+                             else f"config file not found: {actual}")
     raw = {**parse_kv_file(actual), **(overrides or {})}
     return build_config({key: value for key, value in raw.items() if value is not None},
                         source=f"{actual} {flags}".rstrip())

@@ -140,7 +140,8 @@ def edge_points(
     received gap; splitting that requirement term by term gives each cell
     an increment of twice its own center peak, plus a one-unit margin that
     makes the zero-error inequality strict.  The increments are constant,
-    so each iteration of the level loop is closed form.
+    so each cell's levels are m + 1 + (2m + 1)k for k = 0..M2-1, where m is
+    its center size, M1 or M3.
     """
     diagnostic = gains.ordering_diagnostic()
     if diagnostic is not None:
@@ -148,12 +149,8 @@ def edge_points(
     if gains.h21 + gains.h22 <= 0:
         raise ParameterError("edge user needs a positive combined gain h21 + h22")
     m1, m2, m3 = bpcu.sizes
-    cell1 = [float(m1 + 1)]
-    cell2 = [float(m3 + 1)]
-    for _ in range(m2 - 1):
-        cell1.append(cell1[-1] + 2 * m1 + 1)
-        cell2.append(cell2[-1] + 2 * m3 + 1)
-    return _frozen(cell1), _frozen(cell2)
+    k = np.arange(m2)
+    return _frozen(m1 + 1 + (2 * m1 + 1) * k), _frozen(m3 + 1 + (2 * m3 + 1) * k)
 
 
 def _scale_factor(center: np.ndarray, edge: np.ndarray, avg_power_w: float) -> float:

@@ -19,31 +19,30 @@ from .errors import ParameterError
 
 
 class Workspace:
-    """Reusable arrays for the hot path, so that a Monte Carlo batch
+    """Reusable arrays for the hot path, so that a warmed Monte Carlo batch
     allocates no temporaries.
 
-    ``take(name, shape, dtype)`` hands out the leading elements, shaped, of
-    the array held under ``(name, dtype)``.  It is allocated on first use
-    with ``capacity`` elements, or more if a request needs them.  A later
-    request for the same name overwrites what an earlier one handed out, so
-    the stages give different names to arrays that must coexist.
+    ``take(key, shape, dtype)`` hands out the leading elements, shaped, of
+    the array held under ``(key, dtype)``, allocating or growing it when a
+    request needs more.  A later request for the same key overwrites what an
+    earlier one handed out.  Scratch arrays are keyed by name, decisions by
+    the ``DecisionTable`` that makes them.
     """
 
-    def __init__(self, capacity: int):
-        self.capacity = capacity
+    def __init__(self):
         self._arrays: dict = {}
 
-    def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+    def take(self, key, shape: tuple, dtype=float) -> np.ndarray:
         size = math.prod(shape)
-        array = self._arrays.get((name, dtype))
+        array = self._arrays.get((key, dtype))
         if array is None or array.size < size:
-            array = self._arrays[name, dtype] = np.empty(max(size, self.capacity), dtype)
+            array = self._arrays[key, dtype] = np.empty(size, dtype)
         return array[:size].reshape(shape)
 
 
-def _out(ws: Workspace | None, name: str, shape: tuple, dtype=float) -> np.ndarray:
-    """The destination of a stage: the workspace's array ``name``, or a fresh one."""
-    return np.empty(shape, dtype) if ws is None else ws.take(name, shape, dtype)
+def _out(ws: Workspace | None, key, shape: tuple, dtype=float) -> np.ndarray:
+    """The destination of a stage: the workspace's array ``key``, or a fresh one."""
+    return np.empty(shape, dtype) if ws is None else ws.take(key, shape, dtype)
 
 
 def oma_sizes(bpcu) -> tuple[int, int, int]:
@@ -165,7 +164,7 @@ def _bucket(y, low, high, scale, shift, top, ws: Workspace | None = None) -> np.
 _COUNTED = 32  # the most thresholds a table counts; larger tables use buckets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecisionTable:
     """A decision on one real sample: ``labels[slot]``, where the slot of y
     counts the ``thresholds`` at or below it, all of them for NaN, as
@@ -231,12 +230,13 @@ class DecisionTable:
                             ("_padded", np.concatenate([t, [np.nan]]))):
             object.__setattr__(self, name, value)
 
-    def decide(self, y, ws: Workspace | None = None, name: str = "label") -> np.ndarray:
-        """The labels, shaped like y; with a workspace, its array ``name``."""
+    def decide(self, y, ws: Workspace | None = None) -> np.ndarray:
+        """The labels, shaped like y; with a workspace, its array keyed by this
+        table (by identity), so a frame decides at most once with each table."""
         y = np.asarray(y)
         shape = y.shape
         # a direct label is the slot itself, computed where it is returned
-        slot = _out(ws, name if self._direct else "slot", shape, np.intp)
+        slot = _out(ws, self if self._direct else "slot", shape, np.intp)
         if self._counted:
             size = self.thresholds.size
             below = np.less(y, self.thresholds.reshape(size, *(1,) * y.ndim),
@@ -256,7 +256,7 @@ class DecisionTable:
                     out=_out(ws, "ge", shape, np.intp))
         if self._direct:
             return slot
-        return np.take(self.labels, slot, out=_out(ws, name, shape, self.labels.dtype), mode="clip")
+        return np.take(self.labels, slot, out=_out(ws, self, shape, self.labels.dtype), mode="clip")
 
 
 @dataclass(frozen=True)
@@ -273,15 +273,13 @@ class SicReceiver:
     levels: np.ndarray
     stage2: DecisionTable
 
-    def decide(self, y, ws: Workspace | None = None, name: str = "sic"
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """``(own, edge)`` labels shaped like y; with a workspace, its arrays
-        ``f"{name}-own"`` and ``f"{name}-edge"``."""
-        edge = self.stage1.decide(y, ws, f"{name}-edge")
+    def decide(self, y, ws: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """``(own, edge)`` labels shaped like y, decided by ``stage2`` and ``stage1``."""
+        edge = self.stage1.decide(y, ws)
         shape = np.shape(edge)
         shift = np.take(self.levels, edge, out=_out(ws, "residual", shape), mode="clip")
         residual = np.subtract(y, shift, out=_out(ws, "residual", shape))
-        return self.stage2.decide(residual, ws, f"{name}-own"), edge
+        return self.stage2.decide(residual, ws), edge
 
 
 def nearest_table(candidates, outputs=None) -> DecisionTable:
@@ -330,20 +328,19 @@ def edge_jml_candidates(cset: ConstellationSet, gains: ChannelGains):
     return superpose_transmit(tuples, cset, gains)[1], tuples[1]
 
 
-def decode_center_sic(y, table: SicReceiver, ws: Workspace | None = None,
-                      name: str = "center"):
+def decode_center_sic(y, table: SicReceiver, ws: Workspace | None = None):
     """``(own_index, edge_index)`` at a center user, from its ``SicReceiver``."""
-    return table.decide(y, ws, name)
+    return table.decide(y, ws)
 
 
 def decode_u2_sic(y2, table: DecisionTable, ws: Workspace | None = None):
     """Edge-user decode by the interference-as-noise rule: nearest combined edge level."""
-    return table.decide(y2, ws, "u2-sic")
+    return table.decide(y2, ws)
 
 
 def decode_u2_jml(y2, table: DecisionTable, ws: Workspace | None = None):
     """Edge-user decode by joint maximum likelihood (``edge_jml_candidates``'s table)."""
-    return table.decide(y2, ws, "u2-jml")
+    return table.decide(y2, ws)
 
 
 def oma_pam_points(size: int, avg_intensity_w: float) -> np.ndarray:
@@ -381,18 +378,17 @@ def oma_round(symbols, links, sigma: float, rng: np.random.Generator,
     2, 3: the levels it receives (``oma_levels``) and its detector's table.
     Noise draw order is fixed: user 1, user 3, then the edge user.  Each
     user is decoded as soon as its noise is drawn; decoding draws nothing.
-    Returns the three decoded indices, with a workspace its arrays
-    "oma-u1", "oma-u2" and "oma-u3".
+    Returns the three decoded indices.
     """
     if not sigma >= 0:
         raise ParameterError(f"sigma must be >= 0, got {sigma}")
     indices = _indices(symbols, tuple(levels.size for levels, _ in links))
     shape = np.broadcast_shapes(*(np.shape(i) for i in indices))
     decided = [None, None, None]
-    for k, user in ((0, "u1"), (2, "u3"), (1, "u2")):
+    for k in (0, 2, 1):
         levels, table = links[k]
         y = rng.standard_normal(shape, out=_out(ws, "z", shape))
         y *= sigma
         y += _gather(levels, indices[k], ws, "t")
-        decided[k] = table.decide(y, ws, f"oma-{user}")
+        decided[k] = table.decide(y, ws)
     return tuple(decided)

@@ -187,9 +187,9 @@ def _frame(
     ``decided["sic-stage1"]`` holds the edge indices that SIC stage 1 at
     users 1 and 3 subtracted.
 
-    With a workspace, ``received`` and ``decided`` are its arrays: they hold
-    until the next frame on that workspace, which overwrites them.  The
-    symbols in ``sent`` are always fresh arrays.
+    With a workspace, ``received`` and ``decided`` are its arrays, each
+    decision keyed by its table: they hold until the next frame on that
+    workspace, which overwrites them.  ``sent`` holds fresh arrays.
     """
     sent: dict[str, tuple] = {}
     decided: dict[str, tuple] = {}
@@ -198,8 +198,8 @@ def _frame(
         symbols = tuple(rng.integers(0, m, n) for m in cset.bpcu.sizes)
         received = awgn_sample(superpose_transmit(symbols, cset, gains, ws), sigma, rng, ws)
         y1, y2, y3 = received
-        u1_hat, edge1 = decode_center_sic(y1, tables["u1"], ws, "u1")
-        u3_hat, edge3 = decode_center_sic(y3, tables["u3"], ws, "u3")
+        u1_hat, edge1 = decode_center_sic(y1, tables["u1"], ws)
+        u3_hat, edge3 = decode_center_sic(y3, tables["u3"], ws)
         decided["sic-stage1"] = (edge1, edge3)
         if "noma-sic" in tables:
             sent["noma-sic"] = symbols
@@ -245,17 +245,9 @@ def _run_points(
         rng = philox_stream(config.seed, point, batch)
         sent, _, decided = _frame(rng, min(size, total - batch * size), sigmas[point], cset,
                                   gains, tables, ws)
-        counted: dict[tuple[int, int], int] = {}  # by the arrays compared
-
-        def errors(want: np.ndarray, got: np.ndarray) -> int:
-            # the superposed schemes share the center users' sent and decided arrays
-            key = id(want), id(got)
-            if key not in counted:
-                counted[key] = int(np.count_nonzero(
+        return {(scheme, user): int(np.count_nonzero(
                     np.not_equal(got, want, out=ws.take("errors", got.shape, bool))))
-            return counted[key]
-
-        return {(scheme, user): errors(want, got) for scheme in config.schemes
+                for scheme in config.schemes
                 for user, want, got in zip(USERS, sent[scheme], decided[scheme])}
 
     def pick() -> int | None:
@@ -293,7 +285,7 @@ def _run_points(
             waiting[point].clear()
 
     def work() -> None:
-        ws = Workspace(min(size, total))
+        ws = Workspace()
         while True:
             with changed:
                 while (point := pick()) is None:

@@ -30,6 +30,20 @@ class TestLoadConfig:
     def test_default_config_file_exists(self):
         assert default_config_path().is_file()
 
+    def test_bundled_file_sets_every_schema_default(self, tmp_path):
+        # SCHEMA and default.cfg each hold every default; only the file's gain
+        # override is its own, so a file without the gains computes them
+        raw = parse_kv_file(default_config_path())
+        gains = {"gain_h11", "gain_h21", "gain_h22", "gain_h32"}
+        defaults = {key for key, (_, default, _) in SCHEMA.items() if default is not None}
+        assert defaults == set(raw) - gains
+        for key in set(raw) - gains:
+            parser, default, _ = SCHEMA[key]
+            assert parser(raw[key]) == default, key
+        seed_only = tmp_path / "seed.cfg"
+        seed_only.write_text("seed = 1\n")
+        assert load_config(seed_only).gain_override is None
+
     def test_out_of_range_value_names_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("semi_angle_deg = 120\n")
@@ -79,6 +93,14 @@ class TestLoadConfig:
         with pytest.raises(ParameterError,
                            match=re.escape(f"config file not found: {tmp_path / 'nope.cfg'}")):
             load_config(tmp_path / "nope.cfg")
+
+    def test_directory_is_not_a_file(self, tmp_path, capsys):
+        # a directory used to be reported as "config file not found"
+        with pytest.raises(ParameterError, match=re.escape(f"config path {tmp_path} is not a"
+                                                           " file")):
+            load_config(tmp_path)
+        assert run_cli("gains", "--config", str(tmp_path), "--out", str(tmp_path / "g.csv")) == 1
+        assert f"{tmp_path} is not a file" in capsys.readouterr().err
 
     def test_non_utf8_file_names_the_file(self, tmp_path, capsys):
         # a leading 0xff byte used to exit 2 with a codec error
@@ -192,6 +214,26 @@ class TestCli:
         bad.write_text("fov_deg = 200\n")
         assert run_cli("gains", "--config", str(bad)) == 1
         assert "fov_deg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,named", [
+        (("simulate", "--snr"), "--snr"),
+        (("simulate", "--trials"), "--trials"),
+        (("simulate", "--bogus", "1"), "--bogus"),
+        (("reproduce", "fig5"), "fig5"),
+        ((), "command"),
+    ], ids=["snr-without-value", "trials-without-value", "unknown-option", "unknown-figure",
+            "no-command"])
+    def test_usage_error_exits_1_naming_the_option(self, capsys, argv, named):
+        # argparse used to exit 2
+        assert run_cli(*argv) == 1
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("--help",), ("simulate", "--help")])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            run_cli(*argv)
+        assert stop.value.code == 0
+        assert "usage: vlcnoma" in capsys.readouterr().out
 
     def test_bad_snr_spec_exit_code(self, capsys):
         assert run_cli("simulate", "--snr", "10:20") == 1

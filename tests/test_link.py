@@ -436,13 +436,30 @@ class TestDecisionTables:
                              ids=["float", "0-d", "0-d-nan", "empty", "empty-2d", "2x2",
                                   "grown"])
     def test_lookup_into_workspace_matches_allocating(self, reference_tables, y):
-        # capacity 1: the 2x2 and 50-sample lookups grow the workspace's arrays
-        ws = Workspace(1)
+        # one workspace for both tables, so the later, larger tables grow its "below"
+        ws = Workspace()
         for table in (reference_tables["u1"], reference_tables["noma-jml"]):
             for got, want in zip(as_tuple(table.decide(y, ws)), as_tuple(table.decide(y)),
                                  strict=True):
                 assert np.shape(got) == np.shape(want)
                 assert np.array_equal(got, want)
+
+    def test_distinct_tables_keep_their_decisions_in_one_workspace(self):
+        # two direct tables and two gathered ones: each decision lands in its
+        # own table's array, where a shared one would leave [0 2] [0 2] [2 1] [2 1]
+        tables = (slot_table([0.5]), slot_table([0.25, 0.75]),
+                  DecisionTable(np.array([0.5]), np.array([1, 0])),
+                  DecisionTable(np.array([0.5]), np.array([2, 1])))
+        ws = Workspace()
+        got = [table.decide(np.array([0.0, 1.0]), ws) for table in tables]
+        assert [labels.tolist() for labels in got] == [[0, 1], [0, 2], [1, 0], [2, 1]]
+
+    def test_receivers_build_nine_distinct_tables(self, reference_tables):
+        # a frame decides once with each table, so no decision overwrites another
+        tables = stage_tables(reference_tables[name]
+                              for name in ("u1", "u3", "noma-sic", "noma-jml"))
+        tables += [table for _, table in reference_tables["oma"]]
+        assert len(set(map(id, tables))) == 9
 
     @pytest.mark.parametrize("labels", [[10, 11], [[10, 11, 12, 13]], [10, 11, 12, 13, 14]],
                              ids=["short", "row-of-a-2d-array", "long"])

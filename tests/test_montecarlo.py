@@ -320,7 +320,7 @@ class TestFrameWorkspace:
         tables = receivers(reference_set, reference_gains, schemes, 1.0)
         frame_args = (reference_set, reference_gains, tables)
         sigma = sigma_from_snr(136.0, 1.0)
-        ws = Workspace(self.BATCH)
+        ws = Workspace()
         # a full batch, a partial last batch and one trial, each right after
         # a frame of another size at another SNR has filled the workspace
         for n, other in ((self.BATCH, 1), (1808, self.BATCH), (1, 1808)):
@@ -338,7 +338,7 @@ class TestFrameWorkspace:
         n = 1 << 15
         tables = receivers(reference_set, reference_gains, schemes, 1.0)
         frame_args = (sigma_from_snr(136.0, 1.0), reference_set, reference_gains, tables)
-        ws = Workspace(n)
+        ws = Workspace()
         _frame(philox_stream(5, 0, 0), n, *frame_args, ws)
         tracemalloc.start()
         try:

@@ -92,6 +92,27 @@ def test_bad_trials_exits_1_naming_the_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_trials_without_a_value_exits_1_naming_the_option(tmp_path, capsys):
+    # argparse used to exit 2
+    assert load_script().main([str(tmp_path / "r"), "--trials"]) == 1
+    assert "--trials" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["gains", "fig2"])
+def test_output_file_that_is_a_directory_exits_1_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                 name):
+    # gains.csv used to exit 2 on its write; fig2.csv after four experiments and a sweep
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(experiments, "run_sweep", no_sweep)
+    (tmp_path / f"{name}.csv").mkdir()
+    assert load_script().main([str(tmp_path), "--config", str(CONFIG)]) == 1
+    assert str(tmp_path / f"{name}.csv") in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == [f"{name}.csv"]
+
+
 def test_output_directory_that_cannot_be_made_exits_1_before_any_work(tmp_path, capsys,
                                                                      monkeypatch):
     def no_sweep(*args, **kwargs):
