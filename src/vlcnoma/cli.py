@@ -36,8 +36,11 @@ def _workers() -> int:
 
 
 def output_path(path: Path, name: str) -> Path:
-    """``path`` if a file can be written there, else a ParameterError naming ``name``."""
-    if path.is_dir() or not path.parent.is_dir() or not os.access(path.parent, os.W_OK):
+    """``path`` if a file can be written there, through any symlink, else a
+    ParameterError naming ``name``."""
+    target = Path(os.path.realpath(path))  # still a link only in a symlink loop
+    if (target.is_dir() or target.is_symlink() or not target.parent.is_dir()
+            or not os.access(target.parent, os.W_OK)):
         raise ParameterError(f"{name} {path} must be a file in an existing, writable directory")
     return path
 

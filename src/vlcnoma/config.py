@@ -17,7 +17,7 @@ from pathlib import Path
 from .channel import ChannelGains, OpticalFrontEnd, ScenarioGeometry, gain_matrix
 from .constellation import ConstellationSet, SpectralEfficiencies, design_constellation
 from .errors import ParameterError
-from .montecarlo import SweepConfig
+from .montecarlo import MAX_POINTS, SweepConfig
 
 
 def parse_finite(text: str) -> float:
@@ -139,15 +139,16 @@ def default_config_path() -> Path:
 
 def snr_grid(start_db: float, stop_db: float, step_db: float) -> tuple[float, ...]:
     """Inclusive arithmetic SNR grid, robust to floating-point step error;
-    a step too fine for start + k * step to tell two points apart is rejected."""
+    a step too fine for start + k * step to tell two points apart is rejected,
+    as is a grid of more than ``MAX_POINTS`` points, before it is built."""
     if step_db <= 0:
         raise ParameterError(f"snr_step_db must be > 0, got {step_db}")
     if stop_db < start_db:
         raise ParameterError(f"snr_stop_db {stop_db} is below snr_start_db {start_db}")
     steps = (stop_db - start_db) / step_db + 1e-9
     grid = f"snr_start_db {start_db} to snr_stop_db {stop_db} in steps of snr_step_db {step_db}"
-    if not steps < 2**31:
-        raise ParameterError(f"{grid} gives too many points")
+    if not steps < MAX_POINTS:
+        raise ParameterError(f"{grid} gives too many points, more than {MAX_POINTS}")
     points = tuple(start_db + k * step_db for k in range(int(math.floor(steps)) + 1))
     if len(set(points)) < len(points):
         raise ParameterError(f"{grid} gives repeated points")
@@ -158,7 +159,7 @@ def parse_kv_file(path) -> dict[str, str]:
     """Raw key/value strings from a flat config file; strict about shape."""
     values: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path}: not UTF-8 text: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):

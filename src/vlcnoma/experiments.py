@@ -123,8 +123,8 @@ BASELINE_NOTE = ("note: the prior single-cell superposition baseline is omitted;
 # figure runs at the reference efficiencies.  fig3 and fig4 are two views of
 # one sweep over all schemes; the orthogonal baseline in it runs doubled
 # efficiencies so each user carries the same bits per channel use.  fig2
-# keeps its own noma-sic sweep: early stopping waits until every tracked
-# (scheme, user) has reached min_errors, so with min_errors > 0 a sweep over
+# keeps its own noma-sic sweep: early stopping waits until every user of
+# every swept scheme has min_errors, so with min_errors > 0 a sweep over
 # all schemes cuts each point at a different batch and changes fig2's rows.
 FIGURES = {
     "fig2": (("noma-sic",), lambda p: p.user != "avg", ()),

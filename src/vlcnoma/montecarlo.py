@@ -35,6 +35,8 @@ from .link import (SicReceiver, Workspace, awgn_sample, center_user, decode_cent
 USERS = ("u1", "u2", "u3")
 Z_95 = 1.959963984540054
 MAX_BATCH = 1 << 20  # trials; a worker's workspace of one batch is then about 170 MB
+MAX_POINTS = 1 << 16  # SNR points per sweep; the paper's grids have 26
+MAX_TRIALS = 1 << 36  # trials per sweep, about 3 h at 150 ns/trial; the paper's is 2.6e6
 
 
 @dataclass(frozen=True)
@@ -50,10 +52,15 @@ class SweepConfig:
     batch_size: int = 1 << 15
 
     def __post_init__(self):
-        if not self.snr_points_db:
-            raise ParameterError("snr_points_db must be nonempty")
+        if not 0 < len(self.snr_points_db) <= MAX_POINTS:
+            raise ParameterError(f"snr_points_db must hold 1..{MAX_POINTS} points,"
+                                 f" got {len(self.snr_points_db)}")
         if self.trials_per_point < 1:
             raise ParameterError(f"trials_per_point must be >= 1, got {self.trials_per_point}")
+        if len(self.snr_points_db) * self.trials_per_point > MAX_TRIALS:
+            raise ParameterError(
+                f"snr_points_db ({len(self.snr_points_db)} points) times trials_per_point"
+                f" ({self.trials_per_point}) is more than the {MAX_TRIALS} trials of one sweep")
         if not 0 < self.target_power_w < math.inf:
             raise ParameterError(
                 f"target_power_w must be finite and > 0, got {self.target_power_w}")
@@ -75,7 +82,7 @@ class SweepConfig:
                 f"schemes must name some of {analytic.SCHEMES}, got {self.schemes}")
         if len(set(self.schemes)) < len(self.schemes):
             raise ParameterError(f"schemes lists a scheme twice: {self.schemes}")
-        if len(self.snr_points_db) >= 2**31 or self.trials_per_point >= self.batch_size << 32:
+        if self.trials_per_point >= self.batch_size << 32:
             raise ParameterError("sweep too large for the stream-addressing scheme")
 
 
@@ -213,14 +220,20 @@ def _frame(
     return sent, received, decided
 
 
+def _settled(totals: np.ndarray, min_errors: int) -> np.ndarray:
+    """Per scheme of a point's (scheme, user) error totals: has every user ``min_errors``?"""
+    return (totals >= min_errors).all(axis=1) & (min_errors > 0)
+
+
 def _run_points(
     config: SweepConfig,
     sigmas: list[float],
     cset: ConstellationSet,
     gains: ChannelGains,
     workers: int,
-) -> tuple[list[dict[tuple[str, str], int]], list[int]]:
-    """Error totals and trials of every SNR point, under the in-order early-stop rule.
+) -> tuple[np.ndarray, list[int]]:
+    """Error totals, int64 indexed (point, scheme, user) in ``config.schemes`` ×
+    ``USERS`` order, and trials of every SNR point, under the in-order early-stop rule.
 
     ``workers`` threads, the calling thread among them, but no more than
     the sweep has batches, run one loop: take a batch (``pick``), compute
@@ -231,24 +244,23 @@ def _run_points(
     batches = -(-total // size)  # per point, each of ``size`` trials but the last
     workers = min(workers, len(sigmas) * batches)
     tables = receivers(cset, gains, config.schemes, config.target_power_w)
-    tracked = [(s, u) for s in config.schemes for u in USERS]
     count = len(sigmas)
-    totals = [dict.fromkeys(tracked, 0) for _ in range(count)]
+    totals = np.zeros((count, len(config.schemes), len(USERS)), dtype=np.int64)
     issued, consumed = [0] * count, [0] * count
     done = [False] * count  # stopped early, or every batch consumed
-    waiting: list[dict[int, dict]] = [{} for _ in range(count)]  # results ahead of order
+    waiting: list[dict[int, np.ndarray]] = [{} for _ in range(count)]  # results ahead of order
     changed = threading.Condition()
     low = 0  # points below it have no batch left to issue
 
-    def compute(point: int, batch: int, ws: Workspace) -> dict[tuple[str, str], int]:
-        """Symbol error counts of one batch, keyed by (scheme, user)."""
-        rng = philox_stream(config.seed, point, batch)
-        sent, _, decided = _frame(rng, min(size, total - batch * size), sigmas[point], cset,
-                                  gains, tables, ws)
-        return {(scheme, user): int(np.count_nonzero(
-                    np.not_equal(got, want, out=ws.take("errors", got.shape, bool))))
-                for scheme in config.schemes
-                for user, want, got in zip(USERS, sent[scheme], decided[scheme])}
+    def compute(point: int, batch: int, ws: Workspace) -> np.ndarray:
+        """Symbol error counts of one batch, indexed (scheme, user)."""
+        n = min(size, total - batch * size)
+        sent, _, decided = _frame(philox_stream(config.seed, point, batch), n, sigmas[point],
+                                  cset, gains, tables, ws)
+        wrong = ws.take("errors", (n,), bool)
+        return np.array([[np.count_nonzero(np.not_equal(got, want, out=wrong))
+                          for want, got in zip(sent[scheme], decided[scheme])]
+                         for scheme in config.schemes], dtype=np.int64)
 
     def pick() -> int | None:
         """The point to issue a batch of now, if any: the lowest whose next
@@ -272,15 +284,13 @@ def _run_points(
                 speculative = point
         return speculative
 
-    def consume(point: int, batch: int, result: dict) -> None:
+    def consume(point: int, batch: int, result: np.ndarray) -> None:
         waiting[point][batch] = result
         while not done[point] and consumed[point] in waiting[point]:
-            for key, errors in waiting[point].pop(consumed[point]).items():
-                totals[point][key] += errors
+            totals[point] += waiting[point].pop(consumed[point])
             consumed[point] += 1
-            done[point] = consumed[point] == batches or (
-                config.min_errors > 0
-                and min(totals[point][key] for key in tracked) >= config.min_errors)
+            done[point] = (consumed[point] == batches
+                           or _settled(totals[point], config.min_errors).all())
         if done[point]:
             waiting[point].clear()
 
@@ -334,18 +344,13 @@ def run_sweep(
     if not ok:
         warnings.warn("constellation fails the zero-error gap condition", stacklevel=2)
     sigmas = [sigma_from_snr(snr_db, config.target_power_w) for snr_db in config.snr_points_db]
-    all_totals, all_trials = _run_points(config, sigmas, cset, gains, workers)
+    totals, trials = _run_points(config, sigmas, cset, gains, workers)
     forms = analytic.closed_forms(config.schemes, cset, gains, sigmas)
     none = [None] * len(sigmas)
-    points = []
-    for point, (snr_db, totals, trials) in enumerate(zip(config.snr_points_db, all_totals,
-                                                         all_trials)):
-        for scheme in config.schemes:
-            counts = {user: (totals[(scheme, user)], trials) for user in USERS}
-            counts["avg"] = (sum(totals[(scheme, user)] for user in USERS), 3 * trials)
-            points.extend(SerPoint(snr_db, user, scheme,
-                                   SerEstimate(errors, n, errors / n, *wilson_interval(errors, n)),
-                                   (forms.get((scheme, user)) or none)[point])
-                          for user, (errors, n) in counts.items())
+    points = [SerPoint(snr_db, user, scheme, SerEstimate(e, t, e / t, *wilson_interval(e, t)),
+                       (forms.get((scheme, user)) or none)[point])
+              for point, (snr_db, n) in enumerate(zip(config.snr_points_db, trials))
+              for scheme, errors in zip(config.schemes, totals[point].tolist())  # Python ints
+              for user, e, t in zip((*USERS, "avg"), (*errors, sum(errors)), (n, n, n, 3 * n))]
     points.sort(key=lambda p: (p.snr_db, p.user, p.scheme))
     return points

@@ -2,6 +2,7 @@ import contextlib
 import io
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,17 @@ class TestLoadConfig:
         assert run_cli("gains", "--config", str(path), "--out", str(tmp_path / "g.csv")) == 1
         assert "latin.cfg" in capsys.readouterr().err
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        # a UTF-8 byte-order mark used to read as part of the first key:
+        # "unknown key '\ufeffseed'"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text("seed = 7\ntrials_per_point = 64\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert parse_kv_file(marked) == {"seed": "7", "trials_per_point": "64"}
+        assert load_config(marked) == load_config(plain)
+        assert run_cli("gains", "--config", str(marked), "--out", str(tmp_path / "g.csv")) == 0
+        assert "error" not in capsys.readouterr().err
+
     def test_explicit_snr_points_key(self, tmp_path):
         path = tmp_path / "pts.cfg"
         path.write_text("snr_points_db = 140.0:143.5:151.25\n")
@@ -145,6 +157,24 @@ class TestSnrGrid:
     def test_bad_step_rejected(self):
         with pytest.raises(ParameterError, match=r"snr_step_db must be > 0, got 0\.0"):
             snr_grid(0.0, 1.0, 0.0)
+
+    def test_grid_past_the_point_cap_rejected_before_it_is_built(self, tmp_path):
+        assert len(snr_grid(0.0, montecarlo.MAX_POINTS - 1.0, 1.0)) == montecarlo.MAX_POINTS
+        # 1e9 + 1 points: the tuple alone would take about 32 GB
+        path = tmp_path / "big.cfg"
+        path.write_text("snr_start_db = 0\nsnr_stop_db = 1e9\nsnr_step_db = 1\n")
+        message = f"gives too many points, more than {montecarlo.MAX_POINTS}"
+        tracemalloc.start()
+        try:
+            for start, stop in ((0.0, 1e9), (0.0, float(montecarlo.MAX_POINTS))):
+                with pytest.raises(ParameterError, match=message):
+                    snr_grid(start, stop, 1.0)
+            with pytest.raises(ParameterError, match=f"{path}: snr_start_db .*{message}"):
+                load_config(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_step_too_fine_to_tell_points_apart_rejected(self):
         # fl(100 + k * 1e-15) takes 8 distinct values over the 100 points
@@ -374,6 +404,23 @@ class TestCli:
             err = capsys.readouterr().err
             assert "--out" in err and str(out) in err, err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("link", ["missing/x.csv", "loop.csv"], ids=["dangling", "loop"])
+    def test_out_through_a_broken_symlink_exits_1_before_any_work(self, tmp_path, capsys,
+                                                                   monkeypatch, link):
+        # a link into a missing directory used to run the sweep, then exit 2
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        out = tmp_path / "out.csv"
+        out.symlink_to(tmp_path / link)
+        if link == "loop.csv":
+            (tmp_path / link).symlink_to(out)
+        assert run_cli("simulate", "--trials", "64", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "--out" in err and str(out) in err, err
+        assert not (tmp_path / "missing").exists()
 
     def test_non_finite_snr_spec_exits_1(self, capsys):
         assert run_cli("simulate", "--snr", "nan:150:2") == 1

@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import math
+import re
 import sys
 import tracemalloc
 
@@ -147,6 +148,40 @@ class TestRunSweep:
     def test_rejects_workers_below_one(self, reference_set, reference_gains, workers):
         with pytest.raises(ParameterError, match="workers"):
             run_sweep(small_sweep(), reference_set, reference_gains, workers=workers)
+
+    def test_every_batch_consumed_at_zero_min_errors(self, reference_set, reference_gains,
+                                                     monkeypatch):
+        # every user errs in batch 0 at 100 dB, which stops the point at min_errors = 1
+        calls = []
+        philox_stream = montecarlo.philox_stream
+
+        def counted(*args):
+            calls.append(args)
+            return philox_stream(*args)
+
+        monkeypatch.setattr(montecarlo, "philox_stream", counted)
+        for min_errors, batches in ((1, 1), (0, 4)):
+            calls.clear()
+            config = small_sweep(snr_points_db=(100.0,), trials_per_point=256, batch_size=64,
+                                 min_errors=min_errors)
+            points = run_sweep(config, reference_set, reference_gains)
+            assert {p.estimate.trials for p in points if p.user != "avg"} == {64 * batches}
+            assert all(p.estimate.errors > 0 for p in points)
+            assert len(calls) == batches
+
+    def test_stop_rule_settles_a_scheme_when_each_of_its_users_has_min_errors(self):
+        totals = np.array([[3, 4, 3], [3, 2, 5]])
+        assert montecarlo._settled(totals, 3).tolist() == [True, False]
+        assert montecarlo._settled(totals, 2).tolist() == [True, True]
+        assert montecarlo._settled(totals, 0).tolist() == [False, False]
+
+    def test_rows_hold_python_numbers(self, reference_set, reference_gains):
+        # bench/run.py hashes repr() of these fields, and numpy scalars print differently
+        for point in run_sweep(small_sweep(trials_per_point=512), reference_set,
+                               reference_gains):
+            estimate = point.estimate
+            assert type(estimate.errors) is int and type(estimate.trials) is int
+            assert {type(estimate.ser), type(estimate.ci_low), type(estimate.ci_high)} == {float}
 
     def test_early_stop_caps_trials(self, reference_set, reference_gains):
         config = small_sweep(snr_points_db=(130.0,), min_errors=10)
@@ -352,8 +387,14 @@ class TestFrameWorkspace:
 
 
 class TestStreamAddressing:
-    # The other edge, len(snr_points_db) >= 2**31, is left untested: it needs
-    # a tuple of 2**31 SNR points to build.
+    def test_first_draws_are_pinned(self):
+        # NumPy may change Generator output between feature releases (NEP 19);
+        # such a release fails here rather than in every golden
+        rng = philox_stream(1, 0, 0)
+        assert [rng.integers(0, m, 6).tolist() for m in (8, 4, 64)] == [
+            [3, 2, 5, 6, 3, 1], [1, 0, 2, 3, 1, 0], [52, 47, 21, 15, 52, 26]]
+        assert rng.standard_normal(3).tolist() == [
+            0.8173446308164533, -0.03168605710922687, -0.7632657561231186]
 
     @pytest.mark.parametrize("snr_index,batch_index", [(2**32 - 1, 0), (0, 2**32 - 1)])
     def test_last_address_accepted(self, snr_index, batch_index):
@@ -403,6 +444,31 @@ class TestResourceBounds:
             with pytest.raises(ParameterError, match="batch_size"):
                 SweepConfig(snr_points_db=(100.0,), trials_per_point=1, seed=0,
                             target_power_w=1.0, batch_size=size)
+
+    def test_sweep_size_bounds_name_their_keys(self):
+        def sweep(points, trials):
+            return SweepConfig(snr_points_db=points, trials_per_point=trials, seed=0,
+                               target_power_w=1.0)
+
+        cap = montecarlo.MAX_POINTS
+        grid = tuple(float(k) for k in range(cap + 1))
+        sweep(grid[:cap], 1)
+        sweep((100.0, 110.0), montecarlo.MAX_TRIALS // 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match=f"snr_points_db must hold 1..{cap} points"):
+                sweep(grid, 1)
+            # the paper's scale is 26 points of 100 000 trials
+            with pytest.raises(ParameterError, match=re.escape(
+                    f"snr_points_db (2 points) times trials_per_point"
+                    f" ({montecarlo.MAX_TRIALS // 2 + 1}) is more than the"
+                    f" {montecarlo.MAX_TRIALS} trials of one sweep")):
+                sweep((100.0, 110.0), montecarlo.MAX_TRIALS // 2 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert 26 * 100_000 * 1000 < montecarlo.MAX_TRIALS
 
     @pytest.mark.parametrize("workers,pool", [(2, 1), (3, 2), (4, 2), (1000, 2)])
     def test_workers_clamped_to_the_sweeps_batch_count(self, reference_set, reference_gains,

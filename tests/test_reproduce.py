@@ -113,6 +113,19 @@ def test_output_file_that_is_a_directory_exits_1_before_any_work(tmp_path, capsy
     assert [path.name for path in tmp_path.iterdir()] == [f"{name}.csv"]
 
 
+def test_output_file_that_is_a_dangling_symlink_exits_1_before_any_work(tmp_path, capsys,
+                                                                       monkeypatch):
+    # the link's own directory exists, its target's does not
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(experiments, "run_sweep", no_sweep)
+    (tmp_path / "fig3.csv").symlink_to(tmp_path / "missing" / "fig3.csv")
+    assert load_script().main([str(tmp_path), "--config", str(CONFIG)]) == 1
+    assert str(tmp_path / "fig3.csv") in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["fig3.csv"]
+
+
 def test_output_directory_that_cannot_be_made_exits_1_before_any_work(tmp_path, capsys,
                                                                      monkeypatch):
     def no_sweep(*args, **kwargs):
