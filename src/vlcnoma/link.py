@@ -192,9 +192,10 @@ class DecisionTable:
     Only compares with the exact thresholds decide, so both are exact with
     no rounding analysis.  Where the labels are 0..K, as in every table of
     the reference design, the label is the slot itself, written with no
-    gather.  Counting costs about K/8 ns per sample and buckets a flat few,
-    hence the cutoff, which at the reference design leaves only OMA user
-    1's 64-PAM on buckets.
+    gather: a uint8 byte when counted, an intp from buckets.  Counting
+    costs about K/8 ns per sample and buckets a flat few, hence the cutoff,
+    which at the reference design leaves only OMA user 1's 64-PAM on
+    buckets.
     """
 
     thresholds: np.ndarray
@@ -235,19 +236,23 @@ class DecisionTable:
         table (by identity), so a frame decides at most once with each table."""
         y = np.asarray(y)
         shape = y.shape
-        # a direct label is the slot itself, computed where it is returned
-        slot = _out(ws, self if self._direct else "slot", shape, np.intp)
         if self._counted:
             size = self.thresholds.size
             below = np.less(y, self.thresholds.reshape(size, *(1,) * y.ndim),
                             out=_out(ws, "below", (size, *shape), bool))
-            # K <= 32 fits a uint8, so the bools sum as their bytes, with no cast
-            count = np.add.reduce(below.view(np.uint8), axis=0, dtype=np.uint8,
-                                  out=_out(ws, "count", shape, np.uint8))
-            count = np.subtract(size, count, out=_out(ws, "count", shape, np.uint8))
+            # K <= 32 fits a uint8, so the bools sum as their bytes, with no
+            # cast, and a direct label is that byte count itself
+            count = _out(ws, self if self._direct else "count", shape, np.uint8)
+            np.add.reduce(below.view(np.uint8), axis=0, dtype=np.uint8, out=count)
+            count = np.subtract(size, count, out=count)
+            if self._direct:
+                return count
             # copyto casts without the 64 KiB buffer that a ufunc's cast allocates
+            slot = _out(ws, "slot", shape, np.intp)
             np.copyto(slot, count, casting="unsafe")
         else:
+            # a direct label is the slot itself, computed where it is returned
+            slot = _out(ws, self if self._direct else "slot", shape, np.intp)
             # every index below is in range by construction, so mode="clip" clips nothing
             np.take(self._start, _bucket(y, *self._geometry, ws), out=slot, mode="clip")
             for _ in range(self._span):
@@ -274,10 +279,14 @@ class SicReceiver:
     stage2: DecisionTable
 
     def decide(self, y, ws: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """``(own, edge)`` labels shaped like y, decided by ``stage2`` and ``stage1``."""
+        """``(own, edge)`` labels shaped like y, decided by ``stage2`` and
+        ``stage1``: bytes where that table is direct and counted."""
         edge = self.stage1.decide(y, ws)
         shape = np.shape(edge)
-        shift = np.take(self.levels, edge, out=_out(ws, "residual", shape), mode="clip")
+        # widened by copyto, as np.take would allocate to cast a byte index
+        index = _out(ws, "edge", shape, np.intp)
+        np.copyto(index, edge)
+        shift = np.take(self.levels, index, out=_out(ws, "residual", shape), mode="clip")
         residual = np.subtract(y, shift, out=_out(ws, "residual", shape))
         return self.stage2.decide(residual, ws), edge
 

@@ -34,7 +34,7 @@ from .link import (SicReceiver, Workspace, awgn_sample, center_user, decode_cent
 
 USERS = ("u1", "u2", "u3")
 Z_95 = 1.959963984540054
-MAX_BATCH = 1 << 20  # trials; a worker's workspace of one batch is then about 170 MB
+MAX_BATCH = 1 << 20  # trials; a worker's workspace of one batch is then about 117 MB
 MAX_POINTS = 1 << 16  # SNR points per sweep; the paper's grids have 26
 MAX_TRIALS = 1 << 36  # trials per sweep, about 3 h at 150 ns/trial; the paper's is 2.6e6
 

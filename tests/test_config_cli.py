@@ -1,9 +1,12 @@
 import contextlib
+import importlib.util
 import io
+import os
 import re
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -535,3 +538,159 @@ def test_fuzzed_config_exits_1_naming_a_key_or_writes_csv_without_nan(changes, o
         else:
             assert status == 0, err.getvalue()
             assert "nan" not in out.read_text().lower()
+
+
+# Values of any config line but the two that size a sweep: valid, boundary,
+# non-finite and garbage.  No integer among them is large and valid at once.
+LINE_VALUES = ("1", "2", "0", "-0", "-1", "0.5", "0_1", "٣", "1e308", "-1e308", "1e-308",
+               "99999999999999999999", "nan", "inf", "-inf", "", " ", ",", ":", "1:2", "abc",
+               "0x10", "noma-sic,oma", "oma,oma", "noma-jml")
+# The sweep sizes: every valid value is one SNR point or at most 64 trials.
+TRIALS = ("64", "1", "0", "-1", "1e3", "٦٤", "99999999999999999999", "abc")
+POINTS = ("130", "-0", "1e308", "-1e308", "130:130", "nan", ":", "99999999999999999999")
+SNR_SPECS = ("130:130:1", "130:131:2", "150:140:1", "130:130:0", "130:140:1e-308", "nan:130:1",
+             "1e308:1e308:1e308", "-1e308:-1e308:1", "1:2", "a:b:c", "")
+# flag -> its values, a valid one first; None for a switch
+SIMULATE_FLAGS = {"--seed": ("7", *LINE_VALUES), "--trials": TRIALS, "--snr": SNR_SPECS,
+                  "--schemes": ("noma-sic,oma", *LINE_VALUES),
+                  "--min-errors": ("5", *LINE_VALUES), "--trace": None}
+SCRIPT_FLAGS = {"--trials": TRIALS}
+COMMANDS = (["gains"], ["design"], ["analytic"], ["complexity"], ["simulate"],
+            ["reproduce", "fig2"], ["reproduce", "fig3"], ["reproduce", "fig4"],
+            ["reproduce", "fig5"])
+# where an output goes: a file, the file already there, a directory, a link
+# into a missing directory, a missing directory, none given, a read-only
+# directory (root writes into one anyway, so not as root)
+PLACES = ("new", "existing", "directory", "dangling", "missing", "absent") + (
+    ("read-only",) if os.geteuid() != 0 else ())
+
+
+def reproduce_all_main():
+    """``main`` of ``scripts/reproduce_all.py``, which is no module of the package."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_all.py"
+    spec = importlib.util.spec_from_file_location("reproduce_all", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+def mostly(value, *others):
+    """``value`` five times in six, else one of ``others``: so that most runs
+    get past the faults they hold few of."""
+    return st.sampled_from([value] * 5 * len(others) + list(others))
+
+
+def flag_lists(options):
+    """Up to two flags of ``options`` (flag -> values, a valid one first;
+    None for a switch), and now and then an unknown flag or a last
+    ``--trials`` without its value."""
+    pair = st.sampled_from(sorted(options)).flatmap(
+        lambda flag: st.just([flag]) if options[flag] is None
+        else mostly(*options[flag]).map(lambda value: [flag, value]))
+    return st.builds(lambda pairs, tail: [word for p in pairs for word in p] + tail,
+                     st.lists(pair, max_size=2),
+                     mostly([], ["--bogus"], ["--trials"]))
+
+
+@st.composite
+def config_bytes(draw):
+    """The bundled file sized to one point of at most 64 trials, with a line
+    or two changed, dropped or added, as bytes: now and then a byte-order
+    mark, CRLF ends, a NUL or a byte that is not UTF-8."""
+    values = {**parse_kv_file(default_config_path()), "snr_points_db": "130",
+              "trials_per_point": "64", "batch_size": "32", "schemes": "noma-sic,noma-jml,oma"}
+    others = sorted(set(SCHEMA) - {"snr_points_db", "trials_per_point"})
+    for _ in range(draw(mostly(0, 1, 2))):
+        values[draw(st.sampled_from(others))] = draw(st.sampled_from(LINE_VALUES))
+    values["trials_per_point"] = draw(mostly(*TRIALS))
+    values["snr_points_db"] = draw(mostly(*POINTS))
+    if key := draw(mostly(None, *others)):
+        del values[key]
+    lines = [f"{key} = {value}" for key, value in values.items()]
+    lines.append(draw(mostly("# x", "", "seed = 2", "unknown_key = 1", "=", "seed")))
+    data = draw(st.sampled_from(["\n", "\r\n"])).join(lines).encode()
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if bad := draw(mostly(b"", b"\x00", b"\xff", b"\xc3")):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + bad + data[at:]
+    return data
+
+
+def place(root: Path, kind: str) -> Path | None:
+    """An output path of the given kind under root; None for none at all."""
+    path = root / "out.csv"
+    if kind == "existing":
+        path.write_text("old\n")
+    elif kind == "directory":
+        path.mkdir()
+    elif kind == "dangling":
+        path.symlink_to(root / "nowhere" / "x.csv")
+    elif kind == "missing":
+        path = root / "nowhere" / "out.csv"
+    elif kind == "read-only":
+        (root / "ro").mkdir(mode=0o555)
+        path = root / "ro" / "out.csv"
+    return None if kind == "absent" else path
+
+
+def written_fields(root: Path):
+    """Every field of every CSV row under root, comments and headers skipped."""
+    for csv in root.rglob("*.csv"):
+        if csv.is_file():
+            for line in csv.read_text().splitlines()[1:]:
+                if not line.startswith("#"):
+                    yield from line.split(",")
+
+
+REPRODUCE_ALL_MAIN = reproduce_all_main()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=config_bytes(), config=mostly("file", "directory", "missing"),
+       out=mostly("new", *PLACES[1:]), script=st.booleans(), command=st.sampled_from(COMMANDS),
+       flags=st.data())
+def test_input_boundary_exits_0_or_1_naming_the_fault(data, config, out, script, command,
+                                                      flags):
+    """Whatever the config bytes, flags and output path, ``vlcnoma`` and
+    ``reproduce_all.py`` exit 0 with CSVs free of NaN and infinities, or 1
+    with a message naming a config key, a flag or a path."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        cfg = {"file": root / "fuzz.cfg", "directory": root, "missing": root / "none.cfg"}[config]
+        if config == "file":
+            cfg.write_bytes(data)
+        target = place(root, out)
+        argv = ["--config", str(cfg)]
+        if script:
+            argv = ([] if target is None else [str(target)]) + argv
+            argv += flags.draw(flag_lists(SCRIPT_FLAGS))
+        else:
+            argv = command + argv + ([] if target is None else ["--out", str(target)])
+            if command == ["simulate"]:
+                argv += flags.draw(flag_lists(SIMULATE_FLAGS))
+            else:
+                argv += flags.draw(mostly([], ["--bogus"], ["--seed", "1"], ["--out"]))
+        err = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(root)  # where a run without an output path writes
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    mock.patch.dict(os.environ, {"VLCNOMA_WORKERS": "1"}):
+                status = (REPRODUCE_ALL_MAIN if script else main)(argv)
+        finally:
+            os.chdir(cwd)
+            if (root / "ro").exists():
+                (root / "ro").chmod(0o755)
+        message = err.getvalue()
+        assert status in (0, 1), message
+        if status == 1:
+            names = [*SCHEMA, *(word for word in argv if word.startswith("-")), str(cfg),
+                     *([] if target is None else [str(target)]), "command", "figure"]
+            assert any(name in message for name in names), message
+            if out == "new" and not script:  # the CLI checks all it reads before it writes
+                assert not target.exists()
+        else:
+            bad = [field for field in written_fields(root)
+                   if field.strip().lower().lstrip("+-") in ("nan", "inf", "infinity")]
+            assert not bad, bad

@@ -507,6 +507,20 @@ class TestDecisionTables:
         shifted = DecisionTable(table.thresholds, table.labels + 1)
         assert not shifted._direct
 
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.integers(1, 32),
+           values=st.lists(st.floats(-1e300, 1e300), min_size=32, max_size=32),
+           y=st.lists(st.floats(), max_size=20))
+    def test_property_counted_direct_labels_are_bytes(self, size, values, y):
+        # the byte count is the decision itself, with or without a workspace
+        table = slot_table(exactly(size, values[:size]))
+        assert table._counted and table._direct
+        y = np.concatenate([np.array(y), around(table.thresholds), EXTREMES])
+        want = np.searchsorted(table.thresholds, y, side="right")
+        for got in (table.decide(y), table.decide(y, Workspace())):
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("size", [1, 2, 31, 32, 33, 64])
     @settings(max_examples=60, deadline=None)
     @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=64),

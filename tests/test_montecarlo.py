@@ -386,6 +386,21 @@ class TestFrameWorkspace:
         assert peak <= 8 * draws * n + 64 * 1024, peak / n
 
 
+@pytest.mark.parametrize("schemes,bound", [(("noma-sic",), 69),
+                                           (("noma-sic", "noma-jml", "oma"), 112)],
+                         ids=["noma-sic", "all"])
+def test_warmed_workspace_bytes_per_trial(schemes, bound, reference_set, reference_gains):
+    # counted decisions stay one byte each; widened to intp they took 97 and 161
+    n = 1 << 15
+    tables = receivers(reference_set, reference_gains, schemes, 1.0)
+    ws = Workspace()
+    for batch in range(2):
+        _frame(philox_stream(5, 0, batch), n, sigma_from_snr(136.0, 1.0), reference_set,
+               reference_gains, tables, ws)
+    held = sum(array.nbytes for array in ws._arrays.values())
+    assert held <= bound * n, held / n
+
+
 class TestStreamAddressing:
     def test_first_draws_are_pinned(self):
         # NumPy may change Generator output between feature releases (NEP 19);
