@@ -15,9 +15,8 @@ from pathlib import Path
 from .config import ExperimentConfig, load_config
 from .errors import ParameterError
 from .experiments import SER_HEADER, echo_comments, run_experiment, ser_rows, write_csv
-from .montecarlo import _frame, philox_stream, receivers, run_sweep, sigma_from_snr
+from .montecarlo import MAX_WORKERS, _frame, philox_stream, receivers, run_sweep, sigma_from_snr
 
-MAX_WORKERS = 64  # threads, each with a workspace of one batch (see SweepConfig.batch_size)
 SNR_KEYS = ("snr_start_db", "snr_stop_db", "snr_step_db")
 # simulate option -> the config key its value sets; --snr sets SNR_KEYS
 SIMULATE_KEYS = {"seed": "seed", "trials": "trials_per_point", "min_errors": "min_errors",
@@ -39,9 +38,12 @@ def output_path(path: Path, name: str) -> Path:
     """``path`` if a file can be written there, through any symlink, else a
     ParameterError naming ``name``."""
     target = Path(os.path.realpath(path))  # still a link only in a symlink loop
-    if (target.is_dir() or target.is_symlink() or not target.parent.is_dir()
-            or not os.access(target.parent, os.W_OK)):
-        raise ParameterError(f"{name} {path} must be a file in an existing, writable directory")
+    try:
+        if (target.is_dir() or target.is_symlink() or not target.parent.is_dir()
+                or not os.access(target.parent, os.W_OK)):
+            raise ParameterError(f"{name} {path} must be a file in an existing, writable directory")
+    except OSError as exc:  # a name too long, say
+        raise ParameterError(f"{name} {path}: {exc.strerror}") from None
     return path
 
 

@@ -184,17 +184,12 @@ def parse_kv_file(path) -> dict[str, str]:
 def build_config(raw: dict[str, str], source: str = "<config>") -> ExperimentConfig:
     """Typed, validated config from raw strings; defaults fill missing keys."""
     typed: dict[str, object] = {}
-    for key, (parser, default, _) in SCHEMA.items():
-        if key in raw:
-            try:
-                typed[key] = parser(raw[key])
-            except ValueError as exc:
-                raise ParameterError(f"{source}: bad value for {key!r}: {exc}") from exc
-        else:
-            typed[key] = default
-
     placed: dict[str, dict] = {}
-    for key, (_, _, location) in SCHEMA.items():
+    for key, (parser, default, location) in SCHEMA.items():
+        try:
+            typed[key] = parser(raw[key]) if key in raw else default
+        except ValueError as exc:
+            raise ParameterError(f"{source}: bad value for {key!r}: {exc}") from exc
         if location is not None:
             section, name = location.split(".")
             placed.setdefault(section, {})[name] = typed[key]
@@ -225,10 +220,14 @@ def load_config(path=None, overrides=None, flags: str = "") -> ExperimentConfig:
     ``flags``, the command-line text the overrides came from.
     """
     actual = default_config_path() if path is None else Path(path)
-    if not actual.is_file():
-        raise ParameterError(f"config path {actual} is not a file" if actual.exists()
-                             else f"config file not found: {actual}")
-    raw = {**parse_kv_file(actual), **(overrides or {})}
+    try:
+        if not actual.is_file():
+            raise ParameterError(f"config path {actual} is not a file" if actual.exists()
+                                 else f"config file not found: {actual}")
+        values = parse_kv_file(actual)
+    except OSError as exc:  # a name too long or a file without read permission, say
+        raise ParameterError(f"config file {actual}: {exc.strerror}") from None
+    raw = {**values, **(overrides or {})}
     return build_config({key: value for key, value in raw.items() if value is not None},
                         source=f"{actual} {flags}".rstrip())
 

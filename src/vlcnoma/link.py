@@ -9,7 +9,7 @@ prints them 1-based, like the paper's level numbering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,10 +161,6 @@ def _bucket(y, low, high, scale, shift, top, ws: Workspace | None = None) -> np.
     return bucket
 
 
-_COUNTED = 32  # the most thresholds a table counts; larger tables use buckets
-
-
-@dataclass(frozen=True, eq=False)
 class DecisionTable:
     """A decision on one real sample: ``labels[slot]``, where the slot of y
     counts the ``thresholds`` at or below it, all of them for NaN, as
@@ -173,12 +169,12 @@ class DecisionTable:
     ``thresholds`` are sorted and finite.  ``labels`` holds one label per
     interval, K + 1 for K thresholds, and adjacent labels differ.
 
-    ``__post_init__`` fixes the lookup from the threshold count K:
+    ``__init__`` fixes the lookup from the threshold count K:
 
-    - Counting, for 1 <= K <= 32: the slot is K less the count of
-      thresholds above y, from one broadcast ``y < t`` into a (K, n) bool
-      array and one uint8 sum over its rows.  NaN compares false, so it
-      counts every threshold; +-inf need no special case.
+    - Counting, for K <= 32, the empty table included: the slot is K less
+      the count of thresholds above y, from one broadcast ``y < t`` into a
+      (K, n) bool array and one uint8 sum over its rows.  NaN compares
+      false, so it counts every threshold; +-inf need no special case.
     - Buckets, for larger K: four uniform buckets per threshold over
       [t_0, t_last] (``_bucket``).  The bucket is monotone in y and
       thresholds go through it too, so those in lower buckets than y's are
@@ -195,41 +191,32 @@ class DecisionTable:
     gather: a uint8 byte when counted, an intp from buckets.  Counting
     costs about K/8 ns per sample and buckets a flat few, hence the cutoff,
     which at the reference design leaves only OMA user 1's 64-PAM on
-    buckets.
+    buckets.  Tables hash by identity, which the workspace keys rely on.
     """
 
-    thresholds: np.ndarray
-    labels: np.ndarray
-    _counted: bool = field(init=False, repr=False, compare=False)
-    _direct: bool = field(init=False, repr=False, compare=False)
-    _geometry: tuple = field(init=False, repr=False, compare=False)
-    _start: np.ndarray = field(init=False, repr=False, compare=False)
-    _span: int = field(init=False, repr=False, compare=False)
-    _padded: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        t = self.thresholds
-        low, high = (float(t[0]), float(t[-1])) if t.size else (0.0, 0.0)
-        if not (math.isfinite(low) and math.isfinite(high)):  # sorted: any NaN or inf is at an end
+    def __init__(self, thresholds: np.ndarray, labels: np.ndarray):
+        self.thresholds, self.labels = thresholds, labels
+        if not np.isfinite(thresholds).all():
             raise ParameterError("decision thresholds must be finite")
-        if self.labels.shape != (t.size + 1,):
-            raise ParameterError(f"{t.size} decision thresholds need {t.size + 1} labels in one"
-                                 f" row, got shape {self.labels.shape}")
-        object.__setattr__(self, "_counted", 1 <= t.size <= _COUNTED)
-        object.__setattr__(self, "_direct", np.array_equal(self.labels, np.arange(t.size + 1)))
+        if labels.shape != (thresholds.size + 1,):
+            raise ParameterError(f"{thresholds.size} decision thresholds need {thresholds.size + 1}"
+                                 f" labels in one row, got shape {labels.shape}")
+        # the most thresholds a table counts; larger tables use buckets
+        self._counted = thresholds.size <= 32
+        self._direct = np.array_equal(labels, np.arange(thresholds.size + 1))
         if self._counted:
             return  # the bucket fields below serve the other lookup only
-        # a zero width (one threshold) or one that overflows (ends of
-        # opposite sign beyond 2^1023) gets scale 0: one bucket for all
-        width = high - low
-        scale = min(4 * t.size / width, _LARGEST) if 0 < width < math.inf else 0.0
+        # a zero width gets scale 0, and so does one that overflows (ends of
+        # opposite sign beyond 2^1023): one bucket for all
+        low, high = float(thresholds[0]), float(thresholds[-1])
+        scale = min(4 * thresholds.size / (high - low), _LARGEST) if high > low else 0.0
         shift = low * scale
         top = math.floor(high * scale - shift) + 1
-        counts = np.bincount(_bucket(t, low, high, scale, shift, top), minlength=top + 1)
-        for name, value in (("_geometry", (low, high, scale, shift, top)),
-                            ("_start", counts.cumsum() - counts), ("_span", int(counts.max())),
-                            ("_padded", np.concatenate([t, [np.nan]]))):
-            object.__setattr__(self, name, value)
+        self._geometry = (low, high, scale, shift, top)
+        counts = np.bincount(_bucket(thresholds, *self._geometry), minlength=top + 1)
+        self._start = counts.cumsum() - counts
+        self._span = int(counts.max())
+        self._padded = np.concatenate([thresholds, [np.nan]])
 
     def decide(self, y, ws: Workspace | None = None) -> np.ndarray:
         """The labels, shaped like y; with a workspace, its array keyed by this

@@ -35,6 +35,7 @@ from .link import (SicReceiver, Workspace, awgn_sample, center_user, decode_cent
 USERS = ("u1", "u2", "u3")
 Z_95 = 1.959963984540054
 MAX_BATCH = 1 << 20  # trials; a worker's workspace of one batch is then about 117 MB
+MAX_WORKERS = 64  # threads, each with a workspace of one batch (see SweepConfig.batch_size)
 MAX_POINTS = 1 << 16  # SNR points per sweep; the paper's grids have 26
 MAX_TRIALS = 1 << 36  # trials per sweep, about 3 h at 150 ns/trial; the paper's is 2.6e6
 
@@ -208,12 +209,10 @@ def _frame(
         u1_hat, edge1 = decode_center_sic(y1, tables["u1"], ws)
         u3_hat, edge3 = decode_center_sic(y3, tables["u3"], ws)
         decided["sic-stage1"] = (edge1, edge3)
-        if "noma-sic" in tables:
-            sent["noma-sic"] = symbols
-            decided["noma-sic"] = (u1_hat, decode_u2_sic(y2, tables["noma-sic"], ws), u3_hat)
-        if "noma-jml" in tables:
-            sent["noma-jml"] = symbols
-            decided["noma-jml"] = (u1_hat, decode_u2_jml(y2, tables["noma-jml"], ws), u3_hat)
+        for scheme, decode in (("noma-sic", decode_u2_sic), ("noma-jml", decode_u2_jml)):
+            if scheme in tables:
+                sent[scheme] = symbols
+                decided[scheme] = (u1_hat, decode(y2, tables[scheme], ws), u3_hat)
     if "oma" in tables:
         sent["oma"] = tuple(rng.integers(0, levels.size, n) for levels, _ in tables["oma"])
         decided["oma"] = oma_round(sent["oma"], tables["oma"], sigma, rng, ws)
@@ -338,8 +337,8 @@ def run_sweep(
     zero-error gap condition only warns; sweeping bad designs on purpose is
     a supported way to watch the condition matter.
     """
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ParameterError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
     ok, _ = verify_gap_condition(cset, gains)
     if not ok:
         warnings.warn("constellation fails the zero-error gap condition", stacklevel=2)

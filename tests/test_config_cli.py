@@ -559,10 +559,13 @@ COMMANDS = (["gains"], ["design"], ["analytic"], ["complexity"], ["simulate"],
             ["reproduce", "fig2"], ["reproduce", "fig3"], ["reproduce", "fig4"],
             ["reproduce", "fig5"])
 # where an output goes: a file, the file already there, a directory, a link
-# into a missing directory, a missing directory, none given, a read-only
-# directory (root writes into one anyway, so not as root)
-PLACES = ("new", "existing", "directory", "dangling", "missing", "absent") + (
+# into a missing directory, a missing directory, none given, a name the OS
+# refuses as too long, a read-only directory (root writes into one anyway,
+# so not as root)
+PLACES = ("new", "existing", "directory", "dangling", "missing", "absent", "too-long") + (
     ("read-only",) if os.geteuid() != 0 else ())
+# a file name longer than the 255 bytes that common file systems allow
+TOO_LONG = "a" * 300
 
 
 def reproduce_all_main():
@@ -628,6 +631,8 @@ def place(root: Path, kind: str) -> Path | None:
         path.symlink_to(root / "nowhere" / "x.csv")
     elif kind == "missing":
         path = root / "nowhere" / "out.csv"
+    elif kind == "too-long":
+        path = root / f"{TOO_LONG}.csv"
     elif kind == "read-only":
         (root / "ro").mkdir(mode=0o555)
         path = root / "ro" / "out.csv"
@@ -647,7 +652,7 @@ REPRODUCE_ALL_MAIN = reproduce_all_main()
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=config_bytes(), config=mostly("file", "directory", "missing"),
+@given(data=config_bytes(), config=mostly("file", "directory", "missing", "too-long"),
        out=mostly("new", *PLACES[1:]), script=st.booleans(), command=st.sampled_from(COMMANDS),
        flags=st.data())
 def test_input_boundary_exits_0_or_1_naming_the_fault(data, config, out, script, command,
@@ -657,7 +662,8 @@ def test_input_boundary_exits_0_or_1_naming_the_fault(data, config, out, script,
     with a message naming a config key, a flag or a path."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        cfg = {"file": root / "fuzz.cfg", "directory": root, "missing": root / "none.cfg"}[config]
+        cfg = {"file": root / "fuzz.cfg", "directory": root, "missing": root / "none.cfg",
+               "too-long": root / TOO_LONG}[config]
         if config == "file":
             cfg.write_bytes(data)
         target = place(root, out)

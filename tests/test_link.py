@@ -502,10 +502,13 @@ class TestDecisionTables:
     @pytest.mark.parametrize("size", [0, 1, 2, 31, 32, 33, 64])
     def test_lookup_rule_follows_the_threshold_count(self, size):
         table = slot_table(np.arange(size, dtype=float))
-        assert table._counted == (1 <= size <= 32)
+        assert table._counted == (size <= 32)
         assert table._direct
         shifted = DecisionTable(table.thresholds, table.labels + 1)
         assert not shifted._direct
+        # the empty table (every candidate equal) decides its one label by counting too
+        for decider in (table, shifted):
+            assert_same_lookup(decider, np.concatenate([around(table.thresholds), EXTREMES]))
 
     @settings(max_examples=200, deadline=None)
     @given(size=st.integers(1, 32),

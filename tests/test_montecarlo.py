@@ -144,10 +144,15 @@ class TestRunSweep:
             sys.setswitchinterval(interval)
         assert threaded == serial
 
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_rejects_workers_below_one(self, reference_set, reference_gains, workers):
+    @pytest.mark.parametrize("workers", [0, -1, montecarlo.MAX_WORKERS + 1, 10**6])
+    def test_rejects_workers_below_one(self, reference_set, reference_gains, monkeypatch,
+                                       workers):
+        # and above the cap, before any pool exists: the stand-in starts no thread
+        RecordingPool.recorded = []
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
         with pytest.raises(ParameterError, match="workers"):
             run_sweep(small_sweep(), reference_set, reference_gains, workers=workers)
+        assert RecordingPool.recorded == []
 
     def test_every_batch_consumed_at_zero_min_errors(self, reference_set, reference_gains,
                                                      monkeypatch):
@@ -485,7 +490,7 @@ class TestResourceBounds:
         assert peak < 1 << 20, peak
         assert 26 * 100_000 * 1000 < montecarlo.MAX_TRIALS
 
-    @pytest.mark.parametrize("workers,pool", [(2, 1), (3, 2), (4, 2), (1000, 2)])
+    @pytest.mark.parametrize("workers,pool", [(2, 1), (3, 2), (4, 2), (montecarlo.MAX_WORKERS, 2)])
     def test_workers_clamped_to_the_sweeps_batch_count(self, reference_set, reference_gains,
                                                        monkeypatch, workers, pool):
         # one point of three batches: at most three workers, so a pool of two
