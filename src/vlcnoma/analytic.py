@@ -76,6 +76,12 @@ def _per_sigma(sigma) -> np.ndarray:
     return sigma
 
 
+def _tail(d, sigma) -> np.ndarray:
+    """Q(d / sigma), and at sigma = 0 its limit (1 - sign d) / 2."""
+    zero = sigma == 0
+    return np.where(zero, 0.5 * (1.0 - np.sign(d)), q_function(d / np.where(zero, 1.0, sigma)))
+
+
 def ser_u2_analytic(cset: ConstellationSet, gains: ChannelGains, sigma):
     """Exact SER of the edge user under the interference-as-noise rule, for
     noise of standard deviation sigma: a float, or one per sigma of an array.
@@ -88,22 +94,17 @@ def ser_u2_analytic(cset: ConstellationSet, gains: ChannelGains, sigma):
         SER = (1 - 2^-b2) * mean over (i, j) of [Q(rho+/sigma) + Q(rho-/sigma)]
 
     where each sigma's mean runs over one contiguous row of the (i, j)
-    pairs.  At sigma = 0 the continuous limit is returned: each tail
-    probability becomes an indicator of its boundary distance being
-    negative (one half exactly on the boundary).  Requires uniform per-cell
-    edge spacing; otherwise one gamma does not describe the constellation.
+    pairs.  At sigma = 0 the continuous limit is returned.  Requires uniform
+    per-cell edge spacing; otherwise one gamma does not describe the
+    constellation.
     """
     sigma = _per_sigma(sigma)
     gamma = (0.5 * uniform_spacing(cset.cell1_edge, "cell1_edge") * gains.h21
              + 0.5 * uniform_spacing(cset.cell2_edge, "cell2_edge") * gains.h22)
     shift = (gains.h21 * cset.cell1_center[:, np.newaxis]
              + gains.h22 * cset.cell2_center[np.newaxis, :]).reshape(-1)
-    rho_plus, rho_minus = gamma - shift, gamma + shift
-    zero = sigma[..., np.newaxis] == 0
-    scale = np.where(zero, 1.0, sigma[..., np.newaxis])
-    q = q_function(np.stack((rho_plus / scale, rho_minus / scale)))
-    limit = 1.0 - 0.5 * (np.sign(rho_plus) + np.sign(rho_minus))  # the two tails at sigma = 0
-    ser = (1.0 - 1.0 / cset.bpcu.sizes[1]) * np.where(zero, limit, q[0] + q[1]).mean(axis=-1)
+    q = _tail(np.stack((gamma - shift, gamma + shift), axis=-1), sigma[..., np.newaxis, np.newaxis])
+    ser = (1.0 - 1.0 / cset.bpcu.sizes[1]) * (q[..., 0] + q[..., 1]).mean(axis=-1)
     return float(ser) if ser.ndim == 0 else ser
 
 
@@ -117,9 +118,7 @@ def ser_center_lower_bound(cset: ConstellationSet, gains: ChannelGains, sigma, u
     """
     sigma = _per_sigma(sigma)
     _, own, h = center_user(cset, gains, user)
-    zero = sigma == 0
-    q = q_function(uniform_spacing(own, f"u{user}") * h / (2.0 * np.where(zero, 1.0, sigma)))
-    ser = np.where(zero, 0.0, 2.0 * (1.0 - 1.0 / own.size) * q)
+    ser = 2.0 * (1.0 - 1.0 / own.size) * _tail(uniform_spacing(own, f"u{user}") * h, 2.0 * sigma)
     return float(ser) if ser.ndim == 0 else ser
 
 

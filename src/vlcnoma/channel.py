@@ -183,6 +183,14 @@ def dc_gain(
     )
 
 
+def _keys_read(name: str) -> str:
+    """The config keys that the computed gain ``name``, h<w><c> for receiver w
+    and transmitter c, reads."""
+    return (f"room_height_m, rx_height_u{name[1]}_m, r{name[1:]}_m and the front-end keys"
+            " semi_angle_deg, fov_deg, filter_gain, responsivity_a_per_w, detector_area_m2"
+            " and concentrator_index")
+
+
 def gain_matrix(geometry: ScenarioGeometry, front_end: OpticalFrontEnd) -> ChannelGains:
     """Gains of all four links.
 
@@ -198,10 +206,7 @@ def gain_matrix(geometry: ScenarioGeometry, front_end: OpticalFrontEnd) -> Chann
         "h32": dc_gain(front_end, geometry.r32_m, L, geometry.rx_height_u3_m),
     }
     for name, h in gains.items():
-        if not math.isfinite(h):  # name h<w><c>: receiver w, transmitter c
-            raise ParameterError(
-                f"computed gain {name} = {h!r} is not finite; it reads room_height_m,"
-                f" rx_height_u{name[1]}_m, r{name[1:]}_m and the front-end keys"
-                " semi_angle_deg, fov_deg, filter_gain, responsivity_a_per_w,"
-                " detector_area_m2 and concentrator_index")
+        if not math.isfinite(h):
+            raise ParameterError(f"computed gain {name} = {h!r} is not finite; it reads"
+                                 f" {_keys_read(name)}")
     return ChannelGains(**gains)

@@ -8,11 +8,13 @@ together with deterministic sweeps makes outputs byte-stable.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import replace
 from pathlib import Path
 
 from . import analytic
+from .channel import _keys_read
 from .config import ExperimentConfig, config_echo
 from .constellation import LEVEL_SETS, SpectralEfficiencies, peak_powers, verify_gap_condition
 from .errors import ParameterError
@@ -60,7 +62,11 @@ def experiment_gains(cfg: ExperimentConfig, out: Path) -> Path:
     for name in ("h11", "h21", "h22", "h32"):
         c = getattr(computed, name)
         o = getattr(override, name) if override is not None else None
-        rows.append((name, c, o, None if o is None else c / o))
+        ratio = None if o is None else c / o
+        if ratio == math.inf:  # c is finite and o > 0, so only an overflow is not finite
+            raise ParameterError(f"computed gain {name} = {c!r} over gain_{name} = {o!r} is past"
+                                 f" the float range; the computed gain reads {_keys_read(name)}")
+        rows.append((name, c, o, ratio))
     diagnostic = computed.ordering_diagnostic()
     comments = echo_comments(cfg) + [
         f"computed_noma_ordering_ok = {str(diagnostic is None).lower()}",

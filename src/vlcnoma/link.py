@@ -20,13 +20,9 @@ from .errors import ParameterError
 
 class Workspace:
     """Reusable arrays for the hot path, so that a warmed Monte Carlo batch
-    allocates no temporaries.
-
-    ``take(key, shape, dtype)`` hands out the leading elements, shaped, of
-    the array held under ``(key, dtype)``, allocating or growing it when a
-    request needs more.  A later request for the same key overwrites what an
-    earlier one handed out.  Scratch arrays are keyed by name, decisions by
-    the ``DecisionTable`` that makes them.
+    allocates no temporaries.  A request for a key overwrites what an earlier
+    one handed out; scratch arrays are keyed by name, decisions by the
+    ``DecisionTable`` that makes them.
     """
 
     def __init__(self):
@@ -122,14 +118,11 @@ def _flip(bits: np.ndarray) -> np.ndarray:
 def _first_true(rule, low, high, guess) -> np.ndarray:
     """Elementwise smallest float y in (low, high] at which ``rule(y)`` holds.
 
-    ``rule`` must be False at low, True at high and switch once in between.
-    The bisection starts from the floats next to ``guess`` (clipped into
-    [low, high]) where the rule is False below and True above, else from
-    (low, high], and runs over the int64 keys that order the floats until
-    every bracket holds one float, at most 64 steps.  The midpoint of two
-    keys is taken without forming their sum or difference, which overflow
-    for brackets that straddle zero from magnitude 2 up (a codebook from
-    -4096 to 1000, say).
+    ``rule`` must be False at low, True at high and switch once in between;
+    ``guess`` only shortens the bisection over the int64 keys that order the
+    floats.  Their midpoint is taken without forming their sum or
+    difference, which overflow for brackets that straddle zero from
+    magnitude 2 up (a codebook from -4096 to 1000, say).
     """
     low, high = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
     guess = np.minimum(np.maximum(guess, low), high)
@@ -147,9 +140,8 @@ def _first_true(rule, low, high, guess) -> np.ndarray:
 
 
 def _bucket(y, low, high, scale, shift, top, ws: Workspace | None = None) -> np.ndarray:
-    """Bucket index of each sample: y clipped into [low, high], times scale,
-    less shift (the scaled low), truncated; NaN goes to ``top``.  Monotone
-    in y, as each step is in IEEE arithmetic, and it never overflows."""
+    """Bucket index of each sample, ``top`` for NaN: monotone in y, as each
+    IEEE step below is, and it never overflows."""
     shape = np.shape(y)
     x = np.clip(y, low, high, out=_out(ws, "x", shape))
     x *= scale
@@ -167,31 +159,14 @@ class DecisionTable:
     ``np.searchsorted(thresholds, y, 'right')`` does.
 
     ``thresholds`` are sorted and finite.  ``labels`` holds one label per
-    interval, K + 1 for K thresholds, and adjacent labels differ.
-
-    ``__init__`` fixes the lookup from the threshold count K:
-
-    - Counting, for K <= 32, the empty table included: the slot is K less
-      the count of thresholds above y, from one broadcast ``y < t`` into a
-      (K, n) bool array and one uint8 sum over its rows.  NaN compares
-      false, so it counts every threshold; +-inf need no special case.
-    - Buckets, for larger K: four uniform buckets per threshold over
-      [t_0, t_last] (``_bucket``).  The bucket is monotone in y and
-      thresholds go through it too, so those in lower buckets than y's are
-      below y and those in higher ones above it.  The slot starts at the
-      count in lower buckets and takes ``_span`` steps (the most thresholds
-      in one bucket), each adding whether y is at or above the next exact
-      threshold.  A NaN after the last threshold ends the steps; NaN
-      samples go to a top bucket above t_last's and so count every
-      threshold.
-
-    Only compares with the exact thresholds decide, so both are exact with
-    no rounding analysis.  Where the labels are 0..K, as in every table of
-    the reference design, the label is the slot itself, written with no
-    gather: a uint8 byte when counted, an intp from buckets.  Counting
-    costs about K/8 ns per sample and buckets a flat few, hence the cutoff,
-    which at the reference design leaves only OMA user 1's 64-PAM on
-    buckets.  Tables hash by identity, which the workspace keys rely on.
+    interval, K + 1 for K thresholds, and adjacent labels differ.  Up to 32
+    thresholds are counted; more go through four uniform buckets per
+    threshold, whose index is monotone in y, so only the thresholds in y's
+    own bucket need a compare.  Only compares with the exact thresholds
+    decide, so both lookups are exact with no rounding analysis.  Where the
+    labels are 0..K, as in every table of the reference design, the label
+    is the slot itself, with no gather.  Tables hash by identity, which the
+    workspace keys rely on.
     """
 
     def __init__(self, thresholds: np.ndarray, labels: np.ndarray):
@@ -223,26 +198,20 @@ class DecisionTable:
         table (by identity), so a frame decides at most once with each table."""
         y = np.asarray(y)
         shape = y.shape
+        slot = _out(ws, self if self._direct else "slot", shape,
+                    np.uint8 if self._counted else np.intp)
         if self._counted:
             size = self.thresholds.size
             below = np.less(y, self.thresholds.reshape(size, *(1,) * y.ndim),
                             out=_out(ws, "below", (size, *shape), bool))
-            # K <= 32 fits a uint8, so the bools sum as their bytes, with no
-            # cast, and a direct label is that byte count itself
-            count = _out(ws, self if self._direct else "count", shape, np.uint8)
-            np.add.reduce(below.view(np.uint8), axis=0, dtype=np.uint8, out=count)
-            count = np.subtract(size, count, out=count)
-            if self._direct:
-                return count
-            # copyto casts without the 64 KiB buffer that a ufunc's cast allocates
-            slot = _out(ws, "slot", shape, np.intp)
-            np.copyto(slot, count, casting="unsafe")
+            # K less the thresholds above y, none for NaN; K <= 32 fits a uint8,
+            # so the bools sum as their bytes, with no cast
+            np.add.reduce(below.view(np.uint8), axis=0, dtype=np.uint8, out=slot)
+            np.subtract(size, slot, out=slot)
         else:
-            # a direct label is the slot itself, computed where it is returned
-            slot = _out(ws, self if self._direct else "slot", shape, np.intp)
             # every index below is in range by construction, so mode="clip" clips nothing
             np.take(self._start, _bucket(y, *self._geometry, ws), out=slot, mode="clip")
-            for _ in range(self._span):
+            for _ in range(self._span):  # a NaN after the last threshold ends the steps
                 slot += np.greater_equal(
                     y, np.take(self._padded, slot, out=_out(ws, "x", shape), mode="clip"),
                     out=_out(ws, "ge", shape, np.intp))

@@ -19,7 +19,6 @@ import math
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -314,8 +313,8 @@ def _run_points(
                 consume(point, batch, result)
                 changed.notify_all()
 
-    # one worker needs no pool; with several, pool threads join the calling thread
-    with ThreadPoolExecutor(max_workers=workers - 1) if workers > 1 else nullcontext() as pool:
+    # the calling thread is a worker too, so one worker submits nothing and starts no thread
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         helpers = [pool.submit(work) for _ in range(workers - 1)]
         work()
         for helper in helpers:

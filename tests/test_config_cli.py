@@ -287,6 +287,10 @@ class TestCli:
         ("design", "target_power_w", "1e308"),
         ("gains", "rx_height_u3_m", "4"),
         ("gains", "detector_area_m2", "1e308"),
+        # the computed gain over its override past the float range, which used
+        # to be written as inf with exit 0
+        ("gains", "gain_h11", "1e-320"),
+        ("gains", "responsivity_a_per_w", "1e308"),
         # listed twice, which used to write the rows twice
         ("simulate", "schemes", "noma-sic, noma-sic"),
         ("simulate", "snr_points_db", "110:110"),
@@ -543,8 +547,8 @@ def test_fuzzed_config_exits_1_naming_a_key_or_writes_csv_without_nan(changes, o
 # Values of any config line but the two that size a sweep: valid, boundary,
 # non-finite and garbage.  No integer among them is large and valid at once.
 LINE_VALUES = ("1", "2", "0", "-0", "-1", "0.5", "0_1", "٣", "1e308", "-1e308", "1e-308",
-               "99999999999999999999", "nan", "inf", "-inf", "", " ", ",", ":", "1:2", "abc",
-               "0x10", "noma-sic,oma", "oma,oma", "noma-jml")
+               "5e-324", "99999999999999999999", "nan", "inf", "-inf", "", " ", ",", ":", "1:2",
+               "abc", "0x10", "noma-sic,oma", "oma,oma", "noma-jml")
 # The sweep sizes: every valid value is one SNR point or at most 64 trials.
 TRIALS = ("64", "1", "0", "-1", "1e3", "٦٤", "99999999999999999999", "abc")
 POINTS = ("130", "-0", "1e308", "-1e308", "130:130", "nan", ":", "99999999999999999999")

@@ -63,12 +63,12 @@ def as_tuple(decided):
     return decided if isinstance(decided, tuple) else (decided,)
 
 
-def assert_same_lookup(table, y, want=None):
-    """``table.decide(y)`` equals ``want`` (default: the table's own lookup
-    by ``searchsorted``), value and shape, and warns nothing."""
+def assert_same_lookup(table, y, want=None, ws=None):
+    """``table.decide(y, ws)`` equals ``want`` (default: the table's own
+    lookup by ``searchsorted``), value and shape, and warns nothing."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = table.decide(y)
+        got = table.decide(y, ws)
     want = searchsorted_decide(table, y) if want is None else want
     for got_one, want_one in zip(as_tuple(got), as_tuple(want), strict=True):
         assert np.shape(got_one) == np.shape(want_one)
@@ -543,7 +543,13 @@ class TestDecisionTables:
         y = np.concatenate([np.array(y), around(thresholds), EXTREMES])
         samples = {"1-d": y, "scalar": float(y[0]), "0-d": np.array(y[-1]),
                    "empty": y[:0], "2-d": y[:y.size // 2 * 2].reshape(2, -1)}[form]
-        assert_same_lookup(table, samples)
+        # a reused workspace holds larger arrays of this table and of another
+        # that shares its scratch, which the decision must overwrite
+        reused = Workspace()
+        table.decide(np.concatenate([y, y]), reused)
+        slot_table(thresholds).decide(y[::-1], reused)
+        for ws in (None, Workspace(), reused):
+            assert_same_lookup(table, samples, ws=ws)
 
     def test_seeded_build_equals_64_step_bisection(self, reference_set, reference_gains,
                                                    monkeypatch):

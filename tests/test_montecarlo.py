@@ -435,10 +435,12 @@ class TestStreamAddressing:
 
 
 class RecordingPool:
-    """Stands in for ThreadPoolExecutor: records ``max_workers`` and starts no
-    thread, so the calling thread computes every batch."""
+    """Stands in for ThreadPoolExecutor: records ``max_workers`` and counts the
+    helpers submitted, but starts no thread, so the calling thread computes
+    every batch."""
 
     recorded: list[int] = []
+    submitted = 0
 
     def __init__(self, max_workers):
         self.recorded.append(max_workers)
@@ -450,6 +452,7 @@ class RecordingPool:
         return False
 
     def submit(self, fn):
+        RecordingPool.submitted += 1
         done = concurrent.futures.Future()
         done.set_result(None)
         return done
@@ -490,16 +493,19 @@ class TestResourceBounds:
         assert peak < 1 << 20, peak
         assert 26 * 100_000 * 1000 < montecarlo.MAX_TRIALS
 
-    @pytest.mark.parametrize("workers,pool", [(2, 1), (3, 2), (4, 2), (montecarlo.MAX_WORKERS, 2)])
+    @pytest.mark.parametrize("workers,helpers", [(1, 0), (2, 1), (3, 2), (4, 2),
+                                                 (montecarlo.MAX_WORKERS, 2)])
     def test_workers_clamped_to_the_sweeps_batch_count(self, reference_set, reference_gains,
-                                                       monkeypatch, workers, pool):
-        # one point of three batches: at most three workers, so a pool of two
+                                                       monkeypatch, workers, helpers):
+        # one point of three batches: at most three workers, so a pool of three
+        # with at most two helpers beside the calling thread, and none for one worker
         config = small_sweep(snr_points_db=(140.0,), trials_per_point=300, batch_size=128)
         serial = run_sweep(config, reference_set, reference_gains)
-        RecordingPool.recorded = []
+        RecordingPool.recorded, RecordingPool.submitted = [], 0
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
         assert run_sweep(config, reference_set, reference_gains, workers=workers) == serial
-        assert RecordingPool.recorded == [pool]
+        assert RecordingPool.recorded == [helpers + 1]
+        assert RecordingPool.submitted == helpers
 
     def test_batch_sizes_come_from_the_index(self, reference_set, reference_gains):
         # 2**22 batches per point; a list of their sizes would take 32 MiB.
