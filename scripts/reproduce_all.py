@@ -19,7 +19,7 @@ from vlcnoma.experiments import EXPERIMENTS, run_experiment
 
 
 def run_all(args) -> None:
-    cfg = overridden_config(args, {"trials": "trials_per_point"})
+    cfg = overridden_config(args)
     workers = _workers()
     try:
         args.outdir.mkdir(parents=True, exist_ok=True)

@@ -1,5 +1,9 @@
 """Command-line front end.
 
+Every command runs one path: the config with the options it was given
+(``overridden_config``, which ``scripts/reproduce_all.py`` shares), then
+the ``--out`` check, then the worker count, then its CSV; ``simulate`` and
+the figures write theirs with ``experiments.write_ser_csv``.
 Exit codes: 0 success, 1 bad input (a ``ParameterError`` or usage error), 2 any other error.
 Worker count comes from the VLCNOMA_WORKERS environment variable only;
 results are bit-identical for any value.
@@ -14,13 +18,13 @@ from pathlib import Path
 
 from .config import ExperimentConfig, load_config
 from .errors import ParameterError
-from .experiments import SER_HEADER, echo_comments, run_experiment, ser_rows, write_csv
+from .experiments import run_experiment, write_ser_csv
 from .montecarlo import MAX_WORKERS, _frame, philox_stream, receivers, run_sweep, sigma_from_snr
 
 SNR_KEYS = ("snr_start_db", "snr_stop_db", "snr_step_db")
-# simulate option -> the config key its value sets; --snr sets SNR_KEYS
-SIMULATE_KEYS = {"seed": "seed", "trials": "trials_per_point", "min_errors": "min_errors",
-                 "schemes": "schemes"}
+# override option -> the config key its value sets; --snr sets SNR_KEYS
+OVERRIDES = {"seed": "seed", "trials": "trials_per_point", "min_errors": "min_errors",
+             "schemes": "schemes"}
 
 
 def _workers() -> int:
@@ -47,14 +51,15 @@ def output_path(path: Path, name: str) -> Path:
     return path
 
 
-def overridden_config(args, keys: dict[str, str]) -> ExperimentConfig:
-    """``args.config`` with each given option of ``keys`` setting its key,
-    the raw value parsed and checked as a config line is; ``--snr``, where
-    ``args`` has it, sets ``SNR_KEYS`` and drops a listed ``snr_points_db``.
+def overridden_config(args) -> ExperimentConfig:
+    """``args.config`` with each option of ``OVERRIDES`` that ``args`` has
+    and was given setting its key, the raw value parsed and checked as a
+    config line is; ``--snr`` sets ``SNR_KEYS`` and drops a listed
+    ``snr_points_db``.
     """
     raw, given = {}, []
-    for option, key in keys.items():
-        if (value := getattr(args, option)) is not None:
+    for option, key in OVERRIDES.items():
+        if (value := getattr(args, option, None)) is not None:
             raw[key] = value
             given.append(f"--{option.replace('_', '-')} {value}")
     spec = getattr(args, "snr", None)
@@ -86,24 +91,6 @@ def _trace(cfg: ExperimentConfig) -> None:
     print(f"user3 sic: own={u3_hat} edge_stage={edge3}")
 
 
-def _cmd_simulate(args) -> None:
-    cfg = overridden_config(args, SIMULATE_KEYS)
-    if args.trace:
-        _trace(cfg)
-        return
-    out = output_path(args.out or Path("ser_sweep.csv"), "--out")
-    gains, cset = cfg.design()
-    points = run_sweep(cfg.sweep, cset, gains, workers=_workers())
-    write_csv(out, SER_HEADER, ser_rows(points), echo_comments(cfg))
-    print(out)
-
-
-def _cmd_experiment(name: str, args) -> None:
-    cfg = load_config(args.config)
-    out = output_path(args.out or Path(f"{name}.csv"), "--out")
-    print(run_experiment(name, cfg, out, workers=_workers()))
-
-
 class ArgumentParser(argparse.ArgumentParser):
     """A parser whose usage errors are bad input: a ParameterError, so exit 1."""
 
@@ -132,6 +119,7 @@ def build_parser() -> ArgumentParser:
     add("complexity", "decoding-cost table")
 
     sim = add("simulate", "Monte Carlo SER sweep")
+    sim.set_defaults(out=Path("ser_sweep.csv"))
     # every value is the raw text of a config line (overridden_config)
     sim.add_argument("--seed", help="seed")
     sim.add_argument("--trials", help="trials_per_point")
@@ -160,10 +148,17 @@ def exit_code(action) -> int:
     return 0
 
 
-def _dispatch(args) -> None:
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    return _cmd_experiment(getattr(args, "figure", args.command), args)
+def _run(args) -> None:
+    """Write the command's CSV and print its path; ``simulate --trace``
+    prints one frame instead, reading neither ``--out`` nor the workers."""
+    cfg = overridden_config(args)
+    if getattr(args, "trace", False):
+        return _trace(cfg)
+    name = getattr(args, "figure", args.command)
+    out = output_path(args.out or Path(f"{name}.csv"), "--out")
+    workers = _workers()
+    print(write_ser_csv(cfg, out, workers) if name == "simulate"
+          else run_experiment(name, cfg, out, workers))
 
 
 def main(argv=None) -> int:
@@ -171,7 +166,7 @@ def main(argv=None) -> int:
     while "--snr" in argv[:-1]:  # argparse takes "--snr -10:-6:2"'s value for an option
         at = argv.index("--snr")
         argv[at:at + 2] = [f"--snr={argv[at + 1]}"]
-    return exit_code(lambda: _dispatch(build_parser().parse_args(argv)))
+    return exit_code(lambda: _run(build_parser().parse_args(argv)))
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from .channel import _keys_read
 from .config import ExperimentConfig, config_echo
 from .constellation import LEVEL_SETS, SpectralEfficiencies, peak_powers, verify_gap_condition
 from .errors import ParameterError
-from .montecarlo import USERS, SerPoint, run_sweep, sigma_from_snr
+from .montecarlo import USERS, run_sweep, sigma_from_snr
 
 SER_HEADER = "snr_db,user,scheme,trials,errors,ser,ci_low,ci_high,analytic"
 
@@ -44,14 +44,6 @@ def write_csv(path, header: str, rows, comments=()) -> Path:
 
 def echo_comments(cfg: ExperimentConfig) -> list[str]:
     return [f"{key} = {value}" for key, value in config_echo(cfg)]
-
-
-def ser_rows(points: list[SerPoint]) -> list[tuple]:
-    return [
-        (p.snr_db, p.user, p.scheme, p.estimate.trials, p.estimate.errors,
-         p.estimate.ser, p.estimate.ci_low, p.estimate.ci_high, p.analytic)
-        for p in points
-    ]
 
 
 def experiment_gains(cfg: ExperimentConfig, out: Path) -> Path:
@@ -125,7 +117,7 @@ REFERENCE_BPCU = SpectralEfficiencies(3, 2, 2)
 BASELINE_NOTE = ("note: the prior single-cell superposition baseline is omitted; its level"
                  " design rules are not part of this package")
 
-# Figure name -> (schemes swept, rows kept, extra comment lines).  Every
+# Figure name -> (schemes swept, users kept, extra comment lines).  Every
 # figure runs at the reference efficiencies.  fig3 and fig4 are two views of
 # one sweep over all schemes; the orthogonal baseline in it runs doubled
 # efficiencies so each user carries the same bits per channel use.  fig2
@@ -133,11 +125,9 @@ BASELINE_NOTE = ("note: the prior single-cell superposition baseline is omitted;
 # every swept scheme has min_errors, so with min_errors > 0 a sweep over
 # all schemes cuts each point at a different batch and changes fig2's rows.
 FIGURES = {
-    "fig2": (("noma-sic",), lambda p: p.user != "avg", ()),
-    "fig3": (analytic.SCHEMES, lambda p: p.user == "avg",
-             ("series = average SER per scheme", BASELINE_NOTE)),
-    "fig4": (analytic.SCHEMES, lambda p: p.user == "u2",
-             ("series = cell-edge user SER per scheme", BASELINE_NOTE)),
+    "fig2": (("noma-sic",), USERS, ()),
+    "fig3": (analytic.SCHEMES, ("avg",), ("series = average SER per scheme", BASELINE_NOTE)),
+    "fig4": (analytic.SCHEMES, ("u2",), ("series = cell-edge user SER per scheme", BASELINE_NOTE)),
 }
 TABLES = {
     "gains": experiment_gains,
@@ -148,21 +138,22 @@ TABLES = {
 EXPERIMENTS = (*TABLES, *FIGURES)
 
 
-def experiment_figure(name: str, cfg: ExperimentConfig, out: Path, workers: int,
-                      memo: dict | None) -> Path:
-    """One reference figure's SER rows.
+def write_ser_csv(cfg: ExperimentConfig, out: Path, workers: int = 1, memo: dict | None = None,
+                  users: tuple[str, ...] = (*USERS, "avg"), notes: tuple[str, ...] = ()) -> Path:
+    """Write the rows of ``users`` from ``cfg``'s sweep under its config
+    echo and ``notes``: the one writer of every SER CSV.
 
-    ``memo`` maps each derived config to its sweep, so figures that need the
-    same sweep within one run share it; the key is the whole derived config,
-    so an entry is never reused for a different one.
+    ``memo`` maps each config to its sweep, so figures that need the same
+    sweep within one run share it; the key is the whole config, so an entry
+    is never reused for a different one.
     """
-    schemes, keep, notes = FIGURES[name]
-    cfg = replace(cfg, bpcu=REFERENCE_BPCU, sweep=replace(cfg.sweep, schemes=schemes))
     memo = {} if memo is None else memo
     if cfg not in memo:
         gains, cset = cfg.design()
         memo[cfg] = run_sweep(cfg.sweep, cset, gains, workers=workers)
-    rows = ser_rows([p for p in memo[cfg] if keep(p)])
+    rows = [(p.snr_db, p.user, p.scheme, p.estimate.trials, p.estimate.errors, p.estimate.ser,
+             p.estimate.ci_low, p.estimate.ci_high, p.analytic)
+            for p in memo[cfg] if p.user in users]
     return write_csv(out, SER_HEADER, rows, echo_comments(cfg) + list(notes))
 
 
@@ -170,7 +161,9 @@ def run_experiment(name: str, cfg: ExperimentConfig, out: Path, workers: int = 1
                    memo: dict | None = None) -> Path:
     """Write one named experiment's CSV; ``memo`` is shared by the figures."""
     if name in FIGURES:
-        return experiment_figure(name, cfg, out, workers, memo)
+        schemes, users, notes = FIGURES[name]
+        cfg = replace(cfg, bpcu=REFERENCE_BPCU, sweep=replace(cfg.sweep, schemes=schemes))
+        return write_ser_csv(cfg, out, workers, memo, users, notes)
     if name in TABLES:
         return TABLES[name](cfg, out)
     raise ParameterError(f"unknown experiment {name!r}, expected one of {EXPERIMENTS}")

@@ -65,6 +65,15 @@ def _gather(levels: np.ndarray, index, ws: Workspace | None, name: str):
     return np.take(levels, index, out=_out(ws, name, np.shape(index)), mode="clip")
 
 
+def _lookup(values: np.ndarray, index: np.ndarray, out: np.ndarray, ws: Workspace | None):
+    """``values[index]`` into ``out`` for in-range indices of any integer type,
+    widened first into the workspace's intp array "index": np.take would
+    allocate to cast a byte index itself."""
+    wide = _out(ws, "index", index.shape, np.intp)
+    np.copyto(wide, index)
+    return np.take(values, wide, out=out, mode="clip")
+
+
 def superpose_transmit(symbols, cset: ConstellationSet, gains: ChannelGains,
                        ws: Workspace | None = None):
     """Noiseless received amplitudes ``(y1, y2, y3)`` for the symbol indices.
@@ -217,7 +226,7 @@ class DecisionTable:
                     out=_out(ws, "ge", shape, np.intp))
         if self._direct:
             return slot
-        return np.take(self.labels, slot, out=_out(ws, self, shape, self.labels.dtype), mode="clip")
+        return _lookup(self.labels, slot, _out(ws, self, shape, self.labels.dtype), ws)
 
 
 @dataclass(frozen=True)
@@ -239,10 +248,7 @@ class SicReceiver:
         ``stage1``: bytes where that table is direct and counted."""
         edge = self.stage1.decide(y, ws)
         shape = np.shape(edge)
-        # widened by copyto, as np.take would allocate to cast a byte index
-        index = _out(ws, "edge", shape, np.intp)
-        np.copyto(index, edge)
-        shift = np.take(self.levels, index, out=_out(ws, "residual", shape), mode="clip")
+        shift = _lookup(self.levels, edge, _out(ws, "residual", shape), ws)
         residual = np.subtract(y, shift, out=_out(ws, "residual", shape))
         return self.stage2.decide(residual, ws), edge
 

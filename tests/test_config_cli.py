@@ -242,6 +242,14 @@ class TestCli:
         captured = capsys.readouterr().out
         assert "sent:" in captured and "received:" in captured
 
+    def test_simulate_trace_reads_neither_workers_nor_out(self, capsys, tmp_path, monkeypatch):
+        # the trace decides one frame on the calling thread and writes no file
+        monkeypatch.setenv("VLCNOMA_WORKERS", "abc")
+        out = tmp_path / "missing" / "x.csv"
+        assert run_cli("simulate", "--trace", "--trials", "10", "--out", str(out)) == 0
+        assert "sent:" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
     def test_validation_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("fov_deg = 200\n")
@@ -383,7 +391,7 @@ class TestCli:
         assert key in err and flag in err, err
         assert not out.exists()
 
-    @pytest.mark.parametrize("workers", ["0", "65", str(10**30)])
+    @pytest.mark.parametrize("workers", ["0", "65", str(10**30), "abc", "1.5", ""])
     def test_worker_count_out_of_bounds_exits_1(self, tmp_path, capsys, monkeypatch, workers):
         def no_pool(max_workers):
             raise AssertionError(f"a pool of {max_workers} threads was asked for")

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -453,6 +454,22 @@ class TestDecisionTables:
         ws = Workspace()
         got = [table.decide(np.array([0.0, 1.0]), ws) for table in tables]
         assert [labels.tolist() for labels in got] == [[0, 1], [0, 2], [1, 0], [2, 1]]
+
+    def test_warmed_gathered_counted_lookup_allocates_no_index(self):
+        # np.take cast the byte slot to intp itself: a 262 792 B peak here
+        thresholds = np.linspace(-1.0, 1.0, 15)
+        table = DecisionTable(thresholds, np.arange(16)[::-1].copy())
+        y = np.random.default_rng(3).standard_normal(1 << 15)
+        ws = Workspace()
+        table.decide(y, ws)
+        tracemalloc.start()
+        try:
+            labels = table.decide(y, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024, peak
+        assert np.array_equal(labels, 15 - np.searchsorted(thresholds, y, "right"))
 
     def test_receivers_build_nine_distinct_tables(self, reference_tables):
         # a frame decides once with each table, so no decision overwrites another

@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -143,6 +144,42 @@ class TestRunSweep:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failing_batch_stops_every_worker_and_reaches_the_caller(
+        self, reference_set, reference_gains, monkeypatch, workers
+    ):
+        failure = RuntimeError("batch 2 of point 1 failed")
+        started = []
+        philox_stream = montecarlo.philox_stream
+
+        def failing(seed, point, batch):
+            started.append((point, batch))
+            if (point, batch) == (1, 2):
+                raise failure
+            return philox_stream(seed, point, batch)
+
+        monkeypatch.setattr(montecarlo, "philox_stream", failing)
+        config = small_sweep(snr_points_db=(130.0, 144.0, 146.0), trials_per_point=4096,
+                             schemes=("noma-sic",), batch_size=512)
+        raised = []
+
+        def sweep():
+            try:
+                run_sweep(config, reference_set, reference_gains, workers=workers)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        threads = threading.active_count()
+        # a worker left waiting for the failed batch would hang the sweep: fail instead
+        runner = threading.Thread(target=sweep, daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive(), "the sweep hung after a batch failed"
+        assert raised == [failure]
+        assert threading.active_count() == threads
+        # each other worker starts at most the batch it was issued before the failure
+        assert len(started) - started.index((1, 2)) - 1 < workers, started
 
     @pytest.mark.parametrize("workers", [0, -1, montecarlo.MAX_WORKERS + 1, 10**6])
     def test_rejects_workers_below_one(self, reference_set, reference_gains, monkeypatch,
