@@ -125,17 +125,25 @@ def ser_center_lower_bound(cset: ConstellationSet, gains: ChannelGains, sigma, u
 def closed_forms(schemes, cset: ConstellationSet, gains: ChannelGains, sigmas) -> dict:
     """The closed form or bound of every (scheme, user) SER of ``schemes``,
     user "u1", "u2" or "u3": a list of one float per sigma (one sigma may
-    be a float), None where there is none.
+    be a float), None where there is none or the levels it reads are not
+    uniformly spaced.
 
     Center users of either superposed scheme get the no-propagation lower
     bound, evaluated once for both; the edge user gets the exact SER under
     the interference-as-noise rule only.
     """
-    sigmas = np.atleast_1d(sigmas)
-    values = ({user: ser_center_lower_bound(cset, gains, sigmas, int(user[1])).tolist()
-               for user in ("u1", "u3")} if any(scheme != "oma" for scheme in schemes) else {})
+    sigmas = _per_sigma(np.atleast_1d(sigmas))
+
+    def grid(form, *user) -> list | None:
+        try:
+            return form(cset, gains, sigmas, *user).tolist()
+        except ParameterError:  # with sigma checked, only uniform_spacing raises
+            return None
+
+    values = ({user: grid(ser_center_lower_bound, int(user[1])) for user in ("u1", "u3")}
+              if any(scheme != "oma" for scheme in schemes) else {})
     if "noma-sic" in schemes:
-        values["u2"] = ser_u2_analytic(cset, gains, sigmas).tolist()
+        values["u2"] = grid(ser_u2_analytic)
     return {(scheme, user): None if scheme == "oma" or (user == "u2" and scheme != "noma-sic")
             else values[user] for scheme in schemes for user in ("u1", "u2", "u3")}
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from .config import ExperimentConfig, load_config
 from .errors import ParameterError
 from .experiments import run_experiment, write_ser_csv
-from .montecarlo import MAX_WORKERS, _frame, philox_stream, receivers, run_sweep, sigma_from_snr
+from .montecarlo import MAX_WORKERS, _frame, philox_stream, receivers, sigma_from_snr
 
 SNR_KEYS = ("snr_start_db", "snr_stop_db", "snr_step_db")
 # override option -> the config key its value sets; --snr sets SNR_KEYS

@@ -120,14 +120,13 @@ BASELINE_NOTE = ("note: the prior single-cell superposition baseline is omitted;
 # Figure name -> (schemes swept, users kept, extra comment lines).  Every
 # figure runs at the reference efficiencies.  fig3 and fig4 are two views of
 # one sweep over all schemes; the orthogonal baseline in it runs doubled
-# efficiencies so each user carries the same bits per channel use.  fig2
-# keeps its own noma-sic sweep: early stopping waits until every user of
-# every swept scheme has min_errors, so with min_errors > 0 a sweep over
-# all schemes cuts each point at a different batch and changes fig2's rows.
+# efficiencies so each user carries the same bits per channel use.  fig2's
+# noma-sic sweep comes last, so run_sweep replays it from that sweep's
+# snapshots with its own stop rule (see run_sweep's memo).
 FIGURES = {
-    "fig2": (("noma-sic",), USERS, ()),
     "fig3": (analytic.SCHEMES, ("avg",), ("series = average SER per scheme", BASELINE_NOTE)),
     "fig4": (analytic.SCHEMES, ("u2",), ("series = cell-edge user SER per scheme", BASELINE_NOTE)),
+    "fig2": (("noma-sic",), USERS, ()),
 }
 TABLES = {
     "gains": experiment_gains,
@@ -145,12 +144,13 @@ def write_ser_csv(cfg: ExperimentConfig, out: Path, workers: int = 1, memo: dict
 
     ``memo`` maps each config to its sweep, so figures that need the same
     sweep within one run share it; the key is the whole config, so an entry
-    is never reused for a different one.
+    is never reused for a different one.  ``run_sweep`` keeps its snapshots
+    there too, so a later sweep over fewer schemes simulates nothing.
     """
     memo = {} if memo is None else memo
     if cfg not in memo:
         gains, cset = cfg.design()
-        memo[cfg] = run_sweep(cfg.sweep, cset, gains, workers=workers)
+        memo[cfg] = run_sweep(cfg.sweep, cset, gains, workers=workers, memo=memo)
     rows = [(p.snr_db, p.user, p.scheme, p.estimate.trials, p.estimate.errors, p.estimate.ser,
              p.estimate.ci_low, p.estimate.ci_high, p.analytic)
             for p in memo[cfg] if p.user in users]

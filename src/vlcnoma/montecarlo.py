@@ -19,7 +19,7 @@ import math
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -229,9 +229,11 @@ def _run_points(
     cset: ConstellationSet,
     gains: ChannelGains,
     workers: int,
-) -> tuple[np.ndarray, list[int]]:
-    """Error totals, int64 indexed (point, scheme, user) in ``config.schemes`` ×
-    ``USERS`` order, and trials of every SNR point, under the in-order early-stop rule.
+) -> list[list[tuple[int, np.ndarray]]]:
+    """Per SNR point, the snapshots ``(trials, totals)`` that ``_stop`` reads:
+    int64 error totals indexed (scheme, user) in ``config.schemes`` × ``USERS``
+    order, taken at each consumed batch where one more scheme first settles
+    and at the last batch consumed under the in-order early-stop rule.
 
     ``workers`` threads, the calling thread among them, but no more than
     the sweep has batches, run one loop: take a batch (``pick``), compute
@@ -245,6 +247,8 @@ def _run_points(
     count = len(sigmas)
     totals = np.zeros((count, len(config.schemes), len(USERS)), dtype=np.int64)
     issued, consumed = [0] * count, [0] * count
+    records: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(count)]
+    settled = [0] * count  # schemes settled at each point's last snapshot
     done = [False] * count  # stopped early, or every batch consumed
     waiting: list[dict[int, np.ndarray]] = [{} for _ in range(count)]  # results ahead of order
     changed = threading.Condition()
@@ -287,8 +291,12 @@ def _run_points(
         while not done[point] and consumed[point] in waiting[point]:
             totals[point] += waiting[point].pop(consumed[point])
             consumed[point] += 1
-            done[point] = (consumed[point] == batches
-                           or _settled(totals[point], config.min_errors).all())
+            now = int(_settled(totals[point], config.min_errors).sum())
+            done[point] = consumed[point] == batches or now == len(config.schemes)
+            if done[point] or now > settled[point]:
+                records[point].append((min(consumed[point] * size, total),
+                                       totals[point].copy()))
+                settled[point] = now
         if done[point]:
             waiting[point].clear()
 
@@ -319,7 +327,21 @@ def _run_points(
         work()
         for helper in helpers:
             helper.result()
-    return totals, [min(used * size, total) for used in consumed]
+    return records
+
+
+def _stop(snapshots: list[tuple[int, np.ndarray]], rows: list[int],
+          min_errors: int) -> tuple[int, np.ndarray]:
+    """(trials, totals of ``rows``) where a sweep of just those schemes
+    stops: the first snapshot in which they all settled, else the last.
+
+    Settling only grows as batches are consumed, so a subset of a sweep's
+    schemes settles at one of its snapshots or never before it stopped.
+    """
+    for trials, totals in snapshots:
+        if _settled(totals[rows], min_errors).all():
+            break
+    return trials, totals[rows]
 
 
 def run_sweep(
@@ -327,6 +349,7 @@ def run_sweep(
     cset: ConstellationSet,
     gains: ChannelGains,
     workers: int = 1,
+    memo: dict | None = None,
 ) -> list[SerPoint]:
     """Estimate per-user SER for every requested scheme at every SNR point.
 
@@ -335,6 +358,12 @@ def run_sweep(
     along where a closed form or bound exists.  A design that fails the
     zero-error gap condition only warns; sweeping bad designs on purpose is
     a supported way to watch the condition matter.
+
+    ``memo``, a dict shared by the sweeps of one run, keeps each simulated
+    sweep's snapshots.  A later sweep of an equal design and settings over
+    some of its schemes replays its own stop rule on them and simulates
+    nothing.  OMA draws after the superposed symbols, so an OMA-only sweep
+    is never replayed from one that ran a superposed scheme.
     """
     if not 1 <= workers <= MAX_WORKERS:
         raise ParameterError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
@@ -342,13 +371,25 @@ def run_sweep(
     if not ok:
         warnings.warn("constellation fails the zero-error gap condition", stacklevel=2)
     sigmas = [sigma_from_snr(snr_db, config.target_power_w) for snr_db in config.snr_points_db]
-    totals, trials = _run_points(config, sigmas, cset, gains, workers)
+    design = (gains, *(v.tobytes() if isinstance(v, np.ndarray) else v
+                       for v in vars(cset).values()))
+    sweeps = ({} if memo is None else memo).setdefault(
+        (replace(config, schemes=analytic.SCHEMES), design), [])  # every setting but schemes
+    for schemes, records in sweeps:
+        if set(config.schemes) <= set(schemes) and (config.schemes != ("oma",)
+                                                    or schemes == ("oma",)):
+            break
+    else:
+        schemes, records = config.schemes, _run_points(config, sigmas, cset, gains, workers)
+        sweeps.append((schemes, records))
+    rows = [schemes.index(scheme) for scheme in config.schemes]
+    stops = [_stop(snapshots, rows, config.min_errors) for snapshots in records]
     forms = analytic.closed_forms(config.schemes, cset, gains, sigmas)
     none = [None] * len(sigmas)
     points = [SerPoint(snr_db, user, scheme, SerEstimate(e, t, e / t, *wilson_interval(e, t)),
                        (forms.get((scheme, user)) or none)[point])
-              for point, (snr_db, n) in enumerate(zip(config.snr_points_db, trials))
-              for scheme, errors in zip(config.schemes, totals[point].tolist())  # Python ints
+              for point, (snr_db, (n, totals)) in enumerate(zip(config.snr_points_db, stops))
+              for scheme, errors in zip(config.schemes, totals.tolist())  # Python ints
               for user, e, t in zip((*USERS, "avg"), (*errors, sum(errors)), (n, n, n, 3 * n))]
     points.sort(key=lambda p: (p.snr_db, p.user, p.scheme))
     return points

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from vlcnoma import ChannelGains, SpectralEfficiencies
+from vlcnoma import ChannelGains, SpectralEfficiencies, montecarlo
 from vlcnoma.channel import OpticalFrontEnd, ScenarioGeometry
 
 # A deterministic, deeper search, selected with --hypothesis-profile=ci; tests
@@ -47,3 +47,17 @@ def reference_front_end():
 @pytest.fixture(scope="session")
 def reference_bpcu():
     return SpectralEfficiencies(3, 2, 2)
+
+
+@pytest.fixture
+def streams_drawn(monkeypatch):
+    """The (seed, point, batch) of every Philox stream that sweeps draw during the test."""
+    calls = []
+    philox_stream = montecarlo.philox_stream
+
+    def counted(*args):
+        calls.append(args)
+        return philox_stream(*args)
+
+    monkeypatch.setattr(montecarlo, "philox_stream", counted)
+    return calls

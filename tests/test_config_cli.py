@@ -412,7 +412,6 @@ class TestCli:
             raise AssertionError("a sweep ran")
 
         # a sweep here would fail the run with exit 2, as the write used to after it
-        monkeypatch.setattr(cli, "run_sweep", no_sweep)
         monkeypatch.setattr(experiments, "run_sweep", no_sweep)
         for out in (tmp_path / "missing" / "x.csv", tmp_path):
             assert run_cli(*command, "--out", str(out)) == 1
@@ -427,7 +426,7 @@ class TestCli:
         def no_sweep(*args, **kwargs):
             raise AssertionError("a sweep ran")
 
-        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        monkeypatch.setattr(experiments, "run_sweep", no_sweep)
         out = tmp_path / "out.csv"
         out.symlink_to(tmp_path / link)
         if link == "loop.csv":

@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,16 +111,9 @@ class TestRunSweep:
                                  workers=workers) == serial, workers
 
     def test_two_workers_compute_at_most_one_discarded_batch(
-        self, reference_set, reference_gains, monkeypatch
+        self, reference_set, reference_gains, streams_drawn
     ):
-        calls = []
-        philox_stream = montecarlo.philox_stream
-
-        def counted(*args):
-            calls.append(args)
-            return philox_stream(*args)
-
-        monkeypatch.setattr(montecarlo, "philox_stream", counted)
+        calls = streams_drawn
         config = small_sweep(**MIXED_STOP)
         # the last point's speculative batch may finish before the batch that
         # stops it; a few repeats give that race a chance to show
@@ -192,16 +186,9 @@ class TestRunSweep:
         assert RecordingPool.recorded == []
 
     def test_every_batch_consumed_at_zero_min_errors(self, reference_set, reference_gains,
-                                                     monkeypatch):
+                                                     streams_drawn):
         # every user errs in batch 0 at 100 dB, which stops the point at min_errors = 1
-        calls = []
-        philox_stream = montecarlo.philox_stream
-
-        def counted(*args):
-            calls.append(args)
-            return philox_stream(*args)
-
-        monkeypatch.setattr(montecarlo, "philox_stream", counted)
+        calls = streams_drawn
         for min_errors, batches in ((1, 1), (0, 4)):
             calls.clear()
             config = small_sweep(snr_points_db=(100.0,), trials_per_point=256, batch_size=64,
@@ -340,6 +327,120 @@ class TestRunSweep:
                         target_power_w=1.0)
 
 
+SCHEME_SUBSETS = [subset for size in (1, 2, 3)
+                  for subset in itertools.combinations(("noma-sic", "noma-jml", "oma"), size)]
+# Sixteen batches per point.  At min_errors 10 the three schemes settle at
+# different batches: noma-sic first, noma-jml never at 142 and 146 dB.
+REPLAYED = dict(snr_points_db=(136.0, 142.0, 146.0), trials_per_point=4096, batch_size=256)
+
+
+class TestReplay:
+    """A sweep that ``run_sweep`` replays from its memo equals the same sweep simulated."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("min_errors", [0, 10, 10**6], ids=["zero", "mid-point", "never"])
+    def test_every_covered_subset_equals_its_own_sweep(self, reference_set, reference_gains,
+                                                      streams_drawn, workers, min_errors):
+        def sweep(schemes, **kwargs):
+            return run_sweep(small_sweep(**REPLAYED, schemes=schemes, min_errors=min_errors),
+                             reference_set, reference_gains, **kwargs)
+
+        alone = {subset: sweep(subset) for subset in SCHEME_SUBSETS}
+        calls = streams_drawn
+        stopped_sooner = False
+        # with 2 or 3 workers a point that stops early discards speculative batches
+        for superset in SCHEME_SUBSETS[3:]:  # the two- and three-scheme sweeps
+            memo = {}
+            assert sweep(superset, workers=workers, memo=memo) == alone[superset]
+            for subset in SCHEME_SUBSETS:
+                if set(subset) <= set(superset) and subset != ("oma",):
+                    for order in (subset, subset[::-1]):
+                        calls.clear()
+                        assert sweep(order, workers=workers, memo=memo) == alone[subset], order
+                        assert calls == [], order
+                    stopped_sooner |= trials(alone[subset]) != trials(alone[superset])
+        assert stopped_sooner == (min_errors == 10)
+
+    def test_oma_alone_after_a_superposed_sweep_is_simulated(self, reference_set,
+                                                             reference_gains, streams_drawn):
+        # OMA draws after the superposed symbols, so alone its draws differ
+        memo = {}
+        oma = small_sweep(**REPLAYED, schemes=("oma",))
+        shared = run_sweep(replace(oma, schemes=("noma-sic", "oma")), reference_set,
+                           reference_gains, memo=memo)
+        alone = run_sweep(oma, reference_set, reference_gains)
+        calls = streams_drawn
+        calls.clear()
+        assert run_sweep(oma, reference_set, reference_gains, memo=memo) == alone
+        assert len(calls) == 3 * 16
+        assert [p for p in shared if p.scheme == "oma"] != alone
+        calls.clear()
+        assert run_sweep(oma, reference_set, reference_gains, memo=memo) == alone
+        assert calls == []  # replayed from the OMA-only sweep just simulated
+
+    def test_only_an_equal_design_and_equal_settings_are_replayed(
+            self, reference_set, reference_gains, streams_drawn):
+        config = small_sweep(**REPLAYED, min_errors=10)
+        memo = {}
+        run_sweep(config, reference_set, reference_gains, memo=memo)
+        calls = streams_drawn
+        calls.clear()
+        # equal by value, not the same objects
+        equal = design_constellation(reference_set.bpcu, replace(reference_gains), 1.0)
+        assert equal is not reference_set
+        run_sweep(replace(config, schemes=("noma-sic",)), equal, replace(reference_gains),
+                  memo=memo)
+        assert calls == []
+        other = design_constellation(reference_set.bpcu, reference_gains, 2.0)
+        for changed, cset in [
+                ({"seed": 4}, reference_set), ({"snr_points_db": (136.0, 142.0)}, reference_set),
+                ({"trials_per_point": 4000}, reference_set), ({"batch_size": 512}, reference_set),
+                ({"target_power_w": 2.0}, reference_set), ({"min_errors": 11}, reference_set),
+                ({}, other)]:
+            changed = replace(config, schemes=("noma-sic",), **changed)
+            calls.clear()
+            simulated = run_sweep(changed, cset, reference_gains, memo=memo)
+            assert calls, changed
+            assert simulated == run_sweep(changed, cset, reference_gains), changed
+
+    def test_a_replayed_gap_failing_design_warns(self, reference_gains, streams_drawn):
+        bad = from_raw_levels(SpectralEfficiencies(1, 1, 1), [1, 2], [3, 4], [3, 4], [1, 2], 1.0)
+        config = small_sweep(snr_points_db=(140.0,), trials_per_point=2_000)
+        memo = {}
+        with pytest.warns(UserWarning, match="gap condition"):
+            run_sweep(config, bad, reference_gains, memo=memo)
+        calls = streams_drawn
+        calls.clear()
+        with pytest.warns(UserWarning, match="gap condition"):
+            run_sweep(replace(config, schemes=("noma-sic",)), bad, reference_gains, memo=memo)
+        assert calls == []
+
+    def test_levels_not_uniformly_spaced_leave_their_closed_form_blank(self, reference_gains):
+        # run_sweep used to simulate every batch, then raise from the closed form
+        uneven = from_raw_levels(SpectralEfficiencies(1, 2, 1), [1, 2], [1, 2, 4, 5],
+                                 [3, 5, 7, 9], [1, 2], 1.0)
+        config = small_sweep(snr_points_db=(130.0, 140.0), trials_per_point=2048,
+                             batch_size=512)
+        memo = {}
+        with pytest.warns(UserWarning, match="gap condition"):
+            run_sweep(config, uneven, reference_gains, memo=memo)
+            simulated = run_sweep(replace(config, schemes=("noma-sic",)), uneven,
+                                  reference_gains)
+            replayed = run_sweep(replace(config, schemes=("noma-sic",)), uneven,
+                                 reference_gains, memo=memo)
+        assert replayed == simulated
+        analytic_values = {p.user: p.analytic for p in simulated if p.snr_db == 130.0}
+        assert analytic_values["u2"] is None
+        assert analytic_values["u1"] == ser_center_lower_bound(
+            uneven, reference_gains, sigma_from_snr(130.0, 1.0), 1)
+        assert type(analytic_values["u3"]) is float
+
+
+def trials(points) -> list[int]:
+    """Trials of each SNR point of a sweep's rows."""
+    return list({p.snr_db: p.estimate.trials for p in points if p.user != "avg"}.values())
+
+
 def sweep_with(**overrides):
     return small_sweep(**{"snr_points_db": (100.0,), "trials_per_point": 10, **overrides})
 
@@ -373,10 +474,6 @@ NAN_CASES = {
 def test_nan_rejected_naming_the_field(field, reference_set, reference_gains):
     with pytest.raises(ParameterError, match=field.split("=")[0].rsplit(".", 1)[1]):
         NAN_CASES[field](reference_set, reference_gains)
-
-
-SCHEME_SUBSETS = [subset for size in (1, 2, 3)
-                  for subset in itertools.combinations(("noma-sic", "noma-jml", "oma"), size)]
 
 
 def frame_arrays(frame) -> dict:

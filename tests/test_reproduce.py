@@ -7,6 +7,7 @@ deliberate output change, rewrite them with
 """
 
 import contextlib
+import csv
 import importlib.util
 import io
 import os
@@ -76,10 +77,24 @@ def test_fig3_and_fig4_share_one_sweep(tmp_path, monkeypatch):
     monkeypatch.setenv("VLCNOMA_WORKERS", "1")
     assert load_script().main([str(tmp_path / "all"), "--config", str(CONFIG)]) == 0
     assert len(calls) == 2, calls
-    for name in ("fig3", "fig4"):
+    for name in ("fig3", "fig4", "fig2"):
         alone = tmp_path / f"{name}.csv"
         assert cli_main(["reproduce", name, "--config", str(CONFIG), "--out", str(alone)]) == 0
         assert alone.read_bytes() == (tmp_path / "all" / f"{name}.csv").read_bytes()
+
+
+def test_a_run_draws_each_batch_of_the_shared_sweep_once(tmp_path, monkeypatch, streams_drawn):
+    # fig2's noma-sic sweep used to draw every stream of its batches again
+    calls = streams_drawn
+    monkeypatch.setenv("VLCNOMA_WORKERS", "1")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert load_script().main([str(tmp_path), "--config", str(CONFIG)]) == 0
+    with (tmp_path / "fig4.csv").open() as fig4:  # the all-scheme sweep's u2 rows
+        rows = csv.DictReader(line for line in fig4 if not line.startswith("#"))
+        trials = {row["snr_db"]: int(row["trials"]) for row in rows}
+    consumed = sum(-(-n // 512) for n in trials.values())  # golden.cfg's batch_size
+    assert len(set(calls)) == len(calls) == consumed, (calls, trials)
+    assert 3 < consumed < 12  # early stopping cut in, and more than one batch per point
 
 
 
