@@ -45,10 +45,9 @@ class ScenarioGeometry:
     r32_m: float
 
     def __post_init__(self):
-        if self.room_height_m <= 0:
-            raise ParameterError(f"room_height_m must be > 0, got {self.room_height_m}")
-        if self.cell_radius_m <= 0:
-            raise ParameterError(f"cell_radius_m must be > 0, got {self.cell_radius_m}")
+        for name in ("room_height_m", "cell_radius_m"):
+            if getattr(self, name) <= 0:
+                raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
         for name in ("rx_height_u1_m", "rx_height_u2_m", "rx_height_u3_m"):
             if not 0 <= getattr(self, name) < self.room_height_m:
                 raise ParameterError(
@@ -74,14 +73,9 @@ class OpticalFrontEnd:
         lambertian_order(self.semi_angle_deg)
         if not 0 < self.fov_deg <= 90:
             raise ParameterError(f"fov_deg must be in (0, 90], got {self.fov_deg}")
-        if self.detector_area_m2 <= 0:
-            raise ParameterError(f"detector_area_m2 must be > 0, got {self.detector_area_m2}")
-        if self.responsivity_a_per_w <= 0:
-            raise ParameterError(
-                f"responsivity_a_per_w must be > 0, got {self.responsivity_a_per_w}"
-            )
-        if self.filter_gain <= 0:
-            raise ParameterError(f"filter_gain must be > 0, got {self.filter_gain}")
+        for name in ("detector_area_m2", "responsivity_a_per_w", "filter_gain"):
+            if getattr(self, name) <= 0:
+                raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.concentrator_index < 1:
             raise ParameterError(
                 f"concentrator_index must be >= 1, got {self.concentrator_index}"

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .config import ExperimentConfig, load_config
 from .errors import ParameterError
-from .experiments import run_experiment, write_ser_csv
+from .experiments import FIGURES, TABLES, run_experiment, write_ser_csv
 from .montecarlo import MAX_WORKERS, _frame, philox_stream, receivers, sigma_from_snr
 
 SNR_KEYS = ("snr_start_db", "snr_stop_db", "snr_step_db")
@@ -44,8 +44,10 @@ def output_path(path: Path, name: str) -> Path:
     target = Path(os.path.realpath(path))  # still a link only in a symlink loop
     try:
         if (target.is_dir() or target.is_symlink() or not target.parent.is_dir()
-                or not os.access(target.parent, os.W_OK)):
-            raise ParameterError(f"{name} {path} must be a file in an existing, writable directory")
+                or not os.access(target.parent, os.W_OK)
+                or target.exists() and not os.access(target, os.W_OK)):
+            raise ParameterError(f"{name} {path} must be a writable file"
+                                 " in an existing, writable directory")
     except OSError as exc:  # a name too long, say
         raise ParameterError(f"{name} {path}: {exc.strerror}") from None
     return path
@@ -72,8 +74,9 @@ def overridden_config(args) -> ExperimentConfig:
 
 
 def _trace(cfg: ExperimentConfig) -> None:
-    """Print one channel use of the sweep's own frame code, at the first SNR,
-    with every symbol index 1-based like the paper's level numbering."""
+    """Print one channel use (n = 1) of the sweep's own frame code on batch
+    0's stream at the first SNR, a frame that no sweep counts, with every
+    symbol index 1-based like the paper's level numbering."""
     gains, cset = cfg.design()
     snr_db = cfg.sweep.snr_points_db[0]
     sigma = sigma_from_snr(snr_db, cfg.target_power_w)
@@ -113,10 +116,8 @@ def build_parser() -> ArgumentParser:
         p.add_argument("--out", type=Path, default=None, help="output CSV path")
         return p
 
-    add("gains", "computed vs configured channel gains")
-    add("design", "power-level tables and zero-error margins")
-    add("analytic", "closed-form SER and bounds vs SNR")
-    add("complexity", "decoding-cost table")
+    for name, (_, help_text) in TABLES.items():
+        add(name, help_text)
 
     sim = add("simulate", "Monte Carlo SER sweep")
     sim.set_defaults(out=Path("ser_sweep.csv"))
@@ -131,7 +132,7 @@ def build_parser() -> ArgumentParser:
                      help="print one frame's signals and decisions, then exit")
 
     rep = add("reproduce", "run a named reference experiment")
-    rep.add_argument("figure", choices=("fig2", "fig3", "fig4"))
+    rep.add_argument("figure", choices=sorted(FIGURES))
     return parser
 
 

@@ -128,11 +128,12 @@ FIGURES = {
     "fig4": (analytic.SCHEMES, ("u2",), ("series = cell-edge user SER per scheme", BASELINE_NOTE)),
     "fig2": (("noma-sic",), USERS, ()),
 }
+# Table name -> (the function that writes it, the help text of its subcommand)
 TABLES = {
-    "gains": experiment_gains,
-    "design": experiment_design,
-    "analytic": experiment_analytic,
-    "complexity": experiment_complexity,
+    "gains": (experiment_gains, "computed vs configured channel gains"),
+    "design": (experiment_design, "power-level tables and zero-error margins"),
+    "analytic": (experiment_analytic, "closed-form SER and bounds vs SNR"),
+    "complexity": (experiment_complexity, "decoding-cost table"),
 }
 EXPERIMENTS = (*TABLES, *FIGURES)
 
@@ -165,5 +166,5 @@ def run_experiment(name: str, cfg: ExperimentConfig, out: Path, workers: int = 1
         cfg = replace(cfg, bpcu=REFERENCE_BPCU, sweep=replace(cfg.sweep, schemes=schemes))
         return write_ser_csv(cfg, out, workers, memo, users, notes)
     if name in TABLES:
-        return TABLES[name](cfg, out)
+        return TABLES[name][0](cfg, out)
     raise ParameterError(f"unknown experiment {name!r}, expected one of {EXPERIMENTS}")

@@ -29,7 +29,7 @@ class Workspace:
         self._arrays: dict = {}
 
     def take(self, key, shape: tuple, dtype=float) -> np.ndarray:
-        size = math.prod(shape)
+        size, dtype = math.prod(shape), np.dtype(dtype)  # float and float64: one array
         array = self._arrays.get((key, dtype))
         if array is None or array.size < size:
             array = self._arrays[key, dtype] = np.empty(size, dtype)
@@ -60,18 +60,23 @@ def _indices(symbols, sizes) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _gather(levels: np.ndarray, index, ws: Workspace | None, name: str):
-    """``levels[index]`` for in-range indices, into the workspace array ``name``."""
-    return np.take(levels, index, out=_out(ws, name, np.shape(index)), mode="clip")
+def _take(values: np.ndarray, index: np.ndarray, ws: Workspace | None, key) -> np.ndarray:
+    """``values[index]`` for in-range indices of any integer type, into the
+    workspace array ``key``.  An index that is not intp is widened first into
+    the workspace's intp array "index": np.take would allocate to cast it."""
+    if index.dtype != np.intp:
+        wide = _out(ws, "index", index.shape, np.intp)
+        np.copyto(wide, index)
+        index = wide
+    return np.take(values, index, out=_out(ws, key, index.shape, values.dtype), mode="clip")
 
 
-def _lookup(values: np.ndarray, index: np.ndarray, out: np.ndarray, ws: Workspace | None):
-    """``values[index]`` into ``out`` for in-range indices of any integer type,
-    widened first into the workspace's intp array "index": np.take would
-    allocate to cast a byte index itself."""
-    wide = _out(ws, "index", index.shape, np.intp)
-    np.copyto(wide, index)
-    return np.take(values, wide, out=out, mode="clip")
+def _noisy(level, shape: tuple, sigma: float, rng, ws: Workspace | None, key) -> np.ndarray:
+    """``level`` plus standard normals drawn at ``shape`` into the workspace
+    array "z" and scaled by sigma, summed into the array ``key``."""
+    noise = rng.standard_normal(shape, out=_out(ws, "z", shape))
+    noise *= sigma
+    return np.add(noise, level, out=_out(ws, key, shape))
 
 
 def superpose_transmit(symbols, cset: ConstellationSet, gains: ChannelGains,
@@ -86,9 +91,9 @@ def superpose_transmit(symbols, cset: ConstellationSet, gains: ChannelGains,
     i1, i2, i3 = _indices(symbols, cset.bpcu.sizes)
     shape = np.broadcast_shapes(np.shape(i1), np.shape(i2), np.shape(i3))
     # each cell's transmit sum builds up in the array of the user it scales into last
-    tx1 = np.add(_gather(cset.cell1_center, i1, ws, "y1"), _gather(cset.cell1_edge, i2, ws, "t"),
+    tx1 = np.add(_take(cset.cell1_center, i1, ws, "y1"), _take(cset.cell1_edge, i2, ws, "t"),
                  out=_out(ws, "y1", shape))
-    tx2 = np.add(_gather(cset.cell2_edge, i2, ws, "y3"), _gather(cset.cell2_center, i3, ws, "t"),
+    tx2 = np.add(_take(cset.cell2_edge, i2, ws, "y3"), _take(cset.cell2_center, i3, ws, "t"),
                  out=_out(ws, "y3", shape))
     y2 = np.multiply(tx1, gains.h21, out=_out(ws, "y2", shape))
     y2 = np.add(y2, np.multiply(tx2, gains.h22, out=_out(ws, "t", shape)),
@@ -106,13 +111,8 @@ def awgn_sample(noiseless, sigma: float, rng: np.random.Generator, ws: Workspace
     """
     if not sigma >= 0:
         raise ParameterError(f"sigma must be >= 0, got {sigma}")
-    received = []
-    for name, y in zip(("y1", "y2", "y3"), noiseless):
-        y = np.asarray(y, dtype=float)
-        noise = rng.standard_normal(y.shape, out=_out(ws, "z", y.shape))
-        noise *= sigma
-        received.append(np.add(y, noise, out=_out(ws, name, y.shape)))
-    return tuple(received)
+    return tuple(_noisy(y, np.shape(y), sigma, rng, ws, name)
+                 for name, y in zip(("y1", "y2", "y3"), noiseless))
 
 
 _SIGN_FREE = np.int64(0x7FFFFFFFFFFFFFFF)
@@ -207,26 +207,25 @@ class DecisionTable:
         table (by identity), so a frame decides at most once with each table."""
         y = np.asarray(y)
         shape = y.shape
-        slot = _out(ws, self if self._direct else "slot", shape,
-                    np.uint8 if self._counted else np.intp)
+        key = self if self._direct else "slot"
         if self._counted:
             size = self.thresholds.size
             below = np.less(y, self.thresholds.reshape(size, *(1,) * y.ndim),
                             out=_out(ws, "below", (size, *shape), bool))
             # K less the thresholds above y, none for NaN; K <= 32 fits a uint8,
             # so the bools sum as their bytes, with no cast
-            np.add.reduce(below.view(np.uint8), axis=0, dtype=np.uint8, out=slot)
+            slot = np.add.reduce(below.view(np.uint8), axis=0, dtype=np.uint8,
+                                 out=_out(ws, key, shape, np.uint8))
             np.subtract(size, slot, out=slot)
         else:
-            # every index below is in range by construction, so mode="clip" clips nothing
-            np.take(self._start, _bucket(y, *self._geometry, ws), out=slot, mode="clip")
+            # every index below is in range by construction
+            slot = _take(self._start, _bucket(y, *self._geometry, ws), ws, key)
             for _ in range(self._span):  # a NaN after the last threshold ends the steps
-                slot += np.greater_equal(
-                    y, np.take(self._padded, slot, out=_out(ws, "x", shape), mode="clip"),
-                    out=_out(ws, "ge", shape, np.intp))
+                slot += np.greater_equal(y, _take(self._padded, slot, ws, "x"),
+                                         out=_out(ws, "ge", shape, np.intp))
         if self._direct:
             return slot
-        return _lookup(self.labels, slot, _out(ws, self, shape, self.labels.dtype), ws)
+        return _take(self.labels, slot, ws, self)
 
 
 @dataclass(frozen=True)
@@ -247,9 +246,8 @@ class SicReceiver:
         """``(own, edge)`` labels shaped like y, decided by ``stage2`` and
         ``stage1``: bytes where that table is direct and counted."""
         edge = self.stage1.decide(y, ws)
-        shape = np.shape(edge)
-        shift = _lookup(self.levels, edge, _out(ws, "residual", shape), ws)
-        residual = np.subtract(y, shift, out=_out(ws, "residual", shape))
+        shift = _take(self.levels, edge, ws, "residual")
+        residual = np.subtract(y, shift, out=_out(ws, "residual", edge.shape))
         return self.stage2.decide(residual, ws), edge
 
 
@@ -358,8 +356,6 @@ def oma_round(symbols, links, sigma: float, rng: np.random.Generator,
     decided = [None, None, None]
     for k in (0, 2, 1):
         levels, table = links[k]
-        y = rng.standard_normal(shape, out=_out(ws, "z", shape))
-        y *= sigma
-        y += _gather(levels, indices[k], ws, "t")
+        y = _noisy(_take(levels, indices[k], ws, "t"), shape, sigma, rng, ws, "z")
         decided[k] = table.decide(y, ws)
     return tuple(decided)

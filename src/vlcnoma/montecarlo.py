@@ -16,6 +16,7 @@ baseline runs, its symbols and its noise on users 1, 3 and 2.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -52,6 +53,11 @@ class SweepConfig:
     batch_size: int = 1 << 15
 
     def __post_init__(self):
+        # a tuple, so that a listed grid hashes as a memo key
+        object.__setattr__(self, "snr_points_db", tuple(self.snr_points_db))
+        for name in ("trials_per_point", "seed", "min_errors", "batch_size"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ParameterError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 0 < len(self.snr_points_db) <= MAX_POINTS:
             raise ParameterError(f"snr_points_db must hold 1..{MAX_POINTS} points,"
                                  f" got {len(self.snr_points_db)}")
@@ -359,29 +365,28 @@ def run_sweep(
     zero-error gap condition only warns; sweeping bad designs on purpose is
     a supported way to watch the condition matter.
 
-    ``memo``, a dict shared by the sweeps of one run, keeps each simulated
-    sweep's snapshots.  A later sweep of an equal design and settings over
-    some of its schemes replays its own stop rule on them and simulates
-    nothing.  OMA draws after the superposed symbols, so an OMA-only sweep
-    is never replayed from one that ran a superposed scheme.
+    ``memo``, a dict shared by the sweeps of one run, keeps the snapshots of
+    the first sweep simulated with each design and settings.  A later sweep
+    over some of its schemes replays its own stop rule on them and simulates
+    nothing; any other is simulated.  OMA draws after the superposed
+    symbols, so an OMA-only sweep is never replayed from one that ran a
+    superposed scheme.
     """
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ParameterError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
+    if not isinstance(workers, numbers.Integral) or not 1 <= workers <= MAX_WORKERS:
+        raise ParameterError(f"workers must be an integer in 1..{MAX_WORKERS}, got {workers!r}")
     ok, _ = verify_gap_condition(cset, gains)
     if not ok:
         warnings.warn("constellation fails the zero-error gap condition", stacklevel=2)
     sigmas = [sigma_from_snr(snr_db, config.target_power_w) for snr_db in config.snr_points_db]
-    design = (gains, *(v.tobytes() if isinstance(v, np.ndarray) else v
-                       for v in vars(cset).values()))
-    sweeps = ({} if memo is None else memo).setdefault(
-        (replace(config, schemes=analytic.SCHEMES), design), [])  # every setting but schemes
-    for schemes, records in sweeps:
-        if set(config.schemes) <= set(schemes) and (config.schemes != ("oma",)
-                                                    or schemes == ("oma",)):
-            break
-    else:
+    if memo is not None:  # every setting but schemes, and the design by value
+        key = (replace(config, schemes=analytic.SCHEMES), gains,
+               *(v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(cset).values()))
+        schemes, records = memo.get(key, ((), None))
+    if memo is None or not set(config.schemes) <= set(schemes) or (
+            config.schemes == ("oma",) and schemes != ("oma",)):
         schemes, records = config.schemes, _run_points(config, sigmas, cset, gains, workers)
-        sweeps.append((schemes, records))
+        if memo is not None:
+            memo.setdefault(key, (schemes, records))
     rows = [schemes.index(scheme) for scheme in config.schemes]
     stops = [_stop(snapshots, rows, config.min_errors) for snapshots in records]
     forms = analytic.closed_forms(config.schemes, cset, gains, sigmas)

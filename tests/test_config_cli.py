@@ -436,6 +436,27 @@ class TestCli:
         assert "--out" in err and str(out) in err, err
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("script", [False, True], ids=["out", "reproduce_all"])
+    def test_read_only_out_file_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                        script):
+        # an existing file that refused the write used to run the sweep, then exit 2
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep ran")
+
+        out = tmp_path / ("fig2.csv" if script else "out.csv")
+        out.write_text("old\n")
+        # root may write any file, so os.access answers as the mode bits would
+        access, target = os.access, Path(os.path.realpath(out))
+        monkeypatch.setattr(os, "access", lambda path, mode: Path(path) != target
+                            and access(path, mode))
+        monkeypatch.setattr(experiments, "run_sweep", no_sweep)
+        status = (REPRODUCE_ALL_MAIN([str(tmp_path)]) if script
+                  else run_cli("simulate", "--trials", "64", "--out", str(out)))
+        assert status == 1
+        err = capsys.readouterr().err
+        assert str(out) in err and ("output" if script else "--out") in err, err
+        assert out.read_text() == "old\n"
+
     def test_non_finite_snr_spec_exits_1(self, capsys):
         assert run_cli("simulate", "--snr", "nan:150:2") == 1
         assert "--snr" in capsys.readouterr().err
@@ -571,10 +592,10 @@ COMMANDS = (["gains"], ["design"], ["analytic"], ["complexity"], ["simulate"],
             ["reproduce", "fig5"])
 # where an output goes: a file, the file already there, a directory, a link
 # into a missing directory, a missing directory, none given, a name the OS
-# refuses as too long, a read-only directory (root writes into one anyway,
-# so not as root)
+# refuses as too long, a read-only directory or file (root writes into
+# either anyway, so not as root)
 PLACES = ("new", "existing", "directory", "dangling", "missing", "absent", "too-long") + (
-    ("read-only",) if os.geteuid() != 0 else ())
+    ("read-only", "read-only-file") if os.geteuid() != 0 else ())
 # a file name longer than the 255 bytes that common file systems allow
 TOO_LONG = "a" * 300
 
@@ -647,6 +668,9 @@ def place(root: Path, kind: str) -> Path | None:
     elif kind == "read-only":
         (root / "ro").mkdir(mode=0o555)
         path = root / "ro" / "out.csv"
+    elif kind == "read-only-file":
+        path.write_text("old\n")
+        path.chmod(0o444)
     return None if kind == "absent" else path
 
 

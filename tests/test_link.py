@@ -455,6 +455,13 @@ class TestDecisionTables:
         got = [table.decide(np.array([0.0, 1.0]), ws) for table in tables]
         assert [labels.tolist() for labels in got] == [[0, 1], [0, 2], [1, 0], [2, 1]]
 
+    def test_workspace_takes_one_array_for_every_spelling_of_a_dtype(self):
+        # keyed by the dtype object as given, float and float64 held two arrays
+        ws = Workspace()
+        arrays = [ws.take("x", (4,), dtype) for dtype in (float, np.float64, np.dtype("float64"))]
+        assert all(np.shares_memory(arrays[0], array) for array in arrays[1:])
+        assert len(ws._arrays) == 1
+
     def test_warmed_gathered_counted_lookup_allocates_no_index(self):
         # np.take cast the byte slot to intp itself: a 262 792 B peak here
         thresholds = np.linspace(-1.0, 1.0, 15)

@@ -185,6 +185,21 @@ class TestRunSweep:
             run_sweep(small_sweep(), reference_set, reference_gains, workers=workers)
         assert RecordingPool.recorded == []
 
+    @pytest.mark.parametrize("field", ["trials_per_point", "seed", "min_errors", "batch_size"])
+    def test_integer_fields_reject_non_integers_naming_the_field(self, field):
+        # a float seed was truncated into the Philox key; min_errors 0.5 acted as 1
+        with pytest.raises(ParameterError, match=f"{field} must be an integer, got 1.5"):
+            small_sweep(**{field: 1.5})
+        small_sweep(**{field: np.int64(1)})
+
+    def test_rejects_a_worker_count_that_is_no_integer(self, reference_set, reference_gains):
+        # threading raised "'float' object cannot be interpreted as an integer"
+        with pytest.raises(ParameterError, match="workers must be an integer"):
+            run_sweep(small_sweep(), reference_set, reference_gains, workers=2.5)
+        config = small_sweep(snr_points_db=(140.0,), trials_per_point=64, batch_size=32)
+        assert (run_sweep(config, reference_set, reference_gains, workers=np.int64(2))
+                == run_sweep(config, reference_set, reference_gains))
+
     def test_every_batch_consumed_at_zero_min_errors(self, reference_set, reference_gains,
                                                      streams_drawn):
         # every user errs in batch 0 at 100 dB, which stops the point at min_errors = 1
@@ -376,7 +391,16 @@ class TestReplay:
         assert [p for p in shared if p.scheme == "oma"] != alone
         calls.clear()
         assert run_sweep(oma, reference_set, reference_gains, memo=memo) == alone
-        assert calls == []  # replayed from the OMA-only sweep just simulated
+        assert len(calls) == 3 * 16  # the memo keeps only the first sweep, the superposed one
+
+    def test_a_listed_grid_sweeps_with_and_without_a_memo(self, reference_set,
+                                                         reference_gains):
+        # the memo key was built, and hashed, on every call: a list raised TypeError
+        listed = small_sweep(**{**REPLAYED, "snr_points_db": [136.0, 142.0]})
+        tupled = replace(listed, snr_points_db=(136.0, 142.0))
+        alone = run_sweep(tupled, reference_set, reference_gains)
+        assert run_sweep(listed, reference_set, reference_gains) == alone
+        assert run_sweep(listed, reference_set, reference_gains, memo={}) == alone
 
     def test_only_an_equal_design_and_equal_settings_are_replayed(
             self, reference_set, reference_gains, streams_drawn):
