@@ -19,7 +19,7 @@ from pathlib import Path
 from .config import ExperimentConfig, load_config
 from .errors import ParameterError
 from .experiments import FIGURES, TABLES, run_experiment, write_ser_csv
-from .montecarlo import MAX_WORKERS, _frame, philox_stream, receivers, sigma_from_snr
+from .montecarlo import MAX_WORKERS, _batch, receivers
 
 SNR_KEYS = ("snr_start_db", "snr_stop_db", "snr_step_db")
 # override option -> the config key its value sets; --snr sets SNR_KEYS
@@ -74,19 +74,15 @@ def overridden_config(args) -> ExperimentConfig:
 
 
 def _trace(cfg: ExperimentConfig) -> None:
-    """Print one channel use (n = 1) of the sweep's own frame code on batch
-    0's stream at the first SNR, a frame that no sweep counts, with every
-    symbol index 1-based like the paper's level numbering."""
+    """Print trial 0 of batch 0 at the first SNR, which every sweep with a superposed
+    scheme counts first, each symbol index 1-based like the paper's levels."""
     gains, cset = cfg.design()
-    snr_db = cfg.sweep.snr_points_db[0]
-    sigma = sigma_from_snr(snr_db, cfg.target_power_w)
     tables = receivers(cset, gains, ("noma-sic", "noma-jml"), cfg.target_power_w)
-    sent, received, decided = _frame(philox_stream(cfg.sweep.seed, 0, 0), 1, sigma, cset,
-                                      gains, tables)
-    u1, u2, u3, u1_hat, u2_sic, u3_hat, u2_jml, edge1, edge3 = (x.item() + 1 for x in (
+    sent, received, decided = _batch(cfg.sweep, 0, 0, cset, gains, tables)
+    u1, u2, u3, u1_hat, u2_sic, u3_hat, u2_jml, edge1, edge3 = (x.item(0) + 1 for x in (
         *sent["noma-sic"], *decided["noma-sic"], decided["noma-jml"][1], *decided["sic-stage1"]))
-    y1, y2, y3 = (y.item() for y in received)
-    print(f"snr_db = {snr_db}  sigma = {sigma!r}")
+    y1, y2, y3 = (y.item(0) for y in received)
+    print(f"snr_db = {cfg.sweep.snr_points_db[0]}  sigma = {cfg.sweep.sigmas[0]!r}")
     print(f"sent: u1={u1} u2={u2} u3={u3}")
     print(f"received: y1={y1!r} y2={y2!r} y3={y3!r}")
     print(f"user1 sic: own={u1_hat} edge_stage={edge1}")
@@ -150,8 +146,8 @@ def exit_code(action) -> int:
 
 
 def _run(args) -> None:
-    """Write the command's CSV and print its path; ``simulate --trace``
-    prints one frame instead, reading neither ``--out`` nor the workers."""
+    """Write the command's CSV and print its path; ``simulate --trace`` prints
+    the sweep's first trial instead, reading neither ``--out`` nor the workers."""
     cfg = overridden_config(args)
     if getattr(args, "trace", False):
         return _trace(cfg)

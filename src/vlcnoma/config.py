@@ -10,6 +10,7 @@ default to None, so a file without them uses the computed gain matrix.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -31,6 +32,17 @@ def parse_finite(text: str) -> float:
 def parse_schemes(text: str) -> tuple[str, ...]:
     """Comma-separated scheme names; SweepConfig checks what they name."""
     return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _fmt(value) -> str:
+    """A value as every output writes it: numpy scalars and bools as Python numbers."""
+    if value is None:
+        return ""
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    if isinstance(value, numbers.Real):
+        return repr(float(value))
+    return str(value)
 
 
 def _parse_snr_points(text: str) -> tuple[float, ...]:
@@ -79,11 +91,9 @@ SCHEMA: dict[str, tuple] = {
     "schemes": (parse_schemes, ("noma-sic",), "sweep.schemes"),
 }
 
-# How config_echo writes a value, by the parser that reads it back.
+# How config_echo writes a value, by the parser that reads it back; any other as _fmt.
 ECHO_FORMAT = {
-    parse_finite: repr,
-    int: str,
-    _parse_snr_points: lambda points: ":".join(repr(s) for s in points),
+    _parse_snr_points: lambda points: ":".join(map(_fmt, points)),
     parse_schemes: ",".join,
 }
 
@@ -241,5 +251,5 @@ def config_echo(cfg: ExperimentConfig) -> list[tuple[str, str]]:
             owner = getattr(cfg, section)  # None: no gain override
             value = None if owner is None else getattr(owner, name)
             if value is not None:
-                pairs.append((key, ECHO_FORMAT[parser](value)))
+                pairs.append((key, ECHO_FORMAT.get(parser, _fmt)(value)))
     return pairs

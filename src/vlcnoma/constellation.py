@@ -11,6 +11,7 @@ than to any other, no matter which center symbols ride along.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,10 @@ class SpectralEfficiencies:
         bits = MAX_GRID.bit_length() - 1
         for name in ("u1", "u2", "u3"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if not isinstance(value, numbers.Integral) or value < 1:
                 raise ParameterError(f"bpcu_{name} must be an integer >= 1, got {value!r}")
+            value = int(value)  # a numpy int or a bool too; center_points takes an int
+            object.__setattr__(self, name, value)
             if 2 * value > bits:
                 raise ParameterError(f"bpcu_{name} = {value} makes a 4**{value}-level orthogonal"
                                      f" PAM, more than {MAX_GRID} levels")

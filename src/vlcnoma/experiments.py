@@ -9,28 +9,17 @@ together with deterministic sweeps makes outputs byte-stable.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import replace
 from pathlib import Path
 
 from . import analytic
 from .channel import _keys_read
-from .config import ExperimentConfig, config_echo
+from .config import ExperimentConfig, _fmt, config_echo
 from .constellation import LEVEL_SETS, SpectralEfficiencies, peak_powers, verify_gap_condition
 from .errors import ParameterError
-from .montecarlo import USERS, run_sweep, sigma_from_snr
+from .montecarlo import USERS, run_sweep
 
 SER_HEADER = "snr_db,user,scheme,trials,errors,ser,ci_low,ci_high,analytic"
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, numbers.Integral):
-        return str(int(value))
-    if isinstance(value, numbers.Real):
-        return repr(float(value))
-    return str(value)
 
 
 def write_csv(path, header: str, rows, comments=()) -> Path:
@@ -95,11 +84,9 @@ def experiment_design(cfg: ExperimentConfig, out: Path) -> Path:
 def experiment_analytic(cfg: ExperimentConfig, out: Path) -> Path:
     """Closed-form SER (edge user) and lower bounds (center users) vs SNR."""
     gains, cset = cfg.design()
-    grid = cfg.sweep.snr_points_db
-    forms = analytic.closed_forms(("noma-sic",), cset, gains,
-                                  [sigma_from_snr(snr_db, cfg.target_power_w) for snr_db in grid])
+    forms = analytic.closed_forms(("noma-sic",), cset, gains, cfg.sweep.sigmas)
     rows = [(snr_db, user, forms["noma-sic", user][point])
-            for point, snr_db in enumerate(grid) for user in USERS]
+            for point, snr_db in enumerate(cfg.sweep.snr_points_db) for user in USERS]
     return write_csv(out, "snr_db,user,analytic", rows, echo_comments(cfg))
 
 

@@ -20,7 +20,7 @@ import numbers
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,7 +42,7 @@ MAX_TRIALS = 1 << 36  # trials per sweep, about 3 h at 150 ns/trial; the paper's
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One sweep: SNR grid, trial budget, seed, and which schemes to run."""
+    """One sweep: SNR grid, trial budget, seed, schemes, and the derived noise ``sigmas``."""
 
     snr_points_db: tuple[float, ...]
     trials_per_point: int
@@ -51,6 +51,7 @@ class SweepConfig:
     schemes: tuple[str, ...] = ("noma-sic",)
     min_errors: int = 0
     batch_size: int = 1 << 15
+    sigmas: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # a tuple, so that a listed grid hashes as a memo key
@@ -70,11 +71,13 @@ class SweepConfig:
         if not 0 < self.target_power_w < math.inf:
             raise ParameterError(
                 f"target_power_w must be finite and > 0, got {self.target_power_w}")
+        sigmas = []
         for snr_db in self.snr_points_db:
             try:
-                sigma_from_snr(snr_db, self.target_power_w)
+                sigmas.append(sigma_from_snr(snr_db, self.target_power_w))
             except ParameterError:
                 raise ParameterError(f"snr_points_db: no finite noise at {snr_db} dB") from None
+        object.__setattr__(self, "sigmas", tuple(sigmas))
         if len(set(self.snr_points_db)) < len(self.snr_points_db):
             raise ParameterError(f"snr_points_db lists a point twice: {self.snr_points_db}")
         if not 0 <= self.seed < 2**64:
@@ -192,7 +195,7 @@ def _frame(
     ws: Workspace | None = None,
 ) -> tuple[dict, tuple | None, dict]:
     """n channel uses of every scheme that ``tables`` (see ``receivers``)
-    decodes: ``(sent, received, decided)``.
+    decodes, as ``_batch`` frames them: ``(sent, received, decided)``.
 
     ``sent`` and ``decided`` map each scheme to its 0-based (u1, u2, u3) indices;
     both superposed schemes share one transmission.  ``received`` is the
@@ -224,6 +227,14 @@ def _frame(
     return sent, received, decided
 
 
+def _batch(config: SweepConfig, point: int, batch: int, cset: ConstellationSet,
+           gains: ChannelGains, tables: dict, ws: Workspace | None = None) -> tuple:
+    """``_frame`` of one batch of a point: its own Philox stream and its size."""
+    n = min(config.batch_size, config.trials_per_point - batch * config.batch_size)
+    return _frame(philox_stream(config.seed, point, batch), n, config.sigmas[point], cset,
+                  gains, tables, ws)
+
+
 def _settled(totals: np.ndarray, min_errors: int) -> np.ndarray:
     """Per scheme of a point's (scheme, user) error totals: has every user ``min_errors``?"""
     return (totals >= min_errors).all(axis=1) & (min_errors > 0)
@@ -231,7 +242,6 @@ def _settled(totals: np.ndarray, min_errors: int) -> np.ndarray:
 
 def _run_points(
     config: SweepConfig,
-    sigmas: list[float],
     cset: ConstellationSet,
     gains: ChannelGains,
     workers: int,
@@ -248,9 +258,9 @@ def _run_points(
     """
     total, size = config.trials_per_point, config.batch_size
     batches = -(-total // size)  # per point, each of ``size`` trials but the last
-    workers = min(workers, len(sigmas) * batches)
+    count = len(config.snr_points_db)
+    workers = min(workers, count * batches)
     tables = receivers(cset, gains, config.schemes, config.target_power_w)
-    count = len(sigmas)
     totals = np.zeros((count, len(config.schemes), len(USERS)), dtype=np.int64)
     issued, consumed = [0] * count, [0] * count
     records: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(count)]
@@ -262,10 +272,8 @@ def _run_points(
 
     def compute(point: int, batch: int, ws: Workspace) -> np.ndarray:
         """Symbol error counts of one batch, indexed (scheme, user)."""
-        n = min(size, total - batch * size)
-        sent, _, decided = _frame(philox_stream(config.seed, point, batch), n, sigmas[point],
-                                  cset, gains, tables, ws)
-        wrong = ws.take("errors", (n,), bool)
+        sent, _, decided = _batch(config, point, batch, cset, gains, tables, ws)
+        wrong = ws.take("errors", sent[config.schemes[0]][0].shape, bool)
         return np.array([[np.count_nonzero(np.not_equal(got, want, out=wrong))
                           for want, got in zip(sent[scheme], decided[scheme])]
                          for scheme in config.schemes], dtype=np.int64)
@@ -377,20 +385,19 @@ def run_sweep(
     ok, _ = verify_gap_condition(cset, gains)
     if not ok:
         warnings.warn("constellation fails the zero-error gap condition", stacklevel=2)
-    sigmas = [sigma_from_snr(snr_db, config.target_power_w) for snr_db in config.snr_points_db]
     if memo is not None:  # every setting but schemes, and the design by value
         key = (replace(config, schemes=analytic.SCHEMES), gains,
                *(v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(cset).values()))
         schemes, records = memo.get(key, ((), None))
     if memo is None or not set(config.schemes) <= set(schemes) or (
             config.schemes == ("oma",) and schemes != ("oma",)):
-        schemes, records = config.schemes, _run_points(config, sigmas, cset, gains, workers)
+        schemes, records = config.schemes, _run_points(config, cset, gains, workers)
         if memo is not None:
             memo.setdefault(key, (schemes, records))
     rows = [schemes.index(scheme) for scheme in config.schemes]
     stops = [_stop(snapshots, rows, config.min_errors) for snapshots in records]
-    forms = analytic.closed_forms(config.schemes, cset, gains, sigmas)
-    none = [None] * len(sigmas)
+    forms = analytic.closed_forms(config.schemes, cset, gains, config.sigmas)
+    none = [None] * len(config.sigmas)
     points = [SerPoint(snr_db, user, scheme, SerEstimate(e, t, e / t, *wilson_interval(e, t)),
                        (forms.get((scheme, user)) or none)[point])
               for point, (snr_db, (n, totals)) in enumerate(zip(config.snr_points_db, stops))

@@ -5,9 +5,11 @@ import os
 import re
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,8 @@ from vlcnoma.cli import main
 from vlcnoma.config import (SCHEMA, build_config, config_echo, default_config_path, load_config,
                             parse_kv_file, snr_grid)
 from vlcnoma.errors import ParameterError
+
+GOLDEN_CFG = Path(__file__).resolve().with_name("golden") / "golden.cfg"
 
 
 class TestLoadConfig:
@@ -136,6 +140,16 @@ class TestLoadConfig:
         rebuilt = build_config(dict(config_echo(cfg)))
         assert rebuilt == cfg
 
+    def test_echo_of_numpy_and_bool_values_round_trips(self):
+        # each value echoes as the text its key's parser reads back
+        cfg = load_config()
+        for sweep in (replace(cfg.sweep, snr_points_db=np.array([100.0, 102.0]),
+                              target_power_w=np.float64(1.0)),
+                      replace(cfg.sweep, trials_per_point=np.int64(500)),
+                      replace(cfg.sweep, seed=True)):
+            echo = config_echo(replace(cfg, sweep=sweep))
+            assert build_config(dict(echo)) == replace(cfg, sweep=sweep), echo
+
     def test_csv_reproducible_from_its_own_echo(self, tmp_path):
         first = tmp_path / "first.csv"
         again = tmp_path / "again.csv"
@@ -249,6 +263,33 @@ class TestCli:
         assert run_cli("simulate", "--trace", "--trials", "10", "--out", str(out)) == 0
         assert "sent:" in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
+
+    def test_trace_is_trial_0_of_the_sweeps_first_batch(self, capsys):
+        # the frame that batch 0 of the first point decides in any superposed sweep
+        cfg = load_config(GOLDEN_CFG)
+        gains, cset = cfg.design()
+        tables = montecarlo.receivers(cset, gains, ("noma-sic", "noma-jml"), cfg.target_power_w)
+        n = min(cfg.sweep.batch_size, cfg.sweep.trials_per_point)
+        assert n == 512
+        snr_db = cfg.sweep.snr_points_db[0]
+        sigma = montecarlo.sigma_from_snr(snr_db, cfg.target_power_w)
+        sent, received, decided = montecarlo._frame(
+            montecarlo.philox_stream(cfg.sweep.seed, 0, 0), n, sigma, cset, gains, tables)
+        assert run_cli("simulate", "--trace", "--config", str(GOLDEN_CFG)) == 0
+        first, *rest = capsys.readouterr().out.splitlines()
+        assert first == f"snr_db = {snr_db}  sigma = {sigma!r}"
+
+        def index(array):  # printed 1-based
+            return str(array.item(0) + 1)
+
+        (u1_hat, u2_sic, u3_hat), (edge1, edge3) = decided["noma-sic"], decided["sic-stage1"]
+        assert [re.findall(r"(?:=|: )([-+.\de]+)", line) for line in rest] == [
+            [index(u) for u in sent["noma-sic"]],
+            [repr(y.item(0)) for y in received],
+            [index(u1_hat), index(edge1)],
+            [index(u2_sic), index(decided["noma-jml"][1])],
+            [index(u3_hat), index(edge3)],
+        ]
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,21 @@ class TestSpectralEfficiencies:
         assert math.prod(SpectralEfficiencies(10, 1, 9).sizes) == MAX_GRID
         with pytest.raises(ParameterError, match=r"bpcu_u1\.\.bpcu_u3"):
             SpectralEfficiencies(10, 2, 9)
+
+    def test_numpy_integers_are_stored_as_python_ints(self, reference_gains):
+        bpcu = SpectralEfficiencies(np.int64(3), np.uint8(2), 2)
+        assert bpcu == SpectralEfficiencies(3, 2, 2)
+        assert [type(b) for b in (bpcu.u1, bpcu.u2, bpcu.u3)] == [int, int, int]
+        # the center levels and the orthogonal PAM are built from Python ints
+        cset = design_constellation(bpcu, reference_gains, 1.0)
+        assert set(receivers(cset, reference_gains, ("noma-sic", "oma"), 1.0)) == {
+            "noma-sic", "u1", "u3", "oma"}
+
+    @pytest.mark.parametrize("value", [3.0, np.float64(3.0), "3"])
+    def test_non_integers_rejected(self, value):
+        message = f"bpcu_u1 must be an integer >= 1, got {value!r}"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            SpectralEfficiencies(value, 2, 2)
 
 
 class TestEdgePoints:

@@ -48,6 +48,22 @@ class TestSigmaFromSnr:
             sigma_from_snr(10.0, 0.0)
 
 
+class TestDerivedSigmas:
+    def test_one_per_point_from_sigma_from_snr(self):
+        config = small_sweep(snr_points_db=(100.0, 138.0, 146.5), target_power_w=2.0)
+        assert config.sigmas == tuple(sigma_from_snr(s, 2.0) for s in (100.0, 138.0, 146.5))
+
+    def test_left_out_of_equality_hash_and_repr(self):
+        config, other = small_sweep(), small_sweep()
+        object.__setattr__(other, "sigmas", (0.0, 0.0))
+        assert config == other and hash(config) == hash(other)
+        assert "sigmas" not in repr(config)
+
+    def test_recomputed_by_replace(self):
+        config = replace(small_sweep(), snr_points_db=(120.0,), target_power_w=4.0)
+        assert config.sigmas == (sigma_from_snr(120.0, 4.0),)
+
+
 class TestWilsonInterval:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
