@@ -5,10 +5,12 @@ Usage: python scripts/reproduce_all.py [outdir] [--config PATH] [--trials N]
 
 The sweep experiments honor trials/seed from the config; ``--trials N``
 sets ``trials_per_point`` as a config line would.  gains/design/complexity
-are instant.  fig3, fig4 and fig2 are drawn from one simulation: fig2's
-noma-sic sweep replays the batches of fig3's.  Every output path is checked
-before any experiment runs.  Exit codes are the CLI's: 1 for bad input,
-usage errors too, naming the key or path.
+are instant.  fig3, fig4 and fig2 are drawn from one simulation: fig3's
+sweep over all schemes is simulated once, and fig4's equal sweep and fig2's
+noma-sic sweep replay its batches from run_sweep's memo, the run's one
+cache.  Every output path is checked before any experiment runs.  Exit
+codes are the CLI's: 1 for bad input, usage errors too, naming the key or
+path.
 """
 
 import sys

@@ -105,11 +105,11 @@ BASELINE_NOTE = ("note: the prior single-cell superposition baseline is omitted;
                  " design rules are not part of this package")
 
 # Figure name -> (schemes swept, users kept, extra comment lines).  Every
-# figure runs at the reference efficiencies.  fig3 and fig4 are two views of
-# one sweep over all schemes; the orthogonal baseline in it runs doubled
-# efficiencies so each user carries the same bits per channel use.  fig2's
-# noma-sic sweep comes last, so run_sweep replays it from that sweep's
-# snapshots with its own stop rule (see run_sweep's memo).
+# figure runs at the reference efficiencies.  fig3 simulates one sweep over
+# all schemes; the orthogonal baseline in it runs doubled efficiencies so
+# each user carries the same bits per channel use.  fig4 and then fig2 come
+# after it, so run_sweep replays both from that sweep's snapshots, the one
+# cache, each with its own stop rule (see run_sweep's memo).
 FIGURES = {
     "fig3": (analytic.SCHEMES, ("avg",), ("series = average SER per scheme", BASELINE_NOTE)),
     "fig4": (analytic.SCHEMES, ("u2",), ("series = cell-edge user SER per scheme", BASELINE_NOTE)),
@@ -130,24 +130,22 @@ def write_ser_csv(cfg: ExperimentConfig, out: Path, workers: int = 1, memo: dict
     """Write the rows of ``users`` from ``cfg``'s sweep under its config
     echo and ``notes``: the one writer of every SER CSV.
 
-    ``memo`` maps each config to its sweep, so figures that need the same
-    sweep within one run share it; the key is the whole config, so an entry
-    is never reused for a different one.  ``run_sweep`` keeps its snapshots
-    there too, so a later sweep over fewer schemes simulates nothing.
+    It keeps no cache of its own.  ``memo`` goes to ``run_sweep``, whose
+    snapshots are the one cache, so a figure over the schemes of an earlier
+    sweep in the same run replays that sweep and simulates nothing.
     """
-    memo = {} if memo is None else memo
-    if cfg not in memo:
-        gains, cset = cfg.design()
-        memo[cfg] = run_sweep(cfg.sweep, cset, gains, workers=workers, memo=memo)
+    gains, cset = cfg.design()
     rows = [(p.snr_db, p.user, p.scheme, p.estimate.trials, p.estimate.errors, p.estimate.ser,
              p.estimate.ci_low, p.estimate.ci_high, p.analytic)
-            for p in memo[cfg] if p.user in users]
+            for p in run_sweep(cfg.sweep, cset, gains, workers=workers, memo=memo)
+            if p.user in users]
     return write_csv(out, SER_HEADER, rows, echo_comments(cfg) + list(notes))
 
 
 def run_experiment(name: str, cfg: ExperimentConfig, out: Path, workers: int = 1,
                    memo: dict | None = None) -> Path:
-    """Write one named experiment's CSV; ``memo`` is shared by the figures."""
+    """Write one named experiment's CSV; ``memo``, ``run_sweep``'s one cache,
+    is shared by the figures."""
     if name in FIGURES:
         schemes, users, notes = FIGURES[name]
         cfg = replace(cfg, bpcu=REFERENCE_BPCU, sweep=replace(cfg.sweep, schemes=schemes))

@@ -91,6 +91,8 @@ class SweepConfig:
                 f"schemes must name some of {analytic.SCHEMES}, got {self.schemes}")
         if len(set(self.schemes)) < len(self.schemes):
             raise ParameterError(f"schemes lists a scheme twice: {self.schemes}")
+        # a tuple too, so that listed schemes hash, and meet run_sweep's OMA-only guard
+        object.__setattr__(self, "schemes", tuple(self.schemes))
         if self.trials_per_point >= self.batch_size << 32:
             raise ParameterError("sweep too large for the stream-addressing scheme")
 
@@ -373,27 +375,27 @@ def run_sweep(
     zero-error gap condition only warns; sweeping bad designs on purpose is
     a supported way to watch the condition matter.
 
-    ``memo``, a dict shared by the sweeps of one run, keeps the snapshots of
-    the first sweep simulated with each design and settings.  A later sweep
-    over some of its schemes replays its own stop rule on them and simulates
-    nothing; any other is simulated.  OMA draws after the superposed
-    symbols, so an OMA-only sweep is never replayed from one that ran a
-    superposed scheme.
+    ``memo``, a dict shared by the sweeps of one run, is the run's one
+    cache: the snapshots of the first sweep simulated with each design and
+    every setting but schemes, keyed by value.  A later sweep over some of
+    its schemes replays its own stop rule on them and simulates nothing;
+    any other is simulated.  OMA draws after the superposed symbols, so an
+    OMA-only sweep is never replayed from one that ran a superposed scheme.
+    Without a memo the sweep takes the same path on a dict of its own.
     """
     if not isinstance(workers, numbers.Integral) or not 1 <= workers <= MAX_WORKERS:
         raise ParameterError(f"workers must be an integer in 1..{MAX_WORKERS}, got {workers!r}")
     ok, _ = verify_gap_condition(cset, gains)
     if not ok:
         warnings.warn("constellation fails the zero-error gap condition", stacklevel=2)
-    if memo is not None:  # every setting but schemes, and the design by value
-        key = (replace(config, schemes=analytic.SCHEMES), gains,
-               *(v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(cset).values()))
-        schemes, records = memo.get(key, ((), None))
-    if memo is None or not set(config.schemes) <= set(schemes) or (
+    memo = {} if memo is None else memo
+    key = (replace(config, schemes=analytic.SCHEMES), gains,
+           *(v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(cset).values()))
+    schemes, records = memo.get(key, ((), None))
+    if not set(config.schemes) <= set(schemes) or (
             config.schemes == ("oma",) and schemes != ("oma",)):
         schemes, records = config.schemes, _run_points(config, cset, gains, workers)
-        if memo is not None:
-            memo.setdefault(key, (schemes, records))
+        memo.setdefault(key, (schemes, records))
     rows = [schemes.index(scheme) for scheme in config.schemes]
     stops = [_stop(snapshots, rows, config.min_errors) for snapshots in records]
     forms = analytic.closed_forms(config.schemes, cset, gains, config.sigmas)

@@ -412,11 +412,21 @@ class TestReplay:
     def test_a_listed_grid_sweeps_with_and_without_a_memo(self, reference_set,
                                                          reference_gains):
         # the memo key was built, and hashed, on every call: a list raised TypeError
-        listed = small_sweep(**{**REPLAYED, "snr_points_db": [136.0, 142.0]})
-        tupled = replace(listed, snr_points_db=(136.0, 142.0))
+        listed = small_sweep(**{**REPLAYED, "snr_points_db": [136.0, 142.0],
+                                "schemes": ["noma-sic", "oma"]})
+        tupled = replace(listed, snr_points_db=(136.0, 142.0), schemes=("noma-sic", "oma"))
+        assert listed == tupled and hash(listed) == hash(tupled)
         alone = run_sweep(tupled, reference_set, reference_gains)
         assert run_sweep(listed, reference_set, reference_gains) == alone
         assert run_sweep(listed, reference_set, reference_gains, memo={}) == alone
+        # a listed ["oma"] used to miss the OMA-only guard and replay the superposed
+        # sweep's OMA draws from the memo
+        oma, oma_tupled = replace(tupled, schemes=["oma"]), replace(tupled, schemes=("oma",))
+        assert oma == oma_tupled and hash(oma) == hash(oma_tupled)
+        memo = {}
+        run_sweep(listed, reference_set, reference_gains, memo=memo)
+        assert run_sweep(oma, reference_set, reference_gains, memo=memo) == run_sweep(
+            oma_tupled, reference_set, reference_gains)
 
     def test_only_an_equal_design_and_equal_settings_are_replayed(
             self, reference_set, reference_gains, streams_drawn):

@@ -1,5 +1,5 @@
-"""Golden outputs of the reproduce script and the CLI, and the shared sweep
-behind fig3 and fig4.
+"""Golden outputs of the reproduce script and the CLI, and the one simulation
+behind figs. 2-4.
 
 The files under ``tests/golden/`` are compared byte for byte.  After a
 deliberate output change, rewrite them with
@@ -16,7 +16,7 @@ from unittest import mock
 
 import pytest
 
-from vlcnoma import experiments
+from vlcnoma import analytic, experiments, montecarlo
 from vlcnoma.cli import main as cli_main
 
 GOLDEN = Path(__file__).resolve().with_name("golden")
@@ -65,18 +65,26 @@ def test_output_matches_golden(generated, name):
     assert (generated / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
-def test_fig3_and_fig4_share_one_sweep(tmp_path, monkeypatch):
-    calls = []
-    run_sweep = experiments.run_sweep
+def test_the_figures_are_one_simulation(tmp_path, monkeypatch):
+    # fig4 used to take fig3's rows from a second, config-keyed cache
+    def counted(module, name):
+        calls = []
+        wrapped = getattr(module, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].schemes)
-        return run_sweep(*args, **kwargs)
+        def call(*args, **kwargs):
+            calls.append(args[0].schemes)
+            return wrapped(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "run_sweep", counted)
+        monkeypatch.setattr(module, name, call)
+        return calls
+
+    simulated = counted(montecarlo, "_run_points")
+    swept = counted(experiments, "run_sweep")
     monkeypatch.setenv("VLCNOMA_WORKERS", "1")
-    assert load_script().main([str(tmp_path / "all"), "--config", str(CONFIG)]) == 0
-    assert len(calls) == 2, calls
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert load_script().main([str(tmp_path / "all"), "--config", str(CONFIG)]) == 0
+    assert simulated == [analytic.SCHEMES]
+    assert swept == [analytic.SCHEMES, analytic.SCHEMES, ("noma-sic",)]  # fig3, fig4, fig2
     for name in ("fig3", "fig4", "fig2"):
         alone = tmp_path / f"{name}.csv"
         assert cli_main(["reproduce", name, "--config", str(CONFIG), "--out", str(alone)]) == 0
