@@ -92,10 +92,7 @@ def experiment_analytic(cfg: ExperimentConfig, out: Path) -> Path:
 
 def experiment_complexity(cfg: ExperimentConfig, out: Path) -> Path:
     """Decoding-cost table for the configured efficiencies."""
-    rows = []
-    for scheme in analytic.SCHEMES:
-        avg, edge = analytic.complexity_counts(cfg.bpcu, scheme)
-        rows.append((scheme, avg, edge))
+    rows = [(scheme, *analytic.complexity_counts(cfg.bpcu, scheme)) for scheme in analytic.SCHEMES]
     return write_csv(out, "scheme,avg_per_channel_use,cell_edge_per_channel_use",
                      rows, echo_comments(cfg))
 

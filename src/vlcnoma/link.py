@@ -21,8 +21,9 @@ from .errors import ParameterError
 class Workspace:
     """Reusable arrays for the hot path, so that a warmed Monte Carlo batch
     allocates no temporaries.  A request for a key overwrites what an earlier
-    one handed out; scratch arrays are keyed by name, decisions by the
-    ``DecisionTable`` that makes them.
+    one handed out.  Decisions are keyed by their ``DecisionTable``, scratch
+    by role: "t" and "index" hold a short-lived float and intp, "z" the
+    sample a decision reads while "t" is in use, "below" the compares.
     """
 
     def __init__(self):
@@ -63,7 +64,7 @@ def _indices(symbols, sizes) -> tuple[np.ndarray, ...]:
 def _take(values: np.ndarray, index: np.ndarray, ws: Workspace | None, key) -> np.ndarray:
     """``values[index]`` for in-range indices of any integer type, into the
     workspace array ``key``.  An index that is not intp is widened first into
-    the workspace's intp array "index": np.take would allocate to cast it."""
+    the short-lived intp array "index": np.take would allocate to cast it."""
     if index.dtype != np.intp:
         wide = _out(ws, "index", index.shape, np.intp)
         np.copyto(wide, index)
@@ -72,9 +73,9 @@ def _take(values: np.ndarray, index: np.ndarray, ws: Workspace | None, key) -> n
 
 
 def _noisy(level, shape: tuple, sigma: float, rng, ws: Workspace | None, key) -> np.ndarray:
-    """``level`` plus standard normals drawn at ``shape`` into the workspace
-    array "z" and scaled by sigma, summed into the array ``key``."""
-    noise = rng.standard_normal(shape, out=_out(ws, "z", shape))
+    """``level`` plus standard normals drawn at ``shape`` into the scratch
+    array "t" and scaled by sigma, summed into the array ``key``."""
+    noise = rng.standard_normal(shape, out=_out(ws, "t", shape))
     noise *= sigma
     return np.add(noise, level, out=_out(ws, key, shape))
 
@@ -96,8 +97,7 @@ def superpose_transmit(symbols, cset: ConstellationSet, gains: ChannelGains,
     tx2 = np.add(_take(cset.cell2_edge, i2, ws, "y3"), _take(cset.cell2_center, i3, ws, "t"),
                  out=_out(ws, "y3", shape))
     y2 = np.multiply(tx1, gains.h21, out=_out(ws, "y2", shape))
-    y2 = np.add(y2, np.multiply(tx2, gains.h22, out=_out(ws, "t", shape)),
-                out=_out(ws, "y2", shape))
+    y2 = np.add(y2, np.multiply(tx2, gains.h22, out=_out(ws, "t", shape)), out=y2)
     return (np.multiply(tx1, gains.h11, out=_out(ws, "y1", shape)), y2,
             np.multiply(tx2, gains.h32, out=_out(ws, "y3", shape)))
 
@@ -152,12 +152,12 @@ def _bucket(y, low, high, scale, shift, top, ws: Workspace | None = None) -> np.
     """Bucket index of each sample, ``top`` for NaN: monotone in y, as each
     IEEE step below is, and it never overflows."""
     shape = np.shape(y)
-    x = np.clip(y, low, high, out=_out(ws, "x", shape))
+    x = np.clip(y, low, high, out=_out(ws, "t", shape))
     x *= scale
     x -= shift
-    x = np.fmin(x, top, out=_out(ws, "x", shape))
+    x = np.fmin(x, top, out=_out(ws, "t", shape))
     # copyto truncates toward zero, as astype does, and needs no cast buffer
-    bucket = _out(ws, "bucket", shape, np.intp)
+    bucket = _out(ws, "index", shape, np.intp)
     np.copyto(bucket, x, casting="unsafe")
     return bucket
 
@@ -172,10 +172,10 @@ class DecisionTable:
     thresholds are counted; more go through four uniform buckets per
     threshold, whose index is monotone in y, so only the thresholds in y's
     own bucket need a compare.  Only compares with the exact thresholds
-    decide, so both lookups are exact with no rounding analysis.  Where the
-    labels are 0..K, as in every table of the reference design, the label
-    is the slot itself, with no gather.  Tables hash by identity, which the
-    workspace keys rely on.
+    decide, so both lookups are exact with no rounding analysis.  A slot
+    takes the smallest unsigned type that holds K, and where the labels are
+    0..K, as in every table of the reference design, it is the label, with
+    no gather.  Tables hash by identity, which the workspace keys rely on.
     """
 
     def __init__(self, thresholds: np.ndarray, labels: np.ndarray):
@@ -198,7 +198,7 @@ class DecisionTable:
         top = math.floor(high * scale - shift) + 1
         self._geometry = (low, high, scale, shift, top)
         counts = np.bincount(_bucket(thresholds, *self._geometry), minlength=top + 1)
-        self._start = counts.cumsum() - counts
+        self._start = (counts.cumsum() - counts).astype(np.min_scalar_type(thresholds.size))
         self._span = int(counts.max())
         self._padded = np.concatenate([thresholds, [np.nan]])
 
@@ -221,8 +221,8 @@ class DecisionTable:
             # every index below is in range by construction
             slot = _take(self._start, _bucket(y, *self._geometry, ws), ws, key)
             for _ in range(self._span):  # a NaN after the last threshold ends the steps
-                slot += np.greater_equal(y, _take(self._padded, slot, ws, "x"),
-                                         out=_out(ws, "ge", shape, np.intp))
+                slot += np.greater_equal(y, _take(self._padded, slot, ws, "t"),
+                                         out=_out(ws, "below", shape, bool))
         if self._direct:
             return slot
         return _take(self.labels, slot, ws, self)
@@ -244,10 +244,10 @@ class SicReceiver:
 
     def decide(self, y, ws: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
         """``(own, edge)`` labels shaped like y, decided by ``stage2`` and
-        ``stage1``: bytes where that table is direct and counted."""
+        ``stage1``: bytes where that table is direct with at most 255 thresholds."""
         edge = self.stage1.decide(y, ws)
-        shift = _take(self.levels, edge, ws, "residual")
-        residual = np.subtract(y, shift, out=_out(ws, "residual", edge.shape))
+        shift = _take(self.levels, edge, ws, "z")
+        residual = np.subtract(y, shift, out=_out(ws, "z", edge.shape))
         return self.stage2.decide(residual, ws), edge
 
 
@@ -356,6 +356,6 @@ def oma_round(symbols, links, sigma: float, rng: np.random.Generator,
     decided = [None, None, None]
     for k in (0, 2, 1):
         levels, table = links[k]
-        y = _noisy(_take(levels, indices[k], ws, "t"), shape, sigma, rng, ws, "z")
+        y = _noisy(_take(levels, indices[k], ws, "z"), shape, sigma, rng, ws, "z")
         decided[k] = table.decide(y, ws)
     return tuple(decided)

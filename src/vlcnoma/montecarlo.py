@@ -30,11 +30,11 @@ from .constellation import ConstellationSet, verify_gap_condition
 from .errors import ParameterError
 from .link import (SicReceiver, Workspace, awgn_sample, center_user, decode_center_sic,
                    decode_u2_jml, decode_u2_sic, edge_jml_candidates, nearest_table, oma_levels,
-                   oma_round, superpose_transmit)
+                   oma_round, oma_sizes, superpose_transmit)
 
 USERS = ("u1", "u2", "u3")
 Z_95 = 1.959963984540054
-MAX_BATCH = 1 << 20  # trials; a worker's workspace of one batch is then about 117 MB
+MAX_BATCH = 1 << 20  # trials; a worker's workspace of one batch is then about 77 MB
 MAX_WORKERS = 64  # threads, each with a workspace of one batch (see SweepConfig.batch_size)
 MAX_POINTS = 1 << 16  # SNR points per sweep; the paper's grids have 26
 MAX_TRIALS = 1 << 36  # trials per sweep, about 3 h at 150 ns/trial; the paper's is 2.6e6
@@ -207,13 +207,13 @@ def _frame(
 
     With a workspace, ``received`` and ``decided`` are its arrays, each
     decision keyed by its table: they hold until the next frame on that
-    workspace, which overwrites them.  ``sent`` holds fresh arrays.
+    workspace, which overwrites them.  ``sent`` holds fresh int32 arrays.
     """
     sent: dict[str, tuple] = {}
     decided: dict[str, tuple] = {}
     received = None
     if "u1" in tables:
-        symbols = tuple(rng.integers(0, m, n) for m in cset.bpcu.sizes)
+        symbols = tuple(rng.integers(0, m, n, dtype=np.int32) for m in cset.bpcu.sizes)
         received = awgn_sample(superpose_transmit(symbols, cset, gains, ws), sigma, rng, ws)
         y1, y2, y3 = received
         u1_hat, edge1 = decode_center_sic(y1, tables["u1"], ws)
@@ -224,7 +224,7 @@ def _frame(
                 sent[scheme] = symbols
                 decided[scheme] = (u1_hat, decode(y2, tables[scheme], ws), u3_hat)
     if "oma" in tables:
-        sent["oma"] = tuple(rng.integers(0, levels.size, n) for levels, _ in tables["oma"])
+        sent["oma"] = tuple(rng.integers(0, m, n, dtype=np.int32) for m in oma_sizes(cset.bpcu))
         decided["oma"] = oma_round(sent["oma"], tables["oma"], sigma, rng, ws)
     return sent, received, decided
 
@@ -276,9 +276,12 @@ def _run_points(
         """Symbol error counts of one batch, indexed (scheme, user)."""
         sent, _, decided = _batch(config, point, batch, cset, gains, tables, ws)
         wrong = ws.take("errors", sent[config.schemes[0]][0].shape, bool)
-        return np.array([[np.count_nonzero(np.not_equal(got, want, out=wrong))
-                          for want, got in zip(sent[scheme], decided[scheme])]
-                         for scheme in config.schemes], dtype=np.int64)
+        counts: dict = {}  # noma-sic and noma-jml share symbols and center decisions
+        for want, got in (pair for s in config.schemes for pair in zip(sent[s], decided[s])):
+            if (id(want), id(got)) not in counts:
+                counts[id(want), id(got)] = np.count_nonzero(np.not_equal(got, want, out=wrong))
+        return np.array([[counts[id(want), id(got)] for want, got in zip(sent[s], decided[s])]
+                         for s in config.schemes], dtype=np.int64)
 
     def pick() -> int | None:
         """The point to issue a batch of now, if any: the lowest whose next
