@@ -2,11 +2,11 @@
 
 Determinism contract: trials are split into fixed-size batches and every
 batch draws from its own counter-addressed Philox stream keyed by
-(seed, SNR index, batch index).  Batch tallies are plain integer counts,
-and each SNR point consumes its batches strictly in index order, summing
-them until optional early stopping cuts in.  The cut point depends only on
-cumulative counts, so the result is bit-identical no matter how many
-workers run or how batches are scheduled.
+(seed, SNR index, batch index), with plain integer tallies.  Workers take
+batches from one queue of batches certain to be used.  Without early
+stopping a point's batches add in any order to the same totals; with it, a
+point's next batch is queued only once its current one is added, so each
+point stops at the same batch for any number of workers.
 
 Within a batch the draw order is fixed by ``_frame``: the superposed
 symbols u1, u2, u3, the noise on y1, y2, y3, then, if the orthogonal
@@ -19,6 +19,7 @@ import math
 import numbers
 import threading
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -250,13 +251,15 @@ def _run_points(
 ) -> list[list[tuple[int, np.ndarray]]]:
     """Per SNR point, the snapshots ``(trials, totals)`` that ``_stop`` reads:
     int64 error totals indexed (scheme, user) in ``config.schemes`` × ``USERS``
-    order, taken at each consumed batch where one more scheme first settles
-    and at the last batch consumed under the in-order early-stop rule.
+    order, taken at each added batch where one more scheme first settles
+    and at the point's last batch.
 
     ``workers`` threads, the calling thread among them, but no more than
-    the sweep has batches, run one loop: take a batch (``pick``), compute
-    it in the worker's own workspace, and consume whatever that makes
-    consumable in index order.
+    the sweep has batches, take batches from one queue until it is empty.
+    It holds only batches certain to be added: batch 0 of every point, then
+    a point's next batch as soon as its current one is taken when
+    ``min_errors`` is 0, else once that one is added and the point runs on,
+    so an early-stopped point runs one batch at a time.
     """
     total, size = config.trials_per_point, config.batch_size
     batches = -(-total // size)  # per point, each of ``size`` trials but the last
@@ -264,13 +267,13 @@ def _run_points(
     workers = min(workers, count * batches)
     tables = receivers(cset, gains, config.schemes, config.target_power_w)
     totals = np.zeros((count, len(config.schemes), len(USERS)), dtype=np.int64)
-    issued, consumed = [0] * count, [0] * count
+    added = [0] * count
     records: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(count)]
     settled = [0] * count  # schemes settled at each point's last snapshot
-    done = [False] * count  # stopped early, or every batch consumed
-    waiting: list[dict[int, np.ndarray]] = [{} for _ in range(count)]  # results ahead of order
-    changed = threading.Condition()
-    low = 0  # points below it have no batch left to issue
+    queue = deque((point, 0) for point in range(count))
+    eager = config.min_errors == 0  # no early stop, so any order adds to the same totals
+    lock = threading.Lock()
+    failed = False
 
     def compute(point: int, batch: int, ws: Workspace) -> np.ndarray:
         """Symbol error counts of one batch, indexed (scheme, user)."""
@@ -283,62 +286,31 @@ def _run_points(
         return np.array([[counts[id(want), id(got)] for want, got in zip(sent[s], decided[s])]
                          for s in config.schemes], dtype=np.int64)
 
-    def pick() -> int | None:
-        """The point to issue a batch of now, if any: the lowest whose next
-        batch is certain to be consumed, as all its issued ones have been,
-        else the lowest still running, whose batch early stopping may
-        discard.  A point never has more than ``workers`` batches issued and
-        not yet consumed, so no point stops with more than ``workers - 1``
-        computed past its cut.
-        """
-        nonlocal low
-        while low < count and (done[low] or issued[low] == batches):
-            low += 1
-        speculative = None
-        for point in range(low, count):
-            if done[point] or issued[point] == batches:
-                continue
-            ahead = issued[point] - consumed[point]
-            if ahead == 0:
-                return point
-            if speculative is None and ahead < workers:
-                speculative = point
-        return speculative
-
-    def consume(point: int, batch: int, result: np.ndarray) -> None:
-        waiting[point][batch] = result
-        while not done[point] and consumed[point] in waiting[point]:
-            totals[point] += waiting[point].pop(consumed[point])
-            consumed[point] += 1
-            now = int(_settled(totals[point], config.min_errors).sum())
-            done[point] = consumed[point] == batches or now == len(config.schemes)
-            if done[point] or now > settled[point]:
-                records[point].append((min(consumed[point] * size, total),
-                                       totals[point].copy()))
-                settled[point] = now
-        if done[point]:
-            waiting[point].clear()
-
     def work() -> None:
+        nonlocal failed
         ws = Workspace()
         while True:
-            with changed:
-                while (point := pick()) is None:
-                    if low == count:
-                        return
-                    changed.wait()  # for a consumed batch to lift the cap
-                batch = issued[point]
-                issued[point] += 1
+            with lock:
+                if failed or not queue:
+                    return
+                point, batch = queue.popleft()
+                if eager and batch + 1 < batches:
+                    queue.appendleft((point, batch + 1))
             try:
                 result = compute(point, batch, ws)
             except BaseException:
-                with changed:  # the other workers stop at their next pick
-                    done[:] = [True] * count
-                    changed.notify_all()
+                failed = True  # the other workers stop at their next take
                 raise
-            with changed:
-                consume(point, batch, result)
-                changed.notify_all()
+            with lock:
+                totals[point] += result
+                added[point] += 1
+                now = int(_settled(totals[point], config.min_errors).sum())
+                done = added[point] == batches or now == len(config.schemes)
+                if done or now > settled[point]:
+                    records[point].append((min(added[point] * size, total), totals[point].copy()))
+                    settled[point] = now
+                if not (done or eager):
+                    queue.appendleft((point, batch + 1))
 
     # the calling thread is a worker too, so one worker submits nothing and starts no thread
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -354,7 +326,7 @@ def _stop(snapshots: list[tuple[int, np.ndarray]], rows: list[int],
     """(trials, totals of ``rows``) where a sweep of just those schemes
     stops: the first snapshot in which they all settled, else the last.
 
-    Settling only grows as batches are consumed, so a subset of a sweep's
+    Settling only grows as batches are added, so a subset of a sweep's
     schemes settles at one of its snapshots or never before it stopped.
     """
     for trials, totals in snapshots:

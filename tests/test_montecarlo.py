@@ -126,26 +126,57 @@ class TestRunSweep:
                 assert run_sweep(config, reference_set, reference_gains,
                                  workers=workers) == serial, workers
 
-    def test_two_workers_compute_at_most_one_discarded_batch(
-        self, reference_set, reference_gains, streams_drawn
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_no_batch_is_computed_and_discarded(
+        self, reference_set, reference_gains, streams_drawn, workers
     ):
         calls = streams_drawn
         config = small_sweep(**MIXED_STOP)
-        # the last point's speculative batch may finish before the batch that
-        # stops it; a few repeats give that race a chance to show
+        # the streams drawn are exactly the batches the rows count: none past a
+        # point's stop; a few repeats give a race a chance to show
         for _ in range(10):
             calls.clear()
-            points = run_sweep(config, reference_set, reference_gains, workers=2)
+            points = run_sweep(config, reference_set, reference_gains, workers=workers)
             consumed = [p.estimate.trials // config.batch_size for p in points if p.user == "u1"]
             assert consumed == [1, 2, 3, 4]
-            assert len(calls) <= sum(consumed) + 2 - 1, calls
+            assert sorted(calls) == [(config.seed, point, batch)
+                                     for point, n in enumerate(consumed) for batch in range(n)]
 
+    @pytest.mark.parametrize("min_errors,timeout", [(0, 30.0), (10**6, 0.5)],
+                             ids=["no-stop", "never-met"])
+    def test_a_batch_is_queued_only_once_certain_to_be_used(
+        self, reference_set, reference_gains, monkeypatch, min_errors, timeout
+    ):
+        # one point of two batches on two workers; batch 0 holds its stream
+        # until batch 1 starts or the timeout passes
+        started, returned, overlapped, after = threading.Event(), threading.Event(), [], []
+        philox_stream = montecarlo.philox_stream
+
+        def held(seed, point, batch):
+            if batch == 0:
+                overlapped.append(started.wait(timeout))
+                returned.set()
+            else:
+                after.append(returned.is_set())
+                started.set()
+            return philox_stream(seed, point, batch)
+
+        monkeypatch.setattr(montecarlo, "philox_stream", held)
+        config = small_sweep(snr_points_db=(150.0,), trials_per_point=128, batch_size=64,
+                             schemes=("noma-sic",), min_errors=min_errors)
+        run_sweep(config, reference_set, reference_gains, workers=2)
+        # without a stop batch 1 is certain, so it runs beside batch 0; with a
+        # stop not yet decided it waits until batch 0 is added
+        assert (overlapped, after) == (([True], [False]) if min_errors == 0 else
+                                       ([False], [True]))
+
+    @pytest.mark.parametrize("min_errors", [0, 25])
     def test_more_workers_than_cores_under_fast_switching_match_one(
-        self, reference_set, reference_gains
+        self, reference_set, reference_gains, min_errors
     ):
         # small batches and a short switch interval interleave the workers'
-        # picks and consumes; a lost update would change some total
-        config = small_sweep(**{**MIXED_STOP, "batch_size": 128})
+        # takes and adds, in any order at 0; a lost update would change some total
+        config = small_sweep(**{**MIXED_STOP, "batch_size": 128, "min_errors": min_errors})
         serial = run_sweep(config, reference_set, reference_gains, workers=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -379,7 +410,6 @@ class TestReplay:
         alone = {subset: sweep(subset) for subset in SCHEME_SUBSETS}
         calls = streams_drawn
         stopped_sooner = False
-        # with 2 or 3 workers a point that stops early discards speculative batches
         for superset in SCHEME_SUBSETS[3:]:  # the two- and three-scheme sweeps
             memo = {}
             assert sweep(superset, workers=workers, memo=memo) == alone[superset]
