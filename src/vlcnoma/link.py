@@ -23,7 +23,7 @@ class Workspace:
     allocates no temporaries.  A request for a key overwrites what an earlier
     one handed out.  Decisions are keyed by their ``DecisionTable``, scratch
     by role: "t" and "index" hold a short-lived float and intp, "z" the
-    sample a decision reads while "t" is in use, "below" the compares.
+    sample a decision reads while "t" is in use, "below" one compare at a time.
     """
 
     def __init__(self):
@@ -126,13 +126,11 @@ def _flip(bits: np.ndarray) -> np.ndarray:
 
 def _first_true(rule, low, high, guess) -> np.ndarray:
     """Elementwise smallest float y in (low, high] at which ``rule(y)`` holds.
-
     ``rule`` must be False at low, True at high and switch once in between;
     ``guess`` only shortens the bisection over the int64 keys that order the
-    floats.  Their midpoint is taken without forming their sum or
-    difference, which overflow for brackets that straddle zero from
-    magnitude 2 up (a codebook from -4096 to 1000, say).
-    """
+    floats.  Their midpoint is taken without forming their sum or difference,
+    which overflow for brackets that straddle zero from magnitude 2 up (a
+    codebook from -4096 to 1000, say)."""
     low, high = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
     guess = np.minimum(np.maximum(guess, low), high)
     below = np.maximum(np.nextafter(guess, -np.inf), low)
@@ -182,6 +180,10 @@ class DecisionTable:
         self.thresholds, self.labels = thresholds, labels
         if not np.isfinite(thresholds).all():
             raise ParameterError("decision thresholds must be finite")
+        if thresholds.ndim != 1:
+            raise ParameterError(f"decision thresholds need one row, got shape {thresholds.shape}")
+        if np.any(thresholds[1:] < thresholds[:-1]):
+            raise ParameterError("decision thresholds must be in ascending order")
         if labels.shape != (thresholds.size + 1,):
             raise ParameterError(f"{thresholds.size} decision thresholds need {thresholds.size + 1}"
                                  f" labels in one row, got shape {labels.shape}")
@@ -209,14 +211,12 @@ class DecisionTable:
         shape = y.shape
         key = self if self._direct else "slot"
         if self._counted:
-            size = self.thresholds.size
-            below = np.less(y, self.thresholds.reshape(size, *(1,) * y.ndim),
-                            out=_out(ws, "below", (size, *shape), bool))
-            # K less the thresholds above y, none for NaN; K <= 32 fits a uint8,
-            # so the bools sum as their bytes, with no cast
-            slot = np.add.reduce(below.view(np.uint8), axis=0, dtype=np.uint8,
-                                 out=_out(ws, key, shape, np.uint8))
-            np.subtract(size, slot, out=slot)
+            # K less the byte of each compare y < t, all 0 for NaN: K <= 32 fits a uint8
+            slot = _out(ws, key, shape, np.uint8)
+            slot.fill(self.thresholds.size)
+            below = _out(ws, "below", shape, bool)
+            for t in self.thresholds:
+                slot -= np.less(y, t, out=below).view(np.uint8)
         else:
             # every index below is in range by construction
             slot = _take(self._start, _bucket(y, *self._geometry, ws), ws, key)

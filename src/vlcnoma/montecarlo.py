@@ -35,7 +35,7 @@ from .link import (SicReceiver, Workspace, awgn_sample, center_user, decode_cent
 
 USERS = ("u1", "u2", "u3")
 Z_95 = 1.959963984540054
-MAX_BATCH = 1 << 20  # trials; a worker's workspace of one batch is then about 77 MB
+MAX_BATCH = 1 << 20  # trials; a worker's workspace of one batch is then about 62 MB
 MAX_WORKERS = 64  # threads, each with a workspace of one batch (see SweepConfig.batch_size)
 MAX_POINTS = 1 << 16  # SNR points per sweep; the paper's grids have 26
 MAX_TRIALS = 1 << 36  # trials per sweep, about 3 h at 150 ns/trial; the paper's is 2.6e6
@@ -188,6 +188,13 @@ def receivers(
     return tables
 
 
+def _symbols(rng: np.random.Generator, sizes, n: int) -> tuple[np.ndarray, ...]:
+    """n indices below each size, drawn as int32, whose values equal int64 draws,
+    and each held in the smallest type that fits, a byte up to size 256."""
+    return tuple(rng.integers(0, m, n, dtype=np.int32).astype(np.min_scalar_type(m - 1))
+                 for m in sizes)
+
+
 def _frame(
     rng: np.random.Generator,
     n: int,
@@ -200,21 +207,19 @@ def _frame(
     """n channel uses of every scheme that ``tables`` (see ``receivers``)
     decodes, as ``_batch`` frames them: ``(sent, received, decided)``.
 
-    ``sent`` and ``decided`` map each scheme to its 0-based (u1, u2, u3) indices;
-    both superposed schemes share one transmission.  ``received`` is the
-    superposed (y1, y2, y3), None without a superposed scheme, and
-    ``decided["sic-stage1"]`` holds the edge indices that SIC stage 1 at
-    users 1 and 3 subtracted.
-
-    With a workspace, ``received`` and ``decided`` are its arrays, each
-    decision keyed by its table: they hold until the next frame on that
-    workspace, which overwrites them.  ``sent`` holds fresh int32 arrays.
+    ``sent`` and ``decided`` map each scheme to its 0-based (u1, u2, u3)
+    indices, ``sent`` in fresh ``_symbols`` arrays; both superposed schemes
+    share one transmission.  ``received`` is the superposed (y1, y2, y3),
+    None without a superposed scheme, and ``decided["sic-stage1"]`` holds
+    the edge indices that SIC stage 1 at users 1 and 3 subtracted.  With a
+    workspace, ``received`` and ``decided`` are its arrays, each decision
+    keyed by its table, until the next frame on that workspace overwrites them.
     """
     sent: dict[str, tuple] = {}
     decided: dict[str, tuple] = {}
     received = None
     if "u1" in tables:
-        symbols = tuple(rng.integers(0, m, n, dtype=np.int32) for m in cset.bpcu.sizes)
+        symbols = _symbols(rng, cset.bpcu.sizes, n)
         received = awgn_sample(superpose_transmit(symbols, cset, gains, ws), sigma, rng, ws)
         y1, y2, y3 = received
         u1_hat, edge1 = decode_center_sic(y1, tables["u1"], ws)
@@ -225,7 +230,7 @@ def _frame(
                 sent[scheme] = symbols
                 decided[scheme] = (u1_hat, decode(y2, tables[scheme], ws), u3_hat)
     if "oma" in tables:
-        sent["oma"] = tuple(rng.integers(0, m, n, dtype=np.int32) for m in oma_sizes(cset.bpcu))
+        sent["oma"] = _symbols(rng, oma_sizes(cset.bpcu), n)
         decided["oma"] = oma_round(sent["oma"], tables["oma"], sigma, rng, ws)
     return sent, received, decided
 
@@ -252,15 +257,12 @@ def _run_points(
     """Per SNR point, the snapshots ``(trials, totals)`` that ``_stop`` reads:
     int64 error totals indexed (scheme, user) in ``config.schemes`` × ``USERS``
     order, taken at each added batch where one more scheme first settles
-    and at the point's last batch.
-
-    ``workers`` threads, the calling thread among them, but no more than
-    the sweep has batches, take batches from one queue until it is empty.
-    It holds only batches certain to be added: batch 0 of every point, then
-    a point's next batch as soon as its current one is taken when
-    ``min_errors`` is 0, else once that one is added and the point runs on,
-    so an early-stopped point runs one batch at a time.
-    """
+    and at the point's last batch.  ``workers`` threads, the calling thread
+    among them, but no more than the sweep has batches, take batches from
+    one queue until it is empty.  It holds only batches certain to be added:
+    batch 0 of every point, then a point's next batch as soon as its current
+    one is taken when ``min_errors`` is 0, else once that one is added and
+    the point runs on, so an early-stopped point runs one batch at a time."""
     total, size = config.trials_per_point, config.batch_size
     batches = -(-total // size)  # per point, each of ``size`` trials but the last
     count = len(config.snr_points_db)
@@ -325,10 +327,8 @@ def _stop(snapshots: list[tuple[int, np.ndarray]], rows: list[int],
           min_errors: int) -> tuple[int, np.ndarray]:
     """(trials, totals of ``rows``) where a sweep of just those schemes
     stops: the first snapshot in which they all settled, else the last.
-
     Settling only grows as batches are added, so a subset of a sweep's
-    schemes settles at one of its snapshots or never before it stopped.
-    """
+    schemes settles at one of its snapshots or never before it stopped."""
     for trials, totals in snapshots:
         if _settled(totals[rows], min_errors).all():
             break

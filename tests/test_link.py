@@ -462,6 +462,23 @@ class TestDecisionTables:
         assert all(np.shares_memory(arrays[0], array) for array in arrays[1:])
         assert len(ws._arrays) == 1
 
+    def test_cold_counted_lookup_allocates_one_compare_at_a_time(self):
+        # the slot and one bool compare array: 2 B per sample, where all of
+        # the table's compares at once took 33 at K = 32
+        thresholds = np.linspace(-1.0, 1.0, 32)
+        table = slot_table(thresholds)
+        assert table._counted
+        n = 1 << 15
+        y = np.random.default_rng(3).standard_normal(n)
+        tracemalloc.start()
+        try:
+            slots = table.decide(y, Workspace())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n + 16 * 1024, peak / n
+        assert np.array_equal(slots, np.searchsorted(thresholds, y, "right"))
+
     def test_warmed_gathered_counted_lookup_allocates_no_index(self):
         # np.take cast the byte slot to intp itself: a 262 792 B peak here
         thresholds = np.linspace(-1.0, 1.0, 15)
@@ -502,10 +519,15 @@ class TestDecisionTables:
             assert np.array_equal(table.labels, np.arange(table.thresholds.size + 1))
             assert table._direct
 
-    def test_non_finite_thresholds_rejected(self):
-        for bad in ([0.0, np.inf], [np.nan], [-np.inf, 0.0]):
-            with pytest.raises(ParameterError):
-                slot_table(bad)
+    @pytest.mark.parametrize("thresholds,match", [
+        ([0.0, np.inf], "finite"), ([np.nan], "finite"), ([-np.inf, 0.0], "finite"),
+        ([[0.0, 1.0]], r"one row, got shape \(1, 2\)"), (0.5, r"one row, got shape \(\)"),
+        ([1.0, 0.0], "ascending"), ([0.0, 2.0, 1.0, 3.0], "ascending")],
+        ids=["inf", "nan", "-inf", "row-of-a-2d-array", "scalar", "descending", "unsorted"])
+    def test_thresholds_not_one_sorted_finite_row_rejected(self, thresholds, match):
+        # a (1, K) array was accepted through a reshape, and [1.0, 0.0] decided silently
+        with pytest.raises(ParameterError, match=match):
+            slot_table(thresholds)
 
     @settings(deadline=None)
     @given(spread=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30),

@@ -18,7 +18,8 @@ from vlcnoma.analytic import ser_center_lower_bound
 from vlcnoma import analytic, montecarlo
 from vlcnoma.constellation import MAX_GRID, from_raw_levels
 from vlcnoma.link import Workspace, oma_levels, oma_pam_points
-from vlcnoma.montecarlo import _frame, philox_stream, receivers, sigma_from_snr, wilson_interval
+from vlcnoma.montecarlo import (_frame, _symbols, philox_stream, receivers, sigma_from_snr,
+                                wilson_interval)
 from vlcnoma.errors import ParameterError
 
 NAN = float("nan")
@@ -609,21 +610,25 @@ class TestFrameWorkspace:
         _frame(philox_stream(5, 0, 0), n, *frame_args, ws)
         tracemalloc.start()
         try:
-            _frame(philox_stream(5, 0, 1), n, *frame_args, ws)
+            sent = _frame(philox_stream(5, 0, 1), n, *frame_args, ws)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # three int32 symbol draws per transmission, superposed and orthogonal
+        # three byte symbol draws per transmission, superposed and orthogonal,
+        # and the one int32 array that each is drawn in; held as int32 they
+        # took 4 B each
+        assert all(x.dtype == np.uint8 for xs in sent.values() for x in xs)
         draws = 3 * (any(s.startswith("noma") for s in schemes) + ("oma" in schemes))
-        assert peak <= 4 * draws * n + 64 * 1024, peak / n
+        assert peak <= (4 + draws) * n + 64 * 1024, peak / n
 
 
-@pytest.mark.parametrize("schemes,bound", [(("noma-sic",), 60),
-                                           (("noma-sic", "noma-jml", "oma"), 73)],
+@pytest.mark.parametrize("schemes,bound", [(("noma-sic",), 54),
+                                           (("noma-sic", "noma-jml", "oma"), 58)],
                          ids=["noma-sic", "all"])
 def test_warmed_workspace_bytes_per_trial(schemes, bound, reference_set, reference_gains):
-    # one scratch array per role and byte decisions; with an array per call
-    # site they took 68 and 111, with intp decisions 97 and 161
+    # one scratch array per role, byte decisions and one threshold compare at
+    # a time; with all of a table's compares at once they took 60 and 73, with
+    # an array per call site 68 and 111, with intp decisions 97 and 161
     n = 1 << 15
     tables = receivers(reference_set, reference_gains, schemes, 1.0)
     ws = Workspace()
@@ -645,16 +650,18 @@ class TestStreamAddressing:
             0.8173446308164533, -0.03168605710922687, -0.7632657561231186]
 
     def test_int32_draws_equal_int64_draws(self):
-        # _frame draws symbols as int32.  Below 2**32 NumPy draws the same
-        # bounded values for both dtypes; a release that splits them fails
-        # here rather than in every golden.  Sizes: every 2**b up to MAX_GRID,
-        # which holds each user's 2**bpcu and each OMA size 4**bpcu.
+        # _frame draws symbols as int32 and holds them in the smallest type
+        # that fits.  Below 2**32 NumPy draws the same bounded values for
+        # both dtypes; a release that splits them fails here rather than in
+        # every golden.  Sizes: every 2**b up to MAX_GRID, which holds each
+        # user's 2**bpcu and each OMA size 4**bpcu.
         for bits in range(1, MAX_GRID.bit_length()):
             narrow, wide = philox_stream(7, bits, 0), philox_stream(7, bits, 0)
             for n in (1, 2, 7, 4096, 4097):
-                for size in (2**bits, 2, 2**bits):
-                    assert np.array_equal(narrow.integers(0, size, n, dtype=np.int32),
-                                          wide.integers(0, size, n)), (bits, n, size)
+                sizes = (2**bits, 2, 2**bits)
+                for sent, size in zip(_symbols(narrow, sizes, n), sizes, strict=True):
+                    assert sent.dtype == np.min_scalar_type(size - 1), (bits, size)
+                    assert np.array_equal(sent, wide.integers(0, size, n)), (bits, n, size)
                 assert np.array_equal(narrow.standard_normal(n), wide.standard_normal(n))
 
     @pytest.mark.parametrize("snr_index,batch_index", [(2**32 - 1, 0), (0, 2**32 - 1)])
