@@ -2,11 +2,10 @@
 
 Determinism contract: trials are split into fixed-size batches and every
 batch draws from its own counter-addressed Philox stream keyed by
-(seed, SNR index, batch index), with plain integer tallies.  Workers take
-batches from one queue of batches certain to be used.  Without early
-stopping a point's batches add in any order to the same totals; with it, a
-point's next batch is queued only once its current one is added, so each
-point stops at the same batch for any number of workers.
+(seed, SNR index, batch index), with plain integer tallies.  A point is
+one task: workers take the next point and add its batches in index order
+until it stops, so each point stops at the same batch for any number of
+workers.
 
 Within a batch the draw order is fixed by ``_frame``: the superposed
 symbols u1, u2, u3, the noise on y1, y2, y3, then, if the orthogonal
@@ -19,7 +18,6 @@ import math
 import numbers
 import threading
 import warnings
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -256,24 +254,18 @@ def _run_points(
 ) -> list[list[tuple[int, np.ndarray]]]:
     """Per SNR point, the snapshots ``(trials, totals)`` that ``_stop`` reads:
     int64 error totals indexed (scheme, user) in ``config.schemes`` × ``USERS``
-    order, taken at each added batch where one more scheme first settles
-    and at the point's last batch.  ``workers`` threads, the calling thread
-    among them, but no more than the sweep has batches, take batches from
-    one queue until it is empty.  It holds only batches certain to be added:
-    batch 0 of every point, then a point's next batch as soon as its current
-    one is taken when ``min_errors`` is 0, else once that one is added and
-    the point runs on, so an early-stopped point runs one batch at a time."""
+    order, taken at each batch where one more scheme first settles and at
+    the point's last batch.  A point is one task: ``workers`` threads, the
+    calling thread among them, but no more than the sweep has points, each
+    take the next point and add its batches in index order on their own
+    workspace until it stops or every batch is added."""
     total, size = config.trials_per_point, config.batch_size
     batches = -(-total // size)  # per point, each of ``size`` trials but the last
     count = len(config.snr_points_db)
-    workers = min(workers, count * batches)
+    workers = min(workers, count)
     tables = receivers(cset, gains, config.schemes, config.target_power_w)
-    totals = np.zeros((count, len(config.schemes), len(USERS)), dtype=np.int64)
-    added = [0] * count
     records: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(count)]
-    settled = [0] * count  # schemes settled at each point's last snapshot
-    queue = deque((point, 0) for point in range(count))
-    eager = config.min_errors == 0  # no early stop, so any order adds to the same totals
+    points = iter(range(count))
     lock = threading.Lock()
     failed = False
 
@@ -281,38 +273,32 @@ def _run_points(
         """Symbol error counts of one batch, indexed (scheme, user)."""
         sent, _, decided = _batch(config, point, batch, cset, gains, tables, ws)
         wrong = ws.take("errors", sent[config.schemes[0]][0].shape, bool)
-        counts: dict = {}  # noma-sic and noma-jml share symbols and center decisions
-        for want, got in (pair for s in config.schemes for pair in zip(sent[s], decided[s])):
-            if (id(want), id(got)) not in counts:
-                counts[id(want), id(got)] = np.count_nonzero(np.not_equal(got, want, out=wrong))
-        return np.array([[counts[id(want), id(got)] for want, got in zip(sent[s], decided[s])]
+        return np.array([[np.count_nonzero(np.not_equal(got, want, out=wrong))
+                          for want, got in zip(sent[s], decided[s])]
                          for s in config.schemes], dtype=np.int64)
 
     def work() -> None:
         nonlocal failed
         ws = Workspace()
-        while True:
+        while not failed:
             with lock:
-                if failed or not queue:
-                    return
-                point, batch = queue.popleft()
-                if eager and batch + 1 < batches:
-                    queue.appendleft((point, batch + 1))
-            try:
-                result = compute(point, batch, ws)
-            except BaseException:
-                failed = True  # the other workers stop at their next take
-                raise
-            with lock:
-                totals[point] += result
-                added[point] += 1
-                now = int(_settled(totals[point], config.min_errors).sum())
-                done = added[point] == batches or now == len(config.schemes)
-                if done or now > settled[point]:
-                    records[point].append((min(added[point] * size, total), totals[point].copy()))
-                    settled[point] = now
-                if not (done or eager):
-                    queue.appendleft((point, batch + 1))
+                point = next(points, None)
+            if point is None:
+                return
+            totals = np.zeros((len(config.schemes), len(USERS)), dtype=np.int64)
+            settled = 0  # schemes settled at the point's last snapshot
+            for batch in range(batches):
+                try:
+                    totals += compute(point, batch, ws)
+                except BaseException:
+                    failed = True  # the other workers stop after their current batch
+                    raise
+                now = int(_settled(totals, config.min_errors).sum())
+                if now > settled or batch + 1 == batches:
+                    records[point].append((min((batch + 1) * size, total), totals.copy()))
+                    settled = now
+                if failed or now == len(config.schemes):
+                    break
 
     # the calling thread is a worker too, so one worker submits nothing and starts no thread
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -143,19 +143,18 @@ class TestRunSweep:
             assert sorted(calls) == [(config.seed, point, batch)
                                      for point, n in enumerate(consumed) for batch in range(n)]
 
-    @pytest.mark.parametrize("min_errors,timeout", [(0, 30.0), (10**6, 0.5)],
-                             ids=["no-stop", "never-met"])
-    def test_a_batch_is_queued_only_once_certain_to_be_used(
-        self, reference_set, reference_gains, monkeypatch, min_errors, timeout
+    @pytest.mark.parametrize("min_errors", [0, 10**6], ids=["no-stop", "never-met"])
+    def test_a_points_batches_never_overlap(
+        self, reference_set, reference_gains, monkeypatch, min_errors
     ):
         # one point of two batches on two workers; batch 0 holds its stream
-        # until batch 1 starts or the timeout passes
+        # until batch 1 starts or half a second passes
         started, returned, overlapped, after = threading.Event(), threading.Event(), [], []
         philox_stream = montecarlo.philox_stream
 
         def held(seed, point, batch):
             if batch == 0:
-                overlapped.append(started.wait(timeout))
+                overlapped.append(started.wait(0.5))
                 returned.set()
             else:
                 after.append(returned.is_set())
@@ -166,10 +165,8 @@ class TestRunSweep:
         config = small_sweep(snr_points_db=(150.0,), trials_per_point=128, batch_size=64,
                              schemes=("noma-sic",), min_errors=min_errors)
         run_sweep(config, reference_set, reference_gains, workers=2)
-        # without a stop batch 1 is certain, so it runs beside batch 0; with a
-        # stop not yet decided it waits until batch 0 is added
-        assert (overlapped, after) == (([True], [False]) if min_errors == 0 else
-                                       ([False], [True]))
+        # with or without a stop, a point is one task: batch 1 starts after batch 0 returned
+        assert (overlapped, after) == ([False], [True])
 
     @pytest.mark.parametrize("min_errors", [0, 25])
     def test_more_workers_than_cores_under_fast_switching_match_one(
@@ -220,7 +217,8 @@ class TestRunSweep:
         assert not runner.is_alive(), "the sweep hung after a batch failed"
         assert raised == [failure]
         assert threading.active_count() == threads
-        # each other worker starts at most the batch it was issued before the failure
+        # each other worker starts at most one batch after the failure: the one it
+        # went on to before it could see the failure
         assert len(started) - started.index((1, 2)) - 1 < workers, started
 
     @pytest.mark.parametrize("workers", [0, -1, montecarlo.MAX_WORKERS + 1, 10**6])
@@ -685,7 +683,7 @@ class TestStreamAddressing:
 class RecordingPool:
     """Stands in for ThreadPoolExecutor: records ``max_workers`` and counts the
     helpers submitted, but starts no thread, so the calling thread computes
-    every batch."""
+    every point."""
 
     recorded: list[int] = []
     submitted = 0
@@ -741,19 +739,21 @@ class TestResourceBounds:
         assert peak < 1 << 20, peak
         assert 26 * 100_000 * 1000 < montecarlo.MAX_TRIALS
 
-    @pytest.mark.parametrize("workers,helpers", [(1, 0), (2, 1), (3, 2), (4, 2),
-                                                 (montecarlo.MAX_WORKERS, 2)])
-    def test_workers_clamped_to_the_sweeps_batch_count(self, reference_set, reference_gains,
-                                                       monkeypatch, workers, helpers):
-        # one point of three batches: at most three workers, so a pool of three
-        # with at most two helpers beside the calling thread, and none for one worker
-        config = small_sweep(snr_points_db=(140.0,), trials_per_point=300, batch_size=128)
-        serial = run_sweep(config, reference_set, reference_gains)
-        RecordingPool.recorded, RecordingPool.submitted = [], 0
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, montecarlo.MAX_WORKERS])
+    def test_workers_clamped_to_the_sweeps_point_count(self, reference_set, reference_gains,
+                                                       monkeypatch, workers):
+        # one point of three batches is one task: a pool of one and no helper for
+        # any worker count; three points take at most three workers, the calling
+        # thread among them
+        configs = [small_sweep(snr_points_db=points, trials_per_point=300, batch_size=128)
+                   for points in ((140.0,), (140.0, 142.0, 144.0))]
+        serial = [run_sweep(config, reference_set, reference_gains) for config in configs]
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
-        assert run_sweep(config, reference_set, reference_gains, workers=workers) == serial
-        assert RecordingPool.recorded == [helpers + 1]
-        assert RecordingPool.submitted == helpers
+        for config, rows, pool in zip(configs, serial, (1, min(workers, 3))):
+            RecordingPool.recorded, RecordingPool.submitted = [], 0
+            assert run_sweep(config, reference_set, reference_gains, workers=workers) == rows
+            assert RecordingPool.recorded == [pool]
+            assert RecordingPool.submitted == pool - 1
 
     def test_batch_sizes_come_from_the_index(self, reference_set, reference_gains):
         # 2**22 batches per point; a list of their sizes would take 32 MiB.
