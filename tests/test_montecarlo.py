@@ -147,26 +147,32 @@ class TestRunSweep:
     def test_a_points_batches_never_overlap(
         self, reference_set, reference_gains, monkeypatch, min_errors
     ):
-        # one point of two batches on two workers; batch 0 holds its stream
-        # until batch 1 starts or half a second passes
-        started, returned, overlapped, after = threading.Event(), threading.Event(), [], []
+        # two points of two batches on two workers; point 0's batch 0 holds its
+        # stream until point 1's last batch starts on the other worker, then
+        # until point 0's batch 1 starts or half a second passes
+        other, started, returned = threading.Event(), threading.Event(), threading.Event()
+        beside, overlapped, after = [], [], []
         philox_stream = montecarlo.philox_stream
 
         def held(seed, point, batch):
-            if batch == 0:
+            if (point, batch) == (0, 0):
+                beside.append(other.wait(30.0))
                 overlapped.append(started.wait(0.5))
                 returned.set()
-            else:
+            elif point == 0:
                 after.append(returned.is_set())
                 started.set()
+            elif batch == 1:
+                other.set()
             return philox_stream(seed, point, batch)
 
         monkeypatch.setattr(montecarlo, "philox_stream", held)
-        config = small_sweep(snr_points_db=(150.0,), trials_per_point=128, batch_size=64,
+        config = small_sweep(snr_points_db=(148.0, 150.0), trials_per_point=128, batch_size=64,
                              schemes=("noma-sic",), min_errors=min_errors)
         run_sweep(config, reference_set, reference_gains, workers=2)
-        # with or without a stop, a point is one task: batch 1 starts after batch 0 returned
-        assert (overlapped, after) == ([False], [True])
+        # with or without a stop, a point is one task: while point 1 runs on the
+        # other worker, point 0's batch 1 starts only after its batch 0 returned
+        assert (beside, overlapped, after) == ([True], [False], [True])
 
     @pytest.mark.parametrize("min_errors", [0, 25])
     def test_more_workers_than_cores_under_fast_switching_match_one(
