@@ -78,7 +78,7 @@ def _trace(cfg: ExperimentConfig) -> None:
     scheme counts first, each symbol index 1-based like the paper's levels."""
     gains, cset = cfg.design()
     tables = receivers(cset, gains, ("noma-sic", "noma-jml"), cfg.target_power_w)
-    sent, received, decided = _batch(cfg.sweep, 0, 0, cset, gains, tables)
+    sent, received, decided = _batch(cfg.sweep, 0, 0, cset, tables)
     u1, u2, u3, u1_hat, u2_sic, u3_hat, u2_jml, edge1, edge3 = (x.item(0) + 1 for x in (
         *sent["noma-sic"], *decided["noma-sic"], decided["noma-jml"][1], *decided["sic-stage1"]))
     y1, y2, y3 = (y.item(0) for y in received)

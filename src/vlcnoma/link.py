@@ -22,8 +22,9 @@ class Workspace:
     """Reusable arrays for the hot path, so that a warmed Monte Carlo batch
     allocates no temporaries.  A request for a key overwrites what an earlier
     one handed out.  Decisions are keyed by their ``DecisionTable``, scratch
-    by role: "t" and "index" hold a short-lived float and intp, "z" the
-    sample a decision reads while "t" is in use, "below" one compare at a time.
+    by role: "y" the one received amplitude being decoded, then its SIC
+    residual; "t" and "index" a short-lived float and intp; "below" one
+    compare at a time.  No stage writes an array that a caller passed in.
     """
 
     def __init__(self):
@@ -52,9 +53,9 @@ def oma_sizes(bpcu) -> tuple[int, int, int]:
 
 
 def _indices(symbols, sizes) -> tuple[np.ndarray, ...]:
-    """The (u1, u2, u3) symbol indices as arrays, each checked to lie in
-    0..size-1: the gathers clip, so this check is their only guard."""
-    arrays = tuple(np.asarray(values) for values in symbols)
+    """The (u1, u2, u3) symbol indices as broadcast arrays, each checked to
+    lie in 0..size-1: the gathers clip or wrap, so this check is their only guard."""
+    arrays = np.broadcast_arrays(*(np.asarray(values) for values in symbols))
     for name, arr, size in zip(("u1", "u2", "u3"), arrays, sizes):
         if arr.size and (arr.min() < 0 or arr.max() >= size):
             raise ParameterError(f"{name} indices must be >= 0 and < {size}")
@@ -72,47 +73,33 @@ def _take(values: np.ndarray, index: np.ndarray, ws: Workspace | None, key) -> n
     return np.take(values, index, out=_out(ws, key, index.shape, values.dtype), mode="clip")
 
 
-def _noisy(level, shape: tuple, sigma: float, rng, ws: Workspace | None, key) -> np.ndarray:
-    """``level`` plus standard normals drawn at ``shape`` into the scratch
-    array "t" and scaled by sigma, summed into the array ``key``."""
-    noise = rng.standard_normal(shape, out=_out(ws, "t", shape))
-    noise *= sigma
-    return np.add(noise, level, out=_out(ws, key, shape))
-
-
-def superpose_transmit(symbols, cset: ConstellationSet, gains: ChannelGains,
-                       ws: Workspace | None = None):
+def superpose_transmit(symbols, cset: ConstellationSet, gains: ChannelGains):
     """Noiseless received amplitudes ``(y1, y2, y3)`` for the symbol indices.
 
     User 1 sees cell 1's superposition through h11, user 3 sees cell 2's
     through h32, and the edge user sees both superpositions through its two
-    weak links.  With a workspace the amplitudes are its arrays "y1", "y2"
-    and "y3".
+    weak links.
     """
     i1, i2, i3 = _indices(symbols, cset.bpcu.sizes)
-    shape = np.broadcast_shapes(np.shape(i1), np.shape(i2), np.shape(i3))
-    # each cell's transmit sum builds up in the array of the user it scales into last
-    tx1 = np.add(_take(cset.cell1_center, i1, ws, "y1"), _take(cset.cell1_edge, i2, ws, "t"),
-                 out=_out(ws, "y1", shape))
-    tx2 = np.add(_take(cset.cell2_edge, i2, ws, "y3"), _take(cset.cell2_center, i3, ws, "t"),
-                 out=_out(ws, "y3", shape))
-    y2 = np.multiply(tx1, gains.h21, out=_out(ws, "y2", shape))
-    y2 = np.add(y2, np.multiply(tx2, gains.h22, out=_out(ws, "t", shape)), out=y2)
-    return (np.multiply(tx1, gains.h11, out=_out(ws, "y1", shape)), y2,
-            np.multiply(tx2, gains.h32, out=_out(ws, "y3", shape)))
+    tx1 = cset.cell1_center[i1] + cset.cell1_edge[i2]
+    tx2 = cset.cell2_edge[i2] + cset.cell2_center[i3]
+    return tx1 * gains.h11, tx1 * gains.h21 + tx2 * gains.h22, tx2 * gains.h32
 
 
 def awgn_sample(noiseless, sigma: float, rng: np.random.Generator, ws: Workspace | None = None):
-    """Add independent zero-mean Gaussian noise of std sigma to ``(y1, y2, y3)``.
+    """Add independent zero-mean Gaussian noise of std sigma to ``noiseless``:
+    one amplitude array, or a stacked ``(y1, y2, y3)``.
 
-    Draw order is fixed: y1, y2, y3.  With a workspace the noisy amplitudes
-    are its arrays "y1", "y2" and "y3", so they replace the output of
-    ``superpose_transmit`` on the same workspace.
+    Draw order is the flat order of ``noiseless``: y1, y2, then y3.  With a
+    workspace the noise is drawn into its array "t", and the sum is its
+    array "y", which ``noiseless`` may be.
     """
     if not sigma >= 0:
         raise ParameterError(f"sigma must be >= 0, got {sigma}")
-    return tuple(_noisy(y, np.shape(y), sigma, rng, ws, name)
-                 for name, y in zip(("y1", "y2", "y3"), noiseless))
+    shape = np.shape(noiseless)
+    noise = rng.standard_normal(shape, out=_out(ws, "t", shape))
+    noise *= sigma
+    return np.add(noise, noiseless, out=_out(ws, "y", shape))
 
 
 _SIGN_FREE = np.int64(0x7FFFFFFFFFFFFFFF)
@@ -244,10 +231,11 @@ class SicReceiver:
 
     def decide(self, y, ws: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
         """``(own, edge)`` labels shaped like y, decided by ``stage2`` and
-        ``stage1``: bytes where that table is direct with at most 255 thresholds."""
+        ``stage1``: bytes where that table is direct with at most 255 thresholds.
+        With a workspace the residual is its array "y", which y may be."""
         edge = self.stage1.decide(y, ws)
-        shift = _take(self.levels, edge, ws, "z")
-        residual = np.subtract(y, shift, out=_out(ws, "z", edge.shape))
+        shift = _take(self.levels, edge, ws, "t")
+        residual = np.subtract(y, shift, out=_out(ws, "y", edge.shape))
         return self.stage2.decide(residual, ws), edge
 
 
@@ -289,14 +277,6 @@ def center_user(cset: ConstellationSet, gains: ChannelGains, user: int):
     raise ParameterError(f"center users are 1 and 3, got {user}")
 
 
-def edge_jml_candidates(cset: ConstellationSet, gains: ChannelGains):
-    """``nearest_table`` arguments of the edge user's joint maximum
-    likelihood: every (u1, u2, u3) tuple's amplitude, labelled by its edge
-    coordinate.  Ties break toward the lexicographically lowest tuple."""
-    tuples = np.indices(cset.bpcu.sizes).reshape(3, -1)
-    return superpose_transmit(tuples, cset, gains)[1], tuples[1]
-
-
 def decode_center_sic(y, table: SicReceiver, ws: Workspace | None = None):
     """``(own_index, edge_index)`` at a center user, from its ``SicReceiver``."""
     return table.decide(y, ws)
@@ -308,7 +288,7 @@ def decode_u2_sic(y2, table: DecisionTable, ws: Workspace | None = None):
 
 
 def decode_u2_jml(y2, table: DecisionTable, ws: Workspace | None = None):
-    """Edge-user decode by joint maximum likelihood (``edge_jml_candidates``'s table)."""
+    """Edge-user decode by joint maximum likelihood: nearest of every tuple's y2."""
     return table.decide(y2, ws)
 
 
@@ -349,13 +329,10 @@ def oma_round(symbols, links, sigma: float, rng: np.random.Generator,
     user is decoded as soon as its noise is drawn; decoding draws nothing.
     Returns the three decoded indices.
     """
-    if not sigma >= 0:
-        raise ParameterError(f"sigma must be >= 0, got {sigma}")
     indices = _indices(symbols, tuple(levels.size for levels, _ in links))
-    shape = np.broadcast_shapes(*(np.shape(i) for i in indices))
     decided = [None, None, None]
     for k in (0, 2, 1):
         levels, table = links[k]
-        y = _noisy(_take(levels, indices[k], ws, "z"), shape, sigma, rng, ws, "z")
+        y = awgn_sample(_take(levels, indices[k], ws, "y"), sigma, rng, ws)
         decided[k] = table.decide(y, ws)
     return tuple(decided)

@@ -9,17 +9,17 @@ workers.
 
 Within a batch the draw order is fixed by ``_frame``: the superposed
 symbols u1, u2, u3, the noise on y1, y2, y3, then, if the orthogonal
-baseline runs, its symbols and its noise on users 1, 3 and 2.
+baseline runs, its symbols and its noise on users 1, 3 and 2.  Each user
+is decoded as soon as its noise is drawn.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from threading import Lock, Thread
 
 import numpy as np
 
@@ -27,13 +27,13 @@ from . import analytic
 from .channel import ChannelGains
 from .constellation import ConstellationSet, verify_gap_condition
 from .errors import ParameterError
-from .link import (SicReceiver, Workspace, awgn_sample, center_user, decode_center_sic,
-                   decode_u2_jml, decode_u2_sic, edge_jml_candidates, nearest_table, oma_levels,
+from .link import (SicReceiver, Workspace, _out, _take, awgn_sample, center_user,
+                   decode_center_sic, decode_u2_jml, decode_u2_sic, nearest_table, oma_levels,
                    oma_round, oma_sizes, superpose_transmit)
 
 USERS = ("u1", "u2", "u3")
 Z_95 = 1.959963984540054
-MAX_BATCH = 1 << 20  # trials; a worker's workspace of one batch is then about 62 MB
+MAX_BATCH = 1 << 20  # trials; a worker's workspace of one batch is then about 38 MB
 MAX_WORKERS = 64  # threads, each with a workspace of one batch (see SweepConfig.batch_size)
 MAX_POINTS = 1 << 16  # SNR points per sweep; the paper's grids have 26
 MAX_TRIALS = 1 << 36  # trials per sweep, about 3 h at 150 ns/trial; the paper's is 2.6e6
@@ -163,19 +163,22 @@ def philox_stream(seed: int, snr_index: int, batch_index: int) -> np.random.Gene
 def receivers(
     cset: ConstellationSet, gains: ChannelGains, schemes: tuple[str, ...], power_w: float
 ) -> dict:
-    """The decision tables that ``schemes`` decode with, built once per
-    sweep: "u1" and "u3" (SIC at the center users) for any superposed
-    scheme, "noma-sic" and "noma-jml" (the edge user) and "oma"
-    (``oma_round``'s links at average intensity ``power_w``) when their
-    scheme runs.
+    """The tables that ``schemes`` decode with, built once per sweep.  For
+    any superposed scheme: "amplitudes", the noiseless (y1, y2, y3) of every
+    (u1, u2, u3) tuple at its C-order flat index, and "u1" and "u3" (SIC at
+    the center users).  When their scheme runs: "noma-sic" and "noma-jml"
+    (the edge user; joint ML breaks ties toward the lexicographically lowest
+    tuple) and "oma" (``oma_round``'s links at average intensity ``power_w``).
     """
     tables: dict = {}
     if "noma-sic" in schemes:
         tables["noma-sic"] = nearest_table(gains.h21 * cset.cell1_edge
                                            + gains.h22 * cset.cell2_edge)
-    if "noma-jml" in schemes:
-        tables["noma-jml"] = nearest_table(*edge_jml_candidates(cset, gains))
-    if tables:  # a superposed scheme runs
+    if "noma-sic" in schemes or "noma-jml" in schemes:
+        tuples = np.indices(cset.bpcu.sizes).reshape(3, -1)
+        tables["amplitudes"] = superpose_transmit(tuples, cset, gains)
+        if "noma-jml" in schemes:
+            tables["noma-jml"] = nearest_table(tables["amplitudes"][1], tuples[1])
         for user in (1, 3):
             edge, own, h = center_user(cset, gains, user)
             tables[f"u{user}"] = SicReceiver(nearest_table(h * edge), h * edge,
@@ -198,7 +201,6 @@ def _frame(
     n: int,
     sigma: float,
     cset: ConstellationSet,
-    gains: ChannelGains,
     tables: dict,
     ws: Workspace | None = None,
 ) -> tuple[dict, tuple | None, dict]:
@@ -207,26 +209,42 @@ def _frame(
 
     ``sent`` and ``decided`` map each scheme to its 0-based (u1, u2, u3)
     indices, ``sent`` in fresh ``_symbols`` arrays; both superposed schemes
-    share one transmission.  ``received`` is the superposed (y1, y2, y3),
-    None without a superposed scheme, and ``decided["sic-stage1"]`` holds
-    the edge indices that SIC stage 1 at users 1 and 3 subtracted.  With a
-    workspace, ``received`` and ``decided`` are its arrays, each decision
-    keyed by its table, until the next frame on that workspace overwrites them.
+    share one transmission.  Users 1, 2 and 3 in turn gather their noiseless
+    amplitude from ``tables["amplitudes"]``, add their noise and decode it.
+    ``received`` is the superposed (y1, y2, y3); None without a superposed
+    scheme, or with a workspace, whose one array "y" each user overwrites.
+    ``decided["sic-stage1"]`` holds the edge indices that SIC stage 1 at
+    users 1 and 3 subtracted.  With a workspace, ``decided`` holds its
+    arrays, keyed by table, until the next frame on it overwrites them.
     """
     sent: dict[str, tuple] = {}
     decided: dict[str, tuple] = {}
     received = None
-    if "u1" in tables:
-        symbols = _symbols(rng, cset.bpcu.sizes, n)
-        received = awgn_sample(superpose_transmit(symbols, cset, gains, ws), sigma, rng, ws)
-        y1, y2, y3 = received
+    if "amplitudes" in tables:
+        sizes = cset.bpcu.sizes
+        symbols = _symbols(rng, sizes, n)
+        # each trial's flat (u1, u2, u3) index, in the smallest type that holds them all
+        index = _out(ws, "tuple", (n,), np.min_scalar_type(math.prod(sizes) - 1))
+        np.copyto(index, symbols[0])
+        for symbol, size in zip(symbols[1:], sizes[1:]):
+            index *= size
+            index += symbol
+
+        def noisy(user: int) -> np.ndarray:
+            return awgn_sample(_take(tables["amplitudes"][user], index, ws, "y"), sigma, rng, ws)
+
+        y1 = noisy(0)
         u1_hat, edge1 = decode_center_sic(y1, tables["u1"], ws)
+        y2 = noisy(1)
+        u2_hats = {scheme: decode(y2, tables[scheme], ws) for scheme, decode in
+                   (("noma-sic", decode_u2_sic), ("noma-jml", decode_u2_jml)) if scheme in tables}
+        y3 = noisy(2)
         u3_hat, edge3 = decode_center_sic(y3, tables["u3"], ws)
+        received = (y1, y2, y3) if ws is None else None
         decided["sic-stage1"] = (edge1, edge3)
-        for scheme, decode in (("noma-sic", decode_u2_sic), ("noma-jml", decode_u2_jml)):
-            if scheme in tables:
-                sent[scheme] = symbols
-                decided[scheme] = (u1_hat, decode(y2, tables[scheme], ws), u3_hat)
+        for scheme, u2_hat in u2_hats.items():
+            sent[scheme] = symbols
+            decided[scheme] = (u1_hat, u2_hat, u3_hat)
     if "oma" in tables:
         sent["oma"] = _symbols(rng, oma_sizes(cset.bpcu), n)
         decided["oma"] = oma_round(sent["oma"], tables["oma"], sigma, rng, ws)
@@ -234,11 +252,11 @@ def _frame(
 
 
 def _batch(config: SweepConfig, point: int, batch: int, cset: ConstellationSet,
-           gains: ChannelGains, tables: dict, ws: Workspace | None = None) -> tuple:
+           tables: dict, ws: Workspace | None = None) -> tuple:
     """``_frame`` of one batch of a point: its own Philox stream and its size."""
     n = min(config.batch_size, config.trials_per_point - batch * config.batch_size)
     return _frame(philox_stream(config.seed, point, batch), n, config.sigmas[point], cset,
-                  gains, tables, ws)
+                  tables, ws)
 
 
 def _settled(totals: np.ndarray, min_errors: int) -> np.ndarray:
@@ -266,46 +284,47 @@ def _run_points(
     tables = receivers(cset, gains, config.schemes, config.target_power_w)
     records: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(count)]
     points = iter(range(count))
-    lock = threading.Lock()
-    failed = False
+    lock = Lock()
+    errors: list[BaseException] = []  # the first is raised once every worker is joined
 
     def compute(point: int, batch: int, ws: Workspace) -> np.ndarray:
         """Symbol error counts of one batch, indexed (scheme, user)."""
-        sent, _, decided = _batch(config, point, batch, cset, gains, tables, ws)
+        sent, _, decided = _batch(config, point, batch, cset, tables, ws)
         wrong = ws.take("errors", sent[config.schemes[0]][0].shape, bool)
         return np.array([[np.count_nonzero(np.not_equal(got, want, out=wrong))
                           for want, got in zip(sent[s], decided[s])]
                          for s in config.schemes], dtype=np.int64)
 
     def work() -> None:
-        nonlocal failed
-        ws = Workspace()
-        while not failed:
-            with lock:
-                point = next(points, None)
-            if point is None:
-                return
-            totals = np.zeros((len(config.schemes), len(USERS)), dtype=np.int64)
-            settled = 0  # schemes settled at the point's last snapshot
-            for batch in range(batches):
-                try:
+        try:
+            ws = Workspace()
+            while not errors:
+                with lock:
+                    point = next(points, None)
+                if point is None:
+                    return
+                totals = np.zeros((len(config.schemes), len(USERS)), dtype=np.int64)
+                settled = 0  # schemes settled at the point's last snapshot
+                for batch in range(batches):
                     totals += compute(point, batch, ws)
-                except BaseException:
-                    failed = True  # the other workers stop after their current batch
-                    raise
-                now = int(_settled(totals, config.min_errors).sum())
-                if now > settled or batch + 1 == batches:
-                    records[point].append((min((batch + 1) * size, total), totals.copy()))
-                    settled = now
-                if failed or now == len(config.schemes):
-                    break
+                    now = int(_settled(totals, config.min_errors).sum())
+                    if now > settled or batch + 1 == batches:
+                        records[point].append((min((batch + 1) * size, total), totals.copy()))
+                        settled = now
+                    if errors or now == len(config.schemes):
+                        break
+        except BaseException as exc:
+            errors.append(exc)  # the other workers stop after their current batch
 
-    # the calling thread is a worker too, so one worker submits nothing and starts no thread
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        helpers = [pool.submit(work) for _ in range(workers - 1)]
-        work()
-        for helper in helpers:
-            helper.result()
+    # the calling thread is a worker too, so one worker starts no thread
+    threads = [Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     return records
 
 

@@ -15,8 +15,7 @@ from vlcnoma.channel import OpticalFrontEnd, dc_gain
 from vlcnoma.cli import main
 from vlcnoma.constellation import peak_powers
 from vlcnoma.link import (center_user, decode_center_sic, decode_u2_jml, decode_u2_sic,
-                          edge_jml_candidates, oma_levels, oma_pam_points, oma_sizes,
-                          superpose_transmit)
+                          oma_levels, oma_pam_points, oma_sizes, superpose_transmit)
 from vlcnoma.montecarlo import receivers, sigma_from_snr, wilson_interval
 
 GAINS = ChannelGains(h11=2.5892e-6, h21=7.8573e-7, h22=6.8573e-7, h32=3.5892e-6)
@@ -134,7 +133,7 @@ def test_ac4_joint_ml_dominates_on_common_noise(jml_sweep):
            f" and below half the SIC-rule SER somewhere (halved={halved})")
 
 
-def test_ac5_complexity_table_and_instrumented_counts(cset):
+def test_ac5_complexity_table_and_instrumented_counts(cset, tables):
     table_ok = (
         complexity_counts(BPCU, "noma-sic") == (24, 4)
         and complexity_counts(BPCU, "noma-jml") == (148, 128)
@@ -147,7 +146,7 @@ def test_ac5_complexity_table_and_instrumented_counts(cset):
     u1, u3 = (edge.size + own.size for edge, own, _ in (center_user(cset, GAINS, u)
                                                          for u in (1, 3)))
     sic = (GAINS.h21 * cset.cell1_edge + GAINS.h22 * cset.cell2_edge).size
-    jml = edge_jml_candidates(cset, GAINS)[0].size
+    jml = tables["amplitudes"][1].size
     oma = [levels.size for levels in oma_levels(BPCU, GAINS, POWER)]
     measured_ok = (
         (u1, sic, u3, jml) == (8 + 4, 4, 4 + 4, 128)

@@ -274,7 +274,7 @@ class TestCli:
         snr_db = cfg.sweep.snr_points_db[0]
         sigma = montecarlo.sigma_from_snr(snr_db, cfg.target_power_w)
         sent, received, decided = montecarlo._frame(
-            montecarlo.philox_stream(cfg.sweep.seed, 0, 0), n, sigma, cset, gains, tables)
+            montecarlo.philox_stream(cfg.sweep.seed, 0, 0), n, sigma, cset, tables)
         assert run_cli("simulate", "--trace", "--config", str(GOLDEN_CFG)) == 0
         first, *rest = capsys.readouterr().out.splitlines()
         assert first == f"snr_db = {snr_db}  sigma = {sigma!r}"
@@ -434,11 +434,11 @@ class TestCli:
 
     @pytest.mark.parametrize("workers", ["0", "65", str(10**30), "abc", "1.5", ""])
     def test_worker_count_out_of_bounds_exits_1(self, tmp_path, capsys, monkeypatch, workers):
-        def no_pool(max_workers):
-            raise AssertionError(f"a pool of {max_workers} threads was asked for")
+        def no_thread(target):
+            raise AssertionError("a worker thread was asked for")
 
-        # checked before any thread could start: a pool here fails the run
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+        # checked before any thread could start: a thread here fails the run
+        monkeypatch.setattr(montecarlo, "Thread", no_thread)
         monkeypatch.setenv("VLCNOMA_WORKERS", workers)
         out = tmp_path / "out.csv"
         assert run_cli("simulate", "--trials", "64", "--out", str(out)) == 1

@@ -60,7 +60,7 @@ class TestSpectralEfficiencies:
         # the center levels and the orthogonal PAM are built from Python ints
         cset = design_constellation(bpcu, reference_gains, 1.0)
         assert set(receivers(cset, reference_gains, ("noma-sic", "oma"), 1.0)) == {
-            "noma-sic", "u1", "u3", "oma"}
+            "amplitudes", "noma-sic", "u1", "u3", "oma"}
 
     @pytest.mark.parametrize("value", [3.0, np.float64(3.0), "3"])
     def test_non_integers_rejected(self, value):

@@ -14,9 +14,8 @@ from vlcnoma import ChannelGains, SpectralEfficiencies, design_constellation, li
 from vlcnoma.constellation import from_raw_levels
 from vlcnoma.errors import ParameterError
 from vlcnoma.link import (DecisionTable, SicReceiver, Workspace, awgn_sample, center_user,
-                          decode_center_sic, decode_u2_jml, decode_u2_sic, edge_jml_candidates,
-                          nearest_table, oma_levels, oma_pam_points, oma_round, oma_sizes,
-                          superpose_transmit)
+                          decode_center_sic, decode_u2_jml, decode_u2_sic, nearest_table,
+                          oma_levels, oma_pam_points, oma_round, oma_sizes, superpose_transmit)
 from vlcnoma.montecarlo import philox_stream, receivers
 
 ALL_SCHEMES = ("noma-sic", "noma-jml", "oma")
@@ -359,7 +358,8 @@ class TestDecisionTables:
 
     def test_merged_jml_table_matches_tuple_argmin(self, reference_set, reference_gains,
                                                    reference_tables):
-        joint, labels = edge_jml_candidates(reference_set, reference_gains)
+        joint = reference_tables["amplitudes"][1]
+        labels = np.indices(reference_set.bpcu.sizes).reshape(3, -1)[1]
         table = reference_tables["noma-jml"]
         assert table.thresholds.size == 3 and joint.size == 128
         unmerged = nearest_table(joint)
@@ -625,7 +625,7 @@ class TestDecisionTables:
         built = [reference_tables[k] for k in ("noma-sic", "noma-jml")]
         built += [table for _, table in reference_tables["oma"]]
         sizes = [(gains.h21 * cset.cell1_edge + gains.h22 * cset.cell2_edge).size,
-                 edge_jml_candidates(cset, gains)[0].size]
+                 reference_tables["amplitudes"][1].size]
         sizes += [x.size for x in oma_levels(cset.bpcu, gains, 1.0)]
         digest = hashlib.sha256()
         for table, size in zip(built, sizes, strict=True):
@@ -723,8 +723,8 @@ class TestEdgeDecoders:
         g, cset = reference_gains, reference_set
         assert (g.h21 * cset.cell1_edge + g.h22 * cset.cell2_edge).size == 4
 
-    def test_joint_ml_counts(self, reference_set, reference_gains):
-        assert edge_jml_candidates(reference_set, reference_gains)[0].size == 128
+    def test_joint_ml_counts(self, reference_tables):
+        assert reference_tables["amplitudes"][1].size == 128
 
     def test_noiseless_joint_ml_recovers_edge_symbol(self, reference_set, reference_gains,
                                                      reference_tables):

@@ -1,11 +1,13 @@
-import concurrent.futures
 import itertools
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from vlcnoma import (SpectralEfficiencies, SweepConfig, design_constellation, ru
 from vlcnoma.analytic import ser_center_lower_bound
 from vlcnoma import analytic, montecarlo
 from vlcnoma.constellation import MAX_GRID, from_raw_levels
-from vlcnoma.link import Workspace, oma_levels, oma_pam_points
+from vlcnoma.link import Workspace, oma_levels, oma_pam_points, superpose_transmit
 from vlcnoma.montecarlo import (_frame, _symbols, philox_stream, receivers, sigma_from_snr,
                                 wilson_interval)
 from vlcnoma.errors import ParameterError
@@ -230,12 +232,12 @@ class TestRunSweep:
     @pytest.mark.parametrize("workers", [0, -1, montecarlo.MAX_WORKERS + 1, 10**6])
     def test_rejects_workers_below_one(self, reference_set, reference_gains, monkeypatch,
                                        workers):
-        # and above the cap, before any pool exists: the stand-in starts no thread
-        RecordingPool.recorded = []
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        # and above the cap, before any thread exists: the stand-in starts none
+        RecordingThread.made = 0
+        monkeypatch.setattr(montecarlo, "Thread", RecordingThread)
         with pytest.raises(ParameterError, match="workers"):
             run_sweep(small_sweep(), reference_set, reference_gains, workers=workers)
-        assert RecordingPool.recorded == []
+        assert RecordingThread.made == 0
 
     @pytest.mark.parametrize("field", ["trials_per_point", "seed", "min_errors", "batch_size"])
     def test_integer_fields_reject_non_integers_naming_the_field(self, field):
@@ -590,26 +592,34 @@ class TestFrameWorkspace:
 
     def assert_reused_workspace_matches(self, schemes, cset, gains):
         tables = receivers(cset, gains, schemes, 1.0)
-        frame_args = (cset, gains, tables)
+        frame_args = (cset, tables)
         sigma = sigma_from_snr(136.0, 1.0)
+        superposed = any(scheme.startswith("noma") for scheme in schemes)
         ws = Workspace()
         # a full batch, a partial last batch and one trial, each right after
         # a frame of another size at another SNR has filled the workspace
         for n, other in ((self.BATCH, 1), (1808, self.BATCH), (1, 1808)):
             _frame(philox_stream(9, 1, n), other, sigma_from_snr(112.0, 1.0), *frame_args, ws)
-            got = frame_arrays(_frame(philox_stream(5, 0, n), n, sigma, *frame_args, ws))
+            reused = _frame(philox_stream(5, 0, n), n, sigma, *frame_args, ws)
             want = frame_arrays(_frame(philox_stream(5, 0, n), n, sigma, *frame_args))
-            assert got.keys() == want.keys()
+            # a worker holds one received amplitude at a time: only the
+            # allocating frame returns all three
+            assert reused[1] is None
+            got = frame_arrays(reused)
+            assert got.keys() == {key for key in want if key[0] != "received"}
+            assert len(want) - len(got) == 3 * superposed
             for key, array in want.items():
-                assert got[key].dtype == array.dtype and got[key].shape == (n,), key
-                assert np.array_equal(got[key], array), (n, key)
+                assert array.shape == (n,), key
+                if key[0] != "received":
+                    assert got[key].dtype == array.dtype and got[key].shape == (n,), key
+                    assert np.array_equal(got[key], array), (n, key)
 
     def test_warmed_frame_allocates_only_symbol_draws(self, schemes, reference_set,
                                                       reference_gains):
         # a default-size batch, so the constant slack is 2 B per trial
         n = 1 << 15
         tables = receivers(reference_set, reference_gains, schemes, 1.0)
-        frame_args = (sigma_from_snr(136.0, 1.0), reference_set, reference_gains, tables)
+        frame_args = (sigma_from_snr(136.0, 1.0), reference_set, tables)
         ws = Workspace()
         _frame(philox_stream(5, 0, 0), n, *frame_args, ws)
         tracemalloc.start()
@@ -626,21 +636,52 @@ class TestFrameWorkspace:
         assert peak <= (4 + draws) * n + 64 * 1024, peak / n
 
 
-@pytest.mark.parametrize("schemes,bound", [(("noma-sic",), 54),
-                                           (("noma-sic", "noma-jml", "oma"), 58)],
+@pytest.mark.parametrize("schemes,bound", [(("noma-sic",), 31),
+                                           (("noma-sic", "noma-jml", "oma"), 35)],
                          ids=["noma-sic", "all"])
 def test_warmed_workspace_bytes_per_trial(schemes, bound, reference_set, reference_gains):
-    # one scratch array per role, byte decisions and one threshold compare at
-    # a time; with all of a table's compares at once they took 60 and 73, with
-    # an array per call site 68 and 111, with intp decisions 97 and 161
+    # one received amplitude at a time, gathered from the sweep's amplitude
+    # table; with y1..y3 alive at once they took 54 and 58, with all of a
+    # table's compares at once 60 and 73, with an array per call site 68 and
+    # 111, with intp decisions 97 and 161
     n = 1 << 15
     tables = receivers(reference_set, reference_gains, schemes, 1.0)
     ws = Workspace()
     for batch in range(2):
         _frame(philox_stream(5, 0, batch), n, sigma_from_snr(136.0, 1.0), reference_set,
-               reference_gains, tables, ws)
+               tables, ws)
     held = sum(array.nbytes for array in ws._arrays.values())
     assert held <= bound * n, held / n
+
+
+# the reference design counts every threshold; the other two send the edge
+# tables and SIC stages through the bucketed lookup
+@pytest.mark.parametrize("bits", [(3, 2, 2), (2, 6, 2), (3, 2, 6)],
+                         ids=["3-2-2", "2-6-2", "3-2-6"])
+class TestReceivedAmplitudes:
+    def test_amplitude_table_is_superpose_transmit_at_every_tuple(self, bits, reference_gains):
+        cset = design_constellation(SpectralEfficiencies(*bits), reference_gains, 1.0)
+        table = receivers(cset, reference_gains, ("noma-sic",), 1.0)["amplitudes"]
+        tuples = list(itertools.product(*(range(m) for m in cset.bpcu.sizes)))
+        assert all(y.shape == (len(tuples),) for y in table)
+        for k, sent in enumerate(tuples):  # C order: u3 varies fastest
+            for got, want in zip(table, superpose_transmit(sent, cset, reference_gains),
+                                 strict=True):
+                assert np.float64(got[k]).view(np.int64) == np.float64(want).view(np.int64)
+
+    def test_received_is_the_noise_drawn_y1_y2_y3_after_the_symbols(self, bits,
+                                                                     reference_gains):
+        cset = design_constellation(SpectralEfficiencies(*bits), reference_gains, 1.0)
+        tables = receivers(cset, reference_gains, ("noma-sic", "noma-jml", "oma"), 1.0)
+        n, sigma = 3000, sigma_from_snr(130.0, 1.0)
+        sent, received, _ = _frame(philox_stream(3, 0, 0), n, sigma, cset, tables)
+        rng = philox_stream(3, 0, 0)
+        drawn = tuple(rng.integers(0, m, n) for m in cset.bpcu.sizes)
+        assert all(np.array_equal(a, b) for a, b in zip(sent["noma-sic"], drawn, strict=True))
+        noiseless = superpose_transmit(drawn, cset, reference_gains)
+        for y, level in zip(received, noiseless, strict=True):
+            want = level + sigma * rng.standard_normal(n)
+            assert np.array_equal(y.view(np.int64), want.view(np.int64))
 
 
 class TestStreamAddressing:
@@ -686,28 +727,34 @@ class TestStreamAddressing:
                         target_power_w=1.0, batch_size=1)
 
 
-class RecordingPool:
-    """Stands in for ThreadPoolExecutor: records ``max_workers`` and counts the
-    helpers submitted, but starts no thread, so the calling thread computes
-    every point."""
+class RecordingThread:
+    """Stands in for threading.Thread: counts the helper threads made and
+    started, but runs none, so the calling thread computes every point."""
 
-    recorded: list[int] = []
-    submitted = 0
+    made = started = joined = 0
 
-    def __init__(self, max_workers):
-        self.recorded.append(max_workers)
+    def __init__(self, target):
+        RecordingThread.made += 1
 
-    def __enter__(self):
-        return self
+    def start(self):
+        RecordingThread.started += 1
 
-    def __exit__(self, *exc):
-        return False
+    def join(self):
+        RecordingThread.joined += 1
 
-    def submit(self, fn):
-        RecordingPool.submitted += 1
-        done = concurrent.futures.Future()
-        done.set_result(None)
-        return done
+
+def test_importing_the_cli_loads_no_executor_and_no_logging():
+    # plain threads: concurrent.futures would load logging, queue, heapq and
+    # string into every process, about 0.6 MB of RSS
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, vlcnoma.cli; print(vlcnoma.cli.__file__);"
+            " print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True).stdout.splitlines()
+    assert Path(out[0]).resolve().parent == src / "vlcnoma"
+    assert out[1] == "[]"
 
 
 class TestResourceBounds:
@@ -748,18 +795,18 @@ class TestResourceBounds:
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, montecarlo.MAX_WORKERS])
     def test_workers_clamped_to_the_sweeps_point_count(self, reference_set, reference_gains,
                                                        monkeypatch, workers):
-        # one point of three batches is one task: a pool of one and no helper for
-        # any worker count; three points take at most three workers, the calling
-        # thread among them
+        # one point of three batches is one task: no helper thread for any worker
+        # count; three points take at most three workers, the calling thread
+        # among them, and every helper started is joined
         configs = [small_sweep(snr_points_db=points, trials_per_point=300, batch_size=128)
                    for points in ((140.0,), (140.0, 142.0, 144.0))]
         serial = [run_sweep(config, reference_set, reference_gains) for config in configs]
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo, "Thread", RecordingThread)
         for config, rows, pool in zip(configs, serial, (1, min(workers, 3))):
-            RecordingPool.recorded, RecordingPool.submitted = [], 0
+            RecordingThread.made = RecordingThread.started = RecordingThread.joined = 0
             assert run_sweep(config, reference_set, reference_gains, workers=workers) == rows
-            assert RecordingPool.recorded == [pool]
-            assert RecordingPool.submitted == pool - 1
+            assert (RecordingThread.made, RecordingThread.started,
+                    RecordingThread.joined) == (pool - 1,) * 3
 
     def test_batch_sizes_come_from_the_index(self, reference_set, reference_gains):
         # 2**22 batches per point; a list of their sizes would take 32 MiB.
