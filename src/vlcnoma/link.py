@@ -23,8 +23,8 @@ class Workspace:
     allocates no temporaries.  A request for a key overwrites what an earlier
     one handed out.  Decisions are keyed by their ``DecisionTable``, scratch
     by role: "y" the one received amplitude being decoded, then its SIC
-    residual; "t" and "index" a short-lived float and intp; "below" one
-    compare at a time.  No stage writes an array that a caller passed in.
+    residual; "t", "z" and "index" short-lived floats and an intp; "below"
+    one compare at a time.  No stage writes an array that a caller passed in.
     """
 
     def __init__(self):
@@ -54,7 +54,8 @@ def oma_sizes(bpcu) -> tuple[int, int, int]:
 
 def _indices(symbols, sizes) -> tuple[np.ndarray, ...]:
     """The (u1, u2, u3) symbol indices as broadcast arrays, each checked to
-    lie in 0..size-1: the gathers clip or wrap, so this check is their only guard."""
+    lie in 0..size-1: ``_take`` clips and fancy indexing wraps negative
+    indices, so this check is the only guard of both."""
     arrays = np.broadcast_arrays(*(np.asarray(values) for values in symbols))
     for name, arr, size in zip(("u1", "u2", "u3"), arrays, sizes):
         if arr.size and (arr.min() < 0 or arr.max() >= size):

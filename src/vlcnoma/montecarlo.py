@@ -33,6 +33,7 @@ from .link import (SicReceiver, Workspace, _out, _take, awgn_sample, center_user
 
 USERS = ("u1", "u2", "u3")
 Z_95 = 1.959963984540054
+MAX_PAIRS = 1 << 12  # symbol pairs per cell up to which sweeps tabulate amplitudes: 128 KiB
 MAX_BATCH = 1 << 20  # trials; a worker's workspace of one batch is then about 38 MB
 MAX_WORKERS = 64  # threads, each with a workspace of one batch (see SweepConfig.batch_size)
 MAX_POINTS = 1 << 16  # SNR points per sweep; the paper's grids have 26
@@ -164,21 +165,27 @@ def receivers(
     cset: ConstellationSet, gains: ChannelGains, schemes: tuple[str, ...], power_w: float
 ) -> dict:
     """The tables that ``schemes`` decode with, built once per sweep.  For
-    any superposed scheme: "amplitudes", the noiseless (y1, y2, y3) of every
-    (u1, u2, u3) tuple at its C-order flat index, and "u1" and "u3" (SIC at
-    the center users).  When their scheme runs: "noma-sic" and "noma-jml"
-    (the edge user; joint ML breaks ties toward the lexicographically lowest
-    tuple) and "oma" (``oma_round``'s links at average intensity ``power_w``).
+    any superposed scheme: "u1" and "u3" (SIC at the center users) and
+    "amplitudes", the products that ``superpose_transmit`` sums (y1 the
+    first, y2 the middle two, y3 the last): cell 1's sum over (u1, u2)
+    through h11 and h21, cell 2's over (u2, u3) through h22 and h32, each
+    at every pair if no cell has more than ``MAX_PAIRS``, else as (levels,
+    levels, gain).  When their scheme runs: "noma-sic" and "noma-jml" (the
+    edge user) and "oma" (``oma_round``'s links at intensity ``power_w``).
     """
     tables: dict = {}
     if "noma-sic" in schemes:
         tables["noma-sic"] = nearest_table(gains.h21 * cset.cell1_edge
                                            + gains.h22 * cset.cell2_edge)
-    if "noma-sic" in schemes or "noma-jml" in schemes:
+    if "noma-jml" in schemes:  # ties break toward the lexicographically lowest tuple
         tuples = np.indices(cset.bpcu.sizes).reshape(3, -1)
-        tables["amplitudes"] = superpose_transmit(tuples, cset, gains)
-        if "noma-jml" in schemes:
-            tables["noma-jml"] = nearest_table(tables["amplitudes"][1], tuples[1])
+        tables["noma-jml"] = nearest_table(superpose_transmit(tuples, cset, gains)[1], tuples[1])
+    if tables:  # a superposed scheme runs
+        cell1, cell2 = (cset.cell1_center, cset.cell1_edge), (cset.cell2_edge, cset.cell2_center)
+        terms = ((*cell1, gains.h11), (*cell1, gains.h21), (*cell2, gains.h22), (*cell2, gains.h32))
+        if all(low.size * high.size <= MAX_PAIRS for low, high, _ in terms):
+            terms = tuple((low[:, None] + high) * h for low, high, h in terms)
+        tables["amplitudes"] = terms
         for user in (1, 3):
             edge, own, h = center_user(cset, gains, user)
             tables[f"u{user}"] = SicReceiver(nearest_table(h * edge), h * edge,
@@ -196,20 +203,14 @@ def _symbols(rng: np.random.Generator, sizes, n: int) -> tuple[np.ndarray, ...]:
                  for m in sizes)
 
 
-def _frame(
-    rng: np.random.Generator,
-    n: int,
-    sigma: float,
-    cset: ConstellationSet,
-    tables: dict,
-    ws: Workspace | None = None,
-) -> tuple[dict, tuple | None, dict]:
+def _frame(rng: np.random.Generator, n: int, sigma: float, cset: ConstellationSet,
+           tables: dict, ws: Workspace | None = None) -> tuple[dict, tuple | None, dict]:
     """n channel uses of every scheme that ``tables`` (see ``receivers``)
     decodes, as ``_batch`` frames them: ``(sent, received, decided)``.
 
     ``sent`` and ``decided`` map each scheme to its 0-based (u1, u2, u3)
     indices, ``sent`` in fresh ``_symbols`` arrays; both superposed schemes
-    share one transmission.  Users 1, 2 and 3 in turn gather their noiseless
+    share one transmission.  Users 1, 2 and 3 in turn take their noiseless
     amplitude from ``tables["amplitudes"]``, add their noise and decode it.
     ``received`` is the superposed (y1, y2, y3); None without a superposed
     scheme, or with a workspace, whose one array "y" each user overwrites.
@@ -221,30 +222,33 @@ def _frame(
     decided: dict[str, tuple] = {}
     received = None
     if "amplitudes" in tables:
-        sizes = cset.bpcu.sizes
-        symbols = _symbols(rng, sizes, n)
-        # each trial's flat (u1, u2, u3) index, in the smallest type that holds them all
-        index = _out(ws, "tuple", (n,), np.min_scalar_type(math.prod(sizes) - 1))
-        np.copyto(index, symbols[0])
-        for symbol, size in zip(symbols[1:], sizes[1:]):
-            index *= size
-            index += symbol
+        symbols = u1, u2, u3 = _symbols(rng, cset.bpcu.sizes, n)
 
-        def noisy(user: int) -> np.ndarray:
-            return awgn_sample(_take(tables["amplitudes"][user], index, ws, "y"), sigma, rng, ws)
+        def term(k: int, key, scratch="t") -> np.ndarray:
+            """Product k of "amplitudes" at each trial, into the array ``key``:
+            gathered from its table at the trial's flat symbol pair, held in
+            the smallest type that fits, or summed and scaled from its levels."""
+            first, second = (u1, u2) if k < 2 else (u2, u3)
+            if isinstance(product := tables["amplitudes"][k], np.ndarray):
+                pair = _out(ws, "pair", (n,), np.min_scalar_type(product.size - 1))
+                np.multiply(first, product.shape[1], out=pair, dtype=pair.dtype)
+                return _take(product, np.add(pair, second, out=pair), ws, key)
+            low, high, h = product
+            x = _take(low, first, ws, key)
+            return np.multiply(np.add(x, _take(high, second, ws, scratch), out=x), h, out=x)
 
-        y1 = noisy(0)
+        y1 = awgn_sample(term(0, "y"), sigma, rng, ws)
         u1_hat, edge1 = decode_center_sic(y1, tables["u1"], ws)
-        y2 = noisy(1)
+        y2 = term(1, "y")
+        y2 = awgn_sample(np.add(y2, term(2, "t", "z"), out=y2), sigma, rng, ws)
         u2_hats = {scheme: decode(y2, tables[scheme], ws) for scheme, decode in
                    (("noma-sic", decode_u2_sic), ("noma-jml", decode_u2_jml)) if scheme in tables}
-        y3 = noisy(2)
+        y3 = awgn_sample(term(3, "y"), sigma, rng, ws)
         u3_hat, edge3 = decode_center_sic(y3, tables["u3"], ws)
         received = (y1, y2, y3) if ws is None else None
+        sent = dict.fromkeys(u2_hats, symbols)
+        decided = {scheme: (u1_hat, u2_hat, u3_hat) for scheme, u2_hat in u2_hats.items()}
         decided["sic-stage1"] = (edge1, edge3)
-        for scheme, u2_hat in u2_hats.items():
-            sent[scheme] = symbols
-            decided[scheme] = (u1_hat, u2_hat, u3_hat)
     if "oma" in tables:
         sent["oma"] = _symbols(rng, oma_sizes(cset.bpcu), n)
         decided["oma"] = oma_round(sent["oma"], tables["oma"], sigma, rng, ws)
@@ -264,12 +268,8 @@ def _settled(totals: np.ndarray, min_errors: int) -> np.ndarray:
     return (totals >= min_errors).all(axis=1) & (min_errors > 0)
 
 
-def _run_points(
-    config: SweepConfig,
-    cset: ConstellationSet,
-    gains: ChannelGains,
-    workers: int,
-) -> list[list[tuple[int, np.ndarray]]]:
+def _run_points(config: SweepConfig, cset: ConstellationSet, gains: ChannelGains,
+                workers: int) -> list[list[tuple[int, np.ndarray]]]:
     """Per SNR point, the snapshots ``(trials, totals)`` that ``_stop`` reads:
     int64 error totals indexed (scheme, user) in ``config.schemes`` × ``USERS``
     order, taken at each batch where one more scheme first settles and at
@@ -283,8 +283,7 @@ def _run_points(
     workers = min(workers, count)
     tables = receivers(cset, gains, config.schemes, config.target_power_w)
     records: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(count)]
-    points = iter(range(count))
-    lock = Lock()
+    points, lock = iter(range(count)), Lock()
     errors: list[BaseException] = []  # the first is raised once every worker is joined
 
     def compute(point: int, batch: int, ws: Workspace) -> np.ndarray:
@@ -316,11 +315,15 @@ def _run_points(
         except BaseException as exc:
             errors.append(exc)  # the other workers stop after their current batch
 
-    # the calling thread is a worker too, so one worker starts no thread
-    threads = [Thread(target=work) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
-    work()
+    threads: list[Thread] = []
+    try:
+        for _ in range(workers - 1):
+            thread = Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()  # the calling thread is a worker too, so one worker starts no thread
+    except BaseException as exc:  # a thread that failed to start: the started ones stop
+        errors.append(exc)
     for thread in threads:
         thread.join()
     if errors:

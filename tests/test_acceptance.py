@@ -133,7 +133,7 @@ def test_ac4_joint_ml_dominates_on_common_noise(jml_sweep):
            f" and below half the SIC-rule SER somewhere (halved={halved})")
 
 
-def test_ac5_complexity_table_and_instrumented_counts(cset, tables):
+def test_ac5_complexity_table_and_instrumented_counts(cset):
     table_ok = (
         complexity_counts(BPCU, "noma-sic") == (24, 4)
         and complexity_counts(BPCU, "noma-jml") == (148, 128)
@@ -146,7 +146,8 @@ def test_ac5_complexity_table_and_instrumented_counts(cset, tables):
     u1, u3 = (edge.size + own.size for edge, own, _ in (center_user(cset, GAINS, u)
                                                          for u in (1, 3)))
     sic = (GAINS.h21 * cset.cell1_edge + GAINS.h22 * cset.cell2_edge).size
-    jml = tables["amplitudes"][1].size
+    # joint ML's table is built from every (u1, u2, u3) tuple's y2
+    jml = superpose_transmit(np.indices(BPCU.sizes).reshape(3, -1), cset, GAINS)[1].size
     oma = [levels.size for levels in oma_levels(BPCU, GAINS, POWER)]
     measured_ok = (
         (u1, sic, u3, jml) == (8 + 4, 4, 4 + 4, 128)

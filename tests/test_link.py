@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -358,8 +359,8 @@ class TestDecisionTables:
 
     def test_merged_jml_table_matches_tuple_argmin(self, reference_set, reference_gains,
                                                    reference_tables):
-        joint = reference_tables["amplitudes"][1]
-        labels = np.indices(reference_set.bpcu.sizes).reshape(3, -1)[1]
+        tuples = np.indices(reference_set.bpcu.sizes).reshape(3, -1)
+        joint, labels = superpose_transmit(tuples, reference_set, reference_gains)[1], tuples[1]
         table = reference_tables["noma-jml"]
         assert table.thresholds.size == 3 and joint.size == 128
         unmerged = nearest_table(joint)
@@ -625,7 +626,7 @@ class TestDecisionTables:
         built = [reference_tables[k] for k in ("noma-sic", "noma-jml")]
         built += [table for _, table in reference_tables["oma"]]
         sizes = [(gains.h21 * cset.cell1_edge + gains.h22 * cset.cell2_edge).size,
-                 reference_tables["amplitudes"][1].size]
+                 math.prod(cset.bpcu.sizes)]  # joint ML's candidates: every tuple
         sizes += [x.size for x in oma_levels(cset.bpcu, gains, 1.0)]
         digest = hashlib.sha256()
         for table, size in zip(built, sizes, strict=True):
@@ -723,8 +724,9 @@ class TestEdgeDecoders:
         g, cset = reference_gains, reference_set
         assert (g.h21 * cset.cell1_edge + g.h22 * cset.cell2_edge).size == 4
 
-    def test_joint_ml_counts(self, reference_tables):
-        assert reference_tables["amplitudes"][1].size == 128
+    def test_joint_ml_counts(self, reference_set, reference_gains):
+        tuples = np.indices(reference_set.bpcu.sizes).reshape(3, -1)
+        assert superpose_transmit(tuples, reference_set, reference_gains)[1].size == 128
 
     def test_noiseless_joint_ml_recovers_edge_symbol(self, reference_set, reference_gains,
                                                      reference_tables):

@@ -229,6 +229,40 @@ class TestRunSweep:
         # went on to before it could see the failure
         assert len(started) - started.index((1, 2)) - 1 < workers, started
 
+    def test_a_thread_that_fails_to_start_stops_and_joins_the_started_one(
+        self, reference_set, reference_gains, monkeypatch, streams_drawn
+    ):
+        failure = RuntimeError("can't start new thread")
+        helpers, joining = [], threading.Event()
+        counted = montecarlo.philox_stream
+
+        class SecondFails(threading.Thread):
+            def start(self):
+                helpers.append(self)
+                if len(helpers) == 2:
+                    raise failure
+                super().start()
+
+            def join(self, timeout=None):
+                joining.set()
+                super().join(timeout)
+
+        def held(*args):
+            joining.wait(30.0)  # the first helper draws once the sweep joins it
+            return counted(*args)
+
+        monkeypatch.setattr(montecarlo, "Thread", SecondFails)
+        monkeypatch.setattr(montecarlo, "philox_stream", held)
+        config = small_sweep(snr_points_db=(130.0, 144.0, 146.0), trials_per_point=4096,
+                             schemes=("noma-sic",), batch_size=512)
+        with pytest.raises(RuntimeError) as raised:
+            run_sweep(config, reference_set, reference_gains, workers=3)
+        assert raised.value is failure
+        # joined, not left computing the sweep in the background: it stopped
+        # after the one batch it had begun, and the calling thread took none
+        assert not helpers[0].is_alive()
+        assert streams_drawn == [(config.seed, 0, 0)]
+
     @pytest.mark.parametrize("workers", [0, -1, montecarlo.MAX_WORKERS + 1, 10**6])
     def test_rejects_workers_below_one(self, reference_set, reference_gains, monkeypatch,
                                        workers):
@@ -582,9 +616,10 @@ class TestFrameWorkspace:
 
     # every reference table counts its thresholds; between them these designs
     # send both SIC stages, the edge tables and all three OMA tables through
-    # the bucketed lookup, whose scratch arrays the other stages share
-    @pytest.mark.parametrize("bits", [(6, 2, 2), (2, 6, 2), (3, 2, 6)],
-                             ids=["6-2-2", "2-6-2", "3-2-6"])
+    # the bucketed lookup, whose scratch arrays the other stages share; the
+    # last has more than MAX_PAIRS (u1, u2) pairs, so it sums each trial's levels
+    @pytest.mark.parametrize("bits", [(6, 2, 2), (2, 6, 2), (3, 2, 6), (7, 6, 1)],
+                             ids=["6-2-2", "2-6-2", "3-2-6", "7-6-1-summed"])
     def test_reused_workspace_matches_allocating_frame_on_bucketed_tables(
             self, schemes, bits, reference_gains):
         cset = design_constellation(SpectralEfficiencies(*bits), reference_gains, 1.0)
@@ -636,38 +671,51 @@ class TestFrameWorkspace:
         assert peak <= (4 + draws) * n + 64 * 1024, peak / n
 
 
-@pytest.mark.parametrize("schemes,bound", [(("noma-sic",), 31),
-                                           (("noma-sic", "noma-jml", "oma"), 35)],
-                         ids=["noma-sic", "all"])
-def test_warmed_workspace_bytes_per_trial(schemes, bound, reference_set, reference_gains):
-    # one received amplitude at a time, gathered from the sweep's amplitude
-    # table; with y1..y3 alive at once they took 54 and 58, with all of a
-    # table's compares at once 60 and 73, with an array per call site 68 and
-    # 111, with intp decisions 97 and 161
+@pytest.mark.parametrize("bits,schemes,bound", [((3, 2, 2), ("noma-sic",), 31),
+                                                ((3, 2, 2), ("noma-sic", "noma-jml", "oma"), 35),
+                                                ((7, 6, 1), ("noma-sic",), 38)],
+                         ids=["noma-sic", "all", "noma-sic-summed"])
+def test_warmed_workspace_bytes_per_trial(bits, schemes, bound, reference_gains):
+    # one received amplitude at a time, gathered from the sweep's tables of
+    # every symbol pair, or summed from the levels with one more float where
+    # a cell has more than MAX_PAIRS pairs; with y1..y3 alive at once they
+    # took 54, 58 and 54, with all of a table's compares at once 60 and 73,
+    # with an array per call site 68 and 111, with intp decisions 97 and 161
     n = 1 << 15
-    tables = receivers(reference_set, reference_gains, schemes, 1.0)
+    cset = design_constellation(SpectralEfficiencies(*bits), reference_gains, 1.0)
+    tables = receivers(cset, reference_gains, schemes, 1.0)
     ws = Workspace()
     for batch in range(2):
-        _frame(philox_stream(5, 0, batch), n, sigma_from_snr(136.0, 1.0), reference_set,
-               tables, ws)
+        _frame(philox_stream(5, 0, batch), n, sigma_from_snr(136.0, 1.0), cset, tables, ws)
     held = sum(array.nbytes for array in ws._arrays.values())
     assert held <= bound * n, held / n
 
 
-# the reference design counts every threshold; the other two send the edge
-# tables and SIC stages through the bucketed lookup
-@pytest.mark.parametrize("bits", [(3, 2, 2), (2, 6, 2), (3, 2, 6)],
-                         ids=["3-2-2", "2-6-2", "3-2-6"])
+# the reference design counts every threshold; the next two send the edge
+# tables and SIC stages through the bucketed lookup; the last has more than
+# MAX_PAIRS (u1, u2) pairs, so its sweeps sum each trial's levels
+@pytest.mark.parametrize("bits", [(3, 2, 2), (2, 6, 2), (3, 2, 6), (7, 6, 1)],
+                         ids=["3-2-2", "2-6-2", "3-2-6", "7-6-1-summed"])
 class TestReceivedAmplitudes:
-    def test_amplitude_table_is_superpose_transmit_at_every_tuple(self, bits, reference_gains):
-        cset = design_constellation(SpectralEfficiencies(*bits), reference_gains, 1.0)
-        table = receivers(cset, reference_gains, ("noma-sic",), 1.0)["amplitudes"]
-        tuples = list(itertools.product(*(range(m) for m in cset.bpcu.sizes)))
-        assert all(y.shape == (len(tuples),) for y in table)
-        for k, sent in enumerate(tuples):  # C order: u3 varies fastest
-            for got, want in zip(table, superpose_transmit(sent, cset, reference_gains),
-                                 strict=True):
-                assert np.float64(got[k]).view(np.int64) == np.float64(want).view(np.int64)
+    def test_amplitudes_are_each_pairs_level_sums(self, bits, reference_gains):
+        # each pair's levels summed and scaled in Python floats, the ops that
+        # superpose_transmit makes on each trial: the tables hold the same doubles
+        g, sizes = reference_gains, [2**b for b in bits]
+        cset = design_constellation(SpectralEfficiencies(*bits), g, 1.0)
+        products = receivers(cset, g, ("noma-sic",), 1.0)["amplitudes"]
+        cells = [(cset.cell1_center, cset.cell1_edge)] * 2 + [(cset.cell2_edge,
+                                                                cset.cell2_center)] * 2
+        tabulated = max(sizes[0], sizes[2]) * sizes[1] <= montecarlo.MAX_PAIRS
+        assert tabulated == (bits != (7, 6, 1))
+        for product, (low, high), h in zip(products, cells, (g.h11, g.h21, g.h22, g.h32),
+                                           strict=True):
+            if not tabulated:
+                assert [*map(np.array_equal, product[:2], (low, high)), product[2]] == [1, 1, h]
+                continue
+            assert product.shape == (low.size, high.size)
+            for a, b in itertools.product(range(low.size), range(high.size)):
+                want = (float(low[a]) + float(high[b])) * h
+                assert product[a, b].view(np.int64) == np.float64(want).view(np.int64)
 
     def test_received_is_the_noise_drawn_y1_y2_y3_after_the_symbols(self, bits,
                                                                      reference_gains):
