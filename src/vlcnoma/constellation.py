@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,11 +39,12 @@ LEVEL_SETS = (("cell1_center", 1, "u1"), ("cell1_edge", 1, "u2"),
 @dataclass(frozen=True)
 class SpectralEfficiencies:
     """Per-user spectral efficiencies in bits per channel use, small enough
-    that no grid built from them exceeds MAX_GRID entries."""
+    that no grid built from them exceeds MAX_GRID entries; ``sizes`` = 2**bpcu."""
 
     u1: int
     u2: int
     u3: int
+    sizes: tuple[int, int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # compared as bits: a huge value must not be raised to a power
@@ -60,11 +61,7 @@ class SpectralEfficiencies:
         if self.u1 + self.u2 + self.u3 > bits:
             raise ParameterError(f"bpcu_u1..bpcu_u3 sum to {self.u1 + self.u2 + self.u3} bits,"
                                  f" so joint ML would search more than {MAX_GRID} tuples")
-
-    @property
-    def sizes(self) -> tuple[int, int, int]:
-        """Constellation sizes (2**bpcu per user)."""
-        return (2**self.u1, 2**self.u2, 2**self.u3)
+        object.__setattr__(self, "sizes", (2**self.u1, 2**self.u2, 2**self.u3))
 
 
 @dataclass(frozen=True)
@@ -73,8 +70,9 @@ class ConstellationSet:
 
     ``cell1_center``/``cell2_center`` carry user 1 / user 3; ``cell1_edge``
     and ``cell2_edge`` carry the two halves of the edge user's signal.  The
-    ``raw_*`` arrays are the dimensionless design-domain levels, the plain
-    arrays are in watts after scaling each cell so its average superposed
+    ``raw_*`` arrays are the dimensionless design-domain levels.  The plain
+    arrays, read-only and set once at construction to ``raw_<name> *
+    scale_cell<c>``, are in watts: each cell is scaled so its average superposed
     transmit power per channel use equals the ``avg_power_w`` it was built for.
     """
 
@@ -85,22 +83,15 @@ class ConstellationSet:
     raw_cell2_center: np.ndarray
     scale_cell1: float
     scale_cell2: float
+    cell1_center: np.ndarray = field(init=False, compare=False, repr=False)
+    cell1_edge: np.ndarray = field(init=False, compare=False, repr=False)
+    cell2_edge: np.ndarray = field(init=False, compare=False, repr=False)
+    cell2_center: np.ndarray = field(init=False, compare=False, repr=False)
 
-    @property
-    def cell1_center(self) -> np.ndarray:
-        return self.raw_cell1_center * self.scale_cell1
-
-    @property
-    def cell1_edge(self) -> np.ndarray:
-        return self.raw_cell1_edge * self.scale_cell1
-
-    @property
-    def cell2_edge(self) -> np.ndarray:
-        return self.raw_cell2_edge * self.scale_cell2
-
-    @property
-    def cell2_center(self) -> np.ndarray:
-        return self.raw_cell2_center * self.scale_cell2
+    def __post_init__(self):
+        for name, cell, _ in LEVEL_SETS:
+            levels = getattr(self, f"raw_{name}") * getattr(self, f"scale_cell{cell}")
+            object.__setattr__(self, name, _frozen(levels))
 
     def spacings(self) -> dict[str, float]:
         """Constant consecutive gap of each level set, raw domain."""

@@ -19,6 +19,20 @@ from vlcnoma.link import nearest_table, superpose_transmit
 from vlcnoma.montecarlo import sigma_from_snr
 
 GOLDEN_CONFIG = Path(__file__).resolve().with_name("golden") / "golden.cfg"
+INF = float("inf")
+# closed_forms of noma-sic on the default 26-point grid at the largest valid design,
+# in a fresh process: the point count and the peak RSS in KiB
+CLOSED_FORMS_PEAK = """
+import resource
+from vlcnoma import SpectralEfficiencies, design_constellation
+from vlcnoma.analytic import closed_forms
+from vlcnoma.config import load_config
+cfg = load_config(None)
+gains = cfg.design()[0]
+cset = design_constellation(SpectralEfficiencies(10, 1, 9), gains, cfg.target_power_w)
+forms = closed_forms(("noma-sic",), cset, gains, cfg.sweep.sigmas)
+print(len(forms["noma-sic", "u2"]), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
 
 @pytest.fixture(scope="module")
 def reference_set(reference_bpcu, reference_gains):
@@ -261,6 +275,36 @@ class TestClosedFormsOverAGrid:
             bound = ser_center_lower_bound(reference_set, reference_gains, np.array(sigmas), user)
             assert bound.tolist() == [ser_center_lower_bound(reference_set, reference_gains, s,
                                                              user) for s in sigmas]
+
+    # the reference design split into chunks of 3 sigmas by a smaller budget, and the
+    # largest valid design, whose 2^19 level pairs put each sigma in a chunk of its own
+    SPLITS = {"reference-in-threes": ((3, 2, 2), 3 * 8 * 4 * 2, 150.0, 2.0, 10),
+              "10-1-9": ((10, 1, 9), analytic.MAX_TAILS, 150.0, 25.0, 5)}
+
+    @pytest.mark.parametrize("split", SPLITS)
+    def test_chunked_grid_equals_scalar_calls(self, monkeypatch, reference_gains, split):
+        bits, budget, stop, step, chunks = self.SPLITS[split]
+        cset = design_constellation(SpectralEfficiencies(*bits), reference_gains, 1.0)
+        sigmas = [sigma_from_snr(snr, 1.0) for snr in snr_grid(100.0, stop, step)] + [0.0, INF]
+        monkeypatch.setattr(analytic, "MAX_TAILS", budget)
+        calls = []
+        monkeypatch.setattr(analytic, "erfc", lambda x: calls.append(x.size) or erfc(x))
+        edge = ser_u2_analytic(cset, reference_gains, np.array(sigmas))
+        row = 2 * cset.cell1_center.size * cset.cell2_center.size  # (pair, sign) tails
+        assert len(calls) == chunks and max(calls) <= max(budget, row)
+        assert edge.tolist() == [ser_u2_analytic(cset, reference_gains, s) for s in sigmas]
+        column = ser_u2_analytic(cset, reference_gains, np.array(sigmas).reshape(-1, 1))
+        assert column.tolist() == edge.reshape(-1, 1).tolist()
+
+    def test_closed_forms_of_26_points_at_the_largest_design_fit_in_400_mb(self):
+        # every tail of 26 sigmas over 2^19 level pairs at once peaked near 2 GB;
+        # chunked, one sigma's row bounds the peak at about 170 MB
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run([sys.executable, "-c", CLOSED_FORMS_PEAK], capture_output=True,
+                             text=True, env=env, timeout=300, check=True).stdout.split()
+        assert out[0] == "26" and int(out[1]) <= 400 * 1024  # ru_maxrss, KiB
 
     def test_scalar_calls_return_floats(self, reference_set, reference_gains):
         assert type(ser_u2_analytic(reference_set, reference_gains, 1e-7)) is float

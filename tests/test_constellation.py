@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlcnoma import ChannelGains, SpectralEfficiencies, design_constellation
-from vlcnoma.constellation import (MAX_GRID, center_points, edge_points, from_raw_levels,
-                                   peak_powers, verify_gap_condition)
+from vlcnoma.constellation import (LEVEL_SETS, MAX_GRID, center_points, edge_points,
+                                   from_raw_levels, peak_powers, verify_gap_condition)
 from vlcnoma.link import decode_center_sic, decode_u2_jml, decode_u2_sic, superpose_transmit
 from vlcnoma.montecarlo import receivers
 from vlcnoma.errors import ParameterError
@@ -67,6 +68,49 @@ class TestSpectralEfficiencies:
         message = f"bpcu_u1 must be an integer >= 1, got {value!r}"
         with pytest.raises(ParameterError, match=re.escape(message)):
             SpectralEfficiencies(value, 2, 2)
+
+    def test_sizes_set_at_construction_and_recomputed_by_replace(self):
+        assert SpectralEfficiencies(3, 2, 1).sizes == (8, 4, 2)
+        assert replace(SpectralEfficiencies(3, 2, 1), u2=5).sizes == (8, 32, 2)
+
+    def test_sizes_left_out_of_equality_hash_and_repr(self):
+        bpcu, other = SpectralEfficiencies(3, 2, 2), SpectralEfficiencies(3, 2, 2)
+        object.__setattr__(other, "sizes", (1, 1, 1))
+        assert bpcu == other and hash(bpcu) == hash(other)
+        assert "sizes" not in repr(bpcu)
+
+
+class TestStoredLevels:
+    """The normalized levels are stored once, as raw * scale, and read-only."""
+
+    @pytest.mark.parametrize("power", [1.0, 0.3, 7.5])
+    def test_levels_are_raw_times_scale_bit_for_bit(self, reference_bpcu, reference_gains,
+                                                    power):
+        cset = design_constellation(reference_bpcu, reference_gains, power)
+        for name, cell, _ in LEVEL_SETS:
+            product = getattr(cset, f"raw_{name}") * getattr(cset, f"scale_cell{cell}")
+            assert np.array_equal(getattr(cset, name).view(np.int64), product.view(np.int64))
+
+    def test_levels_are_read_only(self, reference_bpcu, reference_gains):
+        cset = design_constellation(reference_bpcu, reference_gains, 1.0)
+        for name, _, _ in LEVEL_SETS:
+            levels = getattr(cset, name)
+            assert not levels.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                levels[0] = 0.0
+
+    def test_replace_recomputes_the_levels(self, reference_bpcu, reference_gains):
+        cset = design_constellation(reference_bpcu, reference_gains, 1.0)
+        moved = replace(cset, scale_cell2=2.5, raw_cell1_edge=cset.raw_cell1_edge + 1.0)
+        assert np.array_equal(moved.cell1_center, cset.cell1_center)
+        assert np.array_equal(moved.cell1_edge, (cset.raw_cell1_edge + 1.0) * cset.scale_cell1)
+        assert np.array_equal(moved.cell2_edge, cset.raw_cell2_edge * 2.5)
+        assert np.array_equal(moved.cell2_center, cset.raw_cell2_center * 2.5)
+
+    def test_levels_left_out_of_repr(self, reference_bpcu, reference_gains):
+        text = repr(design_constellation(reference_bpcu, reference_gains, 1.0))
+        assert "raw_cell1_center" in text
+        assert not re.search(r"(?<!raw_)cell[12]_(center|edge)=", text)
 
 
 class TestEdgePoints:
