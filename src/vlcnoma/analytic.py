@@ -35,6 +35,7 @@ _R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.0190504225118047741
 _S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
       1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
 
+EXP_SLICE = 1 << 14  # tail entries per math.exp list in erfc
 MAX_TAILS = 1 << 16  # (pair, sign) entries per ser_u2_analytic _tail call, or one row if longer
 
 
@@ -53,15 +54,17 @@ def erfc(x) -> np.ndarray:
     a = np.abs(flat)
     with np.errstate(over="ignore"):  # a square that overflows is past MAXLOG anyway
         square = a * a
-    # the rationals see only |x| <= sqrt(MAXLOG), so none overflows; NaN is in neither
-    small, tail = np.flatnonzero(a < 1.0), np.flatnonzero((a >= 1.0) & (square <= MAXLOG))
+    # the rationals see only |x| <= sqrt(MAXLOG), so none overflows; NaN is in none
+    small = np.flatnonzero(a < 1.0)
     out = 1.0 - np.sign(flat)  # 0 or 2 where exp(-x^2) underflows, NaN for NaN
     out[small] = 1.0 - flat[small] * _horner(square[small], _T) / _horner(square[small], _U)
-    v = a[tail]
-    y = (np.fromiter(map(math.exp, (-square[tail]).tolist()), float, v.size)
-         * np.where(v < 8.0, _horner(v, _P), _horner(v, _R))
-         / np.where(v < 8.0, _horner(v, _Q), _horner(v, _S)))
-    out[tail] = np.where(flat[tail] < 0, 2.0 - y, y)
+    for low, high, num, den in ((1.0, 8.0, _P, _Q), (8.0, math.inf, _R, _S)):
+        tail = np.flatnonzero((a >= low) & (a < high) & (square <= MAXLOG))
+        for part in (tail[k:k + EXP_SLICE] for k in range(0, tail.size, EXP_SLICE)):
+            v = a[part]  # each rational on its own entries, math.exp on one slice at a time
+            y = (np.fromiter(map(math.exp, (-square[part]).tolist()), float, v.size)
+                 * _horner(v, num) / _horner(v, den))
+            out[part] = np.where(flat[part] < 0, 2.0 - y, y)
     return out.reshape(np.shape(x))
 
 

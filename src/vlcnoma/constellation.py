@@ -74,24 +74,28 @@ class ConstellationSet:
     arrays, read-only and set once at construction to ``raw_<name> *
     scale_cell<c>``, are in watts: each cell is scaled so its average superposed
     transmit power per channel use equals the ``avg_power_w`` it was built for.
+    Sets compare and hash by ``bpcu``, the scales and ``raw_bytes``, the raw
+    arrays' bytes, which is also set at construction.
     """
 
     bpcu: SpectralEfficiencies
-    raw_cell1_center: np.ndarray
-    raw_cell1_edge: np.ndarray
-    raw_cell2_edge: np.ndarray
-    raw_cell2_center: np.ndarray
+    raw_cell1_center: np.ndarray = field(compare=False)
+    raw_cell1_edge: np.ndarray = field(compare=False)
+    raw_cell2_edge: np.ndarray = field(compare=False)
+    raw_cell2_center: np.ndarray = field(compare=False)
     scale_cell1: float
     scale_cell2: float
+    raw_bytes: tuple[bytes, ...] = field(init=False, repr=False)
     cell1_center: np.ndarray = field(init=False, compare=False, repr=False)
     cell1_edge: np.ndarray = field(init=False, compare=False, repr=False)
     cell2_edge: np.ndarray = field(init=False, compare=False, repr=False)
     cell2_center: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for name, cell, _ in LEVEL_SETS:
-            levels = getattr(self, f"raw_{name}") * getattr(self, f"scale_cell{cell}")
-            object.__setattr__(self, name, _frozen(levels))
+        raw = tuple(getattr(self, f"raw_{name}") for name, _, _ in LEVEL_SETS)
+        for (name, cell, _), values in zip(LEVEL_SETS, raw):
+            object.__setattr__(self, name, _frozen(values * getattr(self, f"scale_cell{cell}")))
+        object.__setattr__(self, "raw_bytes", tuple(values.tobytes() for values in raw))
 
     def spacings(self) -> dict[str, float]:
         """Constant consecutive gap of each level set, raw domain."""

@@ -216,14 +216,14 @@ class DecisionTable:
         return _take(self.labels, slot, ws, self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SicReceiver:
     """Successive interference cancellation at a center user, as its two
     stages: ``stage1`` decides the edge label e of the sample y, then
     ``stage2`` decides the user's own label of the residual
     fl(y - levels[e]).  That is the two-stage receiver itself, so it is
     exact by construction, and stage-1 mistakes propagate as they do in it.
-    ``levels`` are the edge levels.
+    ``levels`` are the edge levels.  It compares and hashes by identity.
     """
 
     stage1: DecisionTable

@@ -372,8 +372,7 @@ def run_sweep(
     if not ok:
         warnings.warn("constellation fails the zero-error gap condition", stacklevel=2)
     memo = {} if memo is None else memo
-    key = (replace(config, schemes=analytic.SCHEMES), gains,
-           *(v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(cset).values()))
+    key = (replace(config, schemes=analytic.SCHEMES), gains, cset)
     schemes, records = memo.get(key, ((), None))
     if not set(config.schemes) <= set(schemes) or (
             config.schemes == ("oma",) and schemes != ("oma",)):

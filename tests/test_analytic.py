@@ -129,6 +129,52 @@ def assert_same_bits(x):
     assert not differ.any(), f"{differ.sum()} of {x.size} differ, e.g. at {x[~nan][differ][:4]}"
 
 
+# (x, erfc(x)) as float.hex, frozen from scipy.special.erfc: around the branch
+# edges |x| = 1 and 8 and the underflow edge sqrt(MAXLOG), both signs, the
+# special values and a few points of each branch
+ERFC_BITS = [
+    ("0x1.fffffffffffffp-1", "0x1.4226162fbddd8p-3"),
+    ("-0x1.fffffffffffffp-1", "0x1.d7bb3d3a08445p+0"),
+    ("0x1.0000000000000p+0", "0x1.4226162fbddd6p-3"),
+    ("-0x1.0000000000000p+0", "0x1.d7bb3d3a08445p+0"),
+    ("0x1.0000000000001p+0", "0x1.4226162fbddd1p-3"),
+    ("-0x1.0000000000001p+0", "0x1.d7bb3d3a08446p+0"),
+    ("0x1.fffffffffffffp+2", "0x1.c74fc41217e6fp-97"),
+    ("-0x1.fffffffffffffp+2", "0x1.0000000000000p+1"),
+    ("0x1.0000000000000p+3", "0x1.c74fc41217dfcp-97"),
+    ("-0x1.0000000000000p+3", "0x1.0000000000000p+1"),
+    ("0x1.0000000000001p+3", "0x1.c74fc41217d18p-97"),
+    ("-0x1.0000000000001p+3", "0x1.0000000000000p+1"),
+    ("0x1.aa4499161cd46p+4", "0x0.015ab7e9654c4p-1022"),
+    ("-0x1.aa4499161cd46p+4", "0x1.0000000000000p+1"),
+    ("0x1.aa4499161cd47p+4", "0x0.015ab7e9654c2p-1022"),  # the float nearest sqrt(MAXLOG)
+    ("-0x1.aa4499161cd47p+4", "0x1.0000000000000p+1"),
+    ("0x1.aa4499161cd48p+4", "0x0.0p+0"),
+    ("-0x1.aa4499161cd48p+4", "0x1.0000000000000p+1"),
+    ("0x0.0p+0", "0x1.0000000000000p+0"),
+    ("-0x0.0p+0", "0x1.0000000000000p+0"),
+    ("inf", "0x0.0p+0"),
+    ("-inf", "0x1.0000000000000p+1"),
+    ("nan", "nan"),
+    ("0x0.0000000000001p-1022", "0x1.0000000000000p+0"),
+    ("-0x1.1fa182c40c60dp-1022", "0x1.0000000000000p+0"),
+    ("0x1.0000000000000p-1", "0x1.eb02147ce245cp-2"),
+    ("-0x1.4000000000000p+1", "0x1.ffe5547a64df5p+0"),
+    ("0x1.4000000000000p+2", "0x1.b0c1a759f7738p-40"),
+    ("0x1.8000000000000p+3", "0x1.c90f21d2d4762p-213"),
+    ("-0x1.4000000000000p+4", "0x1.0000000000000p+1"),
+    ("0x1.a000000000000p+4", "0x1.284bfe1cdea26p-981"),
+]
+
+
+class TestErfcFrozenBits:
+    """The Cephes port against a frozen table of scipy's bits; runs without scipy."""
+
+    def test_table(self):
+        x = np.array([float.fromhex(arg) for arg, _ in ERFC_BITS])
+        assert [float(v).hex() for v in erfc(x)] == [bits for _, bits in ERFC_BITS]
+
+
 class TestErfcMatchesScipy:
     """The Cephes port against the scipy it was taken from; skipped without scipy."""
 

@@ -113,6 +113,37 @@ class TestStoredLevels:
         assert not re.search(r"(?<!raw_)cell[12]_(center|edge)=", text)
 
 
+class TestValueIdentity:
+    """A design compares and hashes by bpcu, its scales and its raw levels' bytes."""
+
+    def test_separately_built_equal_designs_are_equal(self, reference_bpcu, reference_gains):
+        a = design_constellation(reference_bpcu, reference_gains, 1.0)
+        b = design_constellation(SpectralEfficiencies(3, 2, 2), replace(reference_gains), 1.0)
+        assert a is not b and a.raw_cell1_edge is not b.raw_cell1_edge
+        assert a == b and hash(a) == hash(b)
+
+    def test_a_changed_raw_level_scale_or_bpcu_is_unequal(self, reference_bpcu,
+                                                          reference_gains):
+        cset = design_constellation(reference_bpcu, reference_gains, 1.0)
+        raised = cset.raw_cell2_center.copy()
+        raised[-1] += 0.5
+        for changed in (replace(cset, raw_cell2_center=raised),
+                        replace(cset, scale_cell1=cset.scale_cell1 * 2.0),
+                        replace(cset, scale_cell2=cset.scale_cell2 * 2.0),
+                        replace(cset, bpcu=SpectralEfficiencies(3, 2, 3))):
+            assert changed != cset, changed
+
+    def test_replace_recomputes_the_raw_bytes(self, reference_bpcu, reference_gains):
+        cset = design_constellation(reference_bpcu, reference_gains, 1.0)
+        assert cset.raw_bytes == tuple(getattr(cset, f"raw_{name}").tobytes()
+                                       for name, _, _ in LEVEL_SETS)
+        moved = replace(cset, raw_cell1_edge=cset.raw_cell1_edge + 1.0)
+        expected = list(cset.raw_bytes)
+        expected[1] = (cset.raw_cell1_edge + 1.0).tobytes()
+        assert list(moved.raw_bytes) == expected
+        assert moved == replace(moved) and "raw_bytes" not in repr(moved)
+
+
 class TestEdgePoints:
     def test_smallest_case_reference_gains(self, reference_gains):
         cell1, cell2 = edge_points(SpectralEfficiencies(1, 1, 1), reference_gains)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import os
@@ -6,7 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlcnoma import (SpectralEfficiencies, SweepConfig, design_constellation, run_sweep,
-                     ser_u2_analytic)
+from vlcnoma import (SpectralEfficiencies, SweepConfig, design_constellation, load_config,
+                     run_sweep, ser_u2_analytic)
 from vlcnoma.analytic import ser_center_lower_bound
 from vlcnoma import analytic, montecarlo
 from vlcnoma.constellation import MAX_GRID, from_raw_levels
-from vlcnoma.link import Workspace, oma_levels, oma_pam_points, superpose_transmit
+from vlcnoma.link import SicReceiver, Workspace, oma_levels, oma_pam_points, superpose_transmit
 from vlcnoma.montecarlo import (_frame, _symbols, philox_stream, receivers, sigma_from_snr,
                                 wilson_interval)
 from vlcnoma.errors import ParameterError
@@ -555,6 +556,40 @@ class TestReplay:
         assert analytic_values["u1"] == ser_center_lower_bound(
             uneven, reference_gains, sigma_from_snr(130.0, 1.0), 1)
         assert type(analytic_values["u3"]) is float
+
+
+def dataclass_instances(value):
+    """Each dataclass instance in value, in their fields and in any tuple, list or dict."""
+    if is_dataclass(value):
+        yield value
+        value = [getattr(value, field.name) for field in fields(value)]
+    elif isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from dataclass_instances(item)
+
+
+class TestValueComparisons:
+    """No dataclass instance that the package returns has an == or a hash that raises."""
+
+    def test_configs_designs_receivers_and_rows(self):
+        cfg = load_config(None, {"trials_per_point": "512", "batch_size": "256",
+                                 "snr_points_db": "120:140",
+                                 "schemes": "noma-sic,noma-jml,oma"})
+        gains, cset = cfg.design()
+        tables = receivers(cset, gains, cfg.sweep.schemes, cfg.target_power_w)
+        rows = run_sweep(cfg.sweep, cset, gains)
+        found = list(dataclass_instances([cfg, gains, cset, tables, rows]))
+        for value in found:
+            twin = copy.deepcopy(value)  # equal, in other objects down to every array
+            # receivers compare by identity, as their decision tables do
+            assert (value == twin) is not isinstance(value, SicReceiver), value
+            hash(value)
+        assert {type(value).__name__ for value in found} == {
+            "ExperimentConfig", "ScenarioGeometry", "OpticalFrontEnd", "ChannelGains",
+            "SpectralEfficiencies", "SweepConfig", "ConstellationSet", "SicReceiver",
+            "SerPoint", "SerEstimate"}
 
 
 def trials(points) -> list[int]:
