@@ -35,7 +35,7 @@ _R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.0190504225118047741
 _S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
       1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
 
-EXP_SLICE = 1 << 14  # tail entries per math.exp list in erfc
+EXP_SLICE = 1 << 14  # entries per slice of each erfc branch, and per math.exp list
 MAX_TAILS = 1 << 16  # (pair, sign) entries per ser_u2_analytic _tail call, or one row if longer
 
 
@@ -57,7 +57,8 @@ def erfc(x) -> np.ndarray:
     # the rationals see only |x| <= sqrt(MAXLOG), so none overflows; NaN is in none
     small = np.flatnonzero(a < 1.0)
     out = 1.0 - np.sign(flat)  # 0 or 2 where exp(-x^2) underflows, NaN for NaN
-    out[small] = 1.0 - flat[small] * _horner(square[small], _T) / _horner(square[small], _U)
+    for part in (small[k:k + EXP_SLICE] for k in range(0, small.size, EXP_SLICE)):
+        out[part] = 1.0 - flat[part] * _horner(square[part], _T) / _horner(square[part], _U)
     for low, high, num, den in ((1.0, 8.0, _P, _Q), (8.0, math.inf, _R, _S)):
         tail = np.flatnonzero((a >= low) & (a < high) & (square <= MAXLOG))
         for part in (tail[k:k + EXP_SLICE] for k in range(0, tail.size, EXP_SLICE)):
@@ -84,7 +85,9 @@ def _per_sigma(sigma) -> np.ndarray:
 def _tail(d, sigma) -> np.ndarray:
     """Q(d / sigma), and at sigma = 0 its limit (1 - sign d) / 2."""
     zero = sigma == 0
-    return np.where(zero, 0.5 * (1.0 - np.sign(d)), q_function(d / np.where(zero, 1.0, sigma)))
+    q = np.asarray(q_function(d / np.where(zero, 1.0, sigma)))  # 0-d: an array, not a scalar
+    np.copyto(q, 0.5 * (1.0 - np.sign(d)), where=zero)
+    return q
 
 
 def ser_u2_analytic(cset: ConstellationSet, gains: ChannelGains, sigma):

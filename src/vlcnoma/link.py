@@ -74,17 +74,23 @@ def _take(values: np.ndarray, index: np.ndarray, ws: Workspace | None, key) -> n
     return np.take(values, index, out=_out(ws, key, index.shape, values.dtype), mode="clip")
 
 
-def superpose_transmit(symbols, cset: ConstellationSet, gains: ChannelGains):
-    """Noiseless received amplitudes ``(y1, y2, y3)`` for the symbol indices.
-
-    User 1 sees cell 1's superposition through h11, user 3 sees cell 2's
-    through h32, and the edge user sees both superpositions through its two
-    weak links.
+def received_terms(cset: ConstellationSet, gains: ChannelGains) -> tuple:
+    """The four ``(levels, levels, gain)`` products of the received amplitudes,
+    each ``(first[i] + second[j]) * gain``: cell 1's sum over (u1, u2) through
+    h11 and h21, then cell 2's over (u2, u3) through h22 and h32.  User 1
+    hears the first, the edge user the middle two summed, user 3 the last.
     """
+    cell1, cell2 = (cset.cell1_center, cset.cell1_edge), (cset.cell2_edge, cset.cell2_center)
+    return (*cell1, gains.h11), (*cell1, gains.h21), (*cell2, gains.h22), (*cell2, gains.h32)
+
+
+def superpose_transmit(symbols, cset: ConstellationSet, gains: ChannelGains):
+    """Noiseless received amplitudes ``(y1, y2, y3)`` for the symbol indices:
+    the sums of ``received_terms``."""
     i1, i2, i3 = _indices(symbols, cset.bpcu.sizes)
-    tx1 = cset.cell1_center[i1] + cset.cell1_edge[i2]
-    tx2 = cset.cell2_edge[i2] + cset.cell2_center[i3]
-    return tx1 * gains.h11, tx1 * gains.h21 + tx2 * gains.h22, tx2 * gains.h32
+    y1, y21, y22, y3 = ((first[a] + second[b]) * h for (first, second, h), a, b in
+                        zip(received_terms(cset, gains), (i1, i1, i2, i2), (i2, i2, i3, i3)))
+    return y1, y21 + y22, y3
 
 
 def awgn_sample(noiseless, sigma: float, rng: np.random.Generator, ws: Workspace | None = None):
@@ -252,30 +258,26 @@ def nearest_table(candidates, outputs=None) -> DecisionTable:
     at the float ``_first_true`` finds.
     """
     values, lowest = np.unique(np.asarray(candidates, dtype=float).reshape(-1), return_index=True)
-    a, b = values[:-1], values[1:]
-    b_first = lowest[1:] < lowest[:-1]
+    labels = lowest if outputs is None else np.asarray(outputs).reshape(-1)[lowest]
+    keep = labels[1:] != labels[:-1]  # only these adjacent pairs get a threshold
+    a, b = values[:-1][keep], values[1:][keep]
+    b_first = (lowest[1:] < lowest[:-1])[keep]
 
     def picks_b(y):
         d_a, d_b = np.abs(y - a), np.abs(y - b)
         return (d_b < d_a) | ((d_b == d_a) & b_first)
 
     thresholds = _first_true(picks_b, a, b, a / 2 + b / 2)
-    labels = lowest if outputs is None else np.asarray(outputs).reshape(-1)[lowest]
-    keep = labels[1:] != labels[:-1]
-    return DecisionTable(thresholds[keep], labels[np.concatenate([[True], keep])])
+    return DecisionTable(thresholds, labels[np.concatenate([[True], keep])])
 
 
 def center_user(cset: ConstellationSet, gains: ChannelGains, user: int):
-    """``(edge levels, own levels, gain)`` of center user 1 or 3.
-
-    User 1 shares cell 1 with the edge user and hears it through h11; user 3
-    shares cell 2 and hears it through h32.
-    """
-    if user == 1:
-        return cset.cell1_edge, cset.cell1_center, gains.h11
-    if user == 3:
-        return cset.cell2_edge, cset.cell2_center, gains.h32
-    raise ParameterError(f"center users are 1 and 3, got {user}")
+    """``(edge levels, own levels, gain)`` of center user 1 or 3: the first
+    or the last of ``received_terms``."""
+    if user not in (1, 3):
+        raise ParameterError(f"center users are 1 and 3, got {user}")
+    (own1, edge1, h1), *_, (edge3, own3, h3) = received_terms(cset, gains)
+    return (edge1, own1, h1) if user == 1 else (edge3, own3, h3)
 
 
 def decode_center_sic(y, table: SicReceiver, ws: Workspace | None = None):

@@ -29,7 +29,7 @@ from .constellation import ConstellationSet, verify_gap_condition
 from .errors import ParameterError
 from .link import (SicReceiver, Workspace, _out, _take, awgn_sample, center_user,
                    decode_center_sic, decode_u2_jml, decode_u2_sic, nearest_table, oma_levels,
-                   oma_round, oma_sizes, superpose_transmit)
+                   oma_round, oma_sizes, received_terms, superpose_transmit)
 
 USERS = ("u1", "u2", "u3")
 Z_95 = 1.959963984540054
@@ -166,23 +166,20 @@ def receivers(
 ) -> dict:
     """The tables that ``schemes`` decode with, built once per sweep.  For
     any superposed scheme: "u1" and "u3" (SIC at the center users) and
-    "amplitudes", the products that ``superpose_transmit`` sums (y1 the
-    first, y2 the middle two, y3 the last): cell 1's sum over (u1, u2)
-    through h11 and h21, cell 2's over (u2, u3) through h22 and h32, each
-    at every pair if no cell has more than ``MAX_PAIRS``, else as (levels,
-    levels, gain).  When their scheme runs: "noma-sic" and "noma-jml" (the
-    edge user) and "oma" (``oma_round``'s links at intensity ``power_w``).
+    "amplitudes", the four products of ``received_terms``, each at every
+    pair if no cell has more than ``MAX_PAIRS``, else as (levels, levels,
+    gain).  When their scheme runs: "noma-sic" and "noma-jml" (the edge
+    user) and "oma" (``oma_round``'s links at intensity ``power_w``).
     """
     tables: dict = {}
     if "noma-sic" in schemes:
         tables["noma-sic"] = nearest_table(gains.h21 * cset.cell1_edge
                                            + gains.h22 * cset.cell2_edge)
     if "noma-jml" in schemes:  # ties break toward the lexicographically lowest tuple
-        tuples = np.indices(cset.bpcu.sizes).reshape(3, -1)
-        tables["noma-jml"] = nearest_table(superpose_transmit(tuples, cset, gains)[1], tuples[1])
+        grid = np.broadcast_arrays(*np.ix_(*(np.arange(m) for m in cset.bpcu.sizes)))
+        tables["noma-jml"] = nearest_table(superpose_transmit(grid, cset, gains)[1], grid[1])
     if tables:  # a superposed scheme runs
-        cell1, cell2 = (cset.cell1_center, cset.cell1_edge), (cset.cell2_edge, cset.cell2_center)
-        terms = ((*cell1, gains.h11), (*cell1, gains.h21), (*cell2, gains.h22), (*cell2, gains.h32))
+        terms = received_terms(cset, gains)
         if all(low.size * high.size <= MAX_PAIRS for low, high, _ in terms):
             terms = tuple((low[:, None] + high) * h for low, high, h in terms)
         tables["amplitudes"] = terms

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,9 @@ from vlcnoma.montecarlo import sigma_from_snr
 GOLDEN_CONFIG = Path(__file__).resolve().with_name("golden") / "golden.cfg"
 INF = float("inf")
 # closed_forms of noma-sic on the default 26-point grid at the largest valid design,
-# in a fresh process: the point count and the peak RSS in KiB
+# in a fresh process: the point count and the process's own peak RSS in KiB.  That
+# is VmHWM: ru_maxrss also counts the RSS of the process it was spawned from.
 CLOSED_FORMS_PEAK = """
-import resource
 from vlcnoma import SpectralEfficiencies, design_constellation
 from vlcnoma.analytic import closed_forms
 from vlcnoma.config import load_config
@@ -31,7 +32,9 @@ cfg = load_config(None)
 gains = cfg.design()[0]
 cset = design_constellation(SpectralEfficiencies(10, 1, 9), gains, cfg.target_power_w)
 forms = closed_forms(("noma-sic",), cset, gains, cfg.sweep.sigmas)
-print(len(forms["noma-sic", "u2"]), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(len(forms["noma-sic", "u2"]), peak)
 """
 
 @pytest.fixture(scope="module")
@@ -350,7 +353,22 @@ class TestClosedFormsOverAGrid:
             [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
         out = subprocess.run([sys.executable, "-c", CLOSED_FORMS_PEAK], capture_output=True,
                              text=True, env=env, timeout=300, check=True).stdout.split()
-        assert out[0] == "26" and int(out[1]) <= 400 * 1024  # ru_maxrss, KiB
+        assert out[0] == "26" and int(out[1]) <= 400 * 1024  # VmHWM, KiB
+
+    @pytest.mark.parametrize("snr_db,bound", [(100.0, 80), (150.0, 65)])
+    def test_one_sigma_at_the_largest_design_allocates_within_its_bound(
+            self, reference_gains, snr_db, bound):
+        # one row of 2^20 tails: erfc's branch below 1, which every tail takes at
+        # 100 dB, and _tail's limit once held their temporaries over the whole row
+        # (92 and 69 MiB traced); sliced and written in place they read 68 and 61
+        cset = design_constellation(SpectralEfficiencies(10, 1, 9), reference_gains, 1.0)
+        tracemalloc.start()
+        try:
+            ser_u2_analytic(cset, reference_gains, sigma_from_snr(snr_db, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound << 20, peak / 2**20
 
     def test_scalar_calls_return_floats(self, reference_set, reference_gains):
         assert type(ser_u2_analytic(reference_set, reference_gains, 1e-7)) is float

@@ -59,6 +59,10 @@ class TestLinkGeometry:
                            match=r"receiver height 5\.0 must be below room height 4\.0"):
             link_geometry(1.0, 4.0, 5.0)
 
+    def test_negative_top_view_distance_rejected(self):
+        with pytest.raises(ParameterError, match=r"top-view distance must be >= 0, got -0\.5"):
+            link_geometry(-0.5, 4.0, 0.5)
+
 
 class TestConcentratorGain:
     def test_inside_fov(self):
@@ -72,6 +76,11 @@ class TestConcentratorGain:
 
     def test_unresolvably_narrow_fov_is_infinite(self):
         assert concentrator_gain(0.0, 1e-308, 1.5) == float("inf")
+
+    @pytest.mark.parametrize("angle", [-1.0, 90.5, math.nan])
+    def test_incidence_outside_0_to_90_rejected(self, angle):
+        with pytest.raises(ParameterError, match=r"incidence angle must be in \[0, 90\]"):
+            concentrator_gain(angle, 60.0, 1.5)
 
 
 class TestDcGain:
@@ -134,6 +143,13 @@ class TestGainMatrix:
     def test_infeasible_ordering_is_diagnosed_not_raised(self):
         bad = ChannelGains(h11=1e-7, h21=2e-7, h22=1e-7, h32=3e-7)
         assert "h11" in bad.ordering_diagnostic()
+
+    def test_each_cell_that_fails_the_ordering_is_named(self):
+        cell2 = ChannelGains(h11=2e-7, h21=1e-7, h22=3e-7, h32=3e-7)
+        assert cell2.ordering_diagnostic() == "h32=3e-07 <= h22=3e-07 in cell 2"
+        both = ChannelGains(h11=1e-7, h21=2e-7, h22=3e-7, h32=1e-7)
+        assert both.ordering_diagnostic() == ("h11=1e-07 <= h21=2e-07 in cell 1;"
+                                              " h32=1e-07 <= h22=3e-07 in cell 2")
 
     def test_negative_gain_rejected(self):
         with pytest.raises(ParameterError):

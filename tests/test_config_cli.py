@@ -223,6 +223,22 @@ class TestCli:
             ratio = float(line.split(",")[3])
             assert 0.75 <= ratio <= 1.25
 
+    def test_gains_command_diagnoses_a_geometry_that_fails_the_ordering(self, tmp_path):
+        # each center user farther from its LED than the edge user: both cells fail
+        config, out = tmp_path / "swapped.cfg", tmp_path / "gains.csv"
+        config.write_text("r11_m = 3.2880\nr21_m = 0.4885\nr22_m = 0.3030\nr32_m = 3.4670\n")
+        assert run_cli("gains", "--config", str(config), "--out", str(out)) == 0
+        comments = [l for l in out.read_text().splitlines() if "ordering" in l]
+        assert comments[0] == "# computed_noma_ordering_ok = false"
+        assert re.fullmatch(r"# computed_ordering_diagnostic = h11=\S+ <= h21=\S+ in cell 1;"
+                            r" h32=\S+ <= h22=\S+ in cell 2", comments[1]), comments
+
+    def test_unknown_experiment_rejected_before_any_write(self, tmp_path):
+        out = tmp_path / "fig5.csv"
+        with pytest.raises(ParameterError, match="unknown experiment 'fig5', expected one of"):
+            experiments.run_experiment("fig5", load_config(), out)
+        assert not out.exists()
+
     def test_design_command_margins_positive(self, tmp_path):
         out = tmp_path / "design.csv"
         assert run_cli("design", "--out", str(out)) == 0
@@ -422,6 +438,8 @@ class TestCli:
         # a scheme twice, and a step that leaves 100 points on 8 distinct SNRs
         ("--schemes", "oma,oma", "schemes"),
         ("--snr", "100:100.0000000000001:1e-15", "snr_step_db"),
+        ("--seed", "-1", "seed"),
+        ("--min-errors", "-1", "min_errors"),
     ])
     def test_bad_override_exits_1_naming_key_and_flag(self, tmp_path, capsys, flag, value,
                                                       key):
@@ -459,6 +477,20 @@ class TestCli:
             err = capsys.readouterr().err
             assert "--out" in err and str(out) in err, err
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_name_too_long_exits_1_naming_out(self, tmp_path, capsys):
+        out = tmp_path / ("a" * 300 + ".csv")  # past any file system's 255-byte name limit
+        assert run_cli("complexity", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out}: "), err
+
+    def test_unexpected_error_exits_2_as_a_runtime_error(self, tmp_path, capsys, monkeypatch):
+        def broken(*args):
+            raise OSError("device unplugged")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        assert run_cli("complexity", "--out", str(tmp_path / "complexity.csv")) == 2
+        assert capsys.readouterr().err == "runtime error: device unplugged\n"
 
     @pytest.mark.parametrize("link", ["missing/x.csv", "loop.csv"], ids=["dangling", "loop"])
     def test_out_through_a_broken_symlink_exits_1_before_any_work(self, tmp_path, capsys,

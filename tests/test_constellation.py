@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from vlcnoma import ChannelGains, SpectralEfficiencies, design_constellation
 from vlcnoma.constellation import (LEVEL_SETS, MAX_GRID, center_points, edge_points,
-                                   from_raw_levels, peak_powers, verify_gap_condition)
+                                   from_raw_levels, peak_powers, uniform_spacing,
+                                   verify_gap_condition)
 from vlcnoma.link import decode_center_sic, decode_u2_jml, decode_u2_sic, superpose_transmit
 from vlcnoma.montecarlo import receivers
 from vlcnoma.errors import ParameterError
@@ -210,6 +211,19 @@ class TestNormalize:
     def test_empty_levels_rejected(self, reference_gains):
         with pytest.raises(ParameterError, match=r"raw_cell1_edge must have 2 levels for bpcu"):
             from_raw_levels(SpectralEfficiencies(1, 1, 1), [1, 2], [], [3, 8], [1, 2], 1.0)
+
+    @pytest.mark.parametrize("levels,fault", [
+        ([0.0, 2.0], "positive"), ([-1.0, 2.0], "positive"),
+        ([2.0, 2.0], "increasing"), ([2.0, 1.0], "increasing"),
+    ])
+    def test_raw_levels_must_be_positive_and_increasing(self, levels, fault):
+        with pytest.raises(ParameterError,
+                           match=f"raw_cell2_center levels must be strictly {fault}"):
+            from_raw_levels(SpectralEfficiencies(1, 1, 1), [1, 2], [3, 8], [3, 8], levels, 1.0)
+
+    def test_one_level_has_no_spacing(self):
+        with pytest.raises(ParameterError, match="u1 needs at least two levels to have a spacing"):
+            uniform_spacing(np.array([1.0]), "u1")
 
 
 class TestPeakPowers:

@@ -194,6 +194,18 @@ class TestSuperposeTransmit:
         assert float(fixed[2]) == float(moved[2])
         assert float(fixed[0]) != float(moved[0])
 
+    def test_every_tuple_bit_for_bit_as_each_cells_sum_times_its_gains(self, reference_set,
+                                                                       reference_gains):
+        # the sums of received_terms make the float ops of each cell's sum scaled
+        # by its gains, on the index grid and on its open, broadcast form alike
+        cset, g = reference_set, reference_gains
+        grid = np.indices(cset.bpcu.sizes)
+        tx1 = cset.cell1_center[grid[0]] + cset.cell1_edge[grid[1]]
+        tx2 = cset.cell2_edge[grid[1]] + cset.cell2_center[grid[2]]
+        want = [y.tobytes() for y in (tx1 * g.h11, tx1 * g.h21 + tx2 * g.h22, tx2 * g.h32)]
+        for symbols in (tuple(grid), np.ix_(*(np.arange(m) for m in cset.bpcu.sizes))):
+            assert [y.tobytes() for y in superpose_transmit(symbols, cset, g)] == want
+
     def test_out_of_range_index_rejected(self, small_set, reference_gains):
         # the gathers clip, so the range check is what rejects these
         for symbols in ((2, 0, 0), (0, 0, -1)):
@@ -713,6 +725,14 @@ class TestSicDecoders:
                                               for u in (1, 3))
         assert edge1.size + own1.size == 2**2 + 2**3
         assert edge3.size + own3.size == 2**2 + 2**2
+
+    def test_center_users_hear_their_own_cell_through_their_own_gain(self, reference_set,
+                                                                     reference_gains):
+        cset, g = reference_set, reference_gains
+        edge1, own1, h1 = center_user(cset, g, 1)
+        assert edge1 is cset.cell1_edge and own1 is cset.cell1_center and h1 == g.h11
+        edge3, own3, h3 = center_user(cset, g, 3)
+        assert edge3 is cset.cell2_edge and own3 is cset.cell2_center and h3 == g.h32
 
     def test_invalid_user_rejected(self, reference_set, reference_gains):
         with pytest.raises(ParameterError):

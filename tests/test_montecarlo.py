@@ -27,6 +27,20 @@ from vlcnoma.errors import ParameterError
 
 NAN = float("nan")
 INF = float("inf")
+# joint ML's table alone at bpcu (7, 6, 7), 2^20 tuples, in a fresh process:
+# its threshold and label counts and the process's own peak RSS in KiB.  That
+# is VmHWM: ru_maxrss also counts the RSS of the process it was spawned from.
+JML_TABLE_PEAK = """
+from vlcnoma import SpectralEfficiencies, design_constellation, load_config
+from vlcnoma.montecarlo import receivers
+cfg = load_config(None)
+gains = cfg.design()[0]
+cset = design_constellation(SpectralEfficiencies(7, 6, 7), gains, cfg.target_power_w)
+table = receivers(cset, gains, ("noma-jml",), cfg.target_power_w)["noma-jml"]
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(table.thresholds.size, table.labels.size, peak)
+"""
 
 
 @pytest.fixture(scope="module")
@@ -890,6 +904,17 @@ class TestResourceBounds:
             assert run_sweep(config, reference_set, reference_gains, workers=workers) == rows
             assert (RecordingThread.made, RecordingThread.started,
                     RecordingThread.joined) == (pool - 1,) * 3
+
+    def test_joint_ml_table_of_2_20_tuples_fits_in_120_mb(self):
+        # an int64 index grid of every tuple, and a bisection over all 2^20
+        # adjacent candidates, peaked near 170 MB; from an open grid, bisecting
+        # only where the u2 label changes, it peaks near 85 MB
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run([sys.executable, "-c", JML_TABLE_PEAK], capture_output=True,
+                             text=True, env=env, timeout=300, check=True).stdout.split()
+        assert out[:2] == ["63", "64"] and int(out[2]) <= 120 * 1024  # VmHWM, KiB
 
     def test_batch_sizes_come_from_the_index(self, reference_set, reference_gains):
         # 2**22 batches per point; a list of their sizes would take 32 MiB.
