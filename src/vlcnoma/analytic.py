@@ -35,8 +35,7 @@ _R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.0190504225118047741
 _S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
       1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
 
-EXP_SLICE = 1 << 14  # entries per slice of each erfc branch, and per math.exp list
-MAX_TAILS = 1 << 16  # (pair, sign) entries per ser_u2_analytic _tail call, or one row if longer
+EXP_SLICE = 1 << 14  # entries per erfc branch slice, math.exp list and ser_u2_analytic chunk
 
 
 def _horner(x, coefs):  # coefs[0] x^n + ... + coefs[n], each step rounded as in Cephes
@@ -102,7 +101,7 @@ def ser_u2_analytic(cset: ConstellationSet, gains: ChannelGains, sigma):
         SER = (1 - 2^-b2) * mean over (i, j) of [Q(rho+/sigma) + Q(rho-/sigma)]
 
     where each sigma's mean runs over one contiguous row of the (i, j)
-    pairs.  Sigmas go in chunks of whole rows, at most MAX_TAILS entries or
+    pairs.  Sigmas go in chunks of whole rows, at most EXP_SLICE entries or
     one row, so memory does not grow with their number.  At sigma = 0 the
     continuous limit is returned.  Requires uniform per-cell edge spacing;
     otherwise one gamma does not describe the constellation.
@@ -114,7 +113,7 @@ def ser_u2_analytic(cset: ConstellationSet, gains: ChannelGains, sigma):
              + gains.h22 * cset.cell2_center[np.newaxis, :]).reshape(-1)
     rho = np.stack((gamma - shift, gamma + shift), axis=-1)
     flat, mean = sigma.reshape(-1, 1, 1), np.empty(sigma.size)
-    step = max(1, MAX_TAILS // rho.size)  # whole rows: a split row would sum in another order
+    step = max(1, EXP_SLICE // rho.size)  # whole rows: a split row would sum in another order
     for start in range(0, sigma.size, step):
         q = _tail(rho, flat[start:start + step])
         mean[start:start + step] = (q[..., 0] + q[..., 1]).mean(axis=-1)

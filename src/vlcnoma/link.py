@@ -1,9 +1,9 @@
 """Transmit superposition, AWGN, and all symbol decoders.
 
 All functions are vectorized: symbol indices and received amplitudes may be
-scalars or equally shaped numpy arrays.  Symbol indices and decided labels
-are 0-based positions in the level arrays; only ``vlcnoma simulate --trace``
-prints them 1-based, like the paper's level numbering.
+scalars or numpy arrays, each amplitude shaped by the indices it depends on.
+Symbol indices and decided labels are 0-based positions in the level arrays;
+only ``vlcnoma simulate --trace`` prints them 1-based, like the paper's levels.
 """
 
 from __future__ import annotations
@@ -53,10 +53,10 @@ def oma_sizes(bpcu) -> tuple[int, int, int]:
 
 
 def _indices(symbols, sizes) -> tuple[np.ndarray, ...]:
-    """The (u1, u2, u3) symbol indices as broadcast arrays, each checked to
-    lie in 0..size-1: ``_take`` clips and fancy indexing wraps negative
-    indices, so this check is the only guard of both."""
-    arrays = np.broadcast_arrays(*(np.asarray(values) for values in symbols))
+    """The (u1, u2, u3) symbol indices as arrays of their own shapes, each
+    checked to lie in 0..size-1: ``_take`` clips and fancy indexing wraps
+    negative indices, so this check is the only guard of both."""
+    arrays = tuple(np.asarray(values) for values in symbols)
     for name, arr, size in zip(("u1", "u2", "u3"), arrays, sizes):
         if arr.size and (arr.min() < 0 or arr.max() >= size):
             raise ParameterError(f"{name} indices must be >= 0 and < {size}")
@@ -85,8 +85,8 @@ def received_terms(cset: ConstellationSet, gains: ChannelGains) -> tuple:
 
 
 def superpose_transmit(symbols, cset: ConstellationSet, gains: ChannelGains):
-    """Noiseless received amplitudes ``(y1, y2, y3)`` for the symbol indices:
-    the sums of ``received_terms``."""
+    """Noiseless ``(y1, y2, y3)``, the sums of ``received_terms``, each broadcast
+    over only its indices: y1 over (u1, u2), y3 over (u2, u3), y2 over all three."""
     i1, i2, i3 = _indices(symbols, cset.bpcu.sizes)
     y1, y21, y22, y3 = ((first[a] + second[b]) * h for (first, second, h), a, b in
                         zip(received_terms(cset, gains), (i1, i1, i2, i2), (i2, i2, i3, i3)))
@@ -248,8 +248,8 @@ class SicReceiver:
 
 def nearest_table(candidates, outputs=None) -> DecisionTable:
     """Exact table of the nearest-candidate rule over ``candidates``, adjacent
-    equal labels merged.  Labels are candidate indices, or
-    ``outputs[index]`` where outputs is not None.
+    equal labels merged.  Labels are flat candidate indices, or the entries
+    of ``outputs``, broadcast to the candidates' shape, at those indices.
 
     The rule picks the smallest computed ``|y - c|`` of the two candidates
     adjacent to y, a tie going to the lowest index.  Between adjacent
@@ -257,8 +257,9 @@ def nearest_table(candidates, outputs=None) -> DecisionTable:
     never increases as y grows through (a, b], so the choice flips once,
     at the float ``_first_true`` finds.
     """
-    values, lowest = np.unique(np.asarray(candidates, dtype=float).reshape(-1), return_index=True)
-    labels = lowest if outputs is None else np.asarray(outputs).reshape(-1)[lowest]
+    candidates = np.asarray(candidates, dtype=float)
+    values, lowest = np.unique(candidates.reshape(-1), return_index=True)
+    labels = lowest if outputs is None else np.broadcast_to(outputs, candidates.shape).flat[lowest]
     keep = labels[1:] != labels[:-1]  # only these adjacent pairs get a threshold
     a, b = values[:-1][keep], values[1:][keep]
     b_first = (lowest[1:] < lowest[:-1])[keep]

@@ -176,7 +176,7 @@ def receivers(
         tables["noma-sic"] = nearest_table(gains.h21 * cset.cell1_edge
                                            + gains.h22 * cset.cell2_edge)
     if "noma-jml" in schemes:  # ties break toward the lexicographically lowest tuple
-        grid = np.broadcast_arrays(*np.ix_(*(np.arange(m) for m in cset.bpcu.sizes)))
+        grid = np.ix_(*(np.arange(m) for m in cset.bpcu.sizes))
         tables["noma-jml"] = nearest_table(superpose_transmit(grid, cset, gains)[1], grid[1])
     if tables:  # a superposed scheme runs
         terms = received_terms(cset, gains)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from vlcnoma import ChannelGains, SpectralEfficiencies, montecarlo
+from vlcnoma import ChannelGains, SpectralEfficiencies, design_constellation, montecarlo
 from vlcnoma.channel import OpticalFrontEnd, ScenarioGeometry
 
 # A deterministic, deeper search, selected with --hypothesis-profile=ci; tests
@@ -47,6 +47,11 @@ def reference_front_end():
 @pytest.fixture(scope="session")
 def reference_bpcu():
     return SpectralEfficiencies(3, 2, 2)
+
+
+@pytest.fixture(scope="session")
+def reference_set(reference_bpcu, reference_gains):
+    return design_constellation(reference_bpcu, reference_gains, 1.0)
 
 
 @pytest.fixture

@@ -37,10 +37,6 @@ with open("/proc/self/status") as status:
 print(len(forms["noma-sic", "u2"]), peak)
 """
 
-@pytest.fixture(scope="module")
-def reference_set(reference_bpcu, reference_gains):
-    return design_constellation(reference_bpcu, reference_gains, 1.0)
-
 
 def boundary_distances(cset, gains):
     """The edge user's half-gap gamma and the interference shift of every
@@ -328,14 +324,14 @@ class TestClosedFormsOverAGrid:
     # the reference design split into chunks of 3 sigmas by a smaller budget, and the
     # largest valid design, whose 2^19 level pairs put each sigma in a chunk of its own
     SPLITS = {"reference-in-threes": ((3, 2, 2), 3 * 8 * 4 * 2, 150.0, 2.0, 10),
-              "10-1-9": ((10, 1, 9), analytic.MAX_TAILS, 150.0, 25.0, 5)}
+              "10-1-9": ((10, 1, 9), analytic.EXP_SLICE, 150.0, 25.0, 5)}
 
     @pytest.mark.parametrize("split", SPLITS)
     def test_chunked_grid_equals_scalar_calls(self, monkeypatch, reference_gains, split):
         bits, budget, stop, step, chunks = self.SPLITS[split]
         cset = design_constellation(SpectralEfficiencies(*bits), reference_gains, 1.0)
         sigmas = [sigma_from_snr(snr, 1.0) for snr in snr_grid(100.0, stop, step)] + [0.0, INF]
-        monkeypatch.setattr(analytic, "MAX_TAILS", budget)
+        monkeypatch.setattr(analytic, "EXP_SLICE", budget)
         calls = []
         monkeypatch.setattr(analytic, "erfc", lambda x: calls.append(x.size) or erfc(x))
         edge = ser_u2_analytic(cset, reference_gains, np.array(sigmas))

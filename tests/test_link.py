@@ -157,11 +157,6 @@ def small_set(reference_gains):
 
 
 @pytest.fixture(scope="module")
-def reference_set(reference_bpcu, reference_gains):
-    return design_constellation(reference_bpcu, reference_gains, 1.0)
-
-
-@pytest.fixture(scope="module")
 def reference_tables(reference_set, reference_gains):
     return receivers(reference_set, reference_gains, ALL_SCHEMES, 1.0)
 
@@ -197,14 +192,29 @@ class TestSuperposeTransmit:
     def test_every_tuple_bit_for_bit_as_each_cells_sum_times_its_gains(self, reference_set,
                                                                        reference_gains):
         # the sums of received_terms make the float ops of each cell's sum scaled
-        # by its gains, on the index grid and on its open, broadcast form alike
+        # by its gains, on the index grid and, broadcast to it, on its open form alike
         cset, g = reference_set, reference_gains
         grid = np.indices(cset.bpcu.sizes)
         tx1 = cset.cell1_center[grid[0]] + cset.cell1_edge[grid[1]]
         tx2 = cset.cell2_edge[grid[1]] + cset.cell2_center[grid[2]]
         want = [y.tobytes() for y in (tx1 * g.h11, tx1 * g.h21 + tx2 * g.h22, tx2 * g.h32)]
         for symbols in (tuple(grid), np.ix_(*(np.arange(m) for m in cset.bpcu.sizes))):
-            assert [y.tobytes() for y in superpose_transmit(symbols, cset, g)] == want
+            assert [np.broadcast_to(y, grid.shape[1:]).tobytes()
+                    for y in superpose_transmit(symbols, cset, g)] == want
+
+    def test_an_open_grid_forms_each_amplitude_over_only_its_indices(self, reference_gains):
+        # y1 and y3 per symbol pair, y2 alone per tuple: 8 MiB of doubles at
+        # (7, 6, 7), where broadcasting every index to every tuple traced 40 MiB
+        cset = design_constellation(SpectralEfficiencies(7, 6, 7), reference_gains, 1.0)
+        grid = np.ix_(*(np.arange(m) for m in cset.bpcu.sizes))
+        tracemalloc.start()
+        try:
+            amplitudes = superpose_transmit(grid, cset, reference_gains)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [y.shape for y in amplitudes] == [(128, 64, 1), (128, 64, 128), (1, 64, 128)]
+        assert peak <= 12 << 20, peak / 2**20
 
     def test_out_of_range_index_rejected(self, small_set, reference_gains):
         # the gathers clip, so the range check is what rejects these
@@ -379,6 +389,18 @@ class TestDecisionTables:
         y = np.concatenate([around(unmerged.thresholds),
                             probes(joint, np.random.default_rng(4), n=20_000)])
         assert np.array_equal(decode_u2_jml(y, table), labels[argmin_nearest(y, joint)])
+
+    def test_outputs_broadcast_against_the_candidates_label_as_their_full_grid(
+            self, reference_set, reference_gains):
+        # joint ML's labels read from the open index grid, with no label grid built
+        grid = np.ix_(*(np.arange(m) for m in reference_set.bpcu.sizes))
+        joint = superpose_transmit(grid, reference_set, reference_gains)[1]
+        for outputs in grid:
+            want = nearest_table(joint, np.broadcast_to(outputs, joint.shape).copy())
+            got = nearest_table(joint, outputs)
+            assert got.thresholds.tobytes() == want.thresholds.tobytes()
+            assert got.labels.dtype == want.labels.dtype
+            assert got.labels.tobytes() == want.labels.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(edge=st.lists(st.integers(-64, 64), min_size=1, max_size=9),

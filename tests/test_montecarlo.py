@@ -43,11 +43,6 @@ print(table.thresholds.size, table.labels.size, peak)
 """
 
 
-@pytest.fixture(scope="module")
-def reference_set(reference_bpcu, reference_gains):
-    return design_constellation(reference_bpcu, reference_gains, 1.0)
-
-
 class TestSigmaFromSnr:
     def test_zero_db_unit_power(self):
         assert sigma_from_snr(0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
@@ -132,6 +127,7 @@ class TestRunSweep:
         assert run_sweep(config, reference_set, reference_gains) == run_sweep(
             config, reference_set, reference_gains)
 
+    @pytest.mark.scheduler
     @pytest.mark.parametrize("min_errors", [0, 25])
     def test_result_independent_of_worker_count(
         self, reference_set, reference_gains, min_errors
@@ -144,6 +140,7 @@ class TestRunSweep:
                 assert run_sweep(config, reference_set, reference_gains,
                                  workers=workers) == serial, workers
 
+    @pytest.mark.scheduler
     @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_no_batch_is_computed_and_discarded(
         self, reference_set, reference_gains, streams_drawn, workers
@@ -160,6 +157,7 @@ class TestRunSweep:
             assert sorted(calls) == [(config.seed, point, batch)
                                      for point, n in enumerate(consumed) for batch in range(n)]
 
+    @pytest.mark.scheduler
     @pytest.mark.parametrize("min_errors", [0, 10**6], ids=["no-stop", "never-met"])
     def test_a_points_batches_never_overlap(
         self, reference_set, reference_gains, monkeypatch, min_errors
@@ -191,6 +189,7 @@ class TestRunSweep:
         # other worker, point 0's batch 1 starts only after its batch 0 returned
         assert (beside, overlapped, after) == ([True], [False], [True])
 
+    @pytest.mark.scheduler
     @pytest.mark.parametrize("min_errors", [0, 25])
     def test_more_workers_than_cores_under_fast_switching_match_one(
         self, reference_set, reference_gains, min_errors
@@ -207,6 +206,7 @@ class TestRunSweep:
             sys.setswitchinterval(interval)
         assert threaded == serial
 
+    @pytest.mark.scheduler
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_a_failing_batch_stops_every_worker_and_reaches_the_caller(
         self, reference_set, reference_gains, monkeypatch, workers
@@ -244,6 +244,7 @@ class TestRunSweep:
         # went on to before it could see the failure
         assert len(started) - started.index((1, 2)) - 1 < workers, started
 
+    @pytest.mark.scheduler
     def test_a_thread_that_fails_to_start_stops_and_joins_the_started_one(
         self, reference_set, reference_gains, monkeypatch, streams_drawn
     ):
@@ -278,6 +279,7 @@ class TestRunSweep:
         assert not helpers[0].is_alive()
         assert streams_drawn == [(config.seed, 0, 0)]
 
+    @pytest.mark.scheduler
     @pytest.mark.parametrize("workers", [0, -1, montecarlo.MAX_WORKERS + 1, 10**6])
     def test_rejects_workers_below_one(self, reference_set, reference_gains, monkeypatch,
                                        workers):
@@ -295,6 +297,7 @@ class TestRunSweep:
             small_sweep(**{field: 1.5})
         small_sweep(**{field: np.int64(1)})
 
+    @pytest.mark.scheduler
     def test_rejects_a_worker_count_that_is_no_integer(self, reference_set, reference_gains):
         # threading raised "'float' object cannot be interpreted as an integer"
         with pytest.raises(ParameterError, match="workers must be an integer"):
@@ -889,6 +892,7 @@ class TestResourceBounds:
         assert peak < 1 << 20, peak
         assert 26 * 100_000 * 1000 < montecarlo.MAX_TRIALS
 
+    @pytest.mark.scheduler
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, montecarlo.MAX_WORKERS])
     def test_workers_clamped_to_the_sweeps_point_count(self, reference_set, reference_gains,
                                                        monkeypatch, workers):

@@ -9,6 +9,7 @@ import itertools
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -122,6 +123,7 @@ def assert_rows_recounted(config, cset, gains, workers):
             for p in rows} == expected
 
 
+@pytest.mark.scheduler
 @settings(max_examples=60, deadline=None)
 @given(design=designs(), data=st.data())
 def test_every_row_counts_what_the_naive_recount_counts(design, data):
