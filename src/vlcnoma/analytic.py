@@ -173,11 +173,9 @@ def complexity_counts(bpcu, scheme: str) -> tuple[int, int]:
     two-slot frame, so its per-channel-use figures are frame totals halved.
     """
     m1, m2, m3 = bpcu.sizes
-    if scheme == "noma-sic":
-        return (m1 + m2) + m2 + (m2 + m3), m2
-    if scheme == "noma-jml":
-        joint = m1 * m2 * m3
-        return (m1 + m2) + joint + (m2 + m3), joint
+    edge = {"noma-sic": m2, "noma-jml": m1 * m2 * m3}.get(scheme)
+    if edge is not None:  # both superposed schemes pay the same center-user SIC
+        return (m1 + m2) + edge + (m2 + m3), edge
     if scheme == "oma":
         o1, o2, o3 = oma_sizes(bpcu)
         return (o1 + o2 + o3) // 2, o2 // 2

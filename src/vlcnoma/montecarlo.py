@@ -91,7 +91,7 @@ class SweepConfig:
                 f"schemes must name some of {analytic.SCHEMES}, got {self.schemes}")
         if len(set(self.schemes)) < len(self.schemes):
             raise ParameterError(f"schemes lists a scheme twice: {self.schemes}")
-        # a tuple too, so that listed schemes hash, and meet run_sweep's OMA-only guard
+        # a tuple too, so that listed schemes hash, and equal run_sweep's OMA-only layout
         object.__setattr__(self, "schemes", tuple(self.schemes))
         if self.trials_per_point >= self.batch_size << 32:
             raise ParameterError("sweep too large for the stream-addressing scheme")
@@ -185,8 +185,8 @@ def receivers(
         tables["amplitudes"] = terms
         for user in (1, 3):
             edge, own, h = center_user(cset, gains, user)
-            tables[f"u{user}"] = SicReceiver(nearest_table(h * edge), h * edge,
-                                             nearest_table(h * own))
+            levels = h * edge  # stage 1's candidates, and the levels it subtracts
+            tables[f"u{user}"] = SicReceiver(nearest_table(levels), levels, nearest_table(h * own))
     if "oma" in schemes:
         tables["oma"] = tuple((levels, nearest_table(levels))
                               for levels in oma_levels(cset.bpcu, gains, power_w))
@@ -284,12 +284,14 @@ def _run_points(config: SweepConfig, cset: ConstellationSet, gains: ChannelGains
     errors: list[BaseException] = []  # the first is raised once every worker is joined
 
     def compute(point: int, batch: int, ws: Workspace) -> np.ndarray:
-        """Symbol error counts of one batch, indexed (scheme, user)."""
+        """(scheme, user) error counts of one batch; a pair schemes share is compared once."""
         sent, _, decided = _batch(config, point, batch, cset, tables, ws)
         wrong = ws.take("errors", sent[config.schemes[0]][0].shape, bool)
-        return np.array([[np.count_nonzero(np.not_equal(got, want, out=wrong))
-                          for want, got in zip(sent[s], decided[s])]
-                         for s in config.schemes], dtype=np.int64)
+        rows = [list(zip(sent[s], decided[s])) for s in config.schemes]
+        pairs = {(id(want), id(got)): (want, got) for row in rows for want, got in row}
+        counts = {key: np.count_nonzero(np.not_equal(got, want, out=wrong))
+                  for key, (want, got) in pairs.items()}
+        return np.array([[counts[id(w), id(g)] for w, g in row] for row in rows], dtype=np.int64)
 
     def work() -> None:
         try:
@@ -356,12 +358,12 @@ def run_sweep(
     a supported way to watch the condition matter.
 
     ``memo``, a dict shared by the sweeps of one run, is the run's one
-    cache: the snapshots of the first sweep simulated with each design and
-    every setting but schemes, keyed by value.  A later sweep over some of
-    its schemes replays its own stop rule on them and simulates nothing;
-    any other is simulated.  OMA draws after the superposed symbols, so an
-    OMA-only sweep is never replayed from one that ran a superposed scheme.
-    Without a memo the sweep takes the same path on a dict of its own.
+    cache, keyed by value on the design, every setting but schemes, and the
+    draw layout: OMA alone, or the superposed symbols with OMA's after them.
+    Each key holds the snapshots of the first sweep simulated under it; a
+    later sweep over some of its schemes replays its own stop rule on them
+    and simulates nothing, and any other is simulated.  Without a memo the
+    sweep takes the same path on a dict of its own.
     """
     if not isinstance(workers, numbers.Integral) or not 1 <= workers <= MAX_WORKERS:
         raise ParameterError(f"workers must be an integer in 1..{MAX_WORKERS}, got {workers!r}")
@@ -369,10 +371,9 @@ def run_sweep(
     if not ok:
         warnings.warn("constellation fails the zero-error gap condition", stacklevel=2)
     memo = {} if memo is None else memo
-    key = (replace(config, schemes=analytic.SCHEMES), gains, cset)
-    schemes, records = memo.get(key, ((), None))
-    if not set(config.schemes) <= set(schemes) or (
-            config.schemes == ("oma",) and schemes != ("oma",)):
+    layout = ("oma",) if config.schemes == ("oma",) else analytic.SCHEMES  # what it draws
+    schemes, records = memo.get(key := (replace(config, schemes=layout), gains, cset), ((), None))
+    if not set(config.schemes) <= set(schemes):
         schemes, records = config.schemes, _run_points(config, cset, gains, workers)
         memo.setdefault(key, (schemes, records))
     rows = [schemes.index(scheme) for scheme in config.schemes]

@@ -448,6 +448,27 @@ class TestRunSweep:
                         target_power_w=1.0)
 
 
+@pytest.mark.parametrize("schemes, compares", [(("noma-sic", "noma-jml", "oma"), 7),
+                                               (("noma-sic", "noma-jml"), 4),
+                                               (("noma-sic",), 3)])
+def test_a_decision_that_schemes_share_is_compared_once(reference_set, reference_gains,
+                                                        monkeypatch, schemes, compares):
+    # both superposed schemes share users 1's and 3's symbols and decisions, which
+    # were compared once per scheme: 9 and 6 compares where 7 and 4 are distinct
+    config = small_sweep(snr_points_db=(140.0,), trials_per_point=4096, batch_size=4096,
+                         schemes=schemes)
+    unwrapped = run_sweep(config, reference_set, reference_gains)
+    calls, count_nonzero = [], np.count_nonzero
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return count_nonzero(*args, **kwargs)
+
+    monkeypatch.setattr(np, "count_nonzero", counted)
+    assert run_sweep(config, reference_set, reference_gains) == unwrapped
+    assert len(calls) == compares
+
+
 SCHEME_SUBSETS = [subset for size in (1, 2, 3)
                   for subset in itertools.combinations(("noma-sic", "noma-jml", "oma"), size)]
 # Sixteen batches per point.  At min_errors 10 the three schemes settle at
@@ -496,7 +517,24 @@ class TestReplay:
         assert [p for p in shared if p.scheme == "oma"] != alone
         calls.clear()
         assert run_sweep(oma, reference_set, reference_gains, memo=memo) == alone
-        assert len(calls) == 3 * 16  # the memo keeps only the first sweep, the superposed one
+        assert calls == []  # OMA alone is a layout of its own, so its first sweep is replayed
+
+    @pytest.mark.parametrize("first, repeated", [(("oma",), ("noma-sic",)),
+                                                 (("noma-sic", "oma"), ("oma",))],
+                             ids=["oma-first", "superposed-first"])
+    def test_a_repeated_sweep_of_either_layout_is_replayed(
+            self, reference_set, reference_gains, streams_drawn, first, repeated):
+        # the memo is keyed by what a sweep draws: the first sweep of the other
+        # layout used to hold the one shared key, so every repeat was simulated
+        config = small_sweep(**REPLAYED, schemes=repeated)
+        alone = run_sweep(config, reference_set, reference_gains)
+        memo = {}
+        run_sweep(replace(config, schemes=first), reference_set, reference_gains, memo=memo)
+        assert run_sweep(config, reference_set, reference_gains, memo=memo) == alone
+        calls = streams_drawn
+        calls.clear()
+        assert run_sweep(config, reference_set, reference_gains, memo=memo) == alone
+        assert calls == []
 
     def test_a_listed_grid_sweeps_with_and_without_a_memo(self, reference_set,
                                                          reference_gains):
