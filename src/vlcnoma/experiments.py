@@ -128,8 +128,8 @@ def write_ser_csv(cfg: ExperimentConfig, out: Path, workers: int = 1, memo: dict
     echo and ``notes``: the one writer of every SER CSV.
 
     It keeps no cache of its own.  ``memo`` goes to ``run_sweep``, whose
-    snapshots are the one cache, so a figure over the schemes of an earlier
-    sweep in the same run replays that sweep and simulates nothing.
+    snapshots are the one cache: a figure over schemes that the run's earlier
+    sweeps of its draw layout asked for replays them and simulates nothing.
     """
     gains, cset = cfg.design()
     rows = [(p.snr_db, p.user, p.scheme, p.estimate.trials, p.estimate.errors, p.estimate.ser,

@@ -38,6 +38,9 @@ MAX_BATCH = 1 << 20  # trials; a worker's workspace of one batch is then about 3
 MAX_WORKERS = 64  # threads, each with a workspace of one batch (see SweepConfig.batch_size)
 MAX_POINTS = 1 << 16  # SNR points per sweep; the paper's grids have 26
 MAX_TRIALS = 1 << 36  # trials per sweep, about 3 h at 150 ns/trial; the paper's is 2.6e6
+# the names of _frame's decisions that each scheme's u1, u2 and u3 rows count
+COUNTED = {"noma-sic": ("u1", "noma-sic", "u3"), "noma-jml": ("u1", "noma-jml", "u3"),
+           "oma": ("oma-u1", "oma-u2", "oma-u3")}
 
 
 @dataclass(frozen=True)
@@ -201,25 +204,24 @@ def _symbols(rng: np.random.Generator, sizes, n: int) -> tuple[np.ndarray, ...]:
 
 
 def _frame(rng: np.random.Generator, n: int, sigma: float, cset: ConstellationSet,
-           tables: dict, ws: Workspace | None = None) -> tuple[dict, tuple | None, dict]:
+           tables: dict, ws: Workspace | None = None) -> tuple[dict, tuple | None]:
     """n channel uses of every scheme that ``tables`` (see ``receivers``)
-    decodes, as ``_batch`` frames them: ``(sent, received, decided)``.
+    decodes, as ``_batch`` frames them: ``(decided, received)``.
 
-    ``sent`` and ``decided`` map each scheme to its 0-based (u1, u2, u3)
-    indices, ``sent`` in fresh ``_symbols`` arrays; both superposed schemes
-    share one transmission.  Users 1, 2 and 3 in turn take their noiseless
-    amplitude from ``tables["amplitudes"]``, add their noise and decode it.
-    ``received`` is the superposed (y1, y2, y3); None without a superposed
-    scheme, or with a workspace, whose one array "y" each user overwrites.
-    ``decided["sic-stage1"]`` holds the edge indices that SIC stage 1 at
-    users 1 and 3 subtracted.  With a workspace, ``decided`` holds its
-    arrays, keyed by table, until the next frame on it overwrites them.
+    ``decided`` maps each decision's name to its 0-based ``(sent, decided)``
+    indices, sent in fresh ``_symbols`` arrays: "u1" and "u3", the center
+    users' SIC that both superposed schemes share; "noma-sic" and "noma-jml"
+    at the edge user; "edge1" and "edge3", SIC stage 1's edge index at users
+    1 and 3, with the sent u2; "oma-u1".."oma-u3".  Users 1, 2 and 3 in turn
+    take their noiseless amplitude from ``tables["amplitudes"]``, add their
+    noise and decode it.  ``received`` is the superposed (y1, y2, y3); None
+    without a superposed scheme, or with a workspace, whose one array "y"
+    each user overwrites and whose arrays, keyed by table, ``decided`` holds.
     """
-    sent: dict[str, tuple] = {}
     decided: dict[str, tuple] = {}
     received = None
     if "amplitudes" in tables:
-        symbols = u1, u2, u3 = _symbols(rng, cset.bpcu.sizes, n)
+        u1, u2, u3 = _symbols(rng, cset.bpcu.sizes, n)
 
         def term(k: int, key, scratch="t") -> np.ndarray:
             """Product k of "amplitudes" at each trial, into the array ``key``:
@@ -235,21 +237,18 @@ def _frame(rng: np.random.Generator, n: int, sigma: float, cset: ConstellationSe
             return np.multiply(np.add(x, _take(high, second, ws, scratch), out=x), h, out=x)
 
         y1 = awgn_sample(term(0, "y"), sigma, rng, ws)
-        u1_hat, edge1 = decode_center_sic(y1, tables["u1"], ws)
+        decided["u1"], decided["edge1"] = zip((u1, u2), decode_center_sic(y1, tables["u1"], ws))
         y2 = term(1, "y")
         y2 = awgn_sample(np.add(y2, term(2, "t", "z"), out=y2), sigma, rng, ws)
-        u2_hats = {scheme: decode(y2, tables[scheme], ws) for scheme, decode in
-                   (("noma-sic", decode_u2_sic), ("noma-jml", decode_u2_jml)) if scheme in tables}
+        decided.update((s, (u2, decode(y2, tables[s], ws))) for s, decode in
+                       (("noma-sic", decode_u2_sic), ("noma-jml", decode_u2_jml)) if s in tables)
         y3 = awgn_sample(term(3, "y"), sigma, rng, ws)
-        u3_hat, edge3 = decode_center_sic(y3, tables["u3"], ws)
+        decided["u3"], decided["edge3"] = zip((u3, u2), decode_center_sic(y3, tables["u3"], ws))
         received = (y1, y2, y3) if ws is None else None
-        sent = dict.fromkeys(u2_hats, symbols)
-        decided = {scheme: (u1_hat, u2_hat, u3_hat) for scheme, u2_hat in u2_hats.items()}
-        decided["sic-stage1"] = (edge1, edge3)
     if "oma" in tables:
-        sent["oma"] = _symbols(rng, oma_sizes(cset.bpcu), n)
-        decided["oma"] = oma_round(sent["oma"], tables["oma"], sigma, rng, ws)
-    return sent, received, decided
+        oma = _symbols(rng, oma_sizes(cset.bpcu), n)
+        decided.update(zip(COUNTED["oma"], zip(oma, oma_round(oma, tables["oma"], sigma, rng, ws))))
+    return decided, received
 
 
 def _batch(config: SweepConfig, point: int, batch: int, cset: ConstellationSet,
@@ -279,19 +278,18 @@ def _run_points(config: SweepConfig, cset: ConstellationSet, gains: ChannelGains
     count = len(config.snr_points_db)
     workers = min(workers, count)
     tables = receivers(cset, gains, config.schemes, config.target_power_w)
+    rows = [COUNTED[scheme] for scheme in config.schemes]
     records: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(count)]
     points, lock = iter(range(count)), Lock()
     errors: list[BaseException] = []  # the first is raised once every worker is joined
 
     def compute(point: int, batch: int, ws: Workspace) -> np.ndarray:
-        """(scheme, user) error counts of one batch; a pair schemes share is compared once."""
-        sent, _, decided = _batch(config, point, batch, cset, tables, ws)
-        wrong = ws.take("errors", sent[config.schemes[0]][0].shape, bool)
-        rows = [list(zip(sent[s], decided[s])) for s in config.schemes]
-        pairs = {(id(want), id(got)): (want, got) for row in rows for want, got in row}
-        counts = {key: np.count_nonzero(np.not_equal(got, want, out=wrong))
-                  for key, (want, got) in pairs.items()}
-        return np.array([[counts[id(w), id(g)] for w, g in row] for row in rows], dtype=np.int64)
+        """(scheme, user) error counts of one batch; each named decision is compared once."""
+        decided, _ = _batch(config, point, batch, cset, tables, ws)
+        wrong = ws.take("errors", decided[rows[0][0]][0].shape, bool)
+        counts = {name: np.count_nonzero(np.not_equal(*decided[name], out=wrong))
+                  for name in set().union(*rows)}
+        return np.array([[counts[name] for name in row] for row in rows], dtype=np.int64)
 
     def work() -> None:
         try:
@@ -360,10 +358,10 @@ def run_sweep(
     ``memo``, a dict shared by the sweeps of one run, is the run's one
     cache, keyed by value on the design, every setting but schemes, and the
     draw layout: OMA alone, or the superposed symbols with OMA's after them.
-    Each key holds the snapshots of the first sweep simulated under it; a
-    later sweep over some of its schemes replays its own stop rule on them
-    and simulates nothing, and any other is simulated.  Without a memo the
-    sweep takes the same path on a dict of its own.
+    Each key holds the snapshots of one sweep over every scheme asked of it
+    so far.  A sweep over some of them replays its own stop rule on them and
+    simulates nothing; any other simulates the union once, and the key then
+    holds that.  Without a memo the sweep takes the same path on its own dict.
     """
     if not isinstance(workers, numbers.Integral) or not 1 <= workers <= MAX_WORKERS:
         raise ParameterError(f"workers must be an integer in 1..{MAX_WORKERS}, got {workers!r}")
@@ -373,9 +371,10 @@ def run_sweep(
     memo = {} if memo is None else memo
     layout = ("oma",) if config.schemes == ("oma",) else analytic.SCHEMES  # what it draws
     schemes, records = memo.get(key := (replace(config, schemes=layout), gains, cset), ((), None))
-    if not set(config.schemes) <= set(schemes):
-        schemes, records = config.schemes, _run_points(config, cset, gains, workers)
-        memo.setdefault(key, (schemes, records))
+    if not set(config.schemes) <= set(schemes):  # simulate the union and keep it instead
+        schemes = tuple(s for s in analytic.SCHEMES if s in schemes + config.schemes)
+        records = _run_points(replace(config, schemes=schemes), cset, gains, workers)
+        memo[key] = schemes, records
     rows = [schemes.index(scheme) for scheme in config.schemes]
     stops = [_stop(snapshots, rows, config.min_errors) for snapshots in records]
     forms = analytic.closed_forms(config.schemes, cset, gains, config.sigmas)

@@ -289,7 +289,7 @@ class TestCli:
         assert n == 512
         snr_db = cfg.sweep.snr_points_db[0]
         sigma = montecarlo.sigma_from_snr(snr_db, cfg.target_power_w)
-        sent, received, decided = montecarlo._frame(
+        decided, received = montecarlo._frame(
             montecarlo.philox_stream(cfg.sweep.seed, 0, 0), n, sigma, cset, tables)
         assert run_cli("simulate", "--trace", "--config", str(GOLDEN_CFG)) == 0
         first, *rest = capsys.readouterr().out.splitlines()
@@ -298,12 +298,14 @@ class TestCli:
         def index(array):  # printed 1-based
             return str(array.item(0) + 1)
 
-        (u1_hat, u2_sic, u3_hat), (edge1, edge3) = decided["noma-sic"], decided["sic-stage1"]
+        sent = [decided[name][0] for name in ("u1", "noma-sic", "u3")]
+        u1_hat, u2_sic, u3_hat, u2_jml, edge1, edge3 = (
+            decided[name][1] for name in ("u1", "noma-sic", "u3", "noma-jml", "edge1", "edge3"))
         assert [re.findall(r"(?:=|: )([-+.\de]+)", line) for line in rest] == [
-            [index(u) for u in sent["noma-sic"]],
+            [index(u) for u in sent],
             [repr(y.item(0)) for y in received],
             [index(u1_hat), index(edge1)],
-            [index(u2_sic), index(decided["noma-jml"][1])],
+            [index(u2_sic), index(u2_jml)],
             [index(u3_hat), index(edge3)],
         ]
 

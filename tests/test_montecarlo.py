@@ -20,7 +20,8 @@ from vlcnoma import (SpectralEfficiencies, SweepConfig, design_constellation, lo
 from vlcnoma.analytic import ser_center_lower_bound
 from vlcnoma import analytic, montecarlo
 from vlcnoma.constellation import MAX_GRID, from_raw_levels
-from vlcnoma.link import SicReceiver, Workspace, oma_levels, oma_pam_points, superpose_transmit
+from vlcnoma.link import (SicReceiver, Workspace, decode_center_sic, oma_levels, oma_pam_points,
+                          superpose_transmit)
 from vlcnoma.montecarlo import (_frame, _symbols, philox_stream, receivers, sigma_from_snr,
                                 wilson_interval)
 from vlcnoma.errors import ParameterError
@@ -471,6 +472,28 @@ def test_a_decision_that_schemes_share_is_compared_once(reference_set, reference
 
 SCHEME_SUBSETS = [subset for size in (1, 2, 3)
                   for subset in itertools.combinations(("noma-sic", "noma-jml", "oma"), size)]
+
+
+@pytest.mark.parametrize("schemes", SCHEME_SUBSETS, ids="+".join)
+def test_each_schemes_rows_count_decisions_that_the_frame_names(schemes, reference_set,
+                                                                reference_gains):
+    tables = receivers(reference_set, reference_gains, schemes, 1.0)
+    decided, received = _frame(philox_stream(5, 0, 0), 4096, sigma_from_snr(130.0, 1.0),
+                               reference_set, tables)
+    counted = {name for scheme in schemes for name in montecarlo.COUNTED[scheme]}
+    superposed = [scheme for scheme in schemes if scheme != "oma"]
+    assert decided.keys() == counted | ({"edge1", "edge3"} if superposed else set())
+    # both superposed schemes count one pair of center-user decisions
+    assert montecarlo.COUNTED["noma-sic"][::2] == montecarlo.COUNTED["noma-jml"][::2] == (
+        "u1", "u3")
+    for scheme in superposed:
+        for user, y in ((1, received[0]), (3, received[2])):
+            # SIC stage 1's edge index at the center user, paired with the sent u2
+            sent, edge = decided[f"edge{user}"]
+            assert sent is decided[scheme][0]
+            assert np.array_equal(edge, decode_center_sic(y, tables[f"u{user}"])[1])
+
+
 # Sixteen batches per point.  At min_errors 10 the three schemes settle at
 # different batches: noma-sic first, noma-jml never at 142 and 146 dB.
 REPLAYED = dict(snr_points_db=(136.0, 142.0, 146.0), trials_per_point=4096, batch_size=256)
@@ -535,6 +558,48 @@ class TestReplay:
         calls.clear()
         assert run_sweep(config, reference_set, reference_gains, memo=memo) == alone
         assert calls == []
+
+    def test_a_sweep_that_the_memo_does_not_cover_is_simulated_once(
+            self, reference_set, reference_gains, streams_drawn):
+        # the memo kept the first sweep of each layout, so each repeat of a
+        # sweep that it did not cover was simulated again: 8, 8, 8 and 8 streams
+        config = small_sweep(snr_points_db=(136.0, 142.0), trials_per_point=1024,
+                             batch_size=256)
+        sweeps = [replace(config, schemes=schemes)
+                  for schemes in (("noma-sic",), ("noma-jml",), ("noma-jml",), ("noma-jml",))]
+        alone = [run_sweep(sweep, reference_set, reference_gains) for sweep in sweeps]
+        calls, memo, drawn = streams_drawn, {}, []
+        for sweep, want in zip(sweeps, alone):
+            calls.clear()
+            assert run_sweep(sweep, reference_set, reference_gains, memo=memo) == want
+            drawn.append(len(calls))
+        assert drawn == [8, 8, 0, 0]
+
+    @pytest.mark.scheduler
+    @settings(max_examples=50, deadline=None)
+    @given(sweeps=st.lists(st.lists(st.sampled_from(analytic.SCHEMES), min_size=1, max_size=3,
+                                    unique=True).map(tuple), min_size=2, max_size=4),
+           min_errors=st.sampled_from([0, 10]), workers=st.sampled_from([1, 2]))
+    def test_sweeps_on_one_memo_equal_their_own_and_replay_what_it_covers(
+            self, reference_set, reference_gains, sweeps, min_errors, workers):
+        # each sweep is a subset of the schemes in any order; a sweep draws no
+        # stream exactly when an earlier one of its draw layout asked for all
+        # its schemes
+        config = small_sweep(snr_points_db=(136.0, 142.0), trials_per_point=2048,
+                             batch_size=256, min_errors=min_errors)
+        memo, seen = {}, {True: set(), False: set()}  # by layout: is it OMA alone?
+        for schemes in sweeps:
+            sweep = replace(config, schemes=schemes)
+            alone = run_sweep(sweep, reference_set, reference_gains)
+            calls = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(montecarlo, "philox_stream",
+                              lambda *address: calls.append(address) or philox_stream(*address))
+                assert run_sweep(sweep, reference_set, reference_gains, workers=workers,
+                                 memo=memo) == alone
+            covered = set(schemes) <= seen[schemes == ("oma",)]
+            assert (calls == []) == covered, (schemes, seen)
+            seen[schemes == ("oma",)] |= set(schemes)
 
     def test_a_listed_grid_sweeps_with_and_without_a_memo(self, reference_set,
                                                          reference_gains):
@@ -689,10 +754,9 @@ def test_nan_rejected_naming_the_field(field, reference_set, reference_gains):
 
 def frame_arrays(frame) -> dict:
     """Every array of a ``_frame`` result, keyed by where it sits."""
-    sent, received, decided = frame
+    decided, received = frame
     arrays = {("received", k): y for k, y in enumerate(received or ())}
-    for part, mapping in (("sent", sent), ("decided", decided)):
-        arrays.update({(part, key, k): x for key, xs in mapping.items() for k, x in enumerate(xs)})
+    arrays.update({(name, k): x for name, pair in decided.items() for k, x in enumerate(pair)})
     return arrays
 
 
@@ -749,14 +813,14 @@ class TestFrameWorkspace:
         _frame(philox_stream(5, 0, 0), n, *frame_args, ws)
         tracemalloc.start()
         try:
-            sent = _frame(philox_stream(5, 0, 1), n, *frame_args, ws)[0]
+            decided = _frame(philox_stream(5, 0, 1), n, *frame_args, ws)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # three byte symbol draws per transmission, superposed and orthogonal,
         # and the one int32 array that each is drawn in; held as int32 they
         # took 4 B each
-        assert all(x.dtype == np.uint8 for xs in sent.values() for x in xs)
+        assert all(sent.dtype == np.uint8 for sent, _ in decided.values())
         draws = 3 * (any(s.startswith("noma") for s in schemes) + ("oma" in schemes))
         assert peak <= (4 + draws) * n + 64 * 1024, peak / n
 
@@ -812,10 +876,11 @@ class TestReceivedAmplitudes:
         cset = design_constellation(SpectralEfficiencies(*bits), reference_gains, 1.0)
         tables = receivers(cset, reference_gains, ("noma-sic", "noma-jml", "oma"), 1.0)
         n, sigma = 3000, sigma_from_snr(130.0, 1.0)
-        sent, received, _ = _frame(philox_stream(3, 0, 0), n, sigma, cset, tables)
+        decided, received = _frame(philox_stream(3, 0, 0), n, sigma, cset, tables)
+        sent = [decided[name][0] for name in ("u1", "noma-sic", "u3")]
         rng = philox_stream(3, 0, 0)
         drawn = tuple(rng.integers(0, m, n) for m in cset.bpcu.sizes)
-        assert all(np.array_equal(a, b) for a, b in zip(sent["noma-sic"], drawn, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(sent, drawn, strict=True))
         noiseless = superpose_transmit(drawn, cset, reference_gains)
         for y, level in zip(received, noiseless, strict=True):
             want = level + sigma * rng.standard_normal(n)
