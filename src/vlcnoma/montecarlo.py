@@ -210,13 +210,13 @@ def _frame(rng: np.random.Generator, n: int, sigma: float, cset: ConstellationSe
 
     ``decided`` maps each decision's name to its 0-based ``(sent, decided)``
     indices, sent in fresh ``_symbols`` arrays: "u1" and "u3", the center
-    users' SIC that both superposed schemes share; "noma-sic" and "noma-jml"
-    at the edge user; "edge1" and "edge3", SIC stage 1's edge index at users
-    1 and 3, with the sent u2; "oma-u1".."oma-u3".  Users 1, 2 and 3 in turn
-    take their noiseless amplitude from ``tables["amplitudes"]``, add their
-    noise and decode it.  ``received`` is the superposed (y1, y2, y3); None
-    without a superposed scheme, or with a workspace, whose one array "y"
-    each user overwrites and whose arrays, keyed by table, ``decided`` holds.
+    users' SIC that both superposed schemes share; "noma-sic" and "noma-jml",
+    the edge user; "edge1" and "edge3", SIC stage 1's edge index at users 1
+    and 3 with the sent u2; "oma-u1".."oma-u3".  Users 1, 2 and 3 in turn take
+    their noiseless amplitude from ``tables["amplitudes"]``, add their noise
+    and decode it.  ``received`` is the superposed (y1, y2, y3); None without
+    a superposed scheme, or with a workspace, whose one array "y" each user
+    overwrites and whose decided arrays last until its next frame.
     """
     decided: dict[str, tuple] = {}
     received = None
