@@ -587,7 +587,7 @@ class TestReplay:
         # its schemes
         config = small_sweep(snr_points_db=(136.0, 142.0), trials_per_point=2048,
                              batch_size=256, min_errors=min_errors)
-        memo, seen = {}, {True: set(), False: set()}  # by layout: is it OMA alone?
+        memo, seen = {}, {True: set(), False: set()}  # schemes asked for, by layout
         for schemes in sweeps:
             sweep = replace(config, schemes=schemes)
             alone = run_sweep(sweep, reference_set, reference_gains)
@@ -597,9 +597,9 @@ class TestReplay:
                               lambda *address: calls.append(address) or philox_stream(*address))
                 assert run_sweep(sweep, reference_set, reference_gains, workers=workers,
                                  memo=memo) == alone
-            covered = set(schemes) <= seen[schemes == ("oma",)]
-            assert (calls == []) == covered, (schemes, seen)
-            seen[schemes == ("oma",)] |= set(schemes)
+            oma_alone = schemes == ("oma",)  # the draw layout
+            assert (calls == []) == (set(schemes) <= seen[oma_alone]), (schemes, seen)
+            seen[oma_alone] |= set(schemes)
 
     def test_a_listed_grid_sweeps_with_and_without_a_memo(self, reference_set,
                                                          reference_gains):
