@@ -120,14 +120,11 @@ class ExperimentConfig:
     def target_power_w(self) -> float:
         return self.sweep.target_power_w
 
-    def computed_gains(self) -> ChannelGains:
-        return gain_matrix(self.geometry, self.front_end)
-
     def effective_gains(self) -> ChannelGains:
         """Override when configured, otherwise the computed matrix."""
         if self.gain_override is not None:
             return self.gain_override
-        return self.computed_gains()
+        return gain_matrix(self.geometry, self.front_end)
 
     def design(self) -> tuple[ChannelGains, ConstellationSet]:
         """Effective gains and the constellation designed for them.

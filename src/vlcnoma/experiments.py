@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import analytic
-from .channel import _keys_read
+from .channel import _keys_read, gain_matrix
 from .config import ExperimentConfig, _fmt, config_echo
 from .constellation import LEVEL_SETS, SpectralEfficiencies, peak_powers, verify_gap_condition
 from .errors import ParameterError
@@ -37,7 +37,7 @@ def echo_comments(cfg: ExperimentConfig) -> list[str]:
 
 def experiment_gains(cfg: ExperimentConfig, out: Path) -> Path:
     """Computed link gains next to any configured override, with ratios."""
-    computed = cfg.computed_gains()
+    computed = gain_matrix(cfg.geometry, cfg.front_end)
     override = cfg.gain_override
     rows = []
     for name in ("h11", "h21", "h22", "h32"):

@@ -3,11 +3,10 @@ PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s`` to see
 them).  The heavy sweeps share module-scoped fixtures; the whole module
 runs in about a minute on a laptop."""
 
-import itertools
-
 import numpy as np
 import pytest
 
+import naive
 from vlcnoma import (ChannelGains, SpectralEfficiencies, SweepConfig, design_constellation,
                      run_sweep, ser_u2_analytic)
 from vlcnoma.analytic import complexity_counts
@@ -66,14 +65,8 @@ def jml_sweep(cset, midband_grid):
     return run_sweep(config, cset, GAINS)
 
 
-def all_tuples():
-    m1, m2, m3 = BPCU.sizes
-    grid = np.array(list(itertools.product(range(m1), range(m2), range(m3)))).T
-    return grid[0], grid[1], grid[2]
-
-
 def test_ac1_noiseless_zero_error(cset, tables):
-    u1, u2, u3 = all_tuples()
+    u1, u2, u3 = naive.tuples(BPCU.sizes)
     y1, y2, y3 = superpose_transmit((u1, u2, u3), cset, GAINS)
     u1_hat, _ = decode_center_sic(y1, tables["u1"])
     u3_hat, _ = decode_center_sic(y3, tables["u3"])

@@ -1,12 +1,14 @@
-import itertools
 import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+import naive
+from test_recount import designs
 
 from vlcnoma import ChannelGains, SpectralEfficiencies, design_constellation
 from vlcnoma.constellation import (LEVEL_SETS, MAX_GRID, center_points, edge_points,
@@ -268,6 +270,25 @@ class TestGapCondition:
         assert ok
         assert np.all(margins > 0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(design=designs(), designed=st.booleans())
+    def test_the_gap_holds_exactly_when_the_edge_rule_decodes_every_noiseless_tuple(
+            self, design, designed):
+        # the paper's zero-error condition against the decoder it is for: on a
+        # designed set, or on raw levels that mostly fail it, the nearest
+        # combined edge level to every tuple's noiseless y2 is the tuple's u2
+        cset, gains = design
+        if designed:
+            cset = design_constellation(cset.bpcu, gains, 1.0)
+        ok, margins = verify_gap_condition(cset, gains)
+        combined = gains.h21 * cset.cell1_edge + gains.h22 * cset.cell2_edge
+        k = np.argmin(margins)  # the pair whose margin decides
+        # too close to its right-hand side for the two float paths to agree
+        assume(abs(margins[k]) > 1e-9 * abs(combined[k + 1] / 2.0))
+        grid = naive.tuples(cset.bpcu.sizes)
+        edge = naive.nearest(naive.transmit(cset, gains, *grid)[1], combined)
+        assert ok == np.array_equal(edge, grid[1])
+
     @settings(max_examples=100, deadline=None)
     @given(gains=feasible_gains(), bpcu=bpcu_triples, power=st.floats(0.1, 10.0))
     def test_designed_levels_positive_and_uniformly_spaced(self, gains, bpcu, power):
@@ -288,9 +309,8 @@ class TestNoiselessRoundTrip:
         cset = design_constellation(bpcu, gains, 1.0)
         ok, _ = verify_gap_condition(cset, gains)
         assert ok
-        m1, m2, m3 = bpcu.sizes
-        grid = np.array(list(itertools.product(range(m1), range(m2), range(m3)))).T
-        y1, y2, y3 = superpose_transmit((grid[0], grid[1], grid[2]), cset, gains)
+        grid = naive.tuples(bpcu.sizes)
+        y1, y2, y3 = superpose_transmit(grid, cset, gains)
         tables = receivers(cset, gains, ("noma-sic", "noma-jml"), 1.0)
         u1_hat, _ = decode_center_sic(y1, tables["u1"])
         u3_hat, _ = decode_center_sic(y3, tables["u3"])

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import math
 import tracemalloc
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import naive
 from vlcnoma import ChannelGains, SpectralEfficiencies, design_constellation, link
 from vlcnoma.constellation import from_raw_levels
 from vlcnoma.errors import ParameterError
@@ -22,18 +22,6 @@ from vlcnoma.montecarlo import philox_stream, receivers
 ALL_SCHEMES = ("noma-sic", "noma-jml", "oma")
 # the one-table SIC receivers of users 1 and 3 that two counted stages replaced
 MERGED_SIC = Path(__file__).resolve().with_name("golden") / "sic_merged_tables.json"
-
-
-def argmin_nearest(y, candidates):
-    """Brute-force reference decoder: first minimum of every computed distance."""
-    y = np.asarray(y, dtype=float)
-    return np.argmin(np.abs(y[..., np.newaxis] - candidates), axis=-1)
-
-
-def argmin_sic(y, edge, own):
-    """Brute-force two-stage SIC: (own, edge) indices, stage-1 mistakes kept."""
-    edge_hat = argmin_nearest(y, edge)
-    return argmin_nearest(y - edge[edge_hat], own), edge_hat
 
 
 def table_nearest(y, candidates):
@@ -145,10 +133,10 @@ def probes(candidates, rng, n=200):
     ])
 
 
-def jml_grid(cset, gains):
-    tx1 = cset.cell1_center[:, np.newaxis] + cset.cell1_edge[np.newaxis, :]
-    tx2 = cset.cell2_edge[:, np.newaxis] + cset.cell2_center[np.newaxis, :]
-    return (gains.h21 * tx1[:, :, np.newaxis] + gains.h22 * tx2[np.newaxis, :, :]).reshape(-1)
+def joint(cset, gains):
+    """Every tuple in lexicographic order and its noiseless y2: joint ML's candidates."""
+    grid = naive.tuples(cset.bpcu.sizes)
+    return grid, naive.transmit(cset, gains, *grid)[1]
 
 
 @pytest.fixture(scope="module")
@@ -193,13 +181,11 @@ class TestSuperposeTransmit:
                                                                        reference_gains):
         # the sums of received_terms make the float ops of each cell's sum scaled
         # by its gains, on the index grid and, broadcast to it, on its open form alike
-        cset, g = reference_set, reference_gains
-        grid = np.indices(cset.bpcu.sizes)
-        tx1 = cset.cell1_center[grid[0]] + cset.cell1_edge[grid[1]]
-        tx2 = cset.cell2_edge[grid[1]] + cset.cell2_center[grid[2]]
-        want = [y.tobytes() for y in (tx1 * g.h11, tx1 * g.h21 + tx2 * g.h22, tx2 * g.h32)]
-        for symbols in (tuple(grid), np.ix_(*(np.arange(m) for m in cset.bpcu.sizes))):
-            assert [np.broadcast_to(y, grid.shape[1:]).tobytes()
+        cset, g, sizes = reference_set, reference_gains, reference_set.bpcu.sizes
+        grid = naive.tuples(sizes)
+        want = [y.tobytes() for y in naive.transmit(cset, g, *grid)]
+        for symbols in (tuple(grid.reshape(3, *sizes)), np.ix_(*(np.arange(m) for m in sizes))):
+            assert [np.broadcast_to(y, sizes).tobytes()
                     for y in superpose_transmit(symbols, cset, g)] == want
 
     def test_an_open_grid_forms_each_amplitude_over_only_its_indices(self, reference_gains):
@@ -263,7 +249,7 @@ class TestNearestMatchesArgmin:
             # few distinct small integers: many duplicates, exact dyadic midpoints
             candidates = rng.integers(0, 12, size) * rng.choice([1.0, 0.125, 3.7e-7])
             y = probes(candidates, rng)
-            assert np.array_equal(table_nearest(y, candidates), argmin_nearest(y, candidates))
+            assert np.array_equal(table_nearest(y, candidates), naive.nearest(y, candidates))
 
     def test_exact_midpoint_goes_to_lowest_index_of_either_side(self):
         candidates = np.array([3.0, 1.0, 3.0, 1.0, 2.0])
@@ -271,9 +257,9 @@ class TestNearestMatchesArgmin:
             1, 0, 1, 0]
 
     def test_reference_jml_grid(self, reference_set, reference_gains):
-        grid = jml_grid(reference_set, reference_gains)
+        _, grid = joint(reference_set, reference_gains)
         y = probes(grid, np.random.default_rng(3), n=5000)
-        assert np.array_equal(table_nearest(y, grid), argmin_nearest(y, grid))
+        assert np.array_equal(table_nearest(y, grid), naive.nearest(y, grid))
 
     def test_shape_follows_samples(self):
         candidates = np.array([0.0, 1.0, 2.0])
@@ -287,7 +273,7 @@ class TestNearestMatchesArgmin:
     def test_property_matches_argmin(self, candidates, y):
         # eighths and sixteenths: every distance is exact, midpoints included
         candidates, y = np.array(candidates) / 8.0, np.array(y) / 16.0
-        assert np.array_equal(table_nearest(y, candidates), argmin_nearest(y, candidates))
+        assert np.array_equal(table_nearest(y, candidates), naive.nearest(y, candidates))
 
     @settings(max_examples=300, deadline=None)
     @given(candidates=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=129),
@@ -303,26 +289,26 @@ class TestNearestMatchesArgmin:
     def test_public_decoders_match_argmin(self, reference_set, reference_gains,
                                           reference_tables):
         g, cset, tables = reference_gains, reference_set, reference_tables
-        y = probes(jml_grid(cset, g), np.random.default_rng(11), n=20_000)
+        tuples, candidates = joint(cset, g)
+        y = probes(candidates, np.random.default_rng(11), n=20_000)
         scaled = np.concatenate([y, probes(g.h11 * cset.cell1_edge,
                                            np.random.default_rng(12))])
         symbols = (np.arange(64), np.arange(64) % 16, np.arange(64) // 4)
         links = tables["oma"]
         for got, want in zip(decode_center_sic(scaled, tables["u1"]),
-                             argmin_sic(scaled, g.h11 * cset.cell1_edge,
-                                        g.h11 * cset.cell1_center), strict=True):
+                             naive.center_sic(scaled, g.h11 * cset.cell1_edge,
+                                              g.h11 * cset.cell1_center), strict=True):
             assert np.array_equal(got, want)
         for got, want in zip(decode_center_sic(scaled, tables["u3"]),
-                             argmin_sic(scaled, g.h32 * cset.cell2_edge,
-                                        g.h32 * cset.cell2_center), strict=True):
+                             naive.center_sic(scaled, g.h32 * cset.cell2_edge,
+                                              g.h32 * cset.cell2_center), strict=True):
             assert np.array_equal(got, want)
-        assert np.array_equal(decode_u2_sic(y, tables["noma-sic"]), argmin_nearest(
+        assert np.array_equal(decode_u2_sic(y, tables["noma-sic"]), naive.nearest(
             y, g.h21 * cset.cell1_edge + g.h22 * cset.cell2_edge))
-        tuples = np.indices(cset.bpcu.sizes).reshape(3, -1)
         assert np.array_equal(decode_u2_jml(y, tables["noma-jml"]),
-                              tuples[1][argmin_nearest(y, jml_grid(cset, g))])
+                              tuples[1][naive.nearest(y, candidates)])
         pam = oma_pam_points(64, 1.0) * (g.h21 + g.h22)
-        assert np.array_equal(table_nearest(y, pam), argmin_nearest(y, pam))
+        assert np.array_equal(table_nearest(y, pam), naive.nearest(y, pam))
         for sigma in (0.0, 1e-7, 1e-5):
             rng = philox_stream(1, 0, 0)
             i1, i2, i3 = symbols
@@ -330,9 +316,9 @@ class TestNearestMatchesArgmin:
             y1 = pam1[i1] * g.h11 + sigma * rng.standard_normal(64)
             y3 = pam3[i3] * g.h32 + sigma * rng.standard_normal(64)
             y2 = pam2[i2] * (g.h21 + g.h22) + sigma * rng.standard_normal(64)
-            want = (argmin_nearest(y1, pam1 * g.h11),
-                    argmin_nearest(y2, pam2 * (g.h21 + g.h22)),
-                    argmin_nearest(y3, pam3 * g.h32))
+            want = (naive.nearest(y1, pam1 * g.h11),
+                    naive.nearest(y2, pam2 * (g.h21 + g.h22)),
+                    naive.nearest(y3, pam3 * g.h32))
             got = oma_round(symbols, links, sigma, philox_stream(1, 0, 0))
             for got_user, want_user in zip(got, want, strict=True):
                 assert np.array_equal(got_user, want_user)
@@ -357,7 +343,7 @@ class TestDecisionTables:
         assert np.all(np.diff(table.thresholds) > 0)
         y = np.concatenate([around(table.thresholds), probes(candidates,
                                                               np.random.default_rng(1))])
-        assert np.array_equal(table.decide(y), argmin_nearest(y, candidates))
+        assert np.array_equal(table.decide(y), naive.nearest(y, candidates))
         # at a threshold the decision has just switched
         assert np.all(table.decide(table.thresholds)
                       != table.decide(np.nextafter(table.thresholds, -np.inf)))
@@ -369,26 +355,25 @@ class TestDecisionTables:
             receiver = reference_tables[f"u{user}"]
             for stage, candidates in ((receiver.stage1, h * edge), (receiver.stage2, h * own)):
                 y = around(stage.thresholds)
-                assert np.array_equal(stage.decide(y), argmin_nearest(y, candidates))
+                assert np.array_equal(stage.decide(y), naive.nearest(y, candidates))
             assert np.array_equal(receiver.levels, h * edge)
             y = around(sic_breakpoints(receiver))
-            for got, want in zip(receiver.decide(y), argmin_sic(y, h * edge, h * own),
+            for got, want in zip(receiver.decide(y), naive.center_sic(y, h * edge, h * own),
                                  strict=True):
                 assert np.array_equal(got, want)
         for levels, links_table in reference_tables["oma"]:
             y = around(links_table.thresholds)
-            assert np.array_equal(links_table.decide(y), argmin_nearest(y, levels))
+            assert np.array_equal(links_table.decide(y), naive.nearest(y, levels))
 
     def test_merged_jml_table_matches_tuple_argmin(self, reference_set, reference_gains,
                                                    reference_tables):
-        tuples = np.indices(reference_set.bpcu.sizes).reshape(3, -1)
-        joint, labels = superpose_transmit(tuples, reference_set, reference_gains)[1], tuples[1]
+        tuples, candidates = joint(reference_set, reference_gains)
         table = reference_tables["noma-jml"]
-        assert table.thresholds.size == 3 and joint.size == 128
-        unmerged = nearest_table(joint)
+        assert table.thresholds.size == 3 and candidates.size == 128
+        unmerged = nearest_table(candidates)
         y = np.concatenate([around(unmerged.thresholds),
-                            probes(joint, np.random.default_rng(4), n=20_000)])
-        assert np.array_equal(decode_u2_jml(y, table), labels[argmin_nearest(y, joint)])
+                            probes(candidates, np.random.default_rng(4), n=20_000)])
+        assert np.array_equal(decode_u2_jml(y, table), tuples[1][naive.nearest(y, candidates)])
 
     def test_outputs_broadcast_against_the_candidates_label_as_their_full_grid(
             self, reference_set, reference_gains):
@@ -411,7 +396,7 @@ class TestDecisionTables:
         edge, own, y = np.array(edge) / 8.0, np.array(own) / 16.0, np.array(y) / 32.0
         receiver = sic_receiver(edge, own)
         y = np.concatenate([y, around(sic_breakpoints(receiver))])
-        for got, want in zip(receiver.decide(y), argmin_sic(y, edge, own), strict=True):
+        for got, want in zip(receiver.decide(y), naive.center_sic(y, edge, own), strict=True):
             assert np.array_equal(got, want)
 
     def test_lookup_matches_searchsorted_on_reference_tables(self, reference_tables):
@@ -716,10 +701,8 @@ class TestDecisionTables:
 class TestSicDecoders:
     def test_noiseless_round_trip_reference_set(self, reference_set, reference_gains,
                                                 reference_tables):
-        m1, m2, m3 = reference_set.bpcu.sizes
-        grid = np.array(list(itertools.product(range(m1), range(m2), range(m3)))).T
-        y1, _, y3 = superpose_transmit((grid[0], grid[1], grid[2]), reference_set,
-                                       reference_gains)
+        grid = naive.tuples(reference_set.bpcu.sizes)
+        y1, _, y3 = superpose_transmit(grid, reference_set, reference_gains)
         u1_hat, stage1 = decode_center_sic(y1, reference_tables["u1"])
         u3_hat, stage3 = decode_center_sic(y3, reference_tables["u3"])
         assert np.array_equal(u1_hat, grid[0])
@@ -767,23 +750,21 @@ class TestEdgeDecoders:
         assert (g.h21 * cset.cell1_edge + g.h22 * cset.cell2_edge).size == 4
 
     def test_joint_ml_counts(self, reference_set, reference_gains):
-        tuples = np.indices(reference_set.bpcu.sizes).reshape(3, -1)
+        tuples = naive.tuples(reference_set.bpcu.sizes)
         assert superpose_transmit(tuples, reference_set, reference_gains)[1].size == 128
 
     def test_noiseless_joint_ml_recovers_edge_symbol(self, reference_set, reference_gains,
                                                      reference_tables):
-        m1, m2, m3 = reference_set.bpcu.sizes
-        grid = np.array(list(itertools.product(range(m1), range(m2), range(m3)))).T
-        _, y2, _ = superpose_transmit((grid[0], grid[1], grid[2]), reference_set,
-                                      reference_gains)
+        grid = naive.tuples(reference_set.bpcu.sizes)
+        _, y2, _ = superpose_transmit(grid, reference_set, reference_gains)
         assert np.array_equal(decode_u2_jml(y2, reference_tables["noma-jml"]), grid[1])
         assert np.array_equal(decode_u2_sic(y2, reference_tables["noma-sic"]), grid[1])
 
     def test_gap_violating_levels_misdecode_noiselessly(self, reference_gains):
         bad = from_raw_levels(SpectralEfficiencies(1, 1, 1),
                               [1, 2], [3, 4], [3, 4], [1, 2], 1.0)
-        grid = np.array(list(itertools.product((0, 1), (0, 1), (0, 1)))).T
-        _, y2, _ = superpose_transmit((grid[0], grid[1], grid[2]), bad, reference_gains)
+        grid = naive.tuples(bad.bpcu.sizes)
+        _, y2, _ = superpose_transmit(grid, bad, reference_gains)
         tables = receivers(bad, reference_gains, ("noma-sic",), 1.0)
         decoded = decode_u2_sic(y2, tables["noma-sic"])
         assert np.any(decoded != grid[1])

@@ -20,8 +20,7 @@ from vlcnoma import (SpectralEfficiencies, SweepConfig, design_constellation, lo
 from vlcnoma.analytic import ser_center_lower_bound
 from vlcnoma import analytic, montecarlo
 from vlcnoma.constellation import MAX_GRID, from_raw_levels
-from vlcnoma.link import (SicReceiver, Workspace, decode_center_sic, oma_levels, oma_pam_points,
-                          superpose_transmit)
+from vlcnoma.link import SicReceiver, Workspace, oma_levels, oma_pam_points
 from vlcnoma.montecarlo import (_frame, _symbols, philox_stream, receivers, sigma_from_snr,
                                 wilson_interval)
 from vlcnoma.errors import ParameterError
@@ -320,12 +319,6 @@ class TestRunSweep:
             assert all(p.estimate.errors > 0 for p in points)
             assert len(calls) == batches
 
-    def test_stop_rule_settles_a_scheme_when_each_of_its_users_has_min_errors(self):
-        totals = np.array([[3, 4, 3], [3, 2, 5]])
-        assert montecarlo._settled(totals, 3).tolist() == [True, False]
-        assert montecarlo._settled(totals, 2).tolist() == [True, True]
-        assert montecarlo._settled(totals, 0).tolist() == [False, False]
-
     def test_rows_hold_python_numbers(self, reference_set, reference_gains):
         # bench/run.py hashes repr() of these fields, and numpy scalars print differently
         for point in run_sweep(small_sweep(trials_per_point=512), reference_set,
@@ -333,11 +326,6 @@ class TestRunSweep:
             estimate = point.estimate
             assert type(estimate.errors) is int and type(estimate.trials) is int
             assert {type(estimate.ser), type(estimate.ci_low), type(estimate.ci_high)} == {float}
-
-    def test_early_stop_caps_trials(self, reference_set, reference_gains):
-        config = small_sweep(snr_points_db=(130.0,), min_errors=10)
-        points = run_sweep(config, reference_set, reference_gains)
-        assert all(p.estimate.trials <= 8192 for p in points if p.user != "avg")
 
     def test_noise_free_point_decodes_perfectly(self, reference_set, reference_gains):
         config = small_sweep(snr_points_db=(INF, 1e308), trials_per_point=5_000)
@@ -472,26 +460,6 @@ def test_a_decision_that_schemes_share_is_compared_once(reference_set, reference
 
 SCHEME_SUBSETS = [subset for size in (1, 2, 3)
                   for subset in itertools.combinations(("noma-sic", "noma-jml", "oma"), size)]
-
-
-@pytest.mark.parametrize("schemes", SCHEME_SUBSETS, ids="+".join)
-def test_each_schemes_rows_count_decisions_that_the_frame_names(schemes, reference_set,
-                                                                reference_gains):
-    tables = receivers(reference_set, reference_gains, schemes, 1.0)
-    decided, received = _frame(philox_stream(5, 0, 0), 4096, sigma_from_snr(130.0, 1.0),
-                               reference_set, tables)
-    counted = {name for scheme in schemes for name in montecarlo.COUNTED[scheme]}
-    superposed = [scheme for scheme in schemes if scheme != "oma"]
-    assert decided.keys() == counted | ({"edge1", "edge3"} if superposed else set())
-    # both superposed schemes count one pair of center-user decisions
-    assert montecarlo.COUNTED["noma-sic"][::2] == montecarlo.COUNTED["noma-jml"][::2] == (
-        "u1", "u3")
-    for scheme in superposed:
-        for user, y in ((1, received[0]), (3, received[2])):
-            # SIC stage 1's edge index at the center user, paired with the sent u2
-            sent, edge = decided[f"edge{user}"]
-            assert sent is decided[scheme][0]
-            assert np.array_equal(edge, decode_center_sic(y, tables[f"u{user}"])[1])
 
 
 # Sixteen batches per point.  At min_errors 10 the three schemes settle at
@@ -752,57 +720,8 @@ def test_nan_rejected_naming_the_field(field, reference_set, reference_gains):
         NAN_CASES[field](reference_set, reference_gains)
 
 
-def frame_arrays(frame) -> dict:
-    """Every array of a ``_frame`` result, keyed by where it sits."""
-    decided, received = frame
-    arrays = {("received", k): y for k, y in enumerate(received or ())}
-    arrays.update({(name, k): x for name, pair in decided.items() for k, x in enumerate(pair)})
-    return arrays
-
-
 @pytest.mark.parametrize("schemes", SCHEME_SUBSETS, ids="+".join)
 class TestFrameWorkspace:
-    BATCH = 4096
-
-    def test_reused_workspace_matches_allocating_frame(self, schemes, reference_set,
-                                                       reference_gains):
-        self.assert_reused_workspace_matches(schemes, reference_set, reference_gains)
-
-    # every reference table counts its thresholds; between them these designs
-    # send both SIC stages, the edge tables and all three OMA tables through
-    # the bucketed lookup, whose scratch arrays the other stages share; the
-    # last has more than MAX_PAIRS (u1, u2) pairs, so it sums each trial's levels
-    @pytest.mark.parametrize("bits", [(6, 2, 2), (2, 6, 2), (3, 2, 6), (7, 6, 1)],
-                             ids=["6-2-2", "2-6-2", "3-2-6", "7-6-1-summed"])
-    def test_reused_workspace_matches_allocating_frame_on_bucketed_tables(
-            self, schemes, bits, reference_gains):
-        cset = design_constellation(SpectralEfficiencies(*bits), reference_gains, 1.0)
-        self.assert_reused_workspace_matches(schemes, cset, reference_gains)
-
-    def assert_reused_workspace_matches(self, schemes, cset, gains):
-        tables = receivers(cset, gains, schemes, 1.0)
-        frame_args = (cset, tables)
-        sigma = sigma_from_snr(136.0, 1.0)
-        superposed = any(scheme.startswith("noma") for scheme in schemes)
-        ws = Workspace()
-        # a full batch, a partial last batch and one trial, each right after
-        # a frame of another size at another SNR has filled the workspace
-        for n, other in ((self.BATCH, 1), (1808, self.BATCH), (1, 1808)):
-            _frame(philox_stream(9, 1, n), other, sigma_from_snr(112.0, 1.0), *frame_args, ws)
-            reused = _frame(philox_stream(5, 0, n), n, sigma, *frame_args, ws)
-            want = frame_arrays(_frame(philox_stream(5, 0, n), n, sigma, *frame_args))
-            # a worker holds one received amplitude at a time: only the
-            # allocating frame returns all three
-            assert reused[1] is None
-            got = frame_arrays(reused)
-            assert got.keys() == {key for key in want if key[0] != "received"}
-            assert len(want) - len(got) == 3 * superposed
-            for key, array in want.items():
-                assert array.shape == (n,), key
-                if key[0] != "received":
-                    assert got[key].dtype == array.dtype and got[key].shape == (n,), key
-                    assert np.array_equal(got[key], array), (n, key)
-
     def test_warmed_frame_allocates_only_symbol_draws(self, schemes, reference_set,
                                                       reference_gains):
         # a default-size batch, so the constant slack is 2 B per trial
@@ -867,24 +786,9 @@ class TestReceivedAmplitudes:
                 assert [*map(np.array_equal, product[:2], (low, high)), product[2]] == [1, 1, h]
                 continue
             assert product.shape == (low.size, high.size)
-            for a, b in itertools.product(range(low.size), range(high.size)):
+            for a, b in np.ndindex(product.shape):
                 want = (float(low[a]) + float(high[b])) * h
                 assert product[a, b].view(np.int64) == np.float64(want).view(np.int64)
-
-    def test_received_is_the_noise_drawn_y1_y2_y3_after_the_symbols(self, bits,
-                                                                     reference_gains):
-        cset = design_constellation(SpectralEfficiencies(*bits), reference_gains, 1.0)
-        tables = receivers(cset, reference_gains, ("noma-sic", "noma-jml", "oma"), 1.0)
-        n, sigma = 3000, sigma_from_snr(130.0, 1.0)
-        decided, received = _frame(philox_stream(3, 0, 0), n, sigma, cset, tables)
-        sent = [decided[name][0] for name in ("u1", "noma-sic", "u3")]
-        rng = philox_stream(3, 0, 0)
-        drawn = tuple(rng.integers(0, m, n) for m in cset.bpcu.sizes)
-        assert all(np.array_equal(a, b) for a, b in zip(sent, drawn, strict=True))
-        noiseless = superpose_transmit(drawn, cset, reference_gains)
-        for y, level in zip(received, noiseless, strict=True):
-            want = level + sigma * rng.standard_normal(n)
-            assert np.array_equal(y.view(np.int64), want.view(np.int64))
 
 
 class TestStreamAddressing:

@@ -1,9 +1,9 @@
-"""Every sweep counts what a naive simulator counts: one slow reference recount
-against ``run_sweep``, error for error and trial for trial (differential
-testing).  The recount builds no decision table and takes no amplitude table:
-it transmits each tuple from the levels, adds the noise drawn from the same
-Philox streams in the same order, decodes every user by argmin over its
-candidates and applies the stop rule per batch."""
+"""Every sweep counts what the naive model counts, and every frame decides what
+it decides (differential testing).  ``naive.recount`` is matched against
+``run_sweep`` error for error and trial for trial; ``naive.frame`` against
+``_frame`` decision for decision, allocating and on a reused workspace, and
+its received amplitudes bit for bit, which a one-ulp fault in a table moves
+where a count rarely changes."""
 
 import itertools
 import warnings
@@ -13,82 +13,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import naive
 from vlcnoma import (ChannelGains, SpectralEfficiencies, SweepConfig, design_constellation,
                      run_sweep)
 from vlcnoma.constellation import from_raw_levels
-from vlcnoma.link import oma_levels, oma_sizes
-from vlcnoma.montecarlo import philox_stream
+from vlcnoma.link import Workspace
+from vlcnoma.montecarlo import _frame, philox_stream, receivers, sigma_from_snr
 
 SCHEMES = ("noma-sic", "noma-jml", "oma")
-
-
-def nearest(y, candidates):
-    """Index of the nearest candidate to each sample, the lowest index on a tie."""
-    return np.argmin(np.abs(y[:, np.newaxis] - candidates), axis=1)
-
-
-def transmit(cset, gains, u1, u2, u3):
-    """Noiseless (y1, y2, y3): each cell's superposed levels through its links."""
-    tx1 = cset.cell1_center[u1] + cset.cell1_edge[u2]
-    tx2 = cset.cell2_edge[u2] + cset.cell2_center[u3]
-    return tx1 * gains.h11, tx1 * gains.h21 + tx2 * gains.h22, tx2 * gains.h32
-
-
-def noisy(rng, noiseless, sigma):
-    """The samples: one standard normal per amplitude, drawn next, times sigma, plus it."""
-    return sigma * rng.standard_normal(noiseless.size) + noiseless
-
-
-def center_sic(y, edge, own):
-    """Two-stage SIC: the nearest edge level, then the nearest own level of the residual."""
-    return nearest(y - edge[nearest(y, edge)], own)
-
-
-def batch_errors(config, cset, gains, point, batch, n):
-    """{scheme: [errors of u1, u2, u3]} of one batch, drawn as a sweep draws it."""
-    rng, sigma, errors = philox_stream(config.seed, point, batch), config.sigmas[point], {}
-    superposed = [scheme for scheme in config.schemes if scheme != "oma"]
-    if superposed:
-        sent = [rng.integers(0, m, n, dtype=np.int32) for m in cset.bpcu.sizes]
-        y1, y2, y3 = transmit(cset, gains, *sent)
-        h11, h32 = gains.h11, gains.h32
-        u1 = center_sic(noisy(rng, y1, sigma), h11 * cset.cell1_edge, h11 * cset.cell1_center)
-        y2 = noisy(rng, y2, sigma)
-        u3 = center_sic(noisy(rng, y3, sigma), h32 * cset.cell2_edge, h32 * cset.cell2_center)
-        tuples = np.array(list(itertools.product(*map(range, cset.bpcu.sizes)))).T
-        u2 = {"noma-sic": nearest(y2, gains.h21 * cset.cell1_edge + gains.h22 * cset.cell2_edge),
-              "noma-jml": tuples[1][nearest(y2, transmit(cset, gains, *tuples)[1])]}
-        for scheme in superposed:
-            errors[scheme] = [int(np.sum(got != want)) for got, want
-                              in zip((u1, u2[scheme], u3), sent)]
-    if "oma" in config.schemes:
-        sent = [rng.integers(0, m, n, dtype=np.int32) for m in oma_sizes(cset.bpcu)]
-        levels = oma_levels(cset.bpcu, gains, config.target_power_w)
-        errors["oma"] = [0, 0, 0]
-        for k in (0, 2, 1):  # the edge user's slot is drawn last
-            got = nearest(noisy(rng, levels[k][sent[k]], sigma), levels[k])
-            errors["oma"][k] = int(np.sum(got != sent[k]))
-    return errors
-
-
-def recount(config, cset, gains):
-    """Per SNR point, (trials, {scheme: [errors of u1, u2, u3]}) where a sweep of
-    ``config.schemes`` stops: after the first batch at which every user of every
-    scheme has ``min_errors`` errors (never for 0), else after the last batch."""
-    size, total = config.batch_size, config.trials_per_point
-    counts = []
-    for point in range(len(config.snr_points_db)):
-        totals = {scheme: np.zeros(3, dtype=np.int64) for scheme in config.schemes}
-        for batch in range(-(-total // size)):
-            trials = min((batch + 1) * size, total)
-            for scheme, errors in batch_errors(config, cset, gains, point, batch,
-                                               trials - batch * size).items():
-                totals[scheme] += errors
-            if config.min_errors > 0 and all((t >= config.min_errors).all()
-                                             for t in totals.values()):
-                break
-        counts.append((trials, totals))
-    return counts
+SUBSETS = [subset for size in (1, 2, 3) for subset in itertools.combinations(SCHEMES, size)]
+# the reference design counts every threshold and tabulates OMA user 1's
+# bucketed table; (6, 2, 2) and (3, 2, 6) send a SIC stage 2 through the
+# bucketed lookup, (2, 6, 2) the edge tables and both stage 1s; (7, 6, 1) has
+# more than MAX_PAIRS (u1, u2) pairs, so its frames sum each trial's levels
+FIXED = [(3, 2, 2), (6, 2, 2), (2, 6, 2), (3, 2, 6), (7, 6, 1)]
+BATCH, PARTIAL = 1024, 452  # trials of a full and of a partial last batch
 
 
 @st.composite
@@ -114,13 +53,45 @@ def assert_rows_recounted(config, cset, gains, workers):
         warnings.simplefilter("ignore")  # a design failing the gap condition warns
         rows = run_sweep(config, cset, gains, workers)
     expected = {}
-    for snr_db, (trials, totals) in zip(config.snr_points_db, recount(config, cset, gains)):
+    for snr_db, (trials, totals) in zip(config.snr_points_db,
+                                        naive.recount(config, cset, gains)):
         for scheme, errors in totals.items():
             for user, e, t in zip(("u1", "u2", "u3", "avg"), (*errors, sum(errors)),
                                   (trials,) * 3 + (3 * trials,)):
                 expected[snr_db, user, scheme] = (int(e), t)
     assert {(p.snr_db, p.user, p.scheme): (p.estimate.errors, p.estimate.trials)
             for p in rows} == expected
+
+
+def assert_frames_match(cset, gains, schemes, sigma, other_sigma, seed):
+    """A full batch, a partial batch and one trial of ``_frame``, each
+    allocating and on a workspace that a frame of another size at
+    ``other_sigma`` has just filled, decide every named decision as
+    ``naive.frame`` does.  The reused frame keeps the allocating frame's
+    dtypes, and the allocating frame's (y1, y2, y3) are the model's bits."""
+    tables = receivers(cset, gains, schemes, 1.0)
+    ws = Workspace()
+    for n, other in ((BATCH, 1), (PARTIAL, BATCH), (1, PARTIAL)):
+        want, received = naive.frame(philox_stream(seed, 0, n), n, sigma, cset, gains,
+                                     schemes, 1.0)
+        allocated = _frame(philox_stream(seed, 0, n), n, sigma, cset, tables)
+        _frame(philox_stream(seed ^ 1, 1, n), other, other_sigma, cset, tables, ws)
+        reused = _frame(philox_stream(seed, 0, n), n, sigma, cset, tables, ws)
+        # a worker holds one received amplitude at a time: only the
+        # allocating frame returns all three
+        assert reused[1] is None
+        for decided in (allocated[0], reused[0]):
+            assert decided.keys() == want.keys()
+            for name, pair in decided.items():
+                for got, expected, like in zip(pair, want[name], allocated[0][name],
+                                               strict=True):
+                    assert got.shape == (n,) and got.dtype == like.dtype, (n, name)
+                    assert np.array_equal(got, expected), (n, name)
+        if received is None:
+            assert allocated[1] is None
+        else:
+            for got, expected in zip(allocated[1], received, strict=True):
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64)), n
 
 
 @pytest.mark.scheduler
@@ -148,3 +119,20 @@ def test_a_summed_design_counts_what_the_naive_recount_counts(reference_gains):
     config = SweepConfig(snr_points_db=(160.0, 190.0), trials_per_point=300, seed=7,
                          target_power_w=1.0, schemes=SCHEMES, batch_size=128)
     assert_rows_recounted(config, cset, reference_gains, workers=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(design=designs(), schemes=st.sampled_from(SUBSETS),
+       snr_db=st.floats(-5.0, 40.0), seed=st.integers(0, 2**64 - 1))
+def test_every_frame_decides_what_the_naive_frame_decides(design, schemes, snr_db, seed):
+    assert_frames_match(*design, schemes, sigma_from_snr(snr_db, 1.0),
+                        sigma_from_snr(snr_db - 20.0, 1.0), seed)
+
+
+@pytest.mark.parametrize("schemes", SUBSETS, ids="+".join)
+@pytest.mark.parametrize("bits", FIXED, ids=lambda bits: "-".join(map(str, bits)))
+def test_every_frame_of_a_fixed_design_decides_what_the_naive_frame_decides(
+        bits, schemes, reference_gains):
+    cset = design_constellation(SpectralEfficiencies(*bits), reference_gains, 1.0)
+    assert_frames_match(cset, reference_gains, schemes, sigma_from_snr(136.0, 1.0),
+                        sigma_from_snr(112.0, 1.0), 5)
