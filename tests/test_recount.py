@@ -28,6 +28,8 @@ SUBSETS = [subset for size in (1, 2, 3) for subset in itertools.combinations(SCH
 # more than MAX_PAIRS (u1, u2) pairs, so its frames sum each trial's levels
 FIXED = [(3, 2, 2), (6, 2, 2), (2, 6, 2), (3, 2, 6), (7, 6, 1)]
 BATCH, PARTIAL = 1024, 452  # trials of a full and of a partial last batch
+# each frame size with the size of the frame that fills the workspace before it
+SIZES = ((BATCH, 1), (PARTIAL, BATCH), (1, PARTIAL))
 
 
 @st.composite
@@ -63,15 +65,15 @@ def assert_rows_recounted(config, cset, gains, workers):
             for p in rows} == expected
 
 
-def assert_frames_match(cset, gains, schemes, sigma, other_sigma, seed):
-    """A full batch, a partial batch and one trial of ``_frame``, each
-    allocating and on a workspace that a frame of another size at
+def assert_frames_match(cset, gains, schemes, sigma, other_sigma, seed, sizes=SIZES):
+    """A full batch, a partial batch and one trial of ``_frame`` (or those of
+    ``sizes``), each allocating and on a workspace that a frame of another size at
     ``other_sigma`` has just filled, decide every named decision as
     ``naive.frame`` does.  The reused frame keeps the allocating frame's
     dtypes, and the allocating frame's (y1, y2, y3) are the model's bits."""
     tables = receivers(cset, gains, schemes, 1.0)
     ws = Workspace()
-    for n, other in ((BATCH, 1), (PARTIAL, BATCH), (1, PARTIAL)):
+    for n, other in sizes:
         want, received = naive.frame(philox_stream(seed, 0, n), n, sigma, cset, gains,
                                      schemes, 1.0)
         allocated = _frame(philox_stream(seed, 0, n), n, sigma, cset, tables)
@@ -129,10 +131,11 @@ def test_every_frame_decides_what_the_naive_frame_decides(design, schemes, snr_d
                         sigma_from_snr(snr_db - 20.0, 1.0), seed)
 
 
+@pytest.mark.parametrize("size", SIZES, ids=lambda size: f"n{size[0]}")
 @pytest.mark.parametrize("schemes", SUBSETS, ids="+".join)
 @pytest.mark.parametrize("bits", FIXED, ids=lambda bits: "-".join(map(str, bits)))
 def test_every_frame_of_a_fixed_design_decides_what_the_naive_frame_decides(
-        bits, schemes, reference_gains):
+        bits, schemes, size, reference_gains):
     cset = design_constellation(SpectralEfficiencies(*bits), reference_gains, 1.0)
     assert_frames_match(cset, reference_gains, schemes, sigma_from_snr(136.0, 1.0),
-                        sigma_from_snr(112.0, 1.0), 5)
+                        sigma_from_snr(112.0, 1.0), 5, sizes=(size,))
