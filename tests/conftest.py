@@ -1,8 +1,30 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
 from vlcnoma import ChannelGains, SpectralEfficiencies, design_constellation, montecarlo
 from vlcnoma.channel import OpticalFrontEnd, ScenarioGeometry
+
+# Tests that need a worker count set their own; none, child processes
+# included, sees the shell's.
+os.environ.pop("VLCNOMA_WORKERS", None)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*args: str, env: dict[str, str] | None = None, timeout: float = 120,
+               check: bool = True) -> subprocess.CompletedProcess:
+    """``python *args`` in a child process on this interpreter, with ``src``
+    first on PYTHONPATH and ``env`` on top of this process's environment."""
+    path = os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **(env or {})},
+                          timeout=timeout, check=check)
+
 
 # A deterministic, deeper search, selected with --hypothesis-profile=ci; tests
 # that fix max_examples themselves keep their own count.

@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SRC, run_python
 from vlcnoma import SpectralEfficiencies, analytic, design_constellation, ser_u2_analytic
 from vlcnoma.analytic import (MAXLOG, closed_forms, complexity_counts, erfc, q_function,
                               ser_center_lower_bound)
@@ -89,12 +87,8 @@ class TestQFunction:
     def test_package_import_leaves_scipy_unloaded(self):
         # neither importing the package nor running it, closed forms included,
         # loads scipy: the runtime needs only numpy
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-        out = subprocess.run([sys.executable, "-c", RUNS], capture_output=True, text=True,
-                             env=env, timeout=120, check=True).stdout.splitlines()
-        assert Path(out[0]).resolve().parent == src / "vlcnoma"
+        out = run_python("-c", RUNS).stdout.splitlines()
+        assert Path(out[0]).resolve().parent == SRC / "vlcnoma"
         assert out[1] == "[]"
         assert out[2] == "[]"
 
@@ -344,11 +338,7 @@ class TestClosedFormsOverAGrid:
     def test_closed_forms_of_26_points_at_the_largest_design_fit_in_400_mb(self):
         # every tail of 26 sigmas over 2^19 level pairs at once peaked near 2 GB;
         # chunked, one sigma's row bounds the peak at about 170 MB
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-        out = subprocess.run([sys.executable, "-c", CLOSED_FORMS_PEAK], capture_output=True,
-                             text=True, env=env, timeout=300, check=True).stdout.split()
+        out = run_python("-c", CLOSED_FORMS_PEAK, timeout=300).stdout.split()
         assert out[0] == "26" and int(out[1]) <= 400 * 1024  # VmHWM, KiB
 
     @pytest.mark.parametrize("snr_db,bound", [(100.0, 80), (150.0, 65)])

@@ -110,6 +110,13 @@ class TestLoadConfig:
         assert run_cli("gains", "--config", str(tmp_path), "--out", str(tmp_path / "g.csv")) == 1
         assert f"{tmp_path} is not a file" in capsys.readouterr().err
 
+    def test_name_too_long_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / ("a" * 300 + ".cfg")  # past any file system's 255-byte name limit
+        with pytest.raises(ParameterError, match=re.escape(f"config file {path}: ")):
+            load_config(path)
+        assert run_cli("gains", "--config", str(path), "--out", str(tmp_path / "g.csv")) == 1
+        assert f"config file {path}: " in capsys.readouterr().err
+
     def test_non_utf8_file_names_the_file(self, tmp_path, capsys):
         # a leading 0xff byte used to exit 2 with a codec error
         path = tmp_path / "latin.cfg"

@@ -16,6 +16,7 @@ from unittest import mock
 
 import pytest
 
+from conftest import run_python
 from vlcnoma import analytic, experiments, montecarlo
 from vlcnoma.cli import main as cli_main
 
@@ -34,14 +35,10 @@ def load_script():
 
 
 def generate(outdir: Path) -> None:
-    """Write every golden output into outdir.
-
-    The reproduce script runs on VLCNOMA_WORKERS workers (1 when unset), so
-    the same goldens check any worker count.
-    """
+    """Write every golden output into outdir: the reproduce script's on 1
+    worker, simulate.csv on 2."""
     quiet = contextlib.redirect_stdout(io.StringIO())
-    workers = os.environ.get("VLCNOMA_WORKERS", "1")
-    with quiet, mock.patch.dict(os.environ, {"VLCNOMA_WORKERS": workers}):
+    with quiet, mock.patch.dict(os.environ, {"VLCNOMA_WORKERS": "1"}):
         assert load_script().main([str(outdir / "reproduce"), "--config", str(CONFIG)]) == 0
     with quiet, mock.patch.dict(os.environ, {"VLCNOMA_WORKERS": "2"}):
         assert cli_main(["simulate", "--config", str(CONFIG), "--out",
@@ -104,6 +101,29 @@ def test_a_run_draws_each_batch_of_the_shared_sweep_once(tmp_path, monkeypatch, 
     assert len(set(calls)) == len(calls) == consumed, (calls, trials)
     assert 3 < consumed < 12  # early stopping cut in, and more than one batch per point
 
+
+
+def test_script_run_as_a_process_on_3_workers_writes_the_goldens(tmp_path):
+    # golden.cfg has 3 points, so each worker, the calling thread among them, can take one
+    out = tmp_path / "reproduce"
+    run_python("-W", "error", str(SCRIPT), str(out), "--config", str(CONFIG),
+               env={"VLCNOMA_WORKERS": "3"})
+    golden = sorted((GOLDEN / "reproduce").iterdir())
+    assert sorted(path.name for path in out.iterdir()) == [path.name for path in golden]
+    for path in golden:
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("entry", ["cli", "script"])
+def test_bad_trials_exits_1_from_the_command_line(tmp_path, entry):
+    # the process exits with main()'s 1, not argparse's 2 nor a silent 0
+    out = tmp_path / "r"
+    argv = {"cli": ["-m", "vlcnoma.cli", "simulate", "--out", str(out)],
+            "script": [str(SCRIPT), str(out)]}[entry]
+    result = run_python(*argv, "--trials", "abc", check=False)
+    assert result.returncode == 1, result.stderr
+    assert "trials_per_point" in result.stderr, result.stderr
+    assert not out.exists()
 
 
 def test_bad_trials_exits_1_naming_the_key(tmp_path, capsys):
