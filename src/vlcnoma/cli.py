@@ -161,9 +161,9 @@ def _run(args) -> None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    while "--snr" in argv[:-1]:  # argparse takes "--snr -10:-6:2"'s value for an option
-        at = argv.index("--snr")
-        argv[at:at + 2] = [f"--snr={argv[at + 1]}"]
+    for at in reversed(range(len(argv) - 1)):  # argparse takes "-10:-6:2" for an option
+        if argv[at] == "--snr" and not argv[at + 1].startswith("--"):
+            argv[at:at + 2] = [f"--snr={argv[at + 1]}"]
     return exit_code(lambda: _run(build_parser().parse_args(argv)))
 
 

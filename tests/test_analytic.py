@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SRC, run_python
+from conftest import SRC, run_cli_in_1_gb, run_python
 from vlcnoma import SpectralEfficiencies, analytic, design_constellation, ser_u2_analytic
 from vlcnoma.analytic import (MAXLOG, closed_forms, complexity_counts, erfc, q_function,
                               ser_center_lower_bound)
@@ -19,21 +19,6 @@ from vlcnoma.montecarlo import sigma_from_snr
 
 GOLDEN_CONFIG = Path(__file__).resolve().with_name("golden") / "golden.cfg"
 INF = float("inf")
-# closed_forms of noma-sic on the default 26-point grid at the largest valid design,
-# in a fresh process: the point count and the process's own peak RSS in KiB.  That
-# is VmHWM: ru_maxrss also counts the RSS of the process it was spawned from.
-CLOSED_FORMS_PEAK = """
-from vlcnoma import SpectralEfficiencies, design_constellation
-from vlcnoma.analytic import closed_forms
-from vlcnoma.config import load_config
-cfg = load_config(None)
-gains = cfg.design()[0]
-cset = design_constellation(SpectralEfficiencies(10, 1, 9), gains, cfg.target_power_w)
-forms = closed_forms(("noma-sic",), cset, gains, cfg.sweep.sigmas)
-with open("/proc/self/status") as status:
-    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
-print(len(forms["noma-sic", "u2"]), peak)
-"""
 
 
 def boundary_distances(cset, gains):
@@ -335,11 +320,12 @@ class TestClosedFormsOverAGrid:
         column = ser_u2_analytic(cset, reference_gains, np.array(sigmas).reshape(-1, 1))
         assert column.tolist() == edge.reshape(-1, 1).tolist()
 
-    def test_closed_forms_of_26_points_at_the_largest_design_fit_in_400_mb(self):
+    def test_closed_forms_of_26_points_at_the_largest_design_fit_in_400_mb(self, tmp_path):
         # every tail of 26 sigmas over 2^19 level pairs at once peaked near 2 GB;
         # chunked, one sigma's row bounds the peak at about 170 MB
-        out = run_python("-c", CLOSED_FORMS_PEAK, timeout=300).stdout.split()
-        assert out[0] == "26" and int(out[1]) <= 400 * 1024  # VmHWM, KiB
+        _, csv, peak = run_cli_in_1_gb(tmp_path, (10, 1, 9), "analytic")
+        rows = [line for line in csv.splitlines() if not line.startswith("#")]
+        assert len(rows) == 1 + 26 * 3 and peak <= 400 * 1024
 
     @pytest.mark.parametrize("snr_db,bound", [(100.0, 80), (150.0, 65)])
     def test_one_sigma_at_the_largest_design_allocates_within_its_bound(

@@ -1,5 +1,4 @@
 import contextlib
-import importlib.util
 import io
 import os
 import re
@@ -14,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import load_file
 from vlcnoma import cli, experiments, montecarlo
 from vlcnoma.cli import main
 from vlcnoma.config import (SCHEMA, build_config, config_echo, default_config_path, load_config,
@@ -272,13 +272,6 @@ class TestCli:
         # 2 SNR points x 4 user rows x 2 schemes
         assert len(lines) == 1 + 16
 
-    def test_simulate_trace_prints_frame(self, capsys, tmp_path):
-        cfg = tmp_path / "t.cfg"
-        cfg.write_text("trials_per_point = 10\n")
-        assert run_cli("simulate", "--trace", "--config", str(cfg)) == 0
-        captured = capsys.readouterr().out
-        assert "sent:" in captured and "received:" in captured
-
     def test_simulate_trace_reads_neither_workers_nor_out(self, capsys, tmp_path, monkeypatch):
         # the trace decides one frame on the calling thread and writes no file
         monkeypatch.setenv("VLCNOMA_WORKERS", "abc")
@@ -324,12 +317,14 @@ class TestCli:
 
     @pytest.mark.parametrize("argv,named", [
         (("simulate", "--snr"), "--snr"),
+        # the option that follows used to be taken for --snr's value
+        (("simulate", "--snr", "--trials", "5"), "--snr"),
         (("simulate", "--trials"), "--trials"),
         (("simulate", "--bogus", "1"), "--bogus"),
         (("reproduce", "fig5"), "fig5"),
         ((), "command"),
-    ], ids=["snr-without-value", "trials-without-value", "unknown-option", "unknown-figure",
-            "no-command"])
+    ], ids=["snr-without-value", "snr-before-an-option", "trials-without-value",
+            "unknown-option", "unknown-figure", "no-command"])
     def test_usage_error_exits_1_naming_the_option(self, capsys, argv, named):
         # argparse used to exit 2
         assert run_cli(*argv) == 1
@@ -474,13 +469,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command", [("simulate", "--trials", "2000"), ("reproduce", "fig2"),
                                          ("analytic",)])
-    def test_unwritable_out_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch,
-                                                    command):
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("a sweep ran")
-
+    def test_unwritable_out_exits_1_before_any_work(self, tmp_path, capsys, no_sweep, command):
         # a sweep here would fail the run with exit 2, as the write used to after it
-        monkeypatch.setattr(experiments, "run_sweep", no_sweep)
         for out in (tmp_path / "missing" / "x.csv", tmp_path):
             assert run_cli(*command, "--out", str(out)) == 1
             err = capsys.readouterr().err
@@ -503,12 +493,8 @@ class TestCli:
 
     @pytest.mark.parametrize("link", ["missing/x.csv", "loop.csv"], ids=["dangling", "loop"])
     def test_out_through_a_broken_symlink_exits_1_before_any_work(self, tmp_path, capsys,
-                                                                   monkeypatch, link):
+                                                                   no_sweep, link):
         # a link into a missing directory used to run the sweep, then exit 2
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("a sweep ran")
-
-        monkeypatch.setattr(experiments, "run_sweep", no_sweep)
         out = tmp_path / "out.csv"
         out.symlink_to(tmp_path / link)
         if link == "loop.csv":
@@ -520,18 +506,14 @@ class TestCli:
 
     @pytest.mark.parametrize("script", [False, True], ids=["out", "reproduce_all"])
     def test_read_only_out_file_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch,
-                                                        script):
+                                                        no_sweep, script):
         # an existing file that refused the write used to run the sweep, then exit 2
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("a sweep ran")
-
         out = tmp_path / ("fig2.csv" if script else "out.csv")
         out.write_text("old\n")
         # root may write any file, so os.access answers as the mode bits would
         access, target = os.access, Path(os.path.realpath(out))
         monkeypatch.setattr(os, "access", lambda path, mode: Path(path) != target
                             and access(path, mode))
-        monkeypatch.setattr(experiments, "run_sweep", no_sweep)
         status = (REPRODUCE_ALL_MAIN([str(tmp_path)]) if script
                   else run_cli("simulate", "--trials", "64", "--out", str(out)))
         assert status == 1
@@ -570,53 +552,6 @@ class TestCli:
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "out.csv")) == 1
         assert f"error: {cfg}: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
-
-    def test_reproduce_fig2_deterministic_across_workers(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "small.cfg"
-        cfg.write_text(
-            "trials_per_point = 3000\nbatch_size = 1024\n"
-            "snr_start_db = 138\nsnr_stop_db = 146\nsnr_step_db = 4\n"
-        )
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        monkeypatch.setenv("VLCNOMA_WORKERS", "1")
-        assert run_cli("reproduce", "fig2", "--config", str(cfg), "--out", str(out1)) == 0
-        monkeypatch.setenv("VLCNOMA_WORKERS", "4")
-        assert run_cli("reproduce", "fig2", "--config", str(cfg), "--out", str(out2)) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_reproduce_fig3_emits_average_rows_only(self, tmp_path):
-        cfg = tmp_path / "small.cfg"
-        cfg.write_text(
-            "trials_per_point = 1000\nsnr_start_db = 140\nsnr_stop_db = 140\n"
-        )
-        out = tmp_path / "fig3.csv"
-        assert run_cli("reproduce", "fig3", "--config", str(cfg), "--out", str(out)) == 0
-        rows = [l for l in out.read_text().splitlines()
-                if l and not l.startswith("#") and not l.startswith("snr_db")]
-        assert len(rows) == 3
-        assert all(",avg," in r for r in rows)
-
-    def test_reproduce_fig4_emits_edge_user_rows(self, tmp_path):
-        cfg = tmp_path / "small.cfg"
-        cfg.write_text(
-            "trials_per_point = 1000\nsnr_start_db = 140\nsnr_stop_db = 140\n"
-        )
-        out = tmp_path / "fig4.csv"
-        assert run_cli("reproduce", "fig4", "--config", str(cfg), "--out", str(out)) == 0
-        rows = [l for l in out.read_text().splitlines()
-                if l and not l.startswith("#") and not l.startswith("snr_db")]
-        assert len(rows) == 3
-        assert all(",u2," in r for r in rows)
-        assert {r.split(",")[2] for r in rows} == {"noma-sic", "noma-jml", "oma"}
-
-    def test_identical_invocations_are_byte_stable(self, tmp_path):
-        out1 = tmp_path / "one.csv"
-        out2 = tmp_path / "two.csv"
-        args = ("simulate", "--trials", "1500", "--snr", "142:146:4", "--seed", "8")
-        assert run_cli(*args, "--out", str(out1)) == 0
-        assert run_cli(*args, "--out", str(out2)) == 0
-        assert out1.read_bytes() == out2.read_bytes()
 
 
 # Values the config fuzz writes: non-finite, signed zero, extremes, empty
@@ -680,15 +615,6 @@ PLACES = ("new", "existing", "directory", "dangling", "missing", "absent", "too-
     ("read-only", "read-only-file") if os.geteuid() != 0 else ())
 # a file name longer than the 255 bytes that common file systems allow
 TOO_LONG = "a" * 300
-
-
-def reproduce_all_main():
-    """``main`` of ``scripts/reproduce_all.py``, which is no module of the package."""
-    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_all.py"
-    spec = importlib.util.spec_from_file_location("reproduce_all", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.main
 
 
 def mostly(value, *others):
@@ -765,7 +691,7 @@ def written_fields(root: Path):
                     yield from line.split(",")
 
 
-REPRODUCE_ALL_MAIN = reproduce_all_main()
+REPRODUCE_ALL_MAIN = load_file().main
 
 
 @settings(max_examples=300, deadline=None)

@@ -312,11 +312,14 @@ class TestNoiselessRoundTrip:
         grid = naive.tuples(bpcu.sizes)
         y1, y2, y3 = superpose_transmit(grid, cset, gains)
         tables = receivers(cset, gains, ("noma-sic", "noma-jml"), 1.0)
-        u1_hat, _ = decode_center_sic(y1, tables["u1"])
-        u3_hat, _ = decode_center_sic(y3, tables["u3"])
+        u1_hat, stage1 = decode_center_sic(y1, tables["u1"])
+        u3_hat, stage3 = decode_center_sic(y3, tables["u3"])
         u2_sic = decode_u2_sic(y2, tables["noma-sic"])
         u2_jml = decode_u2_jml(y2, tables["noma-jml"])
         assert np.array_equal(u1_hat, grid[0])
         assert np.array_equal(u2_sic, grid[1])
         assert np.array_equal(u3_hat, grid[2])
         assert np.array_equal(u2_jml, grid[1])
+        # SIC's first stage recovers the edge symbol too
+        assert np.array_equal(stage1, grid[1])
+        assert np.array_equal(stage3, grid[1])

@@ -8,7 +8,6 @@ deliberate output change, rewrite them with
 
 import contextlib
 import csv
-import importlib.util
 import io
 import os
 from pathlib import Path
@@ -16,22 +15,14 @@ from unittest import mock
 
 import pytest
 
-from conftest import run_python
+from conftest import SCRIPT, load_file, run_python
 from vlcnoma import analytic, experiments, montecarlo
 from vlcnoma.cli import main as cli_main
 
 GOLDEN = Path(__file__).resolve().with_name("golden")
 CONFIG = GOLDEN / "golden.cfg"
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_all.py"
 GOLDEN_FILES = [f"reproduce/{name}.csv" for name in experiments.EXPERIMENTS] + [
     "simulate.csv", "trace.txt"]
-
-
-def load_script():
-    spec = importlib.util.spec_from_file_location("reproduce_all", SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
 
 
 def generate(outdir: Path) -> None:
@@ -39,7 +30,7 @@ def generate(outdir: Path) -> None:
     worker, simulate.csv on 2."""
     quiet = contextlib.redirect_stdout(io.StringIO())
     with quiet, mock.patch.dict(os.environ, {"VLCNOMA_WORKERS": "1"}):
-        assert load_script().main([str(outdir / "reproduce"), "--config", str(CONFIG)]) == 0
+        assert load_file().main([str(outdir / "reproduce"), "--config", str(CONFIG)]) == 0
     with quiet, mock.patch.dict(os.environ, {"VLCNOMA_WORKERS": "2"}):
         assert cli_main(["simulate", "--config", str(CONFIG), "--out",
                          str(outdir / "simulate.csv"),
@@ -79,7 +70,7 @@ def test_the_figures_are_one_simulation(tmp_path, monkeypatch):
     swept = counted(experiments, "run_sweep")
     monkeypatch.setenv("VLCNOMA_WORKERS", "1")
     with contextlib.redirect_stdout(io.StringIO()):
-        assert load_script().main([str(tmp_path / "all"), "--config", str(CONFIG)]) == 0
+        assert load_file().main([str(tmp_path / "all"), "--config", str(CONFIG)]) == 0
     assert simulated == [analytic.SCHEMES]
     assert swept == [analytic.SCHEMES, analytic.SCHEMES, ("noma-sic",)]  # fig3, fig4, fig2
     for name in ("fig3", "fig4", "fig2"):
@@ -93,7 +84,7 @@ def test_a_run_draws_each_batch_of_the_shared_sweep_once(tmp_path, monkeypatch, 
     calls = streams_drawn
     monkeypatch.setenv("VLCNOMA_WORKERS", "1")
     with contextlib.redirect_stdout(io.StringIO()):
-        assert load_script().main([str(tmp_path), "--config", str(CONFIG)]) == 0
+        assert load_file().main([str(tmp_path), "--config", str(CONFIG)]) == 0
     with (tmp_path / "fig4.csv").open() as fig4:  # the all-scheme sweep's u2 rows
         rows = csv.DictReader(line for line in fig4 if not line.startswith("#"))
         trials = {row["snr_db"]: int(row["trials"]) for row in rows}
@@ -129,7 +120,7 @@ def test_bad_trials_exits_1_from_the_command_line(tmp_path, entry):
 def test_bad_trials_exits_1_naming_the_key(tmp_path, capsys):
     # argparse's type=int used to exit 2 with a usage dump
     out = tmp_path / "r"
-    assert load_script().main([str(out), "--trials", "abc"]) == 1
+    assert load_file().main([str(out), "--trials", "abc"]) == 1
     err = capsys.readouterr().err
     assert "trials_per_point" in err and "--trials" in err, err
     assert not out.exists()
@@ -137,48 +128,36 @@ def test_bad_trials_exits_1_naming_the_key(tmp_path, capsys):
 
 def test_trials_without_a_value_exits_1_naming_the_option(tmp_path, capsys):
     # argparse used to exit 2
-    assert load_script().main([str(tmp_path / "r"), "--trials"]) == 1
+    assert load_file().main([str(tmp_path / "r"), "--trials"]) == 1
     assert "--trials" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("name", ["gains", "fig2"])
-def test_output_file_that_is_a_directory_exits_1_before_any_work(tmp_path, capsys, monkeypatch,
+def test_output_file_that_is_a_directory_exits_1_before_any_work(tmp_path, capsys, no_sweep,
                                                                  name):
     # gains.csv used to exit 2 on its write; fig2.csv after four experiments and a sweep
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("a sweep ran")
-
-    monkeypatch.setattr(experiments, "run_sweep", no_sweep)
     (tmp_path / f"{name}.csv").mkdir()
-    assert load_script().main([str(tmp_path), "--config", str(CONFIG)]) == 1
+    assert load_file().main([str(tmp_path), "--config", str(CONFIG)]) == 1
     assert str(tmp_path / f"{name}.csv") in capsys.readouterr().err
     assert [path.name for path in tmp_path.iterdir()] == [f"{name}.csv"]
 
 
 def test_output_file_that_is_a_dangling_symlink_exits_1_before_any_work(tmp_path, capsys,
-                                                                       monkeypatch):
+                                                                       no_sweep):
     # the link's own directory exists, its target's does not
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("a sweep ran")
-
-    monkeypatch.setattr(experiments, "run_sweep", no_sweep)
     (tmp_path / "fig3.csv").symlink_to(tmp_path / "missing" / "fig3.csv")
-    assert load_script().main([str(tmp_path), "--config", str(CONFIG)]) == 1
+    assert load_file().main([str(tmp_path), "--config", str(CONFIG)]) == 1
     assert str(tmp_path / "fig3.csv") in capsys.readouterr().err
     assert [path.name for path in tmp_path.iterdir()] == ["fig3.csv"]
 
 
 def test_output_directory_that_cannot_be_made_exits_1_before_any_work(tmp_path, capsys,
-                                                                     monkeypatch):
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("a sweep ran")
-
-    monkeypatch.setattr(experiments, "run_sweep", no_sweep)
+                                                                     no_sweep):
     existing = tmp_path / "file"
     existing.write_text("kept\n")
     for outdir in (existing, existing / "sub"):
-        assert load_script().main([str(outdir), "--config", str(CONFIG)]) == 1
+        assert load_file().main([str(outdir), "--config", str(CONFIG)]) == 1
         err = capsys.readouterr().err
         assert "output directory" in err and str(outdir) in err, err
     assert existing.read_text() == "kept\n"
@@ -191,9 +170,9 @@ def test_trials_flag_writes_what_its_config_key_does(tmp_path, monkeypatch):
                                                 "trials_per_point = 300"))
     quiet = contextlib.redirect_stdout(io.StringIO())
     with quiet:
-        assert load_script().main([str(tmp_path / "flag"), "--config", str(CONFIG),
-                                   "--trials", "300"]) == 0
-        assert load_script().main([str(tmp_path / "key"), "--config", str(keyed)]) == 0
+        assert load_file().main([str(tmp_path / "flag"), "--config", str(CONFIG),
+                                 "--trials", "300"]) == 0
+        assert load_file().main([str(tmp_path / "key"), "--config", str(keyed)]) == 0
     for name in experiments.EXPERIMENTS:
         flag, key = (tmp_path / side / f"{name}.csv" for side in ("flag", "key"))
         assert flag.read_bytes() == key.read_bytes(), name
