@@ -272,6 +272,13 @@ class TestCli:
         # 2 SNR points x 4 user rows x 2 schemes
         assert len(lines) == 1 + 16
 
+    def test_simulate_trace_prints_frame(self, capsys, tmp_path):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("trials_per_point = 10\n")
+        assert run_cli("simulate", "--trace", "--config", str(cfg)) == 0
+        captured = capsys.readouterr().out
+        assert "sent:" in captured and "received:" in captured
+
     def test_simulate_trace_reads_neither_workers_nor_out(self, capsys, tmp_path, monkeypatch):
         # the trace decides one frame on the calling thread and writes no file
         monkeypatch.setenv("VLCNOMA_WORKERS", "abc")
@@ -552,6 +559,53 @@ class TestCli:
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "out.csv")) == 1
         assert f"error: {cfg}: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_reproduce_fig2_deterministic_across_workers(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(
+            "trials_per_point = 3000\nbatch_size = 1024\n"
+            "snr_start_db = 138\nsnr_stop_db = 146\nsnr_step_db = 4\n"
+        )
+        out1 = tmp_path / "a.csv"
+        out2 = tmp_path / "b.csv"
+        monkeypatch.setenv("VLCNOMA_WORKERS", "1")
+        assert run_cli("reproduce", "fig2", "--config", str(cfg), "--out", str(out1)) == 0
+        monkeypatch.setenv("VLCNOMA_WORKERS", "4")
+        assert run_cli("reproduce", "fig2", "--config", str(cfg), "--out", str(out2)) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_reproduce_fig3_emits_average_rows_only(self, tmp_path):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(
+            "trials_per_point = 1000\nsnr_start_db = 140\nsnr_stop_db = 140\n"
+        )
+        out = tmp_path / "fig3.csv"
+        assert run_cli("reproduce", "fig3", "--config", str(cfg), "--out", str(out)) == 0
+        rows = [l for l in out.read_text().splitlines()
+                if l and not l.startswith("#") and not l.startswith("snr_db")]
+        assert len(rows) == 3
+        assert all(",avg," in r for r in rows)
+
+    def test_reproduce_fig4_emits_edge_user_rows(self, tmp_path):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(
+            "trials_per_point = 1000\nsnr_start_db = 140\nsnr_stop_db = 140\n"
+        )
+        out = tmp_path / "fig4.csv"
+        assert run_cli("reproduce", "fig4", "--config", str(cfg), "--out", str(out)) == 0
+        rows = [l for l in out.read_text().splitlines()
+                if l and not l.startswith("#") and not l.startswith("snr_db")]
+        assert len(rows) == 3
+        assert all(",u2," in r for r in rows)
+        assert {r.split(",")[2] for r in rows} == {"noma-sic", "noma-jml", "oma"}
+
+    def test_identical_invocations_are_byte_stable(self, tmp_path):
+        out1 = tmp_path / "one.csv"
+        out2 = tmp_path / "two.csv"
+        args = ("simulate", "--trials", "1500", "--snr", "142:146:4", "--seed", "8")
+        assert run_cli(*args, "--out", str(out1)) == 0
+        assert run_cli(*args, "--out", str(out2)) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 # Values the config fuzz writes: non-finite, signed zero, extremes, empty

@@ -699,6 +699,18 @@ class TestDecisionTables:
 
 
 class TestSicDecoders:
+    def test_noiseless_round_trip_reference_set(self, reference_set, reference_gains,
+                                                reference_tables):
+        grid = naive.tuples(reference_set.bpcu.sizes)
+        y1, _, y3 = superpose_transmit(grid, reference_set, reference_gains)
+        u1_hat, stage1 = decode_center_sic(y1, reference_tables["u1"])
+        u3_hat, stage3 = decode_center_sic(y3, reference_tables["u3"])
+        assert np.array_equal(u1_hat, grid[0])
+        assert np.array_equal(u3_hat, grid[2])
+        # the stage-1 estimates recover the edge symbol too
+        assert np.array_equal(stage1, grid[1])
+        assert np.array_equal(stage3, grid[1])
+
     def test_midway_tie_breaks_to_lowest_index(self):
         # raw sums make the scale exactly 1/8, so every level and the
         # midpoint are dyadic and the two distances compare exactly equal
@@ -711,6 +723,13 @@ class TestSicDecoders:
         edge1, own1, h = center_user(cset, unit, 1)
         _, stage1 = decode_center_sic(midpoint, sic_receiver(h * edge1, h * own1))
         assert int(stage1) == 0
+
+    def test_stage_counts(self, reference_set, reference_gains):
+        # both stages' candidates: the edge levels, then the user's own
+        (edge1, own1, _), (edge3, own3, _) = (center_user(reference_set, reference_gains, u)
+                                              for u in (1, 3))
+        assert edge1.size + own1.size == 2**2 + 2**3
+        assert edge3.size + own3.size == 2**2 + 2**2
 
     def test_center_users_hear_their_own_cell_through_their_own_gain(self, reference_set,
                                                                      reference_gains):
@@ -726,6 +745,21 @@ class TestSicDecoders:
 
 
 class TestEdgeDecoders:
+    def test_interference_as_noise_counts(self, reference_set, reference_gains):
+        g, cset = reference_gains, reference_set
+        assert (g.h21 * cset.cell1_edge + g.h22 * cset.cell2_edge).size == 4
+
+    def test_joint_ml_counts(self, reference_set, reference_gains):
+        tuples = naive.tuples(reference_set.bpcu.sizes)
+        assert superpose_transmit(tuples, reference_set, reference_gains)[1].size == 128
+
+    def test_noiseless_joint_ml_recovers_edge_symbol(self, reference_set, reference_gains,
+                                                     reference_tables):
+        grid = naive.tuples(reference_set.bpcu.sizes)
+        _, y2, _ = superpose_transmit(grid, reference_set, reference_gains)
+        assert np.array_equal(decode_u2_jml(y2, reference_tables["noma-jml"]), grid[1])
+        assert np.array_equal(decode_u2_sic(y2, reference_tables["noma-sic"]), grid[1])
+
     def test_gap_violating_levels_misdecode_noiselessly(self, reference_gains):
         bad = from_raw_levels(SpectralEfficiencies(1, 1, 1),
                               [1, 2], [3, 4], [3, 4], [1, 2], 1.0)
@@ -734,6 +768,21 @@ class TestEdgeDecoders:
         tables = receivers(bad, reference_gains, ("noma-sic",), 1.0)
         decoded = decode_u2_sic(y2, tables["noma-sic"])
         assert np.any(decoded != grid[1])
+
+    def test_common_noise_joint_ml_beats_interference_as_noise(
+        self, reference_set, reference_gains, reference_tables
+    ):
+        rng = philox_stream(5, 0, 0)
+        n = 20_000
+        m1, m2, m3 = reference_set.bpcu.sizes
+        symbols = (rng.integers(0, m1, n), rng.integers(0, m2, n), rng.integers(0, m3, n))
+        _, y2, _ = awgn_sample(superpose_transmit(symbols, reference_set, reference_gains),
+                               1e-7, rng)
+        sic_errors = np.count_nonzero(
+            decode_u2_sic(y2, reference_tables["noma-sic"]) != symbols[1])
+        jml_errors = np.count_nonzero(
+            decode_u2_jml(y2, reference_tables["noma-jml"]) != symbols[1])
+        assert jml_errors <= sic_errors
 
 
 class TestOmaPam:
@@ -764,6 +813,15 @@ class TestOmaRound:
         decoded = oma_round(symbols, links, 0.0, philox_stream(0, 0, 1))
         for sent, got in zip(symbols, decoded):
             assert np.array_equal(sent, got)
+
+    def test_per_frame_metric_counts(self, reference_bpcu, reference_gains):
+        levels = oma_levels(reference_bpcu, reference_gains, 1.0)
+        # frame total is twice the per-channel-use average of 48
+        assert sum(x.size for x in levels) == 64 + 16 + 16
+
+    def test_average_transmit_power_per_slot_is_target(self, reference_bpcu):
+        for size in oma_sizes(reference_bpcu):
+            assert oma_pam_points(size, 2.5).mean() == pytest.approx(2.5, rel=1e-12)
 
     @pytest.mark.parametrize("sigma", [-1.0, float("nan")])
     def test_bad_sigma_rejected(self, sigma, reference_set, reference_gains):

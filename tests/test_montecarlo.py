@@ -467,6 +467,39 @@ class TestReplay:
                     stopped_sooner |= trials(alone[subset]) != trials(alone[superset])
         assert stopped_sooner == (min_errors == 10)
 
+    def test_oma_alone_after_a_superposed_sweep_is_simulated(self, reference_set,
+                                                             reference_gains, streams_drawn):
+        # OMA draws after the superposed symbols, so alone its draws differ
+        memo = {}
+        oma = small_sweep(**REPLAYED, schemes=("oma",))
+        shared = run_sweep(replace(oma, schemes=("noma-sic", "oma")), reference_set,
+                           reference_gains, memo=memo)
+        alone = run_sweep(oma, reference_set, reference_gains)
+        calls = streams_drawn
+        calls.clear()
+        assert run_sweep(oma, reference_set, reference_gains, memo=memo) == alone
+        assert len(calls) == 3 * 16
+        assert [p for p in shared if p.scheme == "oma"] != alone
+        calls.clear()
+        assert run_sweep(oma, reference_set, reference_gains, memo=memo) == alone
+        assert calls == []  # OMA alone is a layout of its own, so its first sweep is replayed
+
+    def test_a_sweep_that_the_memo_does_not_cover_is_simulated_once(
+            self, reference_set, reference_gains, streams_drawn):
+        # the memo kept the first sweep of each layout, so each repeat of a
+        # sweep that it did not cover was simulated again: 8, 8, 8 and 8 streams
+        config = small_sweep(snr_points_db=(136.0, 142.0), trials_per_point=1024,
+                             batch_size=256)
+        sweeps = [replace(config, schemes=schemes)
+                  for schemes in (("noma-sic",), ("noma-jml",), ("noma-jml",), ("noma-jml",))]
+        alone = [run_sweep(sweep, reference_set, reference_gains) for sweep in sweeps]
+        calls, memo, drawn = streams_drawn, {}, []
+        for sweep, want in zip(sweeps, alone):
+            calls.clear()
+            assert run_sweep(sweep, reference_set, reference_gains, memo=memo) == want
+            drawn.append(len(calls))
+        assert drawn == [8, 8, 0, 0]
+
     @pytest.mark.scheduler
     @settings(max_examples=50, deadline=None)
     @given(sweeps=st.lists(st.lists(st.sampled_from(analytic.SCHEMES), min_size=1, max_size=3,
@@ -477,10 +510,6 @@ class TestReplay:
     # other layout held the one shared key, and every repeat was simulated.
     @example(sweeps=[("noma-sic", "oma"), ("oma",), ("oma",)], min_errors=0, workers=1)
     @example(sweeps=[("oma",), ("noma-sic",), ("noma-sic",)], min_errors=0, workers=1)
-    # the memo kept the first sweep of each layout, so each repeat of a sweep
-    # that it did not cover was simulated again: 8, 8, 8 and 8 streams
-    @example(sweeps=[("noma-sic",), ("noma-jml",), ("noma-jml",), ("noma-jml",)], min_errors=0,
-             workers=1)
     def test_sweeps_on_one_memo_equal_their_own_and_replay_what_it_covers(
             self, reference_set, reference_gains, sweeps, min_errors, workers):
         # each sweep is a subset of the schemes in any order; a sweep draws no
