@@ -107,7 +107,7 @@ def build_parser() -> ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", type=Path, default=None,
                        help="flat key=value config file (bundled defaults if omitted)")
         p.add_argument("--out", type=Path, default=None, help="output CSV path")
@@ -116,15 +116,13 @@ def build_parser() -> ArgumentParser:
     for name, (_, help_text) in TABLES.items():
         add(name, help_text)
 
-    sim = add("simulate", "Monte Carlo SER sweep")
+    sim = add("simulate", "Monte Carlo SER sweep of noma-sic, noma-jml or oma")
     sim.set_defaults(out=Path("ser_sweep.csv"))
     # every value is the raw text of a config line (overridden_config)
-    sim.add_argument("--seed", help="seed")
-    sim.add_argument("--trials", help="trials_per_point")
+    for option, key in OVERRIDES.items():
+        sim.add_argument(f"--{option.replace('_', '-')}", help=key)
     sim.add_argument("--snr", metavar="START:STOP:STEP",
                      help="snr_start_db:snr_stop_db:snr_step_db, replacing snr_points_db")
-    sim.add_argument("--schemes", help="schemes: comma list from noma-sic,noma-jml,oma")
-    sim.add_argument("--min-errors", help="min_errors")
     sim.add_argument("--trace", action="store_true",
                      help="print one frame's signals and decisions, then exit")
 

@@ -102,11 +102,10 @@ BASELINE_NOTE = ("note: the prior single-cell superposition baseline is omitted;
                  " design rules are not part of this package")
 
 # Figure name -> (schemes swept, users kept, extra comment lines).  Every
-# figure runs at the reference efficiencies.  fig3 simulates one sweep over
-# all schemes; the orthogonal baseline in it runs doubled efficiencies so
-# each user carries the same bits per channel use.  fig4 and then fig2 come
-# after it, so run_sweep replays both from that sweep's snapshots, the one
-# cache, each with its own stop rule (see run_sweep's memo).
+# figure runs at the reference efficiencies.  fig3 sweeps all schemes, its
+# orthogonal baseline at doubled efficiencies so each user carries the same
+# bits per channel use; fig4 and fig2 come after it, so run_sweep's memo
+# replays both from that sweep.
 FIGURES = {
     "fig3": (analytic.SCHEMES, ("avg",), ("series = average SER per scheme", BASELINE_NOTE)),
     "fig4": (analytic.SCHEMES, ("u2",), ("series = cell-edge user SER per scheme", BASELINE_NOTE)),
@@ -127,9 +126,9 @@ def write_ser_csv(cfg: ExperimentConfig, out: Path, workers: int = 1, memo: dict
     """Write the rows of ``users`` from ``cfg``'s sweep under its config
     echo and ``notes``: the one writer of every SER CSV.
 
-    It keeps no cache of its own.  ``memo`` goes to ``run_sweep``, whose
-    snapshots are the one cache: a figure over schemes that the run's earlier
-    sweeps of its draw layout asked for replays them and simulates nothing.
+    It keeps no cache of its own.  ``memo`` goes to ``run_sweep``, the one
+    cache: a figure replays the last sweep simulated under its draw layout
+    when that sweep covers its schemes, and simulates nothing.
     """
     gains, cset = cfg.design()
     rows = [(p.snr_db, p.user, p.scheme, p.estimate.trials, p.estimate.errors, p.estimate.ser,
@@ -142,7 +141,7 @@ def write_ser_csv(cfg: ExperimentConfig, out: Path, workers: int = 1, memo: dict
 def run_experiment(name: str, cfg: ExperimentConfig, out: Path, workers: int = 1,
                    memo: dict | None = None) -> Path:
     """Write one named experiment's CSV; ``memo``, ``run_sweep``'s one cache,
-    is shared by the figures."""
+    lets a figure replay an earlier figure's sweep."""
     if name in FIGURES:
         schemes, users, notes = FIGURES[name]
         cfg = replace(cfg, bpcu=REFERENCE_BPCU, sweep=replace(cfg.sweep, schemes=schemes))

@@ -19,13 +19,13 @@ from .errors import ParameterError
 
 
 class Workspace:
-    """Reusable arrays for the hot path, so that a warmed Monte Carlo batch
-    allocates no temporaries.  A request for a key overwrites what an earlier
-    one handed out.  Decisions are keyed by their ``DecisionTable``, scratch
-    by role: "y" the one received amplitude being decoded, then its SIC
-    residual; "t", "z" and "index" short-lived floats and an intp; "below"
-    one compare at a time.  No stage writes an array that a caller passed in.
-    """
+    """Reusable arrays, so that a warmed Monte Carlo batch allocates no
+    temporaries; a request for a key overwrites what it handed out before, and
+    no stage writes an array that its caller passed in.  Decisions are keyed
+    by their ``DecisionTable``, scratch by role: "y" the received amplitude
+    being decoded, then its SIC residual; "t" and "z" floats; "index" an intp;
+    "pair" ``_frame``'s flat symbol pair; "slot" a gathered table's slots;
+    "below" one compare; "errors" one decision's error mask in ``_run_points``."""
 
     def __init__(self):
         self._arrays: dict = {}

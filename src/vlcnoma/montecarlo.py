@@ -358,10 +358,10 @@ def run_sweep(
     ``memo``, a dict shared by the sweeps of one run, is the run's one
     cache, keyed by value on the design, every setting but schemes, and the
     draw layout: OMA alone, or the superposed symbols with OMA's after them.
-    Each key holds the snapshots of one sweep over every scheme asked of it
-    so far.  A sweep over some of them replays its own stop rule on them and
-    simulates nothing; any other simulates the union once, and the key then
-    holds that.  Without a memo the sweep takes the same path on its own dict.
+    A sweep that the key's sweep covers replays its own stop rule on that
+    sweep's snapshots and simulates nothing; any other simulates exactly its
+    own schemes and takes the key over, so the last simulated sweep of each
+    layout wins.  Without a memo the sweep takes the same path on its own dict.
     """
     if not isinstance(workers, numbers.Integral) or not 1 <= workers <= MAX_WORKERS:
         raise ParameterError(f"workers must be an integer in 1..{MAX_WORKERS}, got {workers!r}")
@@ -371,10 +371,8 @@ def run_sweep(
     memo = {} if memo is None else memo
     layout = ("oma",) if config.schemes == ("oma",) else analytic.SCHEMES  # what it draws
     schemes, records = memo.get(key := (replace(config, schemes=layout), gains, cset), ((), None))
-    if not set(config.schemes) <= set(schemes):  # simulate the union and keep it instead
-        schemes = tuple(s for s in analytic.SCHEMES if s in schemes + config.schemes)
-        records = _run_points(replace(config, schemes=schemes), cset, gains, workers)
-        memo[key] = schemes, records
+    if not set(config.schemes) <= set(schemes):  # the last sweep of a layout wins
+        schemes, records = memo[key] = config.schemes, _run_points(config, cset, gains, workers)
     rows = [schemes.index(scheme) for scheme in config.schemes]
     stops = [_stop(snapshots, rows, config.min_errors) for snapshots in records]
     forms = analytic.closed_forms(config.schemes, cset, gains, config.sigmas)

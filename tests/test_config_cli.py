@@ -52,44 +52,22 @@ class TestLoadConfig:
         seed_only.write_text("seed = 1\n")
         assert load_config(seed_only).gain_override is None
 
-    def test_out_of_range_value_names_key(self, tmp_path):
+    @pytest.mark.parametrize("text,message", [
+        ("semi_angle_deg = 120\n", "{path}: semi_angle_deg must be in (0, 90), got 120.0"),
+        ("# comment line\nsemiangle = 60\n", "{path}:2: unknown key 'semiangle'"),
+        ("room_height_m = 4.0\nnot a kv line\n",
+         "{path}:2: expected 'key = value', got 'not a kv line'"),
+        ("trials_per_point = many\n", "{path}: bad value for 'trials_per_point': invalid"),
+        ("gain_h11 = 1e-6\ngain_h21 = 5e-7\n",
+         "{path}: gain override needs all four gains, missing ['gain_h22', 'gain_h32']"),
+        ("seed = 1\nseed = 2\n", "{path}:2: duplicate key 'seed'"),
+    ], ids=["out_of_range_value_names_key", "unknown_key_names_key_and_line",
+            "malformed_line_reports_line_number", "unparseable_value_names_key",
+            "partial_gain_override_rejected", "duplicate_key_rejected"])
+    def test_bad_file_is_rejected_naming_what_is_wrong(self, tmp_path, text, message):
         path = tmp_path / "bad.cfg"
-        path.write_text("semi_angle_deg = 120\n")
-        with pytest.raises(ParameterError, match=re.escape(
-                f"{path}: semi_angle_deg must be in (0, 90), got 120.0")):
-            load_config(path)
-
-    def test_unknown_key_names_key_and_line(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("# comment line\nsemiangle = 60\n")
-        with pytest.raises(ParameterError, match=re.escape(f"{path}:2: unknown key 'semiangle'")):
-            load_config(path)
-
-    def test_malformed_line_reports_line_number(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("room_height_m = 4.0\nnot a kv line\n")
-        with pytest.raises(ParameterError, match=re.escape(
-                f"{path}:2: expected 'key = value', got 'not a kv line'")):
-            load_config(path)
-
-    def test_unparseable_value_names_key(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("trials_per_point = many\n")
-        with pytest.raises(ParameterError,
-                           match=re.escape(f"{path}: bad value for 'trials_per_point': invalid")):
-            load_config(path)
-
-    def test_partial_gain_override_rejected(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("gain_h11 = 1e-6\ngain_h21 = 5e-7\n")
-        with pytest.raises(ParameterError, match=re.escape(
-                f"{path}: gain override needs all four gains, missing ['gain_h22', 'gain_h32']")):
-            load_config(path)
-
-    def test_duplicate_key_rejected(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("seed = 1\nseed = 2\n")
-        with pytest.raises(ParameterError, match=re.escape(f"{path}:2: duplicate key 'seed'")):
+        path.write_text(text)
+        with pytest.raises(ParameterError, match=re.escape(message.format(path=path))):
             load_config(path)
 
     def test_inline_comments_and_blank_lines(self, tmp_path):
@@ -342,7 +320,10 @@ class TestCli:
         with pytest.raises(SystemExit) as stop:
             run_cli(*argv)
         assert stop.value.code == 0
-        assert "usage: vlcnoma" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "usage: vlcnoma" in out
+        if argv[0] == "simulate":  # the --schemes help names only its key
+            assert all(scheme in out for scheme in ("noma-sic", "noma-jml", "oma"))
 
     def test_bad_snr_spec_exit_code(self, capsys):
         assert run_cli("simulate", "--snr", "10:20") == 1

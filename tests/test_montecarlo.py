@@ -486,19 +486,22 @@ class TestReplay:
 
     def test_a_sweep_that_the_memo_does_not_cover_is_simulated_once(
             self, reference_set, reference_gains, streams_drawn):
-        # the memo kept the first sweep of each layout, so each repeat of a
-        # sweep that it did not cover was simulated again: 8, 8, 8 and 8 streams
+        # each simulated sweep takes its layout's key over: a memo that kept the
+        # first sweep simulated every repeat of noma-jml (8, 8, 8 and 8 streams),
+        # and one that kept the union replayed the last noma-sic (8, 8 and 0)
         config = small_sweep(snr_points_db=(136.0, 142.0), trials_per_point=1024,
                              batch_size=256)
-        sweeps = [replace(config, schemes=schemes)
-                  for schemes in (("noma-sic",), ("noma-jml",), ("noma-jml",), ("noma-jml",))]
-        alone = [run_sweep(sweep, reference_set, reference_gains) for sweep in sweeps]
-        calls, memo, drawn = streams_drawn, {}, []
-        for sweep, want in zip(sweeps, alone):
-            calls.clear()
-            assert run_sweep(sweep, reference_set, reference_gains, memo=memo) == want
-            drawn.append(len(calls))
-        assert drawn == [8, 8, 0, 0]
+        sic, jml = ("noma-sic",), ("noma-jml",)
+        for sequence, want_drawn in (((sic, jml, jml, jml), [8, 8, 0, 0]),
+                                     ((sic, jml, sic), [8, 8, 8])):
+            sweeps = [replace(config, schemes=schemes) for schemes in sequence]
+            alone = [run_sweep(sweep, reference_set, reference_gains) for sweep in sweeps]
+            calls, memo, drawn = streams_drawn, {}, []
+            for sweep, want in zip(sweeps, alone):
+                calls.clear()
+                assert run_sweep(sweep, reference_set, reference_gains, memo=memo) == want
+                drawn.append(len(calls))
+            assert drawn == want_drawn, sequence
 
     @pytest.mark.scheduler
     @settings(max_examples=50, deadline=None)
@@ -513,11 +516,11 @@ class TestReplay:
     def test_sweeps_on_one_memo_equal_their_own_and_replay_what_it_covers(
             self, reference_set, reference_gains, sweeps, min_errors, workers):
         # each sweep is a subset of the schemes in any order; a sweep draws no
-        # stream exactly when an earlier one of its draw layout asked for all
-        # its schemes
+        # stream exactly when the last simulated sweep of its draw layout
+        # covered all its schemes
         config = small_sweep(snr_points_db=(136.0, 142.0), trials_per_point=2048,
                              batch_size=256, min_errors=min_errors)
-        memo, seen = {}, {True: set(), False: set()}  # schemes asked for, by layout
+        memo, seen = {}, {True: set(), False: set()}  # last simulated schemes, by layout
         for schemes in sweeps:
             sweep = replace(config, schemes=schemes)
             alone = run_sweep(sweep, reference_set, reference_gains)
@@ -529,7 +532,7 @@ class TestReplay:
                                  memo=memo) == alone
             oma_alone = schemes == ("oma",)  # the draw layout
             assert (calls == []) == (set(schemes) <= seen[oma_alone]), (schemes, seen)
-            seen[oma_alone] |= set(schemes)
+            seen[oma_alone] = set(schemes) if calls else seen[oma_alone]
 
     def test_a_listed_grid_sweeps_with_and_without_a_memo(self, reference_set,
                                                          reference_gains):

@@ -1,12 +1,13 @@
 """Every sweep counts what the naive model counts, and every frame decides what
 it decides (differential testing).  ``naive.recount`` is matched against
-``run_sweep`` error for error and trial for trial; ``naive.frame`` against
-``_frame`` decision for decision, allocating and on a reused workspace, and
-its received amplitudes bit for bit, which a one-ulp fault in a table moves
-where a count rarely changes."""
+``run_sweep``, simulated and replayed from a memo, error for error and trial
+for trial; ``naive.frame`` against ``_frame`` decision for decision,
+allocating and on a reused workspace, and its received amplitudes bit for
+bit, which a one-ulp fault in a table moves where a count rarely changes."""
 
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,10 +51,14 @@ def designs(draw):
 
 
 def assert_rows_recounted(config, cset, gains, workers):
-    """Every row of the sweep has the recount's errors and trials."""
+    """Every row of the sweep has the recount's errors and trials, simulated
+    and replayed from a memo that first swept all three schemes."""
+    memo = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a design failing the gap condition warns
         rows = run_sweep(config, cset, gains, workers)
+        run_sweep(replace(config, schemes=SCHEMES), cset, gains, workers, memo)
+        replayed = run_sweep(config, cset, gains, workers, memo)
     expected = {}
     for snr_db, (trials, totals) in zip(config.snr_points_db,
                                         naive.recount(config, cset, gains)):
@@ -61,8 +66,9 @@ def assert_rows_recounted(config, cset, gains, workers):
             for user, e, t in zip(("u1", "u2", "u3", "avg"), (*errors, sum(errors)),
                                   (trials,) * 3 + (3 * trials,)):
                 expected[snr_db, user, scheme] = (int(e), t)
-    assert {(p.snr_db, p.user, p.scheme): (p.estimate.errors, p.estimate.trials)
-            for p in rows} == expected
+    for points in (rows, replayed):
+        assert {(p.snr_db, p.user, p.scheme): (p.estimate.errors, p.estimate.trials)
+                for p in points} == expected
 
 
 def assert_frames_match(cset, gains, schemes, sigma, other_sigma, seed, sizes=SIZES):
